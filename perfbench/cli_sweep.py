@@ -7,7 +7,9 @@ and stderr captured; each one's exit code and JSON payload are checked
 against the reference table.  Nothing is reused between requests except what
 the package itself caches.
 
-Four documented defects stay in the stream and count as failures:
+Four documented defects stay in the stream and count as failures.  Each is
+labelled only where it occurs; the same check failing anywhere else is an
+unexpected failure:
 
 * `make_constants` rejects its own zeta table at 15 and 16 digits ("zeta(53)
   tail bound violated": zeta(k) - 1 rounds up to 2^(1-k)), so every command
@@ -42,6 +44,15 @@ SPECTRUM_DEFECT = "spectrum verdict at --digits 15"
 QPERIOD_DEFECT = "qperiod float column in the global context"
 CONSTANTS_DEFECT = "constant table rejected at --digits 15"
 JSERIES_DEFECT = "jseries renders numeric coefficients to 30 digits"
+# where each defect occurs; a failure anywhere else is unexpected
+SPECTRUM_DEFECT_SPACES = ("Gr(2,5)", "Gr(2,6)", "Gr(3,6)")
+CONSTANTS_DEFECT_KINDS = ("gamma", "gram", "mutate", "oscillatory", "apery",
+                          "check-gamma1")
+
+
+def _spectrum_defect(space, P):
+    return SPECTRUM_DEFECT if P == 15 and space in SPECTRUM_DEFECT_SPACES \
+        else None
 
 
 # ---------------------------------------------------------------------------
@@ -115,17 +126,10 @@ def _ring(rng):
         c.equal(v["index"], _index(space), "index")
         table = [[[Fraction(x) for x in cell] for cell in row]
                  for row in v["cup_table"]]
-        c1 = [Fraction(x) for x in v["c1"]]
-        power = c1
-        for _ in range(v["dimension"] - 1):
-            out = [Fraction(0)] * rank
-            for i, a in enumerate(power):
-                for j, b in enumerate(c1):
-                    if a and b:
-                        for k, s in enumerate(table[i][j]):
-                            out[k] += a * b * s
-            power = out
-        top = sum(a * Fraction(w) for a, w in zip(power, v["integral"]))
+        top = ref.integrate_power(
+            lambda i, j: enumerate(table[i][j]),
+            [Fraction(x) for x in v["c1"]], v["dimension"],
+            [Fraction(w) for w in v["integral"]])
         c.equal(top, ref.top_c1_power(kind, n, d, r), "integral of c1^dim")
     return ["ring", "--space", space], check
 
@@ -175,7 +179,8 @@ def _jseries(rng):
             ctx = ref.context(P + 20)
             for deg, coeffs in rows.items():
                 c.digits(f"unit component {deg}", _num(coeffs[0], ctx),
-                         want[deg], P, P - 10, defect=JSERIES_DEFECT)
+                         want[deg], P, P - 10,
+                         defect=JSERIES_DEFECT if P > 30 else None)
     return ["jseries", "--space", space, "-D", str(D)], check
 
 
@@ -192,7 +197,8 @@ def _qperiod(rng):
         ctx = ref.context(P + 20)
         for row in v:
             c.digits(f"float of G_{row['d']}", _num(row["float"], ctx),
-                     Fraction(row["exact"]), P, P - 10, defect=QPERIOD_DEFECT)
+                     Fraction(row["exact"]), P, P - 10,
+                     defect=QPERIOD_DEFECT if P > 15 else None)
     return ["qperiod", "--space", space, "-N", str(N)], check
 
 
@@ -212,7 +218,7 @@ def _spectrum(rng):
                       + ("Gr(2,4)", "Gr(2,5)", "Gr(2,6)", "Gr(3,6)"))
 
     def check(v, c, P):
-        defect = SPECTRUM_DEFECT if P == 15 else None
+        defect = _spectrum_defect(space, P)
         kind, n, d, r = _space(space)
         rep = v["property_o"]
         c.expect(rep["satisfied"] is True, "Property O verdict", defect)
@@ -359,9 +365,10 @@ def _request(kind, argv, check, digits):
     def verify(out, c):
         rc, stdout, stderr = out
         defect = None
-        if kind == "spectrum" and digits == 15:
-            defect = SPECTRUM_DEFECT
-        elif "tail bound violated" in stderr and digits <= 16:
+        if kind == "spectrum":
+            defect = _spectrum_defect(argv[argv.index("--space") + 1], digits)
+        elif kind in CONSTANTS_DEFECT_KINDS and digits == 15 \
+                and "tail bound violated" in stderr:
             defect = CONSTANTS_DEFECT
         c.equal(rc, 0, f"exit code ({stderr.strip()[:80]})", defect)
         if not stdout:

@@ -10,6 +10,7 @@ afterwards, outside the timing.
 from __future__ import annotations
 
 import bisect
+import gc
 import signal
 import statistics
 import time
@@ -73,7 +74,9 @@ class Checker:
 class Result:
     kinds: list = field(default_factory=list)        # kind per op, in order
     times: list = field(default_factory=list)        # op wall times, s
-    pass_walls: list = field(default_factory=list)   # (traced, seconds)
+    traced: list = field(default_factory=list)       # whether, per op
+    passes: int = 0                                  # after the warm-up
+    warmup_ops: int = 0
     attempted: int = 0
     failed: int = 0
     unexpected: list = field(default_factory=list)   # failures not known
@@ -91,33 +94,40 @@ def run(passes, seconds: float, kernels, tracer=None,
     At least two passes and `min_ops` operations run.  Another pass starts
     only while it is expected to end no later than half a pass after the
     deadline, or while fewer than `min_ops` operations have run.  `kernels`
-    name the speed kernels timed before each untraced op.  With a `tracer`,
-    odd passes are traced and even passes are not, so both kinds are
-    measured under the same conditions.
+    name the speed kernels timed around and during each op.
+
+    With a `tracer`, no speed samples are taken, and pass 0 is an untraced
+    warm-up that fills the package's caches: its ops are checked but not
+    counted in `passes` or compared.  After it every other op of each kind
+    is traced, and an even number of passes runs, so the traced and the
+    untraced ops each make up whole passes, interleaved op by op on the
+    same machine.
     """
     res = Result(per_pass=Counter(op.kind for op in passes[0]))
+    warmup = 0
+    if tracer is not None:
+        kernels = ()
+        warmup = 1
+    seen = Counter()
     start = time.perf_counter()
     i = 0
     while True:
-        traced = tracer is not None and i % 2 == 1
-        ops = passes[i % len(passes)]
-        t0 = time.perf_counter()
-        if traced:
-            tracer.install()
-            tracer.active = True
-        try:
-            for op in ops:
-                _run_op(op, res, tracer if traced else None, kernels)
-        finally:
-            if traced:
-                tracer.active = False
-                tracer.uninstall()
-        res.pass_walls.append((traced, time.perf_counter() - t0))
-        if not traced:
+        for op in passes[i % len(passes)]:
+            traced = False
+            if tracer is not None and i >= warmup:
+                traced = seen[op.kind] % 2 == 1
+                seen[op.kind] += 1
+            _run_op(op, res, tracer if traced else None, kernels)
+            res.traced.append(traced)
+        if kernels:
             res.speed.append(speed_sample(kernels))
         i += 1
+        if i == warmup:
+            res.warmup_ops = len(res.times)
+        res.passes = i - warmup
         elapsed = time.perf_counter() - start
-        if i >= 2 and res.attempted >= min_ops \
+        if res.passes >= 2 and res.passes % (1 + warmup) == 0 \
+                and res.attempted >= min_ops \
                 and elapsed + 0.5 * elapsed / i > seconds:
             return res
 
@@ -125,11 +135,14 @@ def run(passes, seconds: float, kernels, tracer=None,
 def _run_op(op: Op, res: Result, tracer, kernels):
     res.attempted += 1
     error = None
-    if tracer is None:
+    if kernels:
         res.speed.append(speed_sample(kernels))
         sampler = _Sampler(res.speed, kernels)
     else:
         sampler = _NoSampler()
+    if tracer is not None:
+        tracer.install()
+        tracer.active = True
         tracer.enter("bench.op")
     t0 = time.perf_counter()
     try:
@@ -141,13 +154,13 @@ def _run_op(op: Op, res: Result, tracer, kernels):
         t1 = time.perf_counter()
         if tracer is not None:
             tracer.exit()
+            tracer.active = False
+            tracer.uninstall()
     res.kinds.append(op.kind)
     res.times.append(t1 - t0 - sampler.spent)
     res.spans.append((t0, t1))
 
     # checks run untraced so that reference work never shows in a layer
-    if tracer is not None:
-        tracer.active = False
     c0 = time.perf_counter()
     checker = Checker()
     if error is None:
@@ -161,7 +174,6 @@ def _run_op(op: Op, res: Result, tracer, kernels):
     if tracer is not None:
         tracer.calls["bench.check"] += 1
         tracer.self_s["bench.check"] += time.perf_counter() - c0
-        tracer.active = True
 
     res.margins.extend(checker.margins)
     if not checker.failures:
@@ -311,11 +323,21 @@ KERNELS = {"int": (_kernel_int, 0.85e-3),
 
 
 def speed_sample(kernels):
-    """(time stamp, speed factor) from one timing of the named kernels."""
+    """(time stamp, speed factor) from one timing of the named kernels.
+
+    The garbage collector is off while they run, so a collection of the
+    benchmark's or the package's heap never lands in a kernel's time.
+    """
     factor = 1.0
-    for name in kernels:
-        kernel, ref_s = KERNELS[name]
-        t0 = time.perf_counter()
-        kernel()
-        factor *= ref_s / (time.perf_counter() - t0)
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        for name in kernels:
+            kernel, ref_s = KERNELS[name]
+            t0 = time.perf_counter()
+            kernel()
+            factor *= ref_s / (time.perf_counter() - t0)
+    finally:
+        if enabled:
+            gc.enable()
     return time.perf_counter(), factor ** (1 / len(kernels))

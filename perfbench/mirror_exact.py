@@ -142,18 +142,8 @@ def _check_bcfk(J, c, n, want):
 def _check_schubert(R, c, r, n):
     from math import comb
     c.equal(R.rank, comb(n, r), "rank")
-    # c1^dim by the cup table, then integrate
-    v = list(R.c1_coeffs)
-    for _ in range(R.complex_dimension - 1):
-        out = [Fraction(0)] * R.rank
-        for i, a in enumerate(v):
-            if a:
-                for j, b in enumerate(R.c1_coeffs):
-                    if b:
-                        for k, s in R.cup_basis(i, j):
-                            out[k] += a * b * s
-        v = out
-    c.equal(sum(a * w for a, w in zip(v, R.integral)),
+    c.equal(ref.integrate_power(R.cup_basis, list(R.c1_coeffs),
+                                R.complex_dimension, R.integral),
             ref.top_c1_power("grassmannian", n, r=r), "integral of c1^dim")
 
 

@@ -145,6 +145,25 @@ def top_c1_power(kind: str, n: int, d: int = 0, r: int = 0) -> Fraction:
     return n ** (r * (n - r)) * grassmann_degree(r, n)
 
 
+def integrate_power(cup, x: list, k: int, integral: list) -> Fraction:
+    """Integral of x^k in a ring with basis 0..len(x)-1.
+
+    `cup(i, j)` yields the (index, coefficient) pairs of the product of
+    basis elements i and j; `integral` holds the integrals of the basis.
+    """
+    power = list(x)
+    for _ in range(k - 1):
+        out = [Fraction(0)] * len(x)
+        for i, a in enumerate(power):
+            if a:
+                for j, b in enumerate(x):
+                    if b:
+                        for m, s in cup(i, j):
+                            out[m] += a * b * s
+        power = out
+    return sum(a * w for a, w in zip(power, integral))
+
+
 def chi_projective(n: int, i: int, j: int) -> int:
     """chi(O(i), O(j)) = h^0(O(j-i)) on P^(n-1) for |j - i| < n."""
     m = j - i

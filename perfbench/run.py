@@ -1,6 +1,6 @@
 """Run one qgamma benchmark workload and print its metrics.
 
-    python3 perfbench/run.py --workload cli-sweep --seed 1 --seconds 30 \
+    python3 perfbench/run.py --workload cli-sweep --seed 1 --seconds 20 \
         --trace 0
 
 Run from the root of a checkout: the package is imported from ./src, never
@@ -10,24 +10,26 @@ readable report.  With --trace 0 the metrics are the end-to-end ones, with
 --trace 1 the per-layer ones (see perfbench/README.md).
 """
 
+import argparse
+import importlib
+import json
+import os
+import statistics
+import subprocess
+import sys
 import time
-
-_T0 = time.perf_counter()   # set-up probes measure from here
-
-import argparse  # noqa: E402
-import importlib  # noqa: E402
-import json  # noqa: E402
-import statistics  # noqa: E402
-import subprocess  # noqa: E402
-import sys  # noqa: E402
-from pathlib import Path  # noqa: E402
+from pathlib import Path
 
 HERE = Path(__file__).resolve().parent
 SRC = HERE.parent / "src"
 WORKLOADS = {"series-numeric": "series_numeric",
              "mirror-exact": "mirror_exact",
              "cli-sweep": "cli_sweep"}
-SETUP_PROBES = 7
+SETUP_PROBES = 7         # before the timed phase, and as many after it
+# Set-up probes read and write compiled bytecode here, inside the checkout,
+# whatever PYTHONDONTWRITEBYTECODE says, so that set-up time means the same
+# on every machine: imports from cached bytecode, as in an installed copy.
+PYCACHE = HERE.parent / ".bench_build" / "pycache"
 
 
 def _use_checkout():
@@ -42,28 +44,54 @@ def _use_checkout():
                  f"not from {SRC}")
 
 
+# Standard-library modules that neither qgamma nor the benchmark imports.
+# Importing them from cached bytecode is work of the kind a package import
+# does, and its speed factor scales the import part of each set-up probe.
+IMPORT_KERNEL = ("xml.dom.minidom", "unittest", "tarfile", "configparser",
+                 "optparse", "pickletools", "doctest", "logging.handlers")
+IMPORT_REFERENCE_S = 0.03
+
+
 def _setup_probe(workload, seed):
-    """Child process: import the package and CLI, build the inputs."""
+    """Child process: import the package, the CLI and the workload, build
+    the inputs, and print the time that took in reference-speed seconds.
+
+    The import part is scaled by the speed factor of IMPORT_KERNEL, the
+    input part by the best of nine samples of the arithmetic kernels
+    (harness.KERNELS).  Both are measured in this process right after
+    set-up: a fresh process can run at another speed than the one that
+    starts it, and arithmetic kernels slow down more than imports do when
+    the machine is busy.
+    """
+    t0 = time.perf_counter()
     _use_checkout()
     import qgamma.cli  # noqa: F401
-    importlib.import_module(WORKLOADS[workload]).prepare(seed)
-    print(time.perf_counter() - _T0)
+    module = importlib.import_module(WORKLOADS[workload])
+    t1 = time.perf_counter()
+    module.prepare(seed)
+    t2 = time.perf_counter()
+    for name in IMPORT_KERNEL:
+        importlib.import_module(name)
+    imports = IMPORT_REFERENCE_S / (time.perf_counter() - t2)
+    from harness import KERNELS, speed_sample
+    compute = max(speed_sample(KERNELS)[1] for _ in range(9))
+    print((t1 - t0) * imports + (t2 - t1) * compute)
 
 
-def _measure_setup(workload, seed, kernels):
-    """Median set-up time over fresh processes, in reference-speed seconds
-    (scaled by the speed factor measured just before and after each)."""
-    from harness import speed_sample
+def _setup_probes(workload, seed):
+    """Set-up times of SETUP_PROBES fresh processes, in reference-speed
+    seconds.  One more process runs first and is not counted: it fills the
+    bytecode cache if it is empty."""
+    env = dict(os.environ, PYTHONPYCACHEPREFIX=str(PYCACHE))
+    env.pop("PYTHONDONTWRITEBYTECODE", None)
     times = []
-    for _ in range(SETUP_PROBES):
-        before = speed_sample(kernels)[1]
+    for _ in range(SETUP_PROBES + 1):
         out = subprocess.run(
             [sys.executable, str(Path(__file__).resolve()), "--setup-probe",
              "--workload", workload, "--seed", str(seed)],
-            capture_output=True, text=True, timeout=120, check=True)
-        factor = (before + speed_sample(kernels)[1]) / 2
-        times.append(float(out.stdout.split()[-1]) * factor)
-    return statistics.median(times)
+            capture_output=True, text=True, timeout=120, check=True, env=env)
+        times.append(float(out.stdout.split()[-1]))
+    return times[1:]
 
 
 def _report(lines, name, value, unit, note=""):
@@ -74,7 +102,7 @@ def main(argv=None):
     p = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     p.add_argument("--workload", required=True, choices=sorted(WORKLOADS))
     p.add_argument("--seed", type=int, required=True)
-    p.add_argument("--seconds", type=float, default=30)
+    p.add_argument("--seconds", type=float, default=20)
     p.add_argument("--trace", type=int, choices=(0, 1), default=0)
     p.add_argument("--setup-probe", action="store_true",
                    help=argparse.SUPPRESS)
@@ -85,7 +113,8 @@ def main(argv=None):
 
     _use_checkout()
     module = importlib.import_module(WORKLOADS[args.workload])
-    setup_s = _measure_setup(args.workload, args.seed, module.KERNELS)
+    # a traced run reports no set-up time
+    setup_times = [] if args.trace else _setup_probes(args.workload, args.seed)
     import qgamma.cli  # noqa: F401  (imported by set-up, as in the probes)
 
     import resource
@@ -101,19 +130,26 @@ def main(argv=None):
                       getattr(module, "MIN_OPS", 0))
     dps_end = mpmath.mp.dps
 
+    per_pass = sum(res.per_pass.values())
     lines = [f"workload {args.workload}, seed {args.seed}: "
-             f"{len(res.pass_walls)} passes of {sum(res.per_pass.values())} "
+             f"{res.attempted // per_pass} passes of {per_pass} "
              f"operations, {res.attempted} operations, one client, "
              f"closed loop"]
     if args.trace:
         metrics = _per_layer(res, tracer, lines)
     else:
+        # The lower quartile leaves out probes slowed by other work on the
+        # machine without resting on a single fastest probe; probing before
+        # and after the timed phase spreads the probes over the run.
+        setup_times += _setup_probes(args.workload, args.seed)
+        setup_s = statistics.quantiles(setup_times, n=4)[0]
         e2e = harness.end_to_end(res)
         rss_mb = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024
         n = len(res.times)
         metrics = {
             "setup_s": (setup_s, "s",
-                        f"median of {SETUP_PROBES} fresh processes"),
+                        f"lower quartile of {len(setup_times)} fresh "
+                        "processes"),
             "wall_s": (e2e["wall_s"], "s", "one pass, sum of kind medians"),
             "op_p50_s": (e2e["op_p50_s"], "s", f"{n} samples"),
             "op_p95_s": (e2e["op_p95_s"], "s",
@@ -153,19 +189,22 @@ def main(argv=None):
 
 
 def _per_layer(res, tracer, lines):
-    """Per-layer metrics of the traced passes, plus the tracing overhead."""
-    traced = [w for t, w in res.pass_walls if t]
-    plain = [w for t, w in res.pass_walls if not t]
-    metrics = tracer.metrics(len(traced))
-    wall = statistics.mean(traced)
-    spans = tracer.self_total() / len(traced)
+    """Per-layer metrics of the traced ops, plus the tracing overhead."""
+    n = res.passes / 2          # passes' worth of traced, and of untraced, ops
+    compared = list(zip(res.times, res.traced))[res.warmup_ops:]
+    wall = sum(t for t, traced in compared if traced) / n
+    plain = sum(t for t, traced in compared if not traced) / n
+    metrics = tracer.metrics(n)
+    spans = (tracer.self_total() - tracer.self_s["bench.check"]) / n
     metrics["trace.wall_s"] = (wall, "s")
-    metrics["trace.untraced_wall_s"] = (statistics.mean(plain), "s")
-    metrics["trace.overhead_s"] = (wall - statistics.mean(plain), "s")
+    metrics["trace.untraced_wall_s"] = (plain, "s")
+    metrics["trace.overhead_s"] = (wall - plain, "s")
     metrics["trace.self_sum_s"] = (spans, "s")
-    lines.append(f"  {len(traced)} traced and {len(plain)} untraced passes; "
-                 f"self times of all spans sum to {spans:.4g} s of a "
-                 f"{wall:.4g} s traced pass")
+    lines.append(f"  an untraced warm-up pass, then {res.passes} passes with "
+                 f"every other op of each kind traced; per pass, the traced "
+                 f"ops took {wall:.4g} s, the untraced ones {plain:.4g} s, "
+                 f"and the self times of all spans but bench.check sum to "
+                 f"{spans:.4g} s")
     layers = {}
     for name, (value, unit) in metrics.items():
         if name.endswith(".self_s"):

@@ -103,6 +103,20 @@ def test_degrees_and_top_intersections():
     assert ref.top_c1_power("grassmannian", 4, r=2) == 4 ** 4 * 2
 
 
+def test_integrate_power_on_p2_and_p1xp1():
+    # P2: basis 1, h, h^2 with h^3 = 0 and integral of h^2 = 1; c1 = 3h
+    def cup_p2(i, j):
+        return [(i + j, 1)] if i + j < 3 else []
+    assert ref.integrate_power(cup_p2, [0, 3, 0], 2, [0, 0, 1]) == 9
+    # P1 x P1: basis 1, a, b, ab with a^2 = b^2 = 0; c1 = 2a + 2b
+    def cup_p1xp1(i, j):
+        if i & j:
+            return []
+        return [(i | j, 1)]
+    assert ref.integrate_power(cup_p1xp1, [0, 2, 2, 0], 2, [0, 0, 0, 1]) \
+        == 8
+
+
 def test_conifold_values():
     assert abs(ref.conifold_grassmann(2, 5, 30) - mpmath.mpf("8.0901699437")) \
         < 1e-9

@@ -158,13 +158,6 @@ class Tracer:
 
     # -- results -----------------------------------------------------------
 
-    def reset(self):
-        self.calls.clear()
-        self.self_s.clear()
-        self.counts.clear()
-        self._extra_digits.clear()
-        self._terms.clear()
-
     def metrics(self, passes: int) -> dict:
         """Per-pass calls, self time and counters for every span name."""
         out = {}
