@@ -44,11 +44,6 @@ def make_grid(t_max, k: int):
     return tuple(tm * (k + j) / (2 * k) for j in range(k + 1))
 
 
-def point_class(R: CohomologyRing) -> HomologyVector:
-    """The homology class of a point: pairs to the H^0-coefficient."""
-    return R.point_class()
-
-
 def neville_at_zero(svals, yvals):
     """Value at 0 of the polynomial through the points (svals, yvals)."""
     p = list(yvals)
@@ -168,7 +163,7 @@ def apery_ratio(J: JSeries, alpha: HomologyVector, N: int, P: int = 50) -> dict:
     if r * N > J.D:
         raise ValueError("series truncated below the requested index")
     ctx = working_context(P)
-    pt = point_class(R)
+    pt = R.point_class()
     ratios = []
     for m in range(1, N + 1):
         Jd = J.coefficient(r * m)

@@ -304,9 +304,7 @@ def cmd_qperiod(args) -> int:
         _emit_csv(qp.to_csv(), args)
         return 0
     rows = [{"d": d, "exact": str(qp.coefficient(d)),
-             "float": mpmath.nstr(mpmath.mpf(qp.coefficient(d).numerator)
-                                  / qp.coefficient(d).denominator,
-                                  args.digits)}
+             "float": qp.float_str(d, args.digits)}
             for d in qp.nonzero_degrees()]
     _emit(_payload(args, "qperiod", value=rows), args)
     return 0
@@ -523,9 +521,8 @@ _COMMANDS = {
 
 _CONFIG_KEYS = {"space", "digits", "order", "tmax", "korder", "quad_tol",
                 "tol", "n", "t", "u", "word", "index", "kernel_index",
-                "output", "format", "seed"}
-_INT_KEYS = {"digits", "order", "korder", "n", "index", "kernel_index",
-             "seed"}
+                "output", "format"}
+_INT_KEYS = {"digits", "order", "korder", "n", "index", "kernel_index"}
 _FLOAT_KEYS = {"tmax", "quad_tol", "tol", "t", "u"}
 
 
@@ -635,13 +632,11 @@ def main(argv=None) -> int:
             if v is not None and v <= 0:
                 raise UsageError(f"--{field} must be positive")
         return _COMMANDS[args.command](args)
-    except UsageError as e:
-        print(f"error: {e}", file=sys.stderr)
-        return 2
     except (ResourceBudgetExceeded, PartialPeriodError) as e:
         print(f"resource abort: {e}", file=sys.stderr)
         return 2
-    except (ValueError, IndexError, ArithmeticError) as e:
+    except (UsageError, ValueError, IndexError, ArithmeticError,
+            RuntimeError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 2
 

@@ -18,15 +18,6 @@ from .ring import GradedVector, KClass, cup, gamma_class, line_bundle, \
 from .scalars import ConstantTable, make_constants, working_context
 
 
-_TABLES = {}
-
-
-def _constants(P: int) -> ConstantTable:
-    if P not in _TABLES:
-        _TABLES[P] = make_constants(P=P)
-    return _TABLES[P]
-
-
 @dataclass(frozen=True)
 class MarkedBasis:
     base: tuple     # fixed numeric classes spanning the lattice
@@ -76,7 +67,7 @@ def eigenvalue_marks(n: int, P: int = 50):
 
 def marked_beilinson_basis(n: int, P: int = 50) -> MarkedBasis:
     """MarkedBasis of the Gamma-weighted twisting sheaves on P^(n-1)."""
-    C = _constants(P)
+    C = make_constants(P=P)
     gam = None
     base = []
     labels = []
@@ -119,7 +110,7 @@ def gram_matrix(basis, C: ConstantTable | None = None, P: int = 50) -> dict:
     if isinstance(basis, MarkedBasis):
         P = basis.precision
     if C is None:
-        C = _constants(P)
+        C = make_constants(P=P)
     classes = _numeric_classes(basis, C)
     ctx = C.ctx
     snap = ctx.mpf(10) ** (-P + 10)
@@ -140,7 +131,7 @@ def gram_matrix(basis, C: ConstantTable | None = None, P: int = 50) -> dict:
 
 
 def _pair_snapped(basis: MarkedBasis, a: GradedVector, b: GradedVector):
-    C = _constants(basis.precision)
+    C = make_constants(P=basis.precision)
     v = pair_bracket(a, b, C)
     nearest = C.ctx.nint(v.real)
     if abs(v - nearest) > C.ctx.mpf(10) ** (-basis.precision + 10):

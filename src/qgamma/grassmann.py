@@ -12,7 +12,7 @@ from math import factorial
 
 from .jfun import JSeries, j_projective
 from .laurent import LaurentPolynomial
-from .mirror import constant_term_series, property_o_report
+from .mirror import _compositions, constant_term_series, property_o_report
 from .ring import CohomologyRing, GradedVector, KClass, cup, ring_exp
 from .scalars import working_context
 
@@ -321,7 +321,7 @@ def bcfk_j_series(r: int, n: int, D: int, P: int = 50) -> JSeries:
     coeffs = {0: R.unit()}
     for m in range(1, mmax + 1):
         poly = {}
-        for d in _compositions_of(m, r):
+        for d in _compositions(m, r):
             poly = _poly_add(poly, _twisted_term(d, glists, r, n))
         wedge = antisymmetric_from_polynomial(poly, r, n)
         vec = satake_map(wedge, R)
@@ -333,15 +333,6 @@ def bcfk_j_series(r: int, n: int, D: int, P: int = 50) -> JSeries:
                 f"imaginary residue {worst} at degree {n*m}: phase bug")
         coeffs[n * m] = jm.map_coeffs(lambda c: out.mpf(ctx.re(c)))
     return JSeries(ring=R, D=D, fano_index=n, coeffs=coeffs)
-
-
-def _compositions_of(m, parts):
-    if parts == 1:
-        yield (m,)
-        return
-    for first in range(m + 1):
-        for rest in _compositions_of(m - first, parts - 1):
-            yield (first,) + rest
 
 
 def _twisted_term(d, glists, r, n):

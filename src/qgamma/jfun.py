@@ -17,7 +17,7 @@ from math import factorial
 import mpmath
 
 from .ring import (CohomologyRing, GradedVector, build_hypersurface_ambient_ring,
-                   build_projective_ring, cup)
+                   build_projective_ring, cup, ring_exp)
 from .scalars import working_context
 
 
@@ -59,18 +59,18 @@ class QuantumPeriod:
     def nonzero_degrees(self):
         return sorted(d for d, g in self.coeffs.items() if g)
 
+    def float_str(self, d: int, digits: int) -> str:
+        """G_d to `digits` significant digits, converted in its own context
+        with guard digits (mpmath converts a Fraction rounding toward zero)."""
+        ctx = working_context(digits + 5)
+        return mpmath.nstr(ctx.convert(self.coefficient(d)), digits)
+
     def to_csv(self) -> str:
         lines = ["d,G_d_exact,G_d_float"]
         for d in sorted(self.coeffs):
             g = self.coeffs[d]
-            if isinstance(g, (int, Fraction)):
-                exact = str(Fraction(g))
-                approx = mpmath.nstr(mpmath.mpf(g.numerator) / g.denominator, 17) \
-                    if isinstance(g, Fraction) else repr(g)
-            else:
-                exact = ""
-                approx = mpmath.nstr(g, 17)
-            lines.append(f"{d},{exact},{approx}")
+            exact = str(Fraction(g)) if isinstance(g, (int, Fraction)) else ""
+            lines.append(f"{d},{exact},{self.float_str(d, 17)}")
         return "\n".join(lines) + "\n"
 
 
@@ -268,11 +268,7 @@ def evaluate_j(J: JSeries, t, log_branch=0, P: int = 50,
     tail = 2 * last_two[-1] if last_two else ctx.mpf(0)
 
     # prefactor e^(c1 log t)
-    vec = GradedVector(R, tuple(acc))
-    term = vec
-    for m in range(1, R.complex_dimension + 1):
-        term = cup(term, R.c1)
-        vec = vec + (logt ** m / factorial(m)) * term
+    vec = cup(ring_exp(logt * R.c1), GradedVector(R, tuple(acc)))
 
     out = working_context(P)
     value = vec.map_coeffs(out.mpc)
@@ -288,14 +284,7 @@ _EPS_N = 4
 
 
 def _eps_mul(a, b):
-    out = [Fraction(0)] * _EPS_N
-    for i, ai in enumerate(a):
-        if not ai:
-            continue
-        for j in range(_EPS_N - i):
-            if b[j]:
-                out[i + j] += ai * b[j]
-    return tuple(out)
+    return tuple(_mul_trunc(a, b, _EPS_N))
 
 
 def _eps_linear(c, s):
@@ -380,7 +369,7 @@ def jseries_to_json_dict(J: JSeries, space: str) -> dict:
 def _scalar_str(c) -> str:
     if isinstance(c, (int, Fraction)):
         return str(Fraction(c))
-    return mpmath.nstr(c, 30)
+    return mpmath.nstr(c, c.context.dps)
 
 
 def jseries_to_json(J: JSeries, space: str) -> str:

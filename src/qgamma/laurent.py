@@ -9,7 +9,6 @@ from __future__ import annotations
 
 import json
 from fractions import Fraction
-from math import factorial
 
 
 class LaurentPolynomial:

@@ -14,14 +14,15 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import combinations, permutations
+from itertools import combinations
 from math import factorial
 
 from .exactla import solve
 from .jfun import JSeries, evaluate_j, quantum_lefschetz
 from .laurent import LaurentPolynomial
 from .mirror import origin_in_interior
-from .ring import GradedVector, cup, gamma_class, pair_bracket, ring_exp
+from .ring import GradedVector, cup, gamma_exponent_coeffs, line_bundle, \
+    pair_bracket, ring_exp
 from .scalars import make_constants, working_context
 
 
@@ -240,19 +241,14 @@ def central_charge_structure_sheaf(J: JSeries, gamma: GradedVector, t,
 def _gamma_inverse_series(R, a: int, C):
     """Gamma(1 + a*h)^(-1) as a ring element, h the hyperplane generator.
 
-    Uses -log Gamma(1+x) = euler_gamma*x + sum_{k>=2} (-1)^(k+1) zeta(k) x^k/k
-    on the nilpotent x = a*h.
+    The Gamma class of the line bundle O(a) inverted: exp(-sum_k g_k ch_k(O(a)))
+    with g_k the multipliers of `gamma_exponent_coeffs`.
     """
-    ctx = C.ctx
-    top = R.complex_dimension
-    h = R.c1.map_coeffs(lambda c: c / R.fano_index)   # hyperplane class
-    expo = (C.gamma * ctx.convert(a)) * h
-    hk = h
-    for k in range(2, top + 1):
-        hk = cup(hk, h)
-        coef = (-1) ** (k + 1) * C.require_zeta(k) * ctx.convert(a) ** k / k
-        expo = expo + coef * hk
-    return ring_exp(expo.map_coeffs(ctx.convert))
+    ch = line_bundle(R, a).ch
+    expo = R.zero()
+    for k, g in gamma_exponent_coeffs(C, R.complex_dimension).items():
+        expo = expo - g * ch.degree_part(k)
+    return ring_exp(expo.map_coeffs(C.ctx.convert))
 
 
 def laplace_lefschetz_check(JX: JSeries, a: int, u, tol=None, P: int = 50) -> dict:

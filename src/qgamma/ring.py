@@ -21,10 +21,6 @@ class RingMismatch(ValueError):
     pass
 
 
-def _fraction_from_string(s: str) -> Fraction:
-    return Fraction(s)
-
-
 @dataclass(frozen=True)
 class CohomologyRing:
     name: str
@@ -47,11 +43,7 @@ class CohomologyRing:
         return GradedVector(self, (0,) * self.rank)
 
     def unit(self) -> "GradedVector":
-        return self.basis_vector(0) if self.degrees[0] == 0 else self._unit_slow()
-
-    def _unit_slow(self) -> "GradedVector":
-        i = self.degrees.index(0)
-        return self.basis_vector(i)
+        return self.basis_vector(self.degrees.index(0))
 
     def basis_vector(self, i: int) -> "GradedVector":
         co = [0] * self.rank
@@ -133,10 +125,6 @@ class GradedVector:
         return GradedVector(self.ring, tuple(
             c if d == p else 0 for c, d in zip(self.coeffs, self.ring.degrees)))
 
-    def component(self, p: int):
-        """Coefficients of the degree-p part (list aligned with basis)."""
-        return [c if d == p else 0 for c, d in zip(self.coeffs, self.ring.degrees)]
-
     def h0(self):
         """The H^0-component (coefficient of the unit class)."""
         i = self.ring.degrees.index(0)
@@ -213,13 +201,6 @@ def cup(a: GradedVector, b: GradedVector) -> GradedVector:
     return GradedVector(R, tuple(out))
 
 
-def cup_power(v: GradedVector, m: int) -> GradedVector:
-    out = v.ring.unit()
-    for _ in range(m):
-        out = cup(out, v)
-    return out
-
-
 def ring_exp(v: GradedVector) -> GradedVector:
     """exp of a nilpotent vector of positive degrees (finite sum).
 
@@ -249,22 +230,28 @@ def build_projective_ring(n: int) -> CohomologyRing:
     """
     if n < 1:
         raise ValueError("need n >= 1")
+    # n*e^h - 1, truncated at h^(n-1)
+    chTF = tuple(Fraction(n, factorial(p)) - (1 if p == 0 else 0) for p in range(n))
+    return _hyperplane_ring(f"P{n - 1}", n, 1, n, chTF)
+
+
+def _hyperplane_ring(name: str, n: int, degree: int, index: int,
+                     chTF: tuple) -> CohomologyRing:
+    """Ring spanned by 1, h, ..., h^(n-1) with h^n = 0, int h^(n-1) = degree
+    and c1 = index * h."""
     dim = n - 1
-    basis = tuple(f"h^{p}" if p else "1" for p in range(n))
-    degrees = tuple(range(n))
     cup_table = {}
     for i in range(n):
         for j in range(i, n):
             if i + j < n:
                 cup_table[(i, j)] = ((i + j, Fraction(1)),)
-    integral = tuple(Fraction(1) if p == dim else Fraction(0) for p in range(n))
-    c1 = tuple(Fraction(n) if p == 1 else Fraction(0) for p in range(n))
-    # n*e^h - 1, truncated at h^(n-1)
-    chTF = tuple(Fraction(n, factorial(p)) - (1 if p == 0 else 0) for p in range(n))
     return CohomologyRing(
-        name=f"P{dim}", complex_dimension=dim, basis=basis, degrees=degrees,
-        cup_table=cup_table, integral=integral, c1_coeffs=c1, chTF_coeffs=chTF,
-        fano_index=n)
+        name=name, complex_dimension=dim,
+        basis=tuple(f"h^{p}" if p else "1" for p in range(n)),
+        degrees=tuple(range(n)), cup_table=cup_table,
+        integral=tuple(Fraction(degree) if p == dim else Fraction(0) for p in range(n)),
+        c1_coeffs=tuple(Fraction(index) if p == 1 else Fraction(0) for p in range(n)),
+        chTF_coeffs=chTF, fano_index=index)
 
 
 def tensor_ring(R1: CohomologyRing, R2: CohomologyRing) -> CohomologyRing:
@@ -329,28 +316,10 @@ def build_hypersurface_ambient_ring(n: int, a: int) -> CohomologyRing:
         raise ValueError("need 1 <= a <= n for a Fano hypersurface")
     if n < 2:
         raise ValueError("dimension-0 hypersurface has no ring here")
-    dim = n - 1
-    basis = tuple(f"h^{p}" if p else "1" for p in range(n))
-    degrees = tuple(range(n))
-    cup_table = {}
-    for i in range(n):
-        for j in range(i, n):
-            if i + j < n:
-                cup_table[(i, j)] = ((i + j, Fraction(1)),)
-    integral = tuple(Fraction(a) if p == dim else Fraction(0) for p in range(n))
-    r = n + 1 - a
-    c1 = tuple(Fraction(r) if p == 1 else Fraction(0) for p in range(n))
     # restriction of the ambient tangent character minus the normal line bundle
     chTF = tuple(Fraction(n + 1, factorial(p)) - (1 if p == 0 else 0)
                  - Fraction(a ** p, factorial(p)) for p in range(n))
-    return CohomologyRing(
-        name=f"Y({n},{a})", complex_dimension=dim, basis=basis, degrees=degrees,
-        cup_table=cup_table, integral=integral, c1_coeffs=c1, chTF_coeffs=chTF,
-        fano_index=r)
-
-
-def point_ring() -> CohomologyRing:
-    return build_projective_ring(1)
+    return _hyperplane_ring(f"Y({n},{a})", n, a, n + 1 - a, chTF)
 
 
 # --------------------------------------------------------------------------
@@ -382,8 +351,6 @@ def gamma_class(R: CohomologyRing, C: ConstantTable, dual: bool = False) -> Grad
     `dual=True` builds the class with all Chern roots negated.
     """
     top = R.complex_dimension
-    if top == 0:
-        return R.unit().map_coeffs(C.ctx.convert)
     if C.K_max < top:
         raise ValueError("constant table does not cover zeta up to the dimension")
     mult = gamma_exponent_coeffs(C, top, dual=dual)
@@ -393,13 +360,7 @@ def gamma_class(R: CohomologyRing, C: ConstantTable, dual: bool = False) -> Grad
         if part.is_zero():
             continue
         expo = expo + mult[k] * part
-    # exp of the nilpotent exponent
-    acc = R.unit().map_coeffs(C.ctx.convert)
-    term = R.unit()
-    for m in range(1, top + 1):
-        term = cup(term, expo)
-        acc = acc + (C.ctx.mpf(1) / factorial(m)) * term
-    return acc
+    return ring_exp(expo).map_coeffs(C.ctx.convert)
 
 
 def modified_chern(E: KClass, C: ConstantTable) -> GradedVector:
@@ -420,13 +381,7 @@ def euler_pairing_vector(a: GradedVector, C: ConstantTable) -> GradedVector:
     # e^(pi i mu): degree p scales by e^(pi i (p - n/2))
     mu_factors = [ctx.expjpi(ctx.convert(Fraction(p) - half)) for p in range(max(R.degrees) + 1)]
     twisted = a.scale_by_degree(mu_factors)
-    # e^(pi i c1) as an exact-nilpotent exponential with complex scalars
-    acc = twisted
-    term = twisted
-    pii = ctx.mpc(0, C.pi)
-    for m in range(1, n + 1):
-        term = cup(term, R.c1)
-        acc = acc + (pii ** m / factorial(m)) * term
+    acc = cup(ring_exp(ctx.mpc(0, C.pi) * R.c1), twisted)
     return ((1 / (2 * C.pi)) ** n) * acc
 
 
@@ -466,12 +421,7 @@ def todd_class(R: CohomologyRing) -> GradedVector:
         pm = factorial(m) * R.chTF.degree_part(m)
         if not pm.is_zero():
             expo = expo + c[m] * pm
-    acc = R.unit()
-    term = R.unit()
-    for m in range(1, top + 1):
-        term = cup(term, expo)
-        acc = acc + Fraction(1, factorial(m)) * term
-    return acc
+    return ring_exp(expo)
 
 
 def hrr_record(E1: KClass, E2: KClass, C: ConstantTable):
@@ -527,17 +477,17 @@ def ring_from_json_dict(doc: dict) -> CohomologyRing:
     cup_table = {}
     for i in range(rk):
         for j in range(i, rk):
-            entries = tuple((k, _fraction_from_string(s))
+            entries = tuple((k, Fraction(s))
                             for k, s in enumerate(doc["cup_table"][i][j])
-                            if _fraction_from_string(s) != 0)
+                            if Fraction(s) != 0)
             if entries:
                 cup_table[(i, j)] = entries
     return CohomologyRing(
         name=doc["name"], complex_dimension=int(doc["dimension"]), basis=basis,
         degrees=degrees, cup_table=cup_table,
-        integral=tuple(_fraction_from_string(s) for s in doc["integral"]),
-        c1_coeffs=tuple(_fraction_from_string(s) for s in doc["c1"]),
-        chTF_coeffs=tuple(_fraction_from_string(s) for s in doc["chTF"]),
+        integral=tuple(Fraction(s) for s in doc["integral"]),
+        c1_coeffs=tuple(Fraction(s) for s in doc["c1"]),
+        chTF_coeffs=tuple(Fraction(s) for s in doc["chTF"]),
         fano_index=int(doc["index"]))
 
 

@@ -11,6 +11,7 @@ Conventions used throughout the package:
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field
 from fractions import Fraction
 
@@ -76,12 +77,15 @@ def _agrees_with_reference(ctx, value, digits: str, P: int) -> bool:
     return abs(value - ref) <= abs(ref) * ctx.mpf(10) ** (2 - min(P, 95))
 
 
+@functools.lru_cache
 def make_constants(P: int = 50, K_max: int = 64) -> ConstantTable:
     """Build the shared constant table at `P` decimal digits.
 
     Constants are computed with guard digits, rounded back to `P`, and checked
     against a hard-coded 100-digit reference table; a failure here means the
-    arithmetic backend is broken, so it raises rather than warns.
+    arithmetic backend is broken, so it raises rather than warns.  The last 128
+    tables are memoised on (P, K_max), so callers at one precision share one
+    table; nothing may mutate a returned table or its context.
     """
     if P < 15:
         raise ValueError("P < 15 is below the precision floor of every consumer")

@@ -1,9 +1,14 @@
 import json
+import re
+import shlex
+from pathlib import Path
 
 import mpmath
 import pytest
 
 from qgamma.cli import main
+from qgamma.grassmann import ehx_constant_terms
+from qgamma.scalars import working_context
 
 
 def run(capsys, argv):
@@ -158,11 +163,12 @@ def test_config_file_defaults_and_override(capsys, tmp_path):
 
 def test_config_unknown_key(capsys, tmp_path):
     cfg = tmp_path / "run.cfg"
-    cfg.write_text("spaace = P1\n")
-    rc, out, err = run(capsys, ["--config", str(cfg), "qperiod",
-                                "--space", "P1", "--order", "2"])
-    assert rc == 2
-    assert "unknown config key" in err
+    for text in ("spaace = P1\n", "seed = 3\n"):
+        cfg.write_text(text)
+        rc, out, err = run(capsys, ["--config", str(cfg), "qperiod",
+                                    "--space", "P1", "--order", "2"])
+        assert rc == 2, text
+        assert "unknown config key" in err
 
 
 def test_usage_errors_exit_2(capsys):
@@ -191,3 +197,57 @@ def test_jseries_payload(capsys):
     assert d["value"]["r"] == 3
     assert d["value"]["coefficients"][1] == {"d": 3,
                                              "coeffs": ["1", "-3", "6"]}
+
+
+def test_runtime_error_exits_2(capsys, monkeypatch):
+    def capped(*args, **kwargs):
+        raise RuntimeError("Newton iteration cap exceeded")
+    monkeypatch.setattr("qgamma.cli.conifold_point", capped)
+    rc, out, err = run(capsys, ["conifold", "--space", "P2"])
+    assert rc == 2
+    assert out == ""
+    assert err.startswith("error: Newton iteration cap exceeded")
+
+
+def test_qperiod_float_ignores_global_precision(capsys, monkeypatch):
+    monkeypatch.setattr(mpmath.mp, "dps", 15)
+    rc, out, err = run(capsys, ["qperiod", "--space", "P1xP1", "-N", "6",
+                                "--digits", "40"])
+    assert rc == 0
+    rows = {row["d"]: row for row in json.loads(out)["value"]}
+    assert rows[6]["exact"] == "5/9"
+    ctx = working_context(60)
+    got = ctx.mpf(rows[6]["float"])
+    assert abs(got - ctx.mpf(5) / 9) < ctx.mpf(10) ** -40
+    rc, out, err = run(capsys, ["qperiod", "--space", "P1xP1", "-N", "6",
+                                "--format", "csv"])
+    assert rc == 0
+    assert out.splitlines()[-1] == "6,5/9,0.55555555555555556"
+
+
+def test_jseries_grassmannian_full_precision(capsys):
+    rc, out, err = run(capsys, ["jseries", "--space", "Gr(2,4)", "-D", "12",
+                                "--digits", "60"])
+    assert rc == 0
+    rows = json.loads(out)["value"]["coefficients"]
+    exact = ehx_constant_terms(2, 4, 12)
+    ctx = working_context(80)
+    assert [row["d"] for row in rows] == [0, 4, 8, 12]
+    for row in rows:
+        want = ctx.convert(exact.coefficient(row["d"]))
+        got = ctx.mpf(row["coeffs"][0])
+        assert abs(got - want) < ctx.mpf(10) ** -55 * abs(want), row["d"]
+
+
+def test_readme_commands_run(capsys):
+    readme = Path(__file__).resolve().parents[1] / "README.md"
+    commands = []
+    for block in re.findall(r"```sh\n(.*?)```", readme.read_text(), re.S):
+        for line in block.splitlines():
+            argv = shlex.split(line, comments=True)
+            if argv and argv[0] == "qgamma":
+                commands.append(argv[1:])
+    assert len(commands) >= 10
+    for argv in commands:
+        rc, out, err = run(capsys, argv)
+        assert rc == 0, (argv, err)

@@ -7,11 +7,12 @@ from qgamma.grassmann import ehx_mirror
 from qgamma.jfun import j_projective
 from qgamma.laurent import LaurentPolynomial
 from qgamma.mirror import projective_rays, toric_mirror_from_rays
-from qgamma.oscillatory import (QuadratureConfig,
+from qgamma.oscillatory import (QuadratureConfig, _gamma_inverse_series,
                                 central_charge_structure_sheaf,
                                 laplace_lefschetz_check, oscillatory_integral)
-from qgamma.ring import build_projective_ring, gamma_class
-from qgamma.scalars import make_constants
+from qgamma.ring import (build_hypersurface_ambient_ring,
+                         build_projective_ring, gamma_class)
+from qgamma.scalars import make_constants, working_context
 
 import oracles
 
@@ -110,3 +111,16 @@ def test_laplace_guards():
         laplace_lefschetz_check(JX, 4, mpmath.mpf("0.05"))
     with pytest.raises(ValueError):
         laplace_lefschetz_check(JX, 2, mpmath.mpf("-0.05"))
+
+
+def test_gamma_inverse_series_is_taylor_of_reciprocal_gamma():
+    # coefficient of h^k in 1/Gamma(1 + a h) against mpmath's numerical
+    # Taylor expansion of 1/Gamma(1 + a x)
+    C = make_constants(P=50)
+    ref = working_context(70)
+    for n, a in ((3, 1), (4, 2), (5, 1), (5, 3), (5, 4)):
+        RY = build_hypersurface_ambient_ring(n, a)
+        got = _gamma_inverse_series(RY, a, C).coeffs
+        want = ref.taylor(lambda x: 1 / ref.gamma(1 + a * x), 0, n - 1)
+        for k, (g, w) in enumerate(zip(got, want)):
+            assert abs(ref.convert(g) - w) < ref.mpf(10) ** -45 * max(1, abs(w)), (n, a, k)

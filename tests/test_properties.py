@@ -7,9 +7,10 @@ from hypothesis import given, settings, strategies as st
 
 from qgamma.asympt import make_grid, neville_at_zero
 from qgamma.exactla import nullspace, rank, solve
-from qgamma.grassmann import box_partitions, schur_expand, schur_polynomial
+from qgamma.grassmann import (box_partitions, schubert_ring, schur_expand,
+                              schur_polynomial)
 from qgamma.laurent import LaurentPolynomial, pair_constant
-from qgamma.ring import build_projective_ring, cup
+from qgamma.ring import build_projective_ring, cup, ring_exp
 
 fractions = st.fractions(min_value=-10, max_value=10, max_denominator=12)
 
@@ -83,6 +84,16 @@ def test_cup_product_axioms(data):
     assert cup(cup(a, b), c).coeffs == cup(a, cup(b, c)).coeffs
     s = data.draw(fractions)
     assert cup(s * a, b).coeffs == (s * cup(a, b)).coeffs
+
+
+_EXP_RINGS = [build_projective_ring(n) for n in (2, 3, 5)] + [schubert_ring(2, 4)]
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.sampled_from(_EXP_RINGS), st.data())
+def test_ring_exp_of_negative_is_inverse(R, data):
+    v = R.vector(tuple(data.draw(fractions) if d else 0 for d in R.degrees))
+    assert cup(ring_exp(v), ring_exp(-v)) == R.unit()
 
 
 @settings(max_examples=30, deadline=None)

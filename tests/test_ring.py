@@ -1,3 +1,4 @@
+import dataclasses
 from fractions import Fraction
 
 import mpmath
@@ -174,3 +175,10 @@ def test_ring_json_roundtrip():
 def test_bad_hypersurface_rejected():
     with pytest.raises(ValueError):
         build_hypersurface_ambient_ring(3, 4)
+
+
+def test_degree_one_hypersurface_is_projective_space():
+    for n in (2, 3, 5):
+        Y = build_hypersurface_ambient_ring(n, 1)
+        assert Y.name == f"Y({n},1)"
+        assert dataclasses.replace(Y, name=f"P{n - 1}") == build_projective_ring(n)
