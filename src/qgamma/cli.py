@@ -25,8 +25,8 @@ from .asympt import ExtrapolationConfig, apery_ratio, gamma_I_verdict, \
     kernel_c1, make_grid
 from .grassmann import bcfk_j_series, ehx_constant_terms, ehx_mirror, \
     grassmann_spectrum, schubert_ring
-from .jfun import j_projective, jseries_to_json, quantum_lefschetz, \
-    quantum_period
+from .jfun import _t0_value, j_projective, jseries_to_json, \
+    quantum_lefschetz, quantum_period
 from .laurent import ResourceBudgetExceeded
 from .mirror import PartialPeriodError, conifold_point, \
     constant_term_series, fekete_limit, model_period_series, \
@@ -132,7 +132,7 @@ class SpaceSpec:
             DX = -(-D * self.n // r)
             out = quantum_lefschetz(j_projective(self.n, DX), self.d, DY=D)
             return out["JY"].ring, out["JY"], {"c0": out["c0"],
-                                               "T0": out["T0"]}
+                                               "T0": _t0_value(self.d, r, P)}
         raise UsageError(f"no J-series construction for {self.label()}")
 
 
@@ -370,7 +370,7 @@ def cmd_check_gamma1(args) -> int:
 def cmd_apery(args) -> int:
     spec = parse_space(args.space)
     N = args.N if args.N is not None else 20
-    D = spec.fano_index() * N
+    D = args.order if args.order is not None else spec.fano_index() * N
     R, J, _ = spec.jseries(D, args.digits)
     kern = kernel_c1(R)
     if not kern:
@@ -380,7 +380,8 @@ def cmd_apery(args) -> int:
         raise UsageError(f"kernel index out of range 0..{len(kern) - 1}")
     alpha = kern[idx]
     res = apery_ratio(J, alpha, N, P=args.digits)
-    value = {"alpha": list(alpha.coeffs), "kernel_dimension": len(kern),
+    value = {"D": J.D, "alpha": list(alpha.coeffs),
+             "kernel_dimension": len(kern),
              "n": list(res["n"]), "ratios": list(res["ratios"]),
              "accelerated": res["accelerated"], "target": res["target"]}
     payload = _payload(args, "apery", value=value)

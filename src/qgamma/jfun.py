@@ -9,10 +9,12 @@ constructions).
 
 from __future__ import annotations
 
+import functools
 import json
 from dataclasses import dataclass
 from fractions import Fraction
 from math import factorial
+from typing import NamedTuple
 
 import mpmath
 
@@ -45,6 +47,22 @@ class JSeries:
 
     def nonzero_degrees(self):
         return sorted(self.coeffs)
+
+    @functools.cached_property
+    def _numeric(self) -> "_NumericView":
+        """What `evaluate_j` needs from the series, computed on first use and
+        kept on the series (so it dies with it)."""
+        degrees = self.nonzero_degrees()
+        scan = working_context(15)
+        peaks = [max((abs(scan.convert(c)) for c in self.coeffs[d].coeffs if c),
+                     default=scan.mpf(0)) for d in degrees]
+        return _NumericView(degrees, peaks, {})
+
+
+class _NumericView(NamedTuple):
+    degrees: list       # the series' degrees, ascending
+    peaks: list         # per degree, the largest |coefficient| at 15 digits
+    rows: dict          # working digits -> per degree [(index, value)], c != 0
 
 
 @dataclass(frozen=True)
@@ -128,9 +146,10 @@ def quantum_lefschetz(JX: JSeries, a: int, DY: int | None = None) -> dict:
     """J-series of a degree-a hypersurface inside the projective space of JX.
 
     Returns {"JY": JSeries on the ambient-restriction ring, "c0": Fraction,
-    "T0": Fraction-or-power value}.  The e^(-c0 t) factor is folded into the
-    series coefficients by a Cauchy product so the output obeys the standard
-    series convention with index r-a.
+    "T0": exact Fraction, or a 60-digit big real when irrational}.  The
+    e^(-c0 t) factor is folded into the series coefficients by a Cauchy
+    product so the output obeys the standard series convention with index
+    r-a.
     """
     R = JX.ring
     r = JX.fano_index
@@ -177,8 +196,7 @@ def quantum_lefschetz(JX: JSeries, a: int, DY: int | None = None) -> dict:
     JY = JSeries(ring=amb, D=Dout, fano_index=r - a, coeffs=coeffs)
 
     # (T0/(r-a))^(r-a) = a^a (T_X/r)^r with T_X = r here
-    T0 = _t0_value(r, a)
-    return {"JY": JY, "c0": c0, "T0": T0}
+    return {"JY": JY, "c0": c0, "T0": _t0_value(a, r - a)}
 
 
 def _factorial_twist(amb: CohomologyRing, a: int, d: int) -> GradedVector:
@@ -191,12 +209,12 @@ def _factorial_twist(amb: CohomologyRing, a: int, d: int) -> GradedVector:
     return out
 
 
-def _t0_value(r: int, a: int):
-    """Solves (T0/(r-a))^(r-a) = a^a for the projective ambient (T_X = r)."""
-    b = r - a
+def _t0_value(a: int, b: int, P: int = 60):
+    """b * a^(a/b), the T0 that solves (T0/b)^b = a^a: an exact Fraction when
+    a^a is a perfect b-th power, otherwise a big real at `P` digits."""
     root, rem = _integer_root(a ** a, b)
     if rem:
-        ctx = working_context(60)
+        ctx = working_context(P)
         return b * ctx.root(ctx.mpf(a) ** a, b)
     return Fraction(b * root)
 
@@ -204,7 +222,7 @@ def _t0_value(r: int, a: int):
 def _integer_root(m: int, k: int):
     if k == 1:
         return m, 0
-    lo, hi = 0, int(round(m ** (1.0 / k))) + 2
+    lo, hi = 0, 1 << (m.bit_length() // k + 1)    # m may exceed float range
     while lo < hi:
         mid = (lo + hi + 1) // 2
         if mid ** k <= m:
@@ -229,20 +247,23 @@ def evaluate_j(J: JSeries, t, log_branch=0, P: int = 50,
     magnitude of the last included nonzero term; the converged flag reports
     whether term magnitudes were still decreasing at the truncation order.
     """
-    degs = J.nonzero_degrees()
+    view = J._numeric
     # cheap scan for the peak term magnitude to size the working precision
     scan = working_context(15)
     ta = abs(scan.convert(t))
     peak = scan.mpf(0)
-    for d in degs:
-        v = J.coefficient(d)
-        m = max((abs(scan.convert(c)) for c in v.coeffs if c), default=scan.mpf(0))
+    for d, m in zip(view.degrees, view.peaks):
         mag = m * ta ** d
         if mag > peak:
             peak = mag
     head = int(scan.ceil(scan.log10(peak))) if peak > 0 else 0
     wdps = P + max(0, head) + 20
     ctx = working_context(wdps)
+    rows = view.rows.get(wdps)
+    if rows is None:
+        rows = view.rows[wdps] = [
+            [(i, ctx.convert(c)) for i, c in enumerate(J.coeffs[d].coeffs) if c]
+            for d in view.degrees]
 
     tc = ctx.convert(t)
     branch = ctx.convert(log_branch) + half_turns * ctx.pi
@@ -251,19 +272,17 @@ def evaluate_j(J: JSeries, t, log_branch=0, P: int = 50,
     R = J.ring
     acc = [ctx.mpc(0)] * R.rank
     last_two = []
-    for d in degs:
-        v = J.coefficient(d)
+    first_read = len(view.degrees) - 2   # only the last two term sizes are read
+    for k, (d, row) in enumerate(zip(view.degrees, rows)):
         td = tval ** d
         mag = ctx.mpf(0)
-        for i, c in enumerate(v.coeffs):
-            if c:
-                x = ctx.convert(c) * td
-                acc[i] = acc[i] + x
-                if abs(x) > mag:
-                    mag = abs(x)
-        last_two.append(mag)
-        if len(last_two) > 2:
-            last_two.pop(0)
+        for i, c in row:
+            x = c * td
+            acc[i] = acc[i] + x
+            if k >= first_read and abs(x) > mag:
+                mag = abs(x)
+        if k >= first_read:
+            last_two.append(mag)
     converged = len(last_two) < 2 or last_two[-1] < last_two[-2]
     tail = 2 * last_two[-1] if last_two else ctx.mpf(0)
 

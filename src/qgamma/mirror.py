@@ -11,7 +11,7 @@ from itertools import combinations
 from math import factorial, gcd
 
 from . import exactla
-from .jfun import QuantumPeriod
+from .jfun import QuantumPeriod, _t0_value
 from .laurent import LaurentPolynomial, PowerCache, ResourceBudgetExceeded
 from .scalars import working_context
 
@@ -217,14 +217,10 @@ class PrzyjalkowskiModel:
 
     @property
     def expected_T_con(self):
-        """(n+1-d) d^{d/(n+1-d)} minus the shift; exact when the exponent is
-        an integer."""
+        """(n+1-d) d^{d/(n+1-d)} minus the shift; exact when d^d is a perfect
+        (n+1-d)-th power, otherwise a 60-digit big real."""
         n, d = self.ambient_dim, self.degree
-        b = n + 1 - d
-        if d % b == 0:
-            return Fraction(b * d ** (d // b)) - self.c0_shift
-        ctx = working_context(60)
-        return b * ctx.root(ctx.mpf(d) ** d, b) - ctx.convert(self.c0_shift)
+        return _t0_value(d, n + 1 - d) - self.c0_shift
 
 
 def przyjalkowski_model(n: int, d: int) -> PrzyjalkowskiModel:

@@ -23,7 +23,7 @@ from .laurent import LaurentPolynomial
 from .mirror import origin_in_interior
 from .ring import GradedVector, cup, gamma_exponent_coeffs, line_bundle, \
     pair_bracket, ring_exp
-from .scalars import make_constants, working_context
+from .scalars import make_constants, private_context, working_context
 
 
 @dataclass(frozen=True)
@@ -285,11 +285,15 @@ def laplace_lefschetz_check(JX: JSeries, a: int, u, tol=None, P: int = 50) -> di
     S = ctx.convert((P + 15)) * ctx.log(10)
     ar = ctx.convert(Fraction(a, r))
     cache = {}
+    # quad raises its context's prec by 20 bits while it calls the integrand,
+    # so it runs on a private context; the integrand's arithmetic follows it
+    # because mpmath takes the context of the left operand (s, a quad node)
+    qctx = private_context(wp)
 
     def ambient_at(s):
         key = str(s)
         if key not in cache:
-            arg = (uc * s) ** ar
+            arg = (s * uc) ** ar
             res = evaluate_j(JX, arg, P=wp)
             if not res["converged"]:
                 raise ArithmeticError("ambient series tail not under control "
@@ -300,8 +304,8 @@ def laplace_lefschetz_check(JX: JSeries, a: int, u, tol=None, P: int = 50) -> di
     comps = []
     errs = []
     for i in range(RY.rank):
-        val, err = ctx.quad(lambda s, i=i: ambient_at(s)[i] * ctx.exp(-s),
-                            [0, S], error=True, maxdegree=8)
+        val, err = qctx.quad(lambda s, i=i: ambient_at(s)[i] * qctx.exp(-s),
+                             [0, S], error=True, maxdegree=8)
         comps.append(val)
         errs.append(err)
     integral = GradedVector(RY, tuple(comps))

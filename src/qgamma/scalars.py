@@ -3,10 +3,14 @@
 Conventions used throughout the package:
 
 * ExactRational is `fractions.Fraction` (always reduced, positive denominator).
-* BigReal / BigComplex are the ``mpf`` / ``mpc`` values of a *fresh* mpmath
-  context created per computation by :func:`working_context`.  Precision is a
-  parameter of the computation, never global mutable state; values are
-  immutable and safe to share between threads.
+* BigReal / BigComplex are the ``mpf`` / ``mpc`` values of the mpmath
+  context that :func:`working_context` returns for a digit count.  Precision
+  is a parameter of the computation, never global mutable state.  Contexts are
+  memoised, one per digit count, and shared by every caller: they are
+  read-only (nothing may set ``dps`` or ``prec`` on one) and meant for one
+  thread.  The one exception is a computation whose mpmath routine raises the
+  precision of its own context while calling back into this package (``quad``
+  in the Laplace check); it runs on a :func:`private_context`.
 """
 
 from __future__ import annotations
@@ -32,17 +36,28 @@ _REFERENCE_100 = {
 }
 
 
-def working_context(P: int) -> mpmath.ctx_mp.MPContext:
-    """Fresh real/complex context carrying `P` decimal digits.
-
-    Each computation builds its own context; nothing touches mpmath's global
-    ``mp`` context.
-    """
+def private_context(P: int) -> mpmath.ctx_mp.MPContext:
+    """A new real/complex context carrying `P` decimal digits, owned by the
+    caller, who may raise its precision (as mpmath's ``quad`` does)."""
     if P < 1:
         raise ValueError("precision must be positive")
     ctx = mpmath.ctx_mp.MPContext()
     ctx.dps = P
     return ctx
+
+
+@functools.lru_cache(maxsize=128)
+def working_context(P: int) -> mpmath.ctx_mp.MPContext:
+    """The shared real/complex context carrying `P` decimal digits.
+
+    One context per digit count (the last 128 are memoised), so building one
+    costs nothing after the first call.  It is read-only: no caller may set
+    its ``dps`` or ``prec``, and it is not for use from several threads.  An
+    mpmath routine that raises its context's precision while it calls back
+    into this package (``quad``) needs a :func:`private_context` instead.
+    Nothing here touches mpmath's global ``mp`` context.
+    """
+    return private_context(P)
 
 
 @dataclass(frozen=True)

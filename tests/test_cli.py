@@ -239,6 +239,33 @@ def test_jseries_grassmannian_full_precision(capsys):
         assert abs(got - want) < ctx.mpf(10) ** -55 * abs(want), row["d"]
 
 
+def test_jseries_t0_at_requested_digits(capsys):
+    # X(5,3), the cubic threefold: T0 = 2 * 3^(3/2) = 2 sqrt(27), irrational
+    rc, out, err = run(capsys, ["jseries", "--space", "X(5,3)", "-D", "4",
+                                "--digits", "100"])
+    assert rc == 0
+    ref = mpmath.ctx_mp.MPContext()
+    ref.dps = 130
+    assert json.loads(out)["value"]["T0"] == mpmath.nstr(2 * ref.sqrt(27), 100)
+
+
+def test_apery_order_sets_truncation(capsys):
+    base = ["apery", "--space", "Gr(2,4)", "-N", "4"]
+    rc, out, err = run(capsys, base)
+    assert rc == 0
+    default = json.loads(out)["value"]
+    assert default["D"] == 16                   # index 4 times N
+    rc, out, err = run(capsys, base + ["--order", "24"])
+    assert rc == 0
+    longer = json.loads(out)["value"]
+    assert longer["D"] == 24
+    assert longer["ratios"] == default["ratios"]
+    rc, out, err = run(capsys, base + ["--order", "12"])
+    assert rc == 2
+    assert out == ""
+    assert "truncated below the requested index" in err
+
+
 def test_readme_commands_run(capsys):
     readme = Path(__file__).resolve().parents[1] / "README.md"
     commands = []

@@ -1,12 +1,14 @@
+import gc
+import weakref
 from fractions import Fraction
 
 import mpmath
 import pytest
 
-from qgamma.jfun import (JSeries, classical_quintic_coefficient, evaluate_j,
-                         j_projective, jseries_to_json, jseries_to_json_dict,
-                         quantum_lefschetz, quantum_period,
-                         quintic_pf_annihilation)
+from qgamma.jfun import (JSeries, _t0_value, classical_quintic_coefficient,
+                         evaluate_j, j_projective, jseries_to_json,
+                         jseries_to_json_dict, quantum_lefschetz,
+                         quantum_period, quintic_pf_annihilation)
 from qgamma.ring import build_projective_ring
 
 import oracles
@@ -95,6 +97,65 @@ def test_evaluate_j_half_turn_rotation():
     b = evaluate_j(J, mpmath.mpf("0.7"), P=40, half_turns=2)
     assert abs(a["value"].coeffs[0] - b["value"].coeffs[0]) \
         < mpmath.mpf(10) ** -35
+
+
+def _direct_sum(J, t, half_turns, P):
+    """J(t) summed straight from the exact coefficients on a new context:
+    e^(c log t h) * sum_d J_d t^d in Q[h]/(h^rank), for c1 = c h."""
+    R = J.ring
+    n = R.rank
+    assert R.basis == ("1",) + tuple(f"h^{k}" for k in range(1, n))
+    c = R.c1.coeffs[1]
+    assert R.c1.coeffs == tuple(c if k == 1 else 0 for k in range(n))
+    ctx = mpmath.ctx_mp.MPContext()
+    ctx.dps = P + 30
+    logt = ctx.log(ctx.convert(t)) + ctx.mpc(0, 1) * ctx.pi * half_turns
+    tt = ctx.exp(logt)
+    series = [ctx.fsum(ctx.convert(J.coefficient(d).coeffs[k]) * tt ** d
+                       for d in J.nonzero_degrees()) for k in range(n)]
+    pref = [(ctx.convert(c) * logt) ** k / ctx.factorial(k) for k in range(n)]
+    return ctx, [ctx.fsum(pref[i] * series[k - i] for i in range(k + 1))
+                 for k in range(n)]
+
+
+def test_evaluate_j_against_direct_sum():
+    P = 40
+    quadric = quantum_lefschetz(j_projective(4, 160), 2)["JY"]
+    for J, t, half_turns in ((j_projective(3, 60), Fraction(7, 2), 0),
+                             (j_projective(3, 60), Fraction(7, 2), 1),
+                             (quadric, Fraction(1, 20), 0)):
+        got = evaluate_j(J, t, P=P, half_turns=half_turns)["value"].coeffs
+        ctx, want = _direct_sum(J, t, half_turns, P)
+        scale = max(abs(w) for w in want)
+        for k, (g, w) in enumerate(zip(got, want)):
+            assert abs(ctx.convert(g) - w) <= ctx.mpf(10) ** -P * scale, \
+                (J.ring.name, half_turns, k)
+
+
+def test_numeric_view_does_not_pin_its_series():
+    J = j_projective(3, 60)
+    evaluate_j(J, Fraction(7, 2), P=30)
+    assert J._numeric.rows          # the view was built and used
+    ref = weakref.ref(J)
+    del J
+    gc.collect()
+    assert ref() is None
+
+
+def test_t0_value_exact_when_perfect_power():
+    # b * a^(a/b): 4^4 = 2^8 is a perfect 8th power although 8 does not
+    # divide 4; 3^3 is not a square, so T0 = 2 sqrt(27) at the digits asked
+    assert _t0_value(4, 8) == Fraction(16)
+    assert _t0_value(3, 1) == Fraction(27)
+    # a^a beyond the float range: X(150,145) and X(151,146) in the CLI
+    assert _t0_value(145, 5) == Fraction(5 * 145 ** 29)
+    assert _t0_value(146, 5, 30).context.dps == 30
+    for P in (30, 100):
+        got = _t0_value(3, 2, P)
+        assert got.context.dps == P
+        ref = mpmath.ctx_mp.MPContext()
+        ref.dps = P + 20
+        assert abs(ref.convert(got) - 2 * ref.sqrt(27)) < ref.mpf(10) ** (1 - P)
 
 
 def test_quintic_picard_fuchs():

@@ -3,8 +3,11 @@ from fractions import Fraction
 import mpmath
 import pytest
 
+from qgamma import oscillatory, scalars
+from qgamma.asympt import (ExtrapolationConfig, make_grid,
+                           principal_asymptotic_class)
 from qgamma.grassmann import ehx_mirror
-from qgamma.jfun import j_projective
+from qgamma.jfun import evaluate_j, j_projective
 from qgamma.laurent import LaurentPolynomial
 from qgamma.mirror import projective_rays, toric_mirror_from_rays
 from qgamma.oscillatory import (QuadratureConfig, _gamma_inverse_series,
@@ -12,7 +15,7 @@ from qgamma.oscillatory import (QuadratureConfig, _gamma_inverse_series,
                                 laplace_lefschetz_check, oscillatory_integral)
 from qgamma.ring import (build_hypersurface_ambient_ring,
                          build_projective_ring, gamma_class)
-from qgamma.scalars import make_constants, working_context
+from qgamma.scalars import make_constants, private_context, working_context
 
 import oracles
 
@@ -103,6 +106,62 @@ def test_laplace_route_quadric_surface():
     assert rec["space"] == "Y(3,2)"
     assert max(rec["rel_diff"]) < mpmath.mpf(10) ** -8
     assert len(rec["lhs"]) == len(rec["rhs"]) == 3
+
+
+def _bits(x):
+    """Every binary digit of a report, with the precision of each number."""
+    if hasattr(x, "_mpc_"):
+        return ("mpc", x._mpc_, x.context.prec)
+    if hasattr(x, "_mpf_"):
+        return ("mpf", x._mpf_, x.context.prec)
+    if isinstance(x, dict):
+        return {k: _bits(v) for k, v in x.items()}
+    if isinstance(x, (list, tuple)):
+        return [_bits(v) for v in x]
+    if hasattr(x, "coeffs"):
+        return _bits(x.coeffs)
+    return x
+
+
+def test_reports_do_not_depend_on_cache_state(monkeypatch):
+    # every shared context is built through private_context; record each
+    # one with the precision it was built with
+    built = []
+
+    def recording(P):
+        ctx = private_context(P)
+        built.append((ctx, ctx.prec))
+        return ctx
+    monkeypatch.setattr(scalars, "private_context", recording)
+    working_context.cache_clear()
+    make_constants.cache_clear()
+
+    # ... and check them each time the Laplace integrand calls back
+    drifted = []
+
+    def checked(*args, **kwargs):
+        drifted.extend(ctx for ctx, prec in built if ctx.prec != prec)
+        return evaluate_j(*args, **kwargs)
+    monkeypatch.setattr(oscillatory, "evaluate_j", checked)
+
+    JX, J3, J2 = j_projective(4, 160), j_projective(3, 300), j_projective(2, 160)
+    cfg = ExtrapolationConfig(make_grid(20, 4), 4, precision=30)
+    g2 = gamma_class(J2.ring, make_constants(P=30))
+
+    def reports():
+        return [laplace_lefschetz_check(JX, 2, Fraction(1, 20), P=30),
+                principal_asymptotic_class(J3, cfg),
+                central_charge_structure_sheaf(J2, g2, Fraction(7, 12), P=30)]
+
+    cold = reports()        # new contexts, no numeric view on any series
+    assert built
+    warm = reports()        # the same contexts and views, reused
+    assert _bits(cold) == _bits(warm)
+    assert not drifted
+    assert all(ctx.prec == prec for ctx, prec in built)
+    # the integrand runs at the precision quad raises its own context to;
+    # at the 40-digit working precision alone this noise-level digit moves
+    assert mpmath.nstr(cold[0]["rel_diff"][2], 5) == "3.0495e-40"
 
 
 def test_laplace_guards():

@@ -1,7 +1,8 @@
 import mpmath
 import pytest
 
-from qgamma.scalars import ConstantTable, make_constants, working_context
+from qgamma.scalars import (ConstantTable, make_constants, private_context,
+                            working_context)
 
 import oracles
 
@@ -13,6 +14,16 @@ def test_working_context_precision():
     assert mpmath.mp.dps == 60
     two = ctx.mpf(2)
     assert abs(ctx.sqrt(two) ** 2 - 2) < ctx.mpf(10) ** -38
+
+
+def test_working_context_is_shared_and_private_context_is_not():
+    assert working_context(40) is working_context(40)
+    assert working_context(40) is not working_context(41)
+    own = private_context(40)
+    assert own is not working_context(40)
+    assert own.prec == working_context(40).prec
+    with pytest.raises(ValueError):
+        working_context(0)
 
 
 def test_zeta_table_against_euler_maclaurin():
