@@ -1,12 +1,17 @@
-"""Exact linear algebra over the rationals: row reduction, rank, nullspace.
+"""Exact linear algebra: row reduction, rank, nullspace, solving, and a
+fraction-free elimination behind the determinant and kernel vectors.
 
-Matrices are lists of row tuples/lists of Fractions.  Sizes here are tiny
-(cohomology ranks, ray counts), so plain Gaussian elimination is enough.
+Matrices are lists of row tuples/lists.  `row_reduce`, `nullspace` and
+`solve` work on Fractions.  `det`, `rank` and `kernel_vector` share one
+Bareiss elimination, which stays in Python ints on integer matrices: every
+intermediate entry is a minor of the input, so each division is exact.
+Sizes here are tiny (cohomology ranks, ray counts).
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from math import lcm
 
 
 def row_reduce(rows):
@@ -36,7 +41,7 @@ def row_reduce(rows):
 
 
 def rank(rows) -> int:
-    return len(row_reduce(rows)[1])
+    return len(_bareiss([integer_row(r) for r in rows])[0])
 
 
 def nullspace(rows, ncols=None):
@@ -71,4 +76,94 @@ def solve(rows, rhs):
     v = [Fraction(0)] * ncols
     for ri, pc in enumerate(pivots):
         v[pc] = red[ri][-1]
+    return tuple(v)
+
+
+# --------------------------------------------------------------------------
+# fraction-free elimination
+# --------------------------------------------------------------------------
+
+def _bareiss(m):
+    """Bareiss forward elimination of the list-of-lists m, in place.
+
+    Returns (pivot columns, sign of the row permutation).  After it, pivot
+    row k holds the (k+1)-st leading minor of the row-permuted matrix on
+    the pivot columns at its pivot, and the rows below the last pivot are
+    zero.
+    """
+    integral = all(type(x) is int for row in m for x in row)
+    pivots = []
+    sign = 1
+    prev = 1
+    r = 0
+    ncols = len(m[0]) if m else 0
+    for c in range(ncols):
+        if r == len(m):
+            break
+        pr = next((i for i in range(r, len(m)) if m[i][c]), None)
+        if pr is None:
+            continue
+        if pr != r:
+            m[r], m[pr] = m[pr], m[r]
+            sign = -sign
+        pv, row = m[r][c], m[r]
+        for i in range(r + 1, len(m)):
+            other = m[i]
+            f = other[c]
+            if not f and pv == prev:
+                continue
+            if integral:
+                m[i] = [(pv * x - f * y) // prev for x, y in zip(other, row)]
+            else:
+                m[i] = [(pv * x - f * y) / prev for x, y in zip(other, row)]
+        prev = pv
+        pivots.append(c)
+        r += 1
+    return pivots, sign
+
+
+def integer_row(row):
+    """The row times the least common denominator of its entries, as ints;
+    a positive rescaling, so ranks, kernels and sign patterns are kept."""
+    L = lcm(*(Fraction(x).denominator for x in row))
+    return [int(Fraction(x) * L) for x in row]
+
+
+def det(rows):
+    """Determinant by Bareiss elimination.
+
+    An integer matrix stays in int arithmetic and gives an int; a matrix
+    with a Fraction entry gives a Fraction.  Other scalars (mpmath numbers)
+    run the same recurrence with true division.
+    """
+    m = [list(r) for r in rows]
+    if any(len(r) != len(m) for r in m):
+        raise ValueError("determinant of a non-square matrix")
+    rational = any(isinstance(x, Fraction) for r in m for x in r)
+    if rational:
+        m = [[Fraction(x) for x in r] for r in m]
+    pivots, sign = _bareiss(m)
+    if len(pivots) < len(m):
+        return Fraction(0) if rational else 0
+    return sign * m[-1][-1] if m else 1
+
+
+def kernel_vector(rows, ncols: int):
+    """Integer vector spanning {v : M v = 0} for an integer matrix M, or
+    None unless that space is one-dimensional.
+
+    Back substitution from the Bareiss echelon form, with the free entry
+    set to the last pivot: by Cramer's rule the other entries are then
+    minors of M, so every division is exact.
+    """
+    m = [list(r) for r in rows]
+    pivots, _ = _bareiss(m)
+    if len(pivots) != ncols - 1:
+        return None
+    free = next(c for c in range(ncols) if c not in pivots)
+    v = [0] * ncols
+    v[free] = m[len(pivots) - 1][pivots[-1]] if pivots else 1
+    for i in reversed(range(len(pivots))):
+        c, row = pivots[i], m[i]
+        v[c] = -sum(row[j] * v[j] for j in range(c + 1, ncols)) // row[c]
     return tuple(v)

@@ -8,8 +8,9 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
-from math import factorial
+from math import factorial, lcm
 
+from .exactla import det
 from .jfun import JSeries, j_projective
 from .laurent import LaurentPolynomial
 from .mirror import _compositions, constant_term_series, property_o_report
@@ -108,24 +109,41 @@ def _perm_sign(perm) -> int:
 
 
 def schur_expand(poly, r: int):
-    """Writes a symmetric polynomial as a map partition -> coefficient by
-    peeling lexicographically-leading monomials."""
-    out = {}
+    """Writes a symmetric polynomial as a map partition -> coefficient.
+
+    s_lam = a_{lam+delta} / a_delta, so the coefficient of s_lam in p is the
+    coefficient of x^{lam+delta} in p * a_delta; p need not be homogeneous.
+    Coefficients are cleared to ints by their common denominator first.
+    """
     work = {e: c for e, c in poly.items() if c}
-    guard = 0
-    while work:
-        guard += 1
-        if guard > 100000:
-            raise RuntimeError("Schur expansion did not terminate")
-        lead = max(work)
-        if any(lead[i] < lead[i + 1] for i in range(r - 1)):
-            raise ValueError("input polynomial is not symmetric")
-        c = work[lead]
-        mu = tuple(lead)
-        out[mu] = out.get(mu, Fraction(0)) + c
-        work = _poly_add(work, {e: -c * v
-                                for e, v in schur_polynomial(mu, r).items()})
-    return {mu: c for mu, c in out.items() if c}
+    for e, c in work.items():
+        for i in range(r - 1):
+            if work.get(e[:i] + (e[i + 1], e[i]) + e[i + 2:]) != c:
+                raise ValueError("input polynomial is not symmetric")
+    L = lcm(*(Fraction(c).denominator for c in work.values()))
+    ints = {e: int(c * L) for e, c in work.items()}
+    delta = tuple(range(r - 1, -1, -1))
+    return {lam: Fraction(c, L)
+            for lam, c in sorted(_alternant_product(ints, delta).items(),
+                                 reverse=True)}
+
+
+def _alternant_product(poly, v):
+    """{lam: coefficient of x^{lam+delta} in poly * a_v} over the nonzero
+    coefficients, where a_v = sum_sigma sign(sigma) x^{sigma(v)} and
+    delta = (r-1, ..., 1, 0).  With v = nu + delta and poly = s_mu these
+    are the Littlewood-Richardson coefficients c^lam_{mu nu}."""
+    r = len(v)
+    shifts = [(_perm_sign(p), tuple(v[i] for i in p))
+              for p in itertools.permutations(range(r))]
+    out = {}
+    for e, c in poly.items():
+        for sign, w in shifts:
+            t = [a + b for a, b in zip(e, w)]
+            if all(t[i] > t[i + 1] for i in range(r - 1)):
+                lam = tuple(x - (r - 1 - i) for i, x in enumerate(t))
+                out[lam] = out.get(lam, 0) + sign * c
+    return {lam: c for lam, c in out.items() if c}
 
 
 # --------------------------------------------------------------------------
@@ -141,7 +159,10 @@ def schubert_ring(r: int, n: int) -> CohomologyRing:
     parts = box_partitions(r, n)
     index = {mu: i for i, mu in enumerate(parts)}
     dim = r * (n - r)
-    spolys = {mu: schur_polynomial(mu, r) for mu in parts}
+    # s_mu s_nu a_delta = s_mu a_{nu+delta}: the product is read off the
+    # alternant without forming s_mu s_nu
+    spolys = {mu: {e: int(c) for e, c in schur_polynomial(mu, r).items()}
+              for mu in parts}
 
     cup_table = {}
     for i, mu in enumerate(parts):
@@ -149,9 +170,9 @@ def schubert_ring(r: int, n: int) -> CohomologyRing:
             nu = parts[j]
             if sum(mu) + sum(nu) > dim:
                 continue
-            prod = _poly_mul(spolys[mu], spolys[nu])
-            expansion = schur_expand(prod, r)
-            entries = tuple((index[lam], c)
+            expansion = _alternant_product(
+                spolys[mu], tuple(x + r - 1 - k for k, x in enumerate(nu)))
+            entries = tuple((index[lam], Fraction(c))
                             for lam, c in sorted(expansion.items())
                             if lam[0] <= n - r)
             if entries:
@@ -262,14 +283,9 @@ def wedge_from_vectors(vectors, n: int) -> AntiSymmetricElement:
     r = len(vectors)
     coeffs = {}
     for K in itertools.combinations(range(n - 1, -1, -1), r):
-        det = 0
-        for perm in itertools.permutations(range(r)):
-            term = _perm_sign(perm)
-            for i in range(r):
-                term = term * vectors[i][K[perm[i]]]
-            det = det + term
-        if det:
-            coeffs[K] = det
+        minor = det([[v[k] for k in K] for v in vectors])
+        if minor:
+            coeffs[K] = minor
     return AntiSymmetricElement(r=r, n=n, coeffs=coeffs)
 
 
@@ -464,13 +480,8 @@ def euler_matrix_grassmann(mu, nu, r: int, n: int) -> Fraction:
     nu = tuple(nu) + (0,) * (r - len(nu))
     l = [mu[i] + r - 1 - i for i in range(r)]
     k = [nu[j] + r - 1 - j for j in range(r)]
-    det = Fraction(0)
-    for perm in itertools.permutations(range(r)):
-        term = Fraction(_perm_sign(perm))
-        for i in range(r):
-            term *= chi_projective_line_bundles(l[i], k[perm[i]], n)
-        det += term
-    return det
+    return det([[chi_projective_line_bundles(li, kj, n) for kj in k]
+                for li in l])
 
 
 def e_mu_class(R: CohomologyRing, mu, r: int, n: int,

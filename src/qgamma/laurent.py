@@ -2,13 +2,16 @@
 
 Exponent vectors are integer tuples; zero coefficients are never stored and
 iteration is in sorted exponent order so every downstream artifact is
-deterministic.
+deterministic.  `PowerCache` packs at its boundary: inside it, powers are
+dicts from Kronecker-packed int keys to int coefficients, and only the
+constant terms it returns are Fractions again.
 """
 
 from __future__ import annotations
 
 import json
 from fractions import Fraction
+from math import isqrt, lcm
 
 
 class LaurentPolynomial:
@@ -142,19 +145,57 @@ def pair_constant(f: LaurentPolynomial, g: LaurentPolynomial) -> Fraction:
 class PowerCache:
     """Incremental powers of a fixed Laurent polynomial with a support-size
     budget; constant terms of high powers come from a half split so only
-    powers up to ceil(N/2) are ever materialized."""
+    powers up to ceil(N/2) are ever materialized.
+
+    Packing happens at the cache boundary.  The constructor scales f by the
+    common denominator L of its coefficients and packs each exponent vector
+    e into the balanced Kronecker key sum e_i B^i, so ``pows[k]`` (which
+    ``power(k)`` returns) is a dict from packed key to the int coefficient
+    of (L f)^k.  The key is linear, key(e1 + e2) = key(e1) + key(e2) and
+    key(-e) = -key(e): a product is int addition, and the partner of k in
+    a constant-term pairing is -k.  ``constant_term`` unpacks the answer
+    into a Fraction, Const(f^d) = Const((L f)^d) / L^d.
+    """
 
     def __init__(self, f: LaurentPolynomial, budget: int = 6_000_000):
         self.f = f
-        one = LaurentPolynomial(f.nvars, {(0,) * f.nvars: Fraction(1)})
-        self.pows = [one]
         self.budget = budget
         self.spent = 1
+        # key(v) = 0 forces v = 0 while every |v_i| < B: the lowest nonzero
+        # v_i would have to be a multiple of B.  Two exponents of one power
+        # collide, or a pairing finds a false partner, only through such a
+        # v, a difference or sum of exponents of powers a, d - a <= K.  So
+        # |v_i| <= 2 K M, with M = max |e_i| over f and K the largest power
+        # the budget admits, and B = 2 K M + 1 is enough.  Unless f has at
+        # most one term, f^k has at least k + 1 terms (a generic monomial
+        # substitution makes f univariate; then Hajos' lemma: a polynomial
+        # with a k-fold nonzero root has at least k + 1 terms), so
+        # 1 + sum_{k<=K} (k + 1) <= budget gives K <= isqrt(2 budget).
+        # With one term or none, spent = 1 + K bounds K by the budget.
+        M = max((abs(x) for e in f.terms for x in e), default=0)
+        if len(f.terms) <= 1:
+            K = int(budget)
+        else:
+            K = isqrt(max(int(2 * budget), 0))
+        B = 2 * max(K, 1) * max(M, 1) + 1
+        self._L = lcm(*(c.denominator for c in f.terms.values()))
+        self._f = [(sum(x * B ** i for i, x in enumerate(e)),
+                    c.numerator * (self._L // c.denominator))
+                   for e, c in f.terms.items()]
+        self.pows = [{0: 1}]
 
-    def power(self, k: int) -> LaurentPolynomial:
+    def power(self, k: int) -> dict:
+        """Packed (L f)^k: a dict from Kronecker key to int coefficient."""
         while len(self.pows) <= k:
-            nxt = self.pows[-1] * self.f
-            self.spent += nxt.support_size()
+            prev = self.pows[-1]
+            nxt = {}
+            get = nxt.get
+            for s, a in self._f:
+                for key, c in prev.items():
+                    key += s
+                    nxt[key] = get(key, 0) + a * c
+            nxt = {key: c for key, c in nxt.items() if c}
+            self.spent += len(nxt)
             if self.spent > self.budget:
                 raise ResourceBudgetExceeded(len(self.pows) - 1)
             self.pows.append(nxt)
@@ -162,7 +203,12 @@ class PowerCache:
 
     def constant_term(self, d: int) -> Fraction:
         a = d // 2
-        return pair_constant(self.power(a), self.power(d - a))
+        small, big = self.power(a), self.power(d - a)
+        if len(small) > len(big):
+            small, big = big, small
+        get = big.get
+        tot = sum(c * get(-key, 0) for key, c in small.items())
+        return Fraction(tot, self._L ** d)
 
 
 class ResourceBudgetExceeded(RuntimeError):

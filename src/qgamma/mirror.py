@@ -9,6 +9,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
 from math import factorial, gcd
+from operator import mul
 
 from . import exactla
 from .jfun import QuantumPeriod, _t0_value
@@ -29,20 +30,18 @@ def origin_in_interior(rays) -> bool:
     direction that the remaining constraints admit.
     """
     m = len(rays[0])
-    mat = [tuple(Fraction(x) for x in r) for r in rays]
+    # clearing denominators rescales each ray by a positive factor, which
+    # keeps the cone and the sign of every <b_i, u>
+    mat = [exactla.integer_row(r) for r in rays]
     if exactla.rank(mat) < m:
         return False
     for subset in combinations(range(len(mat)), m - 1):
-        rows = [mat[i] for i in subset]
-        if rows and exactla.rank(rows) < m - 1:
+        u = exactla.kernel_vector([mat[i] for i in subset], m)
+        if u is None:
             continue
-        null = exactla.nullspace(rows, ncols=m)
-        if len(null) != 1:
-            continue
-        u = null[0]
-        for direction in (u, tuple(-x for x in u)):
-            if all(sum(a * b for a, b in zip(row, direction)) <= 0 for row in mat):
-                return False
+        dots = [sum(map(mul, row, u)) for row in mat]
+        if all(x <= 0 for x in dots) or all(x >= 0 for x in dots):
+            return False
     return True
 
 

@@ -7,7 +7,8 @@ oracle is evidence, not circularity.
 """
 
 from fractions import Fraction
-from math import comb, factorial
+from itertools import combinations, permutations
+from math import comb, factorial, gcd
 
 import mpmath
 
@@ -170,3 +171,67 @@ def littlewood_richardson(mu, nu, lam) -> int:
         return True
 
     return sum(1 for f in fillings if lattice(f))
+
+
+def permutation_det(rows):
+    """Determinant as the signed sum over all permutations (Leibniz)."""
+    n = len(rows)
+    total = 0
+    for perm in permutations(range(n)):
+        inversions = sum(1 for i in range(n) for j in range(i + 1, n)
+                         if perm[i] > perm[j])
+        term = (-1) ** inversions
+        for i in range(n):
+            term = term * rows[i][perm[i]]
+        total = total + term
+    return total
+
+
+def _rref(rows, ncols):
+    """Reduced row echelon form over Fractions: (rows, pivot columns)."""
+    m = [[Fraction(x) for x in row] for row in rows]
+    pivots = []
+    for c in range(ncols):
+        r = len(pivots)
+        pr = next((i for i in range(r, len(m)) if m[i][c]), None)
+        if pr is None:
+            continue
+        m[r], m[pr] = m[pr], m[r]
+        pv = m[r][c]
+        m[r] = [x / pv for x in m[r]]
+        for i in range(len(m)):
+            if i != r and m[i][c]:
+                f = m[i][c]
+                m[i] = [x - f * y for x, y in zip(m[i], m[r])]
+        pivots.append(c)
+    return m, pivots
+
+
+def origin_in_interior(rays) -> bool:
+    """Origin strictly inside the convex hull of the rays, over Fractions.
+
+    The cone {u : <b_i, u> <= 0} is {0} iff the rays have full rank m and
+    no kernel direction of m-1 independent rays, taken with either sign,
+    has <b_i, u> <= 0 for every ray.
+    """
+    m = len(rays[0])
+    if len(_rref(rays, m)[1]) < m:
+        return False
+    for subset in combinations(rays, m - 1):
+        red, pivots = _rref(subset, m)
+        if len(pivots) < m - 1:
+            continue
+        free = next(c for c in range(m) if c not in pivots)
+        u = [Fraction(0)] * m
+        u[free] = Fraction(1)
+        for row, c in zip(red, pivots):
+            u[c] = -row[free]
+        # a positive multiple of u with integer entries: signs are kept
+        scale = 1
+        for x in u:
+            scale = scale * x.denominator // gcd(scale, x.denominator)
+        u = [int(x * scale) for x in u]
+        dots = [sum(a * b for a, b in zip(ray, u)) for ray in rays]
+        if all(x <= 0 for x in dots) or all(x >= 0 for x in dots):
+            return False
+    return True

@@ -1,8 +1,12 @@
+import random
 from fractions import Fraction
 
 import pytest
 
-from qgamma.exactla import nullspace, rank, row_reduce, solve
+from qgamma.exactla import (det, kernel_vector, nullspace, rank, row_reduce,
+                            solve)
+
+import oracles
 
 
 def F(x):
@@ -56,3 +60,70 @@ def test_rref_idempotent():
     rref, _ = row_reduce(rows)
     again, _ = row_reduce(rref)
     assert rref == again
+
+
+def _random_matrix(rng, n, rational):
+    rows = [[rng.choice((0, 0, 1, -1, rng.randint(-9, 9))) for _ in range(n)]
+            for _ in range(n)]
+    if rational:
+        rows = [[Fraction(x, rng.randint(1, 6)) for x in row] for row in rows]
+    return rows
+
+
+def test_det_against_permutation_sum():
+    rng = random.Random(20)
+    for trial in range(300):
+        n = 1 + trial % 6
+        rational = trial % 2 == 1
+        A = _random_matrix(rng, n, rational)
+        if trial % 5 == 0 and n > 1:
+            # singular: one row a combination of two others
+            A[-1] = [2 * x - y for x, y in zip(A[0], A[(n - 1) // 2])]
+        got = det(A)
+        assert got == oracles.permutation_det(A), A
+        assert type(got) is (Fraction if rational else int)
+
+
+def test_det_pivot_swap_and_singular():
+    # every leading entry is zero, so Bareiss must swap rows
+    A = [[0, 2, 1], [0, 0, 3], [4, 1, 0]]
+    assert det(A) == oracles.permutation_det(A) == 24
+    B = [[0, 1], [1, 0]]
+    assert det(B) == -1
+    F = [[Fraction(0), Fraction(1, 2)], [Fraction(2, 3), Fraction(5)]]
+    assert det(F) == Fraction(-1, 3)
+    assert det([[1, 2], [2, 4]]) == 0 and type(det([[1, 2], [2, 4]])) is int
+    zero = det([[Fraction(1), Fraction(2)], [Fraction(2), Fraction(4)]])
+    assert zero == 0 and type(zero) is Fraction
+    # a zero column: no pivot at all in the first step
+    assert det([[0, 1, 2], [0, 3, 4], [0, 5, 6]]) == 0
+    assert det([]) == 1
+    with pytest.raises(ValueError):
+        det([[1, 2]])
+
+
+def test_kernel_vector_matches_nullspace():
+    rng = random.Random(21)
+    for trial in range(200):
+        ncols = rng.randint(1, 6)
+        nrows = rng.randint(0, 6)
+        A = [[rng.choice((0, 0, 1, -1, rng.randint(-5, 5)))
+              for _ in range(ncols)] for _ in range(nrows)]
+        if nrows > 2 and trial % 3 == 0:
+            A[-1] = [x + 3 * y for x, y in zip(A[0], A[1])]
+        null = nullspace(A, ncols=ncols)
+        v = kernel_vector(A, ncols)
+        if len(null) != 1:
+            assert v is None
+            continue
+        assert all(type(x) is int for x in v) and any(v)
+        assert all(sum(a * x for a, x in zip(row, v)) == 0 for row in A)
+        u = null[0]
+        assert all(v[i] * u[j] == v[j] * u[i]
+                   for i in range(ncols) for j in range(ncols))
+
+
+def test_rank_clears_denominators():
+    rows = [[Fraction(1, 2), Fraction(1, 3)], [Fraction(3), Fraction(2)]]
+    assert rank(rows) == 1
+    assert rank([[Fraction(1, 2), 0], [0, Fraction(-1, 7)]]) == 2

@@ -10,7 +10,7 @@ from qgamma.grassmann import (box_partitions, bcfk_j_series, e_mu_class,
                               euler_matrix_grassmann, grassmann_spectrum,
                               partition_label, satake_map, schubert_ring,
                               schur_expand, schur_polynomial,
-                              wedge_from_vectors)
+                              wedge_from_vectors, _ch_tangent_poly)
 from qgamma.jfun import quantum_period
 from qgamma.mirror import constant_term_series, projective_rays, \
     toric_mirror_from_rays
@@ -31,7 +31,7 @@ def test_box_partitions():
 
 
 def test_schur_ring_products_are_lr_coefficients():
-    for r, n in ((2, 4), (2, 5)):
+    for r, n in ((2, 4), (2, 5), (3, 6)):
         R = schubert_ring(r, n)
         parts = box_partitions(r, n)
         index = {mu: i for i, mu in enumerate(parts)}
@@ -63,6 +63,68 @@ def test_schur_expand_matches_oracle_without_box():
 def test_schur_expand_rejects_asymmetric():
     with pytest.raises(ValueError):
         schur_expand({(2, 0): Fraction(1)}, 2)
+    # asymmetric, although the leading monomial is a partition
+    with pytest.raises(ValueError):
+        schur_expand({(2, 0): Fraction(1), (0, 2): Fraction(2)}, 2)
+    # symmetric in x0, x1 but not in x1, x2
+    with pytest.raises(ValueError):
+        schur_expand({(1, 1, 0): Fraction(1)}, 3)
+    s21 = schur_polynomial((2, 1), 3)
+    with pytest.raises(ValueError):
+        schur_expand({**s21, (0, 1, 2): Fraction(2)}, 3)
+    with pytest.raises(ValueError):
+        schur_expand({e: c for e, c in s21.items() if e != (1, 0, 2)}, 3)
+
+
+def test_schur_expand_three_rows_matches_oracle():
+    # full expansions in three variables, no box: every lam with at most
+    # three rows, zeros included
+    r = 3
+    shapes = [(1, 0, 0), (1, 1, 0), (2, 1, 0), (2, 2, 1), (3, 1, 1)]
+    for mu in shapes:
+        for nu in shapes:
+            prod = {}
+            for e1, c1 in schur_polynomial(mu, r).items():
+                for e2, c2 in schur_polynomial(nu, r).items():
+                    key = tuple(a + b for a, b in zip(e1, e2))
+                    prod[key] = prod.get(key, Fraction(0)) + c1 * c2
+            expansion = schur_expand(prod, r)
+            weight = sum(mu) + sum(nu)
+            for lam in itertools.product(range(weight + 1), repeat=r):
+                if sum(lam) != weight or list(lam) != sorted(lam, reverse=True):
+                    continue
+                assert expansion.get(lam, 0) == \
+                    oracles.littlewood_richardson(mu, nu, lam), (mu, nu, lam)
+            assert all(type(c) is Fraction for c in expansion.values())
+
+
+def test_ch_tangent_poly_against_direct_expansion():
+    # ch(T Gr(3,6)) = sum_i e^{x_i} (6 - sum_j e^{-x_j}) through degree 9,
+    # summed monomial by monomial
+    r, n, top = 3, 6, 9
+    want = {}
+    for i in range(r):
+        for k in range(top + 1):
+            e = tuple(k if t == i else 0 for t in range(r))
+            want[e] = want.get(e, 0) + Fraction(n, math.factorial(k))
+        for j in range(r):
+            for a in range(top + 1):
+                for b in range(top + 1 - a):
+                    e = [0] * r
+                    e[i] += a
+                    e[j] += b
+                    e = tuple(e)
+                    want[e] = want.get(e, 0) - Fraction(
+                        (-1) ** b, math.factorial(a) * math.factorial(b))
+    want = {e: c for e, c in want.items() if c}
+    poly = _ch_tangent_poly(r, n, top)
+    assert poly == want
+    # the Schur expansion of this inhomogeneous polynomial sums back to it
+    back = {}
+    for lam, c in schur_expand(poly, r).items():
+        for e, v in schur_polynomial(lam, r).items():
+            back[e] = back.get(e, 0) + c * v
+    assert {e: c for e, c in back.items() if c} == want
 
 
 def test_satake_map_examples():

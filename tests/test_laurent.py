@@ -2,6 +2,7 @@ import math
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from qgamma.laurent import (LaurentPolynomial, PowerCache,
                             ResourceBudgetExceeded, laurent_from_json_dict,
@@ -93,3 +94,42 @@ def test_json_roundtrip():
 def test_is_nonnegative():
     assert xpx().is_nonnegative()
     assert not (xpx() - LaurentPolynomial(1, {(0,): Fraction(1)})).is_nonnegative()
+
+
+@st.composite
+def laurent_polynomials(draw):
+    """1-4 variables, exponents within +-50, up to five terms (so a single
+    monomial and constants occur), signed and non-integer coefficients."""
+    nvars = draw(st.integers(1, 4))
+    exps = st.tuples(*[st.integers(-50, 50)] * nvars)
+    if draw(st.booleans()):
+        # small exponents too, so powers share monomials and cancel
+        exps = st.tuples(*[st.integers(-2, 2)] * nvars)
+    coeff = st.fractions(min_value=-5, max_value=5, max_denominator=6)
+    terms = draw(st.dictionaries(exps, coeff, min_size=1, max_size=5))
+    if draw(st.booleans()):
+        terms[(0,) * nvars] = draw(coeff)
+    return LaurentPolynomial(nvars, terms)
+
+
+@settings(max_examples=60, deadline=None)
+@given(laurent_polynomials(), st.integers(0, 9))
+def test_power_cache_constant_terms_match_powers(f, d):
+    pc = PowerCache(f)
+    got = pc.constant_term(d)
+    assert type(got) is Fraction
+    assert got == (f ** d).constant_term()
+    # spent counts the unit plus the support of every materialized power
+    assert pc.spent == 1 + sum((f ** k).support_size()
+                               for k in range(1, len(pc.pows)))
+
+
+def test_power_cache_monomials_and_constants():
+    for f in (LaurentPolynomial(3, {(0, 0, 0): Fraction(-7, 2)}),
+              LaurentPolynomial(2, {(50, -50): Fraction(3)}),
+              LaurentPolynomial(1, {})):
+        pc = PowerCache(f)
+        for d in range(6):
+            got = pc.constant_term(d)
+            assert type(got) is Fraction
+            assert got == (f ** d).constant_term()

@@ -1,8 +1,11 @@
+import random
 from fractions import Fraction
 
 import mpmath
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from qgamma.grassmann import ehx_mirror
 from qgamma.jfun import j_projective, quantum_period
 from qgamma.laurent import LaurentPolynomial
 from qgamma.mirror import (PartialPeriodError, conifold_point,
@@ -26,6 +29,56 @@ def test_origin_interior_negatives():
     assert not origin_in_interior([(1, 0), (-1, 0), (2, 1)])
     # rank-deficient ray set never has the origin interior
     assert not origin_in_interior([(1, 0), (-1, 0)])
+
+
+@st.composite
+def ray_sets(draw):
+    """Ray sets in 1-4 dimensions with integer and rational entries: free,
+    around a simplex (often interior), rank-deficient (last coordinate
+    zero) or in a closed half-space with rays on its boundary."""
+    m = draw(st.integers(1, 4))
+    entry = st.one_of(st.integers(-3, 3),
+                      st.fractions(min_value=-3, max_value=3,
+                                   max_denominator=4))
+    rays = draw(st.lists(st.tuples(*[entry] * m), min_size=1, max_size=6))
+    kind = draw(st.sampled_from(("free", "simplex", "flat", "boundary")))
+    if kind == "simplex":
+        rays += projective_rays(m + 1)
+    elif kind == "flat":
+        rays = [r[:-1] + (0,) for r in rays]
+    elif kind == "boundary":
+        rays = [(abs(r[0]),) + r[1:] for r in rays]
+        if m > 1:
+            rays += [(0,) * (m - 1) + (1,), (0,) * (m - 1) + (-1,)]
+    return rays
+
+
+@settings(max_examples=150, deadline=None)
+@given(ray_sets())
+def test_origin_in_interior_against_fraction_oracle(rays):
+    assert origin_in_interior(rays) == oracles.origin_in_interior(rays)
+
+
+def _signed_permutation(rays, rng):
+    m = len(rays[0])
+    perm = list(range(m))
+    rng.shuffle(perm)
+    signs = [rng.choice((1, -1)) for _ in perm]
+    return [tuple(s * r[p] for s, p in zip(signs, perm)) for r in rays]
+
+
+def test_origin_in_interior_ladder_rays_against_fraction_oracle():
+    rng = random.Random(36)
+    rays25 = list(ehx_mirror(2, 5).terms)
+    for rays in (rays25, _signed_permutation(rays25, rng), rays25[1:]):
+        assert origin_in_interior(rays) == oracles.origin_in_interior(rays)
+    assert origin_in_interior(rays25) and not origin_in_interior(rays25[1:])
+    # the Fraction oracle takes seconds on Gr(3,6), so it sees only the
+    # scrambled rays; the test itself is invariant under the scrambling
+    rays36 = list(ehx_mirror(3, 6).terms)
+    scrambled = _signed_permutation(rays36, rng)
+    assert oracles.origin_in_interior(scrambled)
+    assert origin_in_interior(scrambled) and origin_in_interior(rays36)
 
 
 def test_toric_mirror_polynomial():

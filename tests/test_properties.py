@@ -1,4 +1,4 @@
-"""Invariant checks over randomized inputs; the only file using hypothesis."""
+"""Invariant checks over randomized inputs."""
 
 import math
 from fractions import Fraction
