@@ -35,7 +35,7 @@ from .oscillatory import QuadratureConfig, central_charge_structure_sheaf, \
     laplace_lefschetz_check, oscillatory_integral
 from .ring import build_hypersurface_ambient_ring, build_projective_ring, \
     gamma_class, ring_to_json_dict
-from .scalars import make_constants
+from .scalars import make_constants, working_context
 
 try:
     from importlib.metadata import version as _pkg_version
@@ -399,9 +399,9 @@ def cmd_oscillatory(args) -> int:
     R, J, _ = spec.jseries(D, args.digits)
     C = make_constants(P=args.digits)
     g = gamma_class(R, C)
-    with mpmath.workdps(args.digits + 10):
-        t = mpmath.mpf(args.t)
-        z = 1 / t
+    ctx = working_context(args.digits + 10)
+    t = ctx.mpf(args.t)
+    z = 1 / t
     Z = central_charge_structure_sheaf(J, g, t, P=args.digits)
     q = QuadratureConfig(tol=args.quad_tol, precision=args.digits)
     osc = oscillatory_integral(spec.mirror(), z, q)

@@ -1,11 +1,13 @@
-"""Exact linear algebra: row reduction, rank, nullspace, solving, and a
-fraction-free elimination behind the determinant and kernel vectors.
+"""Exact linear algebra: row reduction, rank, nullspace, solving, a
+fraction-free elimination behind the determinant and kernel vectors, and an
+exact simplex for cone membership.
 
 Matrices are lists of row tuples/lists.  `row_reduce`, `nullspace` and
 `solve` work on Fractions.  `det`, `rank` and `kernel_vector` share one
 Bareiss elimination, which stays in Python ints on integer matrices: every
 intermediate entry is a minor of the input, so each division is exact.
-Sizes here are tiny (cohomology ranks, ray counts).
+`cone_contains` runs a phase-1 simplex over Fractions.  Sizes here are tiny
+(cohomology ranks, ray counts).
 """
 
 from __future__ import annotations
@@ -120,6 +122,45 @@ def _bareiss(m):
         pivots.append(c)
         r += 1
     return pivots, sign
+
+
+def cone_contains(generators, w) -> bool:
+    """Whether w is a nonnegative combination of the generator vectors.
+
+    One phase-1 simplex over Fractions on sum_i mu_i g_i = w, mu >= 0: each
+    coordinate row gets an artificial variable (the row negated first if
+    w is negative there), the all-artificial basis is the start, and the
+    sum of the artificials is minimised.  w lies in the cone exactly when
+    the minimum is 0.  Artificials never re-enter the basis, which keeps the
+    answer right: at a basis where no mu_i can enter, the simplex
+    multipliers y have <y, g_i> <= 0 for every i, so any mu >= 0 solving the
+    system would give objective <y, w> = sum_i mu_i <y, g_i> <= 0.  Bland's
+    rule (the lowest improving column enters; ratio ties leave by the lowest
+    basic index) rules out cycling on degenerate instances.
+    """
+    m, N = len(w), len(generators)
+    rows = []
+    for j in range(m):
+        row = [Fraction(g[j]) for g in generators] + [Fraction(w[j])]
+        rows.append([-x for x in row] if w[j] < 0 else row)
+    # reduced costs of the objective, and minus its value in the last slot
+    cost = [-sum(row[c] for row in rows) for c in range(N + 1)]
+    basis = [N + j for j in range(m)]      # artificial j has index N + j
+    while cost[N]:
+        enter = next((c for c in range(N) if cost[c] < 0), None)
+        if enter is None:
+            return False
+        # a phase-1 objective is bounded below, so some entry is positive
+        _, _, i = min((row[N] / row[enter], basis[i], i)
+                      for i, row in enumerate(rows) if row[enter] > 0)
+        pv = rows[i][enter]
+        pivot = rows[i] = [x / pv for x in rows[i]]
+        for other in rows + [cost]:
+            f = other[enter]
+            if f and other is not pivot:
+                other[:] = [x - f * y for x, y in zip(other, pivot)]
+        basis[i] = enter
+    return True
 
 
 def integer_row(row):

@@ -64,39 +64,26 @@ def _poly_mul(a, b, max_deg=None):
     return {e: c for e, c in out.items() if c}
 
 
-def _h_poly(k: int, r: int):
-    """Complete homogeneous symmetric polynomial of degree k."""
-    if k < 0:
-        return {}
-    out = {}
-    def rec(prefix, rest):
-        if len(prefix) == r - 1:
-            out[tuple(prefix + [rest])] = Fraction(1)
-            return
-        for v in range(rest + 1):
-            rec(prefix + [v], rest - v)
-    rec([], k)
-    return out
-
-
 def schur_polynomial(mu, r: int):
-    """s_mu in r variables via the h-determinant."""
+    """s_mu in r variables, with int coefficients, by the branching rule
+
+        s_mu(x_1..x_r) = sum_nu s_nu(x_1..x_{r-1}) x_r^(|mu| - |nu|)
+
+    over the partitions nu that interlace mu:
+    mu_1 >= nu_1 >= mu_2 >= ... >= nu_{r-1} >= mu_r."""
     mu = tuple(mu) + (0,) * (r - len(mu))
-    total = {}
-    for perm in itertools.permutations(range(r)):
-        sign = _perm_sign(perm)
-        prod = {(0,) * r: Fraction(1)}
-        ok = True
-        for i in range(r):
-            k = mu[i] - i + perm[i]
-            if k < 0:
-                ok = False
-                break
-            if k:
-                prod = _poly_mul(prod, _h_poly(k, r))
-        if ok:
-            total = _poly_add(total, {e: sign * c for e, c in prod.items()})
-    return total
+    if any(mu[r:]):     # more than r rows: s_mu vanishes in r variables
+        return {}
+    if r == 0:
+        return {(): 1}
+    out = {}
+    weight = sum(mu)
+    for nu in itertools.product(*(range(mu[i + 1], mu[i] + 1)
+                                  for i in range(r - 1))):
+        k = (weight - sum(nu),)
+        for e, c in schur_polynomial(nu, r - 1).items():
+            out[e + k] = out.get(e + k, 0) + c
+    return out
 
 
 def _perm_sign(perm) -> int:
@@ -161,8 +148,7 @@ def schubert_ring(r: int, n: int) -> CohomologyRing:
     dim = r * (n - r)
     # s_mu s_nu a_delta = s_mu a_{nu+delta}: the product is read off the
     # alternant without forming s_mu s_nu
-    spolys = {mu: {e: int(c) for e, c in schur_polynomial(mu, r).items()}
-              for mu in parts}
+    spolys = {mu: schur_polynomial(mu, r) for mu in parts}
 
     cup_table = {}
     for i, mu in enumerate(parts):
@@ -463,25 +449,32 @@ def _is_consecutive_mod(K, n) -> bool:
 # Euler pairings and the bundle classes E_mu
 # --------------------------------------------------------------------------
 
+def _chi_projective(l: int, k: int, n: int) -> int:
+    """Euler pairing of O(l), O(k) on the projective space with n
+    coordinates, prod_{j=1}^{n-1} (k-l+j) / (n-1)!: an int, because a
+    product of n-1 consecutive integers is divisible by (n-1)!."""
+    num = 1
+    for j in range(1, n):
+        num *= k - l + j
+    return num // factorial(n - 1)
+
+
 def chi_projective_line_bundles(l: int, k: int, n: int) -> Fraction:
     """Euler pairing of O(l), O(k) on the projective space with n
     coordinates: the degree-(n-1) binomial polynomial in k-l."""
-    m = k - l
-    num = Fraction(1)
-    for j in range(1, n):
-        num *= m + j
-    return num / factorial(n - 1)
+    return Fraction(_chi_projective(l, k, n))
 
 
 def euler_matrix_grassmann(mu, nu, r: int, n: int) -> Fraction:
     """det of the r x r matrix of projective-space Euler pairings at the
-    shifted exponents l_i = mu_i + r - i, k_j = nu_j + r - j."""
+    shifted exponents l_i = mu_i + r - i, k_j = nu_j + r - j; the entries
+    are ints, so the determinant is taken on the integer path."""
     mu = tuple(mu) + (0,) * (r - len(mu))
     nu = tuple(nu) + (0,) * (r - len(nu))
     l = [mu[i] + r - 1 - i for i in range(r)]
     k = [nu[j] + r - 1 - j for j in range(r)]
-    return det([[chi_projective_line_bundles(li, kj, n) for kj in k]
-                for li in l])
+    return Fraction(det([[_chi_projective(li, kj, n) for kj in k]
+                         for li in l]))
 
 
 def e_mu_class(R: CohomologyRing, mu, r: int, n: int,

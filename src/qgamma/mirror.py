@@ -7,9 +7,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import combinations
 from math import factorial, gcd
-from operator import mul
 
 from . import exactla
 from .jfun import QuantumPeriod, _t0_value
@@ -24,25 +22,21 @@ from .scalars import working_context
 def origin_in_interior(rays) -> bool:
     """Exact test that 0 lies in the interior of the convex hull of the rays.
 
-    Equivalent to: the cone {u : <b_i, u> <= 0 for all i} is {0}.  The cone
-    contains a line iff the ray matrix is rank deficient; otherwise it is
-    pointed and nonzero iff some m-1 of the constraints cut out an extreme
-    direction that the remaining constraints admit.
+    That holds exactly when the rays have full rank m and some strictly
+    positive relation sum lambda_i b_i = 0 exists.  Given full rank, such a
+    relation exists exactly when w = -sum b_i lies in the cone of the rays:
+    mu >= 0 with sum mu_i b_i = w gives the relation sum (1 + mu_i) b_i = 0,
+    and a relation scaled to min lambda_i = 1 gives mu = lambda - 1.  The
+    rank comes from the Bareiss elimination, the cone membership from one
+    exact simplex (`exactla.cone_contains`).
     """
     m = len(rays[0])
     # clearing denominators rescales each ray by a positive factor, which
-    # keeps the cone and the sign of every <b_i, u>
+    # keeps the rank and every positive relation
     mat = [exactla.integer_row(r) for r in rays]
     if exactla.rank(mat) < m:
         return False
-    for subset in combinations(range(len(mat)), m - 1):
-        u = exactla.kernel_vector([mat[i] for i in subset], m)
-        if u is None:
-            continue
-        dots = [sum(map(mul, row, u)) for row in mat]
-        if all(x <= 0 for x in dots) or all(x >= 0 for x in dots):
-            return False
-    return True
+    return exactla.cone_contains(mat, [-sum(col) for col in zip(*mat)])
 
 
 def toric_mirror_from_rays(rays) -> LaurentPolynomial:

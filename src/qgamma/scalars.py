@@ -112,9 +112,8 @@ def make_constants(P: int = 50, K_max: int = 64) -> ConstantTable:
 
     pi = out.mpf(+work.pi)
     gamma = out.mpf(+work.euler)
-    zeta = {}
-    for k in range(2, K_max + 1):
-        zeta[k] = out.mpf(work.zeta(k))
+    guarded = {k: work.zeta(k) for k in range(2, K_max + 1)}
+    zeta = {k: out.mpf(z) for k, z in guarded.items()}
 
     for name, val in (("pi", pi), ("gamma", gamma), ("zeta2", zeta[2]),
                       ("zeta3", zeta.get(3))):
@@ -125,14 +124,16 @@ def make_constants(P: int = 50, K_max: int = 64) -> ConstantTable:
 
     # tail bound: zeta(k) - 1 < 2^(1-k) holds from k = 3 on (at k = 2 the true
     # tail is 0.6449... > 1/2, so k = 2 is checked against the looser 3/4 bound
-    # 2^(-k) + 2^(1-k)/(k-1)); also monotone decrease toward 1
+    # 2^(-k) + 2^(1-k)/(k-1)); also monotone decrease toward 1.  Both are
+    # checked on the guard-digit values: rounded to P digits, zeta(k) - 1 can
+    # land on the bound (zeta(53) at P = 15) and neighbours can tie
     prev = None
     for k in range(2, K_max + 1):
-        bound = out.mpf(2) ** (1 - k) if k >= 3 else out.mpf(3) / 4
-        if not (zeta[k] - 1) < bound:
+        bound = work.mpf(2) ** (1 - k) if k >= 3 else work.mpf(3) / 4
+        if not (guarded[k] - 1) < bound:
             raise ArithmeticError(f"zeta({k}) tail bound violated")
-        if prev is not None and not zeta[k] < prev:
+        if prev is not None and not guarded[k] < prev:
             raise ArithmeticError(f"zeta({k}) not monotone")
-        prev = zeta[k]
+        prev = guarded[k]
 
     return ConstantTable(P=P, K_max=K_max, ctx=out, pi=pi, gamma=gamma, zeta=zeta)

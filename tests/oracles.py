@@ -173,6 +173,66 @@ def littlewood_richardson(mu, nu, lam) -> int:
     return sum(1 for f in fillings if lattice(f))
 
 
+def schur_jacobi_trudi(mu, r: int) -> dict:
+    """s_mu in r variables as the determinant det(h_{mu_i - i + j}) of
+    complete homogeneous polynomials, summed over all r! permutations.
+
+    Polynomials are dicts from exponent tuples to int coefficients.
+    """
+    mu = tuple(mu) + (0,) * (r - len(mu))
+
+    def h(k):
+        out = {}
+
+        def rec(prefix, rest):
+            if len(prefix) == r - 1:
+                out[tuple(prefix) + (rest,)] = 1
+                return
+            for v in range(rest + 1):
+                rec(prefix + [v], rest - v)
+        if k >= 0:
+            rec([], k)
+        return out
+
+    def mul(a, b):
+        out = {}
+        for e1, c1 in a.items():
+            for e2, c2 in b.items():
+                e = tuple(x + y for x, y in zip(e1, e2))
+                out[e] = out.get(e, 0) + c1 * c2
+        return out
+
+    total = {}
+    for perm in permutations(range(r)):
+        inversions = sum(1 for i in range(r) for j in range(i + 1, r)
+                         if perm[i] > perm[j])
+        prod = {(0,) * r: (-1) ** inversions}
+        for i in range(r):
+            prod = mul(prod, h(mu[i] - i + perm[i]))
+        for e, c in prod.items():
+            total[e] = total.get(e, 0) + c
+    return {e: c for e, c in total.items() if c}
+
+
+def cone_contains(generators, w) -> bool:
+    """w a nonnegative combination of the generators, by Caratheodory: then
+    it is one of a linearly independent subset, so every independent subset
+    is tried (the empty one covers w = 0)."""
+    m = len(w)
+    if not any(w):
+        return True
+    for size in range(1, m + 1):
+        for subset in combinations(generators, size):
+            # columns are the generators, the last column is w
+            aug = [[g[j] for g in subset] + [w[j]] for j in range(m)]
+            red, pivots = _rref(aug, size + 1)
+            if pivots != list(range(size)):
+                continue      # dependent subset, or w outside its span
+            if all(red[i][size] >= 0 for i in range(size)):
+                return True
+    return False
+
+
 def permutation_det(rows):
     """Determinant as the signed sum over all permutations (Leibniz)."""
     n = len(rows)

@@ -10,6 +10,8 @@ from qgamma.cli import main
 from qgamma.grassmann import ehx_constant_terms
 from qgamma.scalars import working_context
 
+import oracles
+
 
 def run(capsys, argv):
     rc = main(argv)
@@ -223,6 +225,36 @@ def test_qperiod_float_ignores_global_precision(capsys, monkeypatch):
                                 "--format", "csv"])
     assert rc == 0
     assert out.splitlines()[-1] == "6,5/9,0.55555555555555556"
+
+
+def test_constant_table_commands_at_15_digits(capsys):
+    # Gamma_P2 = Gamma(1+h)^3 = exp(-3 gamma h + (3/2) zeta(2) h^2) mod h^3
+    rc, out, err = run(capsys, ["gamma", "--space", "P2", "--digits", "15"])
+    assert rc == 0, err
+    value = json.loads(out)["value"]
+    ctx = working_context(40)
+    g = ctx.convert(oracles.euler_gamma_mascheroni(40))
+    want = {"1": ctx.mpf(1), "h^1": -3 * g,
+            "h^2": 9 * g ** 2 / 2 + ctx.pi ** 2 / 4}
+    for label, w in want.items():
+        assert abs(ctx.mpf(value[label]) - w) < abs(w) * ctx.mpf(10) ** -14
+    for argv in (["gram", "--space", "P3"], ["mutate", "--space", "P4",
+                                              "--word", "R1 L2 R3"]):
+        rc, out, err = run(capsys, argv + ["--digits", "15"])
+        assert rc == 0, (argv, err)
+
+
+def test_oscillatory_leaves_global_context_alone(capsys, monkeypatch):
+    def forbidden(*args, **kwargs):
+        raise AssertionError("global mpmath precision changed")
+    monkeypatch.setattr(mpmath, "workdps", forbidden)
+    monkeypatch.setattr(mpmath, "workprec", forbidden)
+    dps = mpmath.mp.dps
+    rc, out, err = run(capsys, ["oscillatory", "--space", "P1", "--t", "0.7",
+                                "--digits", "30"])
+    assert rc == 0, err
+    assert json.loads(out)["verdict"] is True
+    assert mpmath.mp.dps == dps
 
 
 def test_jseries_grassmannian_full_precision(capsys):

@@ -3,8 +3,9 @@ from fractions import Fraction
 
 import pytest
 
-from qgamma.exactla import (det, kernel_vector, nullspace, rank, row_reduce,
-                            solve)
+from qgamma.exactla import (cone_contains, det, kernel_vector, nullspace, rank,
+                            row_reduce, solve)
+from qgamma.mirror import origin_in_interior
 
 import oracles
 
@@ -127,3 +128,45 @@ def test_rank_clears_denominators():
     rows = [[Fraction(1, 2), Fraction(1, 3)], [Fraction(3), Fraction(2)]]
     assert rank(rows) == 1
     assert rank([[Fraction(1, 2), 0], [0, Fraction(-1, 7)]]) == 2
+
+
+def test_cone_contains_degenerate():
+    # w = (1, 1, 0) has a zero coordinate, so the start is degenerate, and it
+    # lies on a face of the cone that several generators span; the first
+    # ratio test ties between two rows
+    gens = [(1, 0, 0), (0, 1, 0), (1, 1, 0), (1, 1, 1), (1, 1, -1)]
+    assert cone_contains(gens, (1, 1, 0))
+    assert cone_contains(gens, (2, 1, -1))
+    assert cone_contains(gens, (0, 0, 0))
+    # the third coordinate alone needs the x and y parts to cancel
+    assert not cone_contains(gens, (0, 0, 1))
+    assert not cone_contains(gens, (-1, 0, 0))
+    half, third = Fraction(1, 2), Fraction(-1, 3)
+    assert cone_contains([(half, 0), (0, third)], (F(3), F(-7)))
+    assert not cone_contains([(half, 0), (0, third)], (F(3), F(7)))
+
+
+def test_cone_contains_against_caratheodory_oracle():
+    rng = random.Random(11)
+    for _ in range(300):
+        m = rng.randint(1, 4)
+        entries = (-2, -1, 0, 0, 0, 1, 2)
+        gens = [tuple(rng.choice(entries) for _ in range(m))
+                for _ in range(rng.randint(1, 6))]
+        w = tuple(rng.choice(entries) for _ in range(m))
+        assert cone_contains(gens, w) == oracles.cone_contains(gens, w), \
+            (gens, w)
+
+
+def test_ray_test_needs_rank_and_positive_relation():
+    # rank-deficient: the rays span a plane in R^3, so the origin is not
+    # interior, although -sum(rays) = 0 lies in their cone
+    flat = [(1, 0, 0), (-1, 0, 0), (0, 1, 0), (0, -1, 0)]
+    assert rank(flat) == 2 and cone_contains(flat, (0, 0, 0))
+    assert not origin_in_interior(flat)
+    # boundary: full rank, but the only relations put weight 0 on (0, 1),
+    # so -sum(rays) = (0, -1) is outside the cone
+    edge = [(1, 0), (-1, 0), (0, 1)]
+    assert rank(edge) == 2 and not cone_contains(edge, (0, -1))
+    assert not origin_in_interior(edge)
+    assert origin_in_interior(edge + [(1, -3)])

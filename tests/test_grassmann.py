@@ -5,15 +5,16 @@ from fractions import Fraction
 import mpmath
 import pytest
 
-from qgamma.grassmann import (box_partitions, bcfk_j_series, e_mu_class,
+from qgamma.grassmann import (box_partitions, bcfk_j_series,
+                              chi_projective_line_bundles, e_mu_class,
                               ehx_constant_terms, ehx_mirror,
                               euler_matrix_grassmann, grassmann_spectrum,
                               partition_label, satake_map, schubert_ring,
                               schur_expand, schur_polynomial,
                               wedge_from_vectors, _ch_tangent_poly)
 from qgamma.jfun import quantum_period
-from qgamma.mirror import constant_term_series, projective_rays, \
-    toric_mirror_from_rays
+from qgamma.mirror import conifold_point, constant_term_series, \
+    projective_rays, toric_mirror_from_rays
 from qgamma.ring import (build_projective_ring, cup, gamma_class, line_bundle,
                          modified_chern, pair_bracket, ring_exp)
 from qgamma.scalars import make_constants
@@ -42,6 +43,64 @@ def test_schur_ring_products_are_lr_coefficients():
                 for lam in parts:
                     want = oracles.littlewood_richardson(mu, nu, lam)
                     assert prod.coeffs[index[lam]] == want, (mu, nu, lam)
+
+
+def test_schur_polynomial_matches_jacobi_trudi_oracle():
+    # every partition in boxes with at most three rows, plus a few with four
+    shapes = [(r, mu) for r, n in ((1, 6), (2, 7), (3, 7))
+              for mu in box_partitions(r, n)]
+    shapes += [(4, mu) for mu in ((0, 0, 0, 0), (1, 0, 0, 0), (2, 1, 1, 0),
+                                  (3, 1, 0, 0), (2, 2, 1, 1))]
+    for r, mu in shapes:
+        s = schur_polynomial(mu, r)
+        assert s == oracles.schur_jacobi_trudi(mu, r), mu
+        assert all(type(c) is int and c > 0 for c in s.values())
+    # short partitions are padded; more than r rows give zero
+    assert schur_polynomial((2, 1), 3) == schur_polynomial((2, 1, 0), 3)
+    assert schur_polynomial((1, 1, 1), 2) == {}
+
+
+def test_schur_polynomial_weyl_dimension():
+    # s_mu(1,...,1) = prod_{i<j} (mu_i - mu_j + j - i)/(j - i) on the whole
+    # 4 x 4 box, and every monomial has degree |mu|
+    r = 4
+    for mu in box_partitions(r, 2 * r):
+        s = schur_polynomial(mu, r)
+        want = Fraction(1)
+        for i in range(r):
+            for j in range(i + 1, r):
+                want *= Fraction(mu[i] - mu[j] + j - i, j - i)
+        assert sum(s.values()) == want, mu
+        assert all(sum(e) == sum(mu) for e in s), mu
+
+
+def test_schubert_ring_degree_and_duality_at_scale():
+    # int sigma_1^dim is the degree dim! prod_i i!/(n-r+i)!, i = 0..r-1, and
+    # sigma_mu sigma_nu is the point class for nu the complement of mu and
+    # 0 for every other nu of complementary weight
+    for r, n, degree in ((3, 7, 462), (4, 8, 24024)):
+        R = schubert_ring(r, n)
+        dim = r * (n - r)
+        want = Fraction(math.factorial(dim))
+        for i in range(r):
+            want *= Fraction(math.factorial(i), math.factorial(n - r + i))
+        assert want == degree
+        parts = box_partitions(r, n)
+        index = {mu: i for i, mu in enumerate(parts)}
+        s1 = R.basis_vector(index[(1,) + (0,) * (r - 1)])
+        power = R.unit()
+        for _ in range(dim):
+            power = cup(power, s1)
+        assert R.integrate(power) == degree
+        point = R.basis_vector(index[(n - r,) * r])
+        for mu in parts:
+            dual = tuple(n - r - x for x in reversed(mu))
+            for nu in parts:
+                if sum(mu) + sum(nu) != dim:
+                    continue
+                prod = cup(R.basis_vector(index[mu]), R.basis_vector(index[nu]))
+                expected = point if nu == dual else R.zero()
+                assert prod.coeffs == expected.coeffs, (mu, nu)
 
 
 def test_schur_expand_matches_oracle_without_box():
@@ -177,6 +236,31 @@ def test_bcfk_matches_ladder_mirror_gr25():
             < tol, d
 
 
+def test_bcfk_matches_ladder_mirror_gr37():
+    # criterion 07's two routes to the quantum period on Gr(3,7)
+    G = quantum_period(bcfk_j_series(3, 7, 14))
+    E = ehx_constant_terms(3, 7, 14)
+    ctx = mpmath.MPContext()
+    ctx.dps = 60
+    tol = ctx.mpf(10) ** -38
+    for d in (7, 14):
+        ge = E.coefficient(d)
+        assert abs(ctx.convert(G.coefficient(d)) - ctx.convert(ge)) < tol, d
+
+
+def test_ladder_minimum_is_spectral_radius():
+    # the conifold value of the ladder mirror is T, the spectral radius of
+    # c1 at q = 1, which is n sin(pi r/n)/sin(pi/n)
+    ctx = mpmath.MPContext()
+    ctx.dps = 60
+    tol = ctx.mpf(10) ** -40
+    for r, n in ((2, 4), (2, 5), (3, 6), (3, 7), (4, 8)):
+        T = ctx.convert(conifold_point(ehx_mirror(r, n)).T_con)
+        closed = n * ctx.sin(ctx.pi * r / n) / ctx.sin(ctx.pi / n)
+        assert abs(T - closed) < tol, (r, n)
+        assert abs(T - ctx.convert(grassmann_spectrum(r, n)["T"])) < tol, (r, n)
+
+
 def test_ehx_mirror_rank_one_is_projective():
     # one-row ladder = projective mirror after a unimodular substitution:
     # same constant-term series
@@ -203,6 +287,24 @@ def test_euler_matrix_examples():
     assert euler_matrix_grassmann((1, 0), (1, 0), 2, 4) == 1
     # l = (1,0), k = (3,2): C(5,3)^2 - C(4,3) C(6,3) = 100 - 80
     assert euler_matrix_grassmann((0,), (2, 2), 2, 4) == 20
+
+
+def test_euler_pairings_against_oracle_determinants():
+    for r, n in ((2, 4), (2, 5), (3, 6)):
+        for mu in box_partitions(r, n):
+            for nu in box_partitions(r, n):
+                got = euler_matrix_grassmann(mu, nu, r, n)
+                matrix = [[oracles.chi_projective(n, mu[i] + r - 1 - i,
+                                                  nu[j] + r - 1 - j)
+                           for j in range(r)] for i in range(r)]
+                assert type(got) is Fraction
+                assert got == oracles.permutation_det(matrix), (mu, nu)
+    for n in range(1, 6):
+        for l in range(-5, 6):
+            for k in range(-5, 6):
+                chi = chi_projective_line_bundles(l, k, n)
+                assert type(chi) is Fraction
+                assert chi == oracles.chi_projective(n, l, k), (n, l, k)
 
 
 def test_emu_euler_gram_matches_determinant_formula():

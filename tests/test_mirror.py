@@ -79,6 +79,11 @@ def test_origin_in_interior_ladder_rays_against_fraction_oracle():
     scrambled = _signed_permutation(rays36, rng)
     assert oracles.origin_in_interior(scrambled)
     assert origin_in_interior(scrambled) and origin_in_interior(rays36)
+    # Gr(3,7): 75582 subsets, too many for the oracle
+    rays37 = list(ehx_mirror(3, 7).terms)
+    assert origin_in_interior(rays37)
+    assert origin_in_interior(_signed_permutation(rays37, rng))
+    assert not origin_in_interior(rays37[1:])
 
 
 def test_toric_mirror_polynomial():

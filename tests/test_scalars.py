@@ -1,3 +1,5 @@
+from fractions import Fraction
+
 import mpmath
 import pytest
 
@@ -63,6 +65,22 @@ def test_real_and_complex_conversion():
     assert abs(3 * x - 1) < C.ctx.mpf(10) ** -28
     z = C.complex(Fraction(1, 2), Fraction(-1, 2))
     assert abs(z - C.ctx.mpc("0.5", "-0.5")) == 0
+
+
+def test_low_precision_tables_build():
+    # at P = 15, zeta(53) - 1 = 2^-53 + 3^-53 + ... rounds to 2^-52, exactly
+    # the tail bound 2^(1-k); the check runs on the guard-digit values
+    for P in range(15, 21):
+        C = make_constants(P=P)
+        tol = C.ctx.mpf(10) ** (1 - P)
+        for s in (2, 3, 7):
+            approx, _ = oracles.zeta_euler_maclaurin(s)
+            assert abs(C.zeta[s] - C.ctx.convert(approx)) < tol, (P, s)
+        # the terms from 6 on add less than 10^-41
+        head = sum(Fraction(1, k ** 53) for k in range(1, 6))
+        assert abs(C.zeta[53] - C.ctx.convert(head)) < tol, P
+    C = make_constants(P=15)
+    assert C.zeta[53] - 1 == C.ctx.mpf(2) ** -52
 
 
 def test_precision_floor():
