@@ -338,9 +338,11 @@ def cmd_spectrum(args) -> int:
                  "maximizers_consecutive": s["maximizers_consecutive"],
                  "property_o": report}
     elif spec.kind == "projective":
-        marks = list(exceptional.eigenvalue_marks(spec.n, args.digits))
+        # marks at guard digits, as property_o_report asks
+        marks = exceptional.eigenvalue_marks(spec.n, args.digits + 15)
         report = property_o_report(marks, spec.n, P=args.digits)
-        value = {"T": report["T"], "eigenvalues": marks,
+        out = working_context(args.digits)
+        value = {"T": report["T"], "eigenvalues": [out.mpc(u) for u in marks],
                  "property_o": report}
     else:
         raise UsageError(f"spectrum needs P<n> or Gr(r,n), got {spec.label()}")

@@ -415,10 +415,14 @@ def ehx_constant_terms(r: int, n: int, N: int, budget: int = 6_000_000):
 def grassmann_spectrum(r: int, n: int, P: int = 50) -> dict:
     """All candidate eigenvalues xi*(v_{k_1}+...+v_{k_r}) with
     v_k = n e^{-2 pi i k/n}, the spectral radius, its maximizers, and the
-    two-part eigenvalue verdict."""
+    two-part eigenvalue verdict.
+
+    Everything is computed at P + 15 digits and compared against 10^(-P)
+    relative; the values are reported at P digits.
+    """
     if not 1 <= r <= n - 1:
         raise ValueError("need 1 <= r <= n-1")
-    ctx = working_context(P)
+    ctx = working_context(P + 15)
     xi = ctx.expjpi(ctx.mpf(r - 1) / n)
     vk = [n * ctx.expjpi(ctx.mpf(-2 * k) / n) for k in range(n)]
     tuples = [tuple(K) for K in
@@ -426,15 +430,16 @@ def grassmann_spectrum(r: int, n: int, P: int = 50) -> dict:
     eigenvalues = [xi * ctx.fsum(vk[k] for k in K) for K in tuples]
     T_formula = n * ctx.sin(ctx.pi * r / n) / ctx.sin(ctx.pi / n)
     T = max(abs(v) for v in eigenvalues)
-    tol = ctx.mpf(10) ** (-P + 15)
+    tol = ctx.mpf(10) ** -P
     maximizers = [K for K, v in zip(tuples, eigenvalues)
                   if abs(abs(v) - T) < tol * T]
     consecutive = all(_is_consecutive_mod(K, n) for K in maximizers)
     report = property_o_report(eigenvalues, n, P=P)
+    out = working_context(P)
     return {"tuples": tuples,
-            "eigenvalues": eigenvalues,
-            "T": T,
-            "T_formula": T_formula,
+            "eigenvalues": [out.mpc(v) for v in eigenvalues],
+            "T": out.mpf(T),
+            "T_formula": out.mpf(T_formula),
             "maximizers": maximizers,
             "maximizers_consecutive": consecutive,
             "property_o": report}

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import functools
 import json
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from math import factorial
@@ -19,7 +20,7 @@ from typing import NamedTuple
 import mpmath
 
 from .ring import (CohomologyRing, GradedVector, build_hypersurface_ambient_ring,
-                   build_projective_ring, cup, ring_exp)
+                   build_projective_ring, cup)
 from .scalars import working_context
 
 
@@ -56,13 +57,18 @@ class JSeries:
         scan = working_context(15)
         peaks = [max((abs(scan.convert(c)) for c in self.coeffs[d].coeffs if c),
                      default=scan.mpf(0)) for d in degrees]
-        return _NumericView(degrees, peaks, {})
+        log_peaks = [float(scan.log10(m)) if m else -math.inf for m in peaks]
+        return _NumericView(degrees, peaks, log_peaks, {})
 
 
 class _NumericView(NamedTuple):
     degrees: list       # the series' degrees, ascending
     peaks: list         # per degree, the largest |coefficient| at 15 digits
-    rows: dict          # working digits -> per degree [(index, value)], c != 0
+    log_peaks: list     # per degree, float log10 of that peak (-inf for 0)
+    rows: dict          # working digits -> (per component [(degree
+                        # position, c)] with c != 0; the nonzero c of the
+                        # last two degrees; the nonzero entries (row,
+                        # column, value) of cup-by-c1)
 
 
 @dataclass(frozen=True)
@@ -171,10 +177,12 @@ def quantum_lefschetz(JX: JSeries, a: int, DY: int | None = None) -> dict:
 
     nmax = JX.D // r
     S = []
+    tw = amb.unit()             # prod_{m=1..a*dd} (a h + m), extended per dd
     for dd in range(nmax + 1):
         v = JX.coefficient(r * dd)
         restricted = amb.vector(v.coeffs[:n])
-        tw = _factorial_twist(amb, a, dd)
+        for m in range(max(1, a * dd - a + 1), a * dd + 1):
+            tw = cup(tw, _twist_factor(amb, a, m))
         S.append(cup(tw, restricted))
 
     coeffs = {}
@@ -199,14 +207,11 @@ def quantum_lefschetz(JX: JSeries, a: int, DY: int | None = None) -> dict:
     return {"JY": JY, "c0": c0, "T0": _t0_value(a, r - a)}
 
 
-def _factorial_twist(amb: CohomologyRing, a: int, d: int) -> GradedVector:
-    """prod_{m=1..a*d} (a h + m) in the ambient-restriction ring."""
-    out = amb.unit()
-    for m in range(1, a * d + 1):
-        out = cup(out, amb.vector(tuple(
-            Fraction(m) if p == 0 else (Fraction(a) if p == 1 else Fraction(0))
-            for p in range(amb.rank))))
-    return out
+def _twist_factor(amb: CohomologyRing, a: int, m: int) -> GradedVector:
+    """a h + m in the ambient-restriction ring."""
+    return amb.vector(tuple(
+        Fraction(m) if p == 0 else (Fraction(a) if p == 1 else Fraction(0))
+        for p in range(amb.rank)))
 
 
 def _t0_value(a: int, b: int, P: int = 60):
@@ -246,53 +251,94 @@ def evaluate_j(J: JSeries, t, log_branch=0, P: int = 50,
     "converged": bool, "work_digits": int}.  The tail estimate is twice the
     magnitude of the last included nonzero term; the converged flag reports
     whether term magnitudes were still decreasing at the truncation order.
+
+    Working precision (unchanged): P + 20 digits plus the decimal exponent
+    of the largest term |c| |t|^d, taken at 15 digits.  Kernel: the powers
+    t^d come from a running product, each component of the sum is one exact
+    dot product of its coefficients with them (rounded once), and the
+    prefactor e^(c1 log t) is applied as sum_k (log t)^k/k! N^k with N the
+    matrix of cup-by-c1.  Coefficients and N are converted once per working
+    precision and kept on the series.  When log t is real (no branch, no
+    half turns) every scalar is real, and the result becomes complex only at
+    the final rounding to P digits.
     """
     view = J._numeric
-    # cheap scan for the peak term magnitude to size the working precision
-    scan = working_context(15)
-    ta = abs(scan.convert(t))
-    peak = scan.mpf(0)
-    for d, m in zip(view.degrees, view.peaks):
-        mag = m * ta ** d
-        if mag > peak:
-            peak = mag
-    head = int(scan.ceil(scan.log10(peak))) if peak > 0 else 0
-    wdps = P + max(0, head) + 20
+    wdps = P + max(0, _peak_digits(view, t)) + 20
     ctx = working_context(wdps)
-    rows = view.rows.get(wdps)
-    if rows is None:
-        rows = view.rows[wdps] = [
-            [(i, ctx.convert(c)) for i, c in enumerate(J.coeffs[d].coeffs) if c]
-            for d in view.degrees]
-
-    tc = ctx.convert(t)
-    branch = ctx.convert(log_branch) + half_turns * ctx.pi
-    logt = ctx.log(abs(tc)) + ctx.mpc(0, 1) * branch
-    tval = ctx.exp(logt)    # honors the chosen branch for non-integer uses
     R = J.ring
-    acc = [ctx.mpc(0)] * R.rank
-    last_two = []
-    first_read = len(view.degrees) - 2   # only the last two term sizes are read
-    for k, (d, row) in enumerate(zip(view.degrees, rows)):
-        td = tval ** d
-        mag = ctx.mpf(0)
-        for i, c in row:
-            x = c * td
-            acc[i] = acc[i] + x
-            if k >= first_read and abs(x) > mag:
-                mag = abs(x)
-        if k >= first_read:
-            last_two.append(mag)
-    converged = len(last_two) < 2 or last_two[-1] < last_two[-2]
-    tail = 2 * last_two[-1] if last_two else ctx.mpf(0)
+    cached = view.rows.get(wdps)
+    if cached is None:
+        rows = [[ctx.convert(c) for c in J.coeffs[d].coeffs]
+                for d in view.degrees]
+        cached = view.rows[wdps] = (
+            [[(k, row[i]) for k, row in enumerate(rows) if row[i]]
+             for i in range(R.rank)],
+            [[c for c in row if c] for row in rows[-2:]],
+            [(i, j, ctx.convert(s)) for j, col in enumerate(R.c1_matrix())
+             for i, s in enumerate(col) if s])
+    columns, last_rows, c1 = cached
 
-    # prefactor e^(c1 log t)
-    vec = cup(ring_exp(logt * R.c1), GradedVector(R, tuple(acc)))
+    branch = ctx.convert(log_branch) + half_turns * ctx.pi
+    logt = ctx.log(abs(ctx.convert(t)))
+    if branch:
+        logt = ctx.mpc(logt, branch)
+    tval = ctx.exp(logt)    # honors the chosen branch for non-integer uses
+    powers = []             # t^d per degree, each from the one before
+    steps = {}              # degree gap -> t^gap
+    td, prev = ctx.one, 0
+    for d in view.degrees:
+        if d != prev:
+            step = steps.get(d - prev)
+            if step is None:
+                step = steps[d - prev] = tval ** (d - prev)
+            td, prev = td * step, d
+        powers.append(td)
+    acc = [ctx.fdot((c, powers[k]) for k, c in col) for col in columns]
+    # the last two term sizes, each from its own power of t
+    last_two = []
+    for d, row in zip(view.degrees[-2:], last_rows):
+        td = tval ** d
+        last_two.append(max((abs(c * td) for c in row), default=ctx.zero))
+    converged = len(last_two) < 2 or last_two[-1] < last_two[-2]
+    tail = 2 * last_two[-1] if last_two else ctx.zero
+
+    # prefactor e^(c1 log t) = sum_k (log t)^k / k! N^k, N nilpotent
+    value = list(acc)
+    term = acc
+    for k in range(1, max(R.degrees) + 1):
+        nxt = [ctx.zero] * R.rank
+        for i, j, s in c1:
+            nxt[i] += s * term[j]
+        scale = logt / k
+        term = [x * scale for x in nxt]
+        value = [v + x for v, x in zip(value, term)]
 
     out = working_context(P)
-    value = vec.map_coeffs(out.mpc)
-    return {"value": value, "tail_estimate": out.mpf(tail), "converged": converged,
+    return {"value": GradedVector(R, tuple(out.mpc(x) for x in value)),
+            "tail_estimate": out.mpf(tail), "converged": converged,
             "work_digits": wdps}
+
+
+def _peak_digits(view: _NumericView, t) -> int:
+    """ceil(log10) of the largest 15-digit term m_d |t|^d (0 if none).
+
+    Float logs pick the candidate degrees, those within 1e-6 of the float
+    maximum; their errors are near 1e-12, so the degree of the largest
+    15-digit term is always a candidate and the result is that of a scan
+    over every degree.
+    """
+    scan = working_context(15)
+    ta = abs(scan.convert(t))
+    if ta:
+        lt = float(scan.log10(ta))
+        logs = [lp + d * lt for d, lp in zip(view.degrees, view.log_peaks)]
+        top = max(logs) - 1e-6
+        terms = (m * ta ** d for d, m, lg in zip(view.degrees, view.peaks, logs)
+                 if lg >= top)
+    else:
+        terms = (m * ta ** d for d, m in zip(view.degrees, view.peaks))
+    peak = max(terms, default=scan.zero)
+    return int(scan.ceil(scan.log10(peak))) if peak > 0 else 0
 
 
 # --------------------------------------------------------------------------

@@ -303,14 +303,18 @@ def property_o_report(spectrum, r: int, P: int = 50) -> dict:
     """Checks on a multiset of eigenvalues: the spectral radius T is attained
     by T itself with multiplicity one, and every eigenvalue on the circle
     |u| = T is T times an r-th root of unity.
+
+    The eigenvalues should carry P + 15 digits: the checks run at P + 15
+    digits against the tolerance 10^(-P), relative once |T| > 1, and T and
+    the tolerance are reported at P digits.
     """
     if not spectrum:
         raise ValueError("empty spectrum")
     if r < 1:
         raise ValueError("index must be positive")
-    ctx = working_context(P)
+    ctx = working_context(P + 15)
     vals = [ctx.convert(u) for u in spectrum]
-    tol = ctx.mpf(10) ** (-P + 15)
+    tol = ctx.mpf(10) ** -P
     T = max(abs(u) for u in vals)
     at_T = [u for u in vals if abs(u - T) < tol * max(1, T)]
     on_circle = [u for u in vals if abs(abs(u) - T) < tol * max(1, T)]
@@ -320,10 +324,11 @@ def property_o_report(spectrum, r: int, P: int = 50) -> dict:
         z = u / T
         if abs(z ** r - 1) > tol:
             prop2 = False
-    return {"T": T,
+    out = working_context(P)
+    return {"T": out.mpf(T),
             "multiplicity_at_T": len(at_T),
             "circle_count": len(on_circle),
             "property1": prop1,
             "property2": prop2,
             "satisfied": prop1 and prop2,
-            "tolerance": tol}
+            "tolerance": out.mpf(tol)}

@@ -295,3 +295,82 @@ def origin_in_interior(rays) -> bool:
         if all(x <= 0 for x in dots) or all(x >= 0 for x in dots):
             return False
     return True
+
+
+def evaluate_series_by_powers(coeffs, cup_table, c1, basis_degrees, t,
+                              log_branch=0, P: int = 50, half_turns: int = 0):
+    """J(t) = e^(c1 log t) sum_d J_d t^d summed term by term, each term with
+    its own power t^d, and the prefactor taken as the cup product with the
+    finite exponential series of (log t) c1.
+
+    `coeffs` maps d to the coefficient tuple of J_d, `cup_table` maps (i, j),
+    i <= j, to (k, structure constant) pairs, `c1` and `basis_degrees` are per
+    basis element.  Working precision, tail estimate and convergence flag
+    follow the same rules as the library's `evaluate_j`, so this is the
+    reference it is compared with.  Returns (value, tail, converged,
+    work_digits), the value a list of mpc at P digits.
+    """
+    def context(dps):
+        ctx = mpmath.ctx_mp.MPContext()
+        ctx.dps = dps
+        return ctx
+
+    rank = len(basis_degrees)
+
+    def cup(a, b):
+        out = [0] * rank
+        for i, ca in enumerate(a):
+            if not ca:
+                continue
+            for j, cb in enumerate(b):
+                if not cb:
+                    continue
+                for k, s in cup_table.get((min(i, j), max(i, j)), ()):
+                    out[k] = out[k] + ca * cb * s
+        return out
+
+    degrees = sorted(coeffs)
+    scan = context(15)
+    ta = abs(scan.convert(t))
+    peak = scan.mpf(0)
+    for d in degrees:
+        m = max((abs(scan.convert(c)) for c in coeffs[d] if c),
+                default=scan.mpf(0))
+        if m * ta ** d > peak:
+            peak = m * ta ** d
+    head = int(scan.ceil(scan.log10(peak))) if peak > 0 else 0
+    wdps = P + max(0, head) + 20
+    ctx = context(wdps)
+
+    branch = ctx.convert(log_branch) + half_turns * ctx.pi
+    logt = ctx.log(abs(ctx.convert(t))) + ctx.mpc(0, 1) * branch
+    tval = ctx.exp(logt)
+    acc = [ctx.mpc(0)] * rank
+    last_two = []
+    for k, d in enumerate(degrees):
+        td = tval ** d
+        mag = ctx.mpf(0)
+        for i, c in enumerate(coeffs[d]):
+            if not c:
+                continue
+            x = ctx.convert(c) * td
+            acc[i] = acc[i] + x
+            if k >= len(degrees) - 2 and abs(x) > mag:
+                mag = abs(x)
+        if k >= len(degrees) - 2:
+            last_two.append(mag)
+    converged = len(last_two) < 2 or last_two[-1] < last_two[-2]
+    tail = 2 * last_two[-1] if last_two else ctx.mpf(0)
+
+    unit = [0] * rank
+    unit[basis_degrees.index(0)] = Fraction(1)
+    v = [logt * c for c in c1]
+    expo, term = list(unit), list(unit)
+    for m in range(1, max(basis_degrees) + 1):
+        term = cup(term, v)
+        if all(not c for c in term):
+            break
+        expo = [a + Fraction(1, factorial(m)) * b for a, b in zip(expo, term)]
+    out = context(P)
+    return ([out.mpc(x) for x in cup(expo, acc)], out.mpf(tail), converged,
+            wdps)

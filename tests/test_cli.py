@@ -46,6 +46,22 @@ def test_spectrum_grassmannian(capsys):
     assert d["verdict"] is True
 
 
+@pytest.mark.parametrize("space", ["P1", "P2", "P3", "P4", "Gr(2,4)",
+                                   "Gr(2,5)", "Gr(2,6)", "Gr(3,6)",
+                                   "Gr(3,7)"])
+def test_spectrum_verdict_at_precision_floor(capsys, space):
+    # --digits 15 must give the verdict and counts of --digits 50
+    seen = []
+    for digits in ("15", "50"):
+        rc, out, err = run(capsys, ["spectrum", "--space", space,
+                                    "--digits", digits])
+        rep = json.loads(out)["value"]["property_o"]
+        seen.append((rc, rep["satisfied"], rep["multiplicity_at_T"],
+                     rep["circle_count"]))
+    assert seen[0] == seen[1]
+    assert seen[1][:3] == (0, True, 1)
+
+
 def test_check_gamma1_passes(capsys):
     rc, out, err = run(capsys, ["check-gamma1", "--space", "P2",
                                 "--digits", "30", "--order", "300",

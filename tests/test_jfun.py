@@ -1,15 +1,19 @@
+import functools
 import gc
 import weakref
 from fractions import Fraction
 
 import mpmath
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from qgamma.jfun import (JSeries, _t0_value, classical_quintic_coefficient,
                          evaluate_j, j_projective, jseries_to_json,
                          jseries_to_json_dict, quantum_lefschetz,
                          quantum_period, quintic_pf_annihilation)
+from qgamma.grassmann import bcfk_j_series
 from qgamma.ring import build_projective_ring
+from qgamma.scalars import working_context
 
 import oracles
 
@@ -72,17 +76,20 @@ def test_quantum_lefschetz_quadric_threefold():
 
 
 def test_evaluate_j_reports_convergence():
+    # the oracle values and the bounds live in their own 60-digit context
+    ctx = mpmath.ctx_mp.MPContext()
+    ctx.dps = 60
     J = j_projective(2, 40)
-    rec = evaluate_j(J, mpmath.mpf("0.5"), P=50)
+    rec = evaluate_j(J, ctx.mpf("0.5"), P=50)
     assert set(rec) == {"value", "tail_estimate", "converged", "work_digits"}
     assert rec["converged"]
-    assert rec["tail_estimate"] < mpmath.mpf(10) ** -40
+    assert ctx.convert(rec["tail_estimate"]) < ctx.mpf(10) ** -40
     # unit component of J on P^1 at t is sum t^(2n) / (n!)^2 = I_0(2t)
-    got = rec["value"].coeffs[0]
-    want = mpmath.besseli(0, 1)
-    assert abs(got - want) < mpmath.mpf(10) ** -40
-    i0_series = oracles.bessel_i0_series(mpmath.mpf(1), 60)
-    assert abs(got - i0_series) < mpmath.mpf(10) ** -40
+    got = ctx.convert(rec["value"].coeffs[0])
+    want = ctx.besseli(0, 1)
+    assert abs(got - want) < ctx.mpf(10) ** -40
+    i0_series = ctx.convert(oracles.bessel_i0_series(1, 60))
+    assert abs(got - i0_series) < ctx.mpf(10) ** -40
 
 
 def test_evaluate_j_flags_truncation():
@@ -130,6 +137,78 @@ def test_evaluate_j_against_direct_sum():
         for k, (g, w) in enumerate(zip(got, want)):
             assert abs(ctx.convert(g) - w) <= ctx.mpf(10) ** -P * scale, \
                 (J.ring.name, half_turns, k)
+
+
+def _oracle_series():
+    ambient = j_projective(4, 120)
+    return {"P1": j_projective(2, 120), "P2": j_projective(3, 120),
+            "P3": ambient, "P4": j_projective(5, 150),
+            "quadric": quantum_lefschetz(ambient, 2)["JY"],
+            "cubic": quantum_lefschetz(ambient, 3)["JY"],
+            "Gr(2,4)": bcfk_j_series(2, 4, 40)}
+
+
+def _by_powers(J, t, P, half_turns):
+    R = J.ring
+    return oracles.evaluate_series_by_powers(
+        {d: v.coeffs for d, v in J.coeffs.items()}, R.cup_table, R.c1_coeffs,
+        R.degrees, t, P=P, half_turns=half_turns)
+
+
+def test_evaluate_j_matches_power_per_degree_oracle():
+    """Bitwise on the real branch; on rotated points the real parts are
+    bitwise and the imaginary parts (rounding residue) within 10^(-P) of
+    the largest component."""
+    rotations = (1, 2, -1)
+    k = 0
+    for name, J in _oracle_series().items():
+        for P in (15, 30, 50, 100):
+            for t in (Fraction(7, 3), mpmath.mpf(0.8125)):
+                for half_turns in (0, rotations[k % 3]):
+                    rec = evaluate_j(J, t, P=P, half_turns=half_turns)
+                    value, tail, converged, work = _by_powers(J, t, P,
+                                                              half_turns)
+                    case = (name, P, t, half_turns)
+                    assert rec["work_digits"] == work, case
+                    assert rec["converged"] == converged, case
+                    assert rec["tail_estimate"] == tail, case
+                    got = rec["value"].coeffs
+                    assert [g.real for g in got] == [v.real for v in value], \
+                        case
+                    if half_turns == 0:
+                        assert [g.imag for g in got] == \
+                            [v.imag for v in value], case
+                    else:
+                        ctx = working_context(P + 30)
+                        bound = ctx.mpf(10) ** -P * max(abs(v) for v in value)
+                        assert all(abs(ctx.convert(g.imag) - v.imag) < bound
+                                   for g, v in zip(got, value)), case
+                k += 1
+
+
+@functools.cache
+def _unit_series(name):
+    n = {"P1": 2, "P2": 3, "P3": 4, "P4": 5}.get(name)
+    if n:
+        return j_projective(n, 60 * n)
+    a = {"quadric": 2, "cubic": 3}[name]
+    return quantum_lefschetz(j_projective(4, 160), a)["JY"]
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.sampled_from(("P1", "P2", "P3", "P4", "quadric", "cubic")),
+       st.fractions(Fraction(1, 100), Fraction(20)), st.integers(15, 100))
+def test_evaluate_j_unit_component_is_exact_sum(name, t, P):
+    # c1 raises degree, so the prefactor leaves the H^0 component alone:
+    # on the real branch it is the exact sum of (J_d)_0 t^d
+    J = _unit_series(name)
+    got = evaluate_j(J, t, P=P)["value"].h0()
+    assert got.imag == 0
+    exact = sum((v.h0() * t ** d for d, v in J.coeffs.items()), Fraction(0))
+    sign, man, exp, bc = got.real._mpf_
+    ulp = Fraction(2) ** (exp + bc - got.context.prec)
+    assert abs(Fraction((-1) ** sign * man) * Fraction(2) ** exp - exact) \
+        <= ulp
 
 
 def test_numeric_view_does_not_pin_its_series():
