@@ -14,8 +14,7 @@ from fractions import Fraction
 
 from .exactla import nullspace
 from .jfun import JSeries, QuantumPeriod, evaluate_j
-from .ring import (CohomologyRing, GradedVector, HomologyVector, cup,
-                   gamma_class)
+from .ring import CohomologyRing, GradedVector, HomologyVector, gamma_class
 from .scalars import make_constants, working_context
 
 
@@ -134,17 +133,15 @@ def kernel_c1(R: CohomologyRing):
     """Homology classes annihilating the image of (c1 cup): exact basis.
 
     These are the classes alpha with <alpha, c1 cup x> = 0 for every x,
-    i.e. the null space of the transpose of the cup-by-c1 matrix.
+    i.e. the null space of the transpose of the cup-by-c1 matrix (whose
+    rows are the columns of `c1_matrix`).
     """
-    rows = [[Fraction(c) for c in cup(R.c1, R.basis_vector(j)).coeffs]
-            for j in range(R.rank)]
-    return [HomologyVector(R, v) for v in nullspace(rows, ncols=R.rank)]
+    return [HomologyVector(R, v) for v in nullspace(R.c1_matrix())]
 
 
 def _in_kernel_exact(alpha: HomologyVector) -> bool:
     R = alpha.ring
-    return all(alpha.pair(cup(R.c1, R.basis_vector(j))) == 0
-               for j in range(R.rank))
+    return all(alpha.pair(R.vector(tuple(col))) == 0 for col in R.c1_matrix())
 
 
 def apery_ratio(J: JSeries, alpha: HomologyVector, N: int, P: int = 50) -> dict:

@@ -25,7 +25,7 @@ from .asympt import ExtrapolationConfig, apery_ratio, gamma_I_verdict, \
     kernel_c1, make_grid
 from .grassmann import bcfk_j_series, ehx_constant_terms, ehx_mirror, \
     grassmann_spectrum, schubert_ring
-from .jfun import _t0_value, j_projective, jseries_to_json, \
+from .jfun import _t0_value, j_projective, jseries_to_json_dict, \
     quantum_lefschetz, quantum_period
 from .laurent import ResourceBudgetExceeded
 from .mirror import PartialPeriodError, conifold_point, \
@@ -283,8 +283,8 @@ def cmd_jseries(args) -> int:
     spec = parse_space(args.space)
     D = args.order if args.order is not None else 20
     _, J, extras = spec.jseries(D, args.digits)
-    value = json.loads(jseries_to_json(J, spec.label()))
-    value.update({k: v for k, v in extras.items()})
+    value = jseries_to_json_dict(J, spec.label())
+    value.update(extras)
     _emit(_payload(args, "jseries", value=value), args)
     return 0
 

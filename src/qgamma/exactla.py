@@ -1,13 +1,14 @@
-"""Exact linear algebra: row reduction, rank, nullspace, solving, a
-fraction-free elimination behind the determinant and kernel vectors, and an
-exact simplex for cone membership.
+"""Exact linear algebra: one fraction-free elimination behind the
+determinant, the rank and the reduced row echelon form, and an exact simplex
+for cone membership.
 
-Matrices are lists of row tuples/lists.  `row_reduce`, `nullspace` and
-`solve` work on Fractions.  `det`, `rank` and `kernel_vector` share one
-Bareiss elimination, which stays in Python ints on integer matrices: every
-intermediate entry is a minor of the input, so each division is exact.
-`cone_contains` runs a phase-1 simplex over Fractions.  Sizes here are tiny
-(cohomology ranks, ray counts).
+Matrices are lists of row tuples/lists.  `det`, `rank` and `row_reduce`
+share one Bareiss elimination, which stays in Python ints on integer
+matrices: every intermediate entry is a minor of the input, so each division
+is exact.  `row_reduce` finishes the echelon form over Fractions, and
+`nullspace` and `solve` read their answers off it.  `cone_contains` runs a
+phase-1 simplex over Fractions.  Sizes here are tiny (cohomology ranks, ray
+counts).
 """
 
 from __future__ import annotations
@@ -17,28 +18,23 @@ from math import lcm
 
 
 def row_reduce(rows):
-    """Returns (rref rows, pivot column list)."""
+    """Returns (rref rows, pivot column list).
+
+    The Bareiss echelon form over Fractions, then a Jordan back pass: each
+    pivot row is scaled to a leading 1 and its column cleared above it.
+    The reduced row echelon form is unique, so this is the same matrix that
+    Gauss-Jordan elimination gives.
+    """
     m = [list(map(Fraction, r)) for r in rows]
-    if not m:
-        return [], []
-    ncols = len(m[0])
-    pivots = []
-    r = 0
-    for c in range(ncols):
-        pr = next((i for i in range(r, len(m)) if m[i][c]), None)
-        if pr is None:
-            continue
-        m[r], m[pr] = m[pr], m[r]
-        pv = m[r][c]
-        m[r] = [x / pv for x in m[r]]
-        for i in range(len(m)):
-            if i != r and m[i][c]:
-                f = m[i][c]
-                m[i] = [x - f * y for x, y in zip(m[i], m[r])]
-        pivots.append(c)
-        r += 1
-        if r == len(m):
-            break
+    pivots, _ = _bareiss(m)
+    for k in reversed(range(len(pivots))):
+        c = pivots[k]
+        pv = m[k][c]
+        row = m[k] = [x / pv for x in m[k]]
+        for i in range(k):
+            f = m[i][c]
+            if f:
+                m[i] = [x - f * y for x, y in zip(m[i], row)]
     return m, pivots
 
 
@@ -188,23 +184,3 @@ def det(rows):
         return Fraction(0) if rational else 0
     return sign * m[-1][-1] if m else 1
 
-
-def kernel_vector(rows, ncols: int):
-    """Integer vector spanning {v : M v = 0} for an integer matrix M, or
-    None unless that space is one-dimensional.
-
-    Back substitution from the Bareiss echelon form, with the free entry
-    set to the last pivot: by Cramer's rule the other entries are then
-    minors of M, so every division is exact.
-    """
-    m = [list(r) for r in rows]
-    pivots, _ = _bareiss(m)
-    if len(pivots) != ncols - 1:
-        return None
-    free = next(c for c in range(ncols) if c not in pivots)
-    v = [0] * ncols
-    v[free] = m[len(pivots) - 1][pivots[-1]] if pivots else 1
-    for i in reversed(range(len(pivots))):
-        c, row = pivots[i], m[i]
-        v[c] = -sum(row[j] * v[j] for j in range(c + 1, ncols)) // row[c]
-    return tuple(v)

@@ -67,19 +67,12 @@ def eigenvalue_marks(n: int, P: int = 50):
 
 def marked_beilinson_basis(n: int, P: int = 50) -> MarkedBasis:
     """MarkedBasis of the Gamma-weighted twisting sheaves on P^(n-1)."""
-    C = make_constants(P=P)
-    gam = None
-    base = []
-    labels = []
-    for E in beilinson_collection(n):
-        if gam is None:
-            gam = gamma_class(E.ring, C)
-        base.append(cup(gam, modified_chern(E, C)))
-        labels.append(E.label)
+    coll = beilinson_collection(n)
+    base = _numeric_classes(coll, make_constants(P=P))
     ident = tuple(tuple(int(i == j) for j in range(n)) for i in range(n))
     return MarkedBasis(base=tuple(base), rows=ident,
-                       marks=eigenvalue_marks(n, P), labels=tuple(labels),
-                       precision=P)
+                       marks=eigenvalue_marks(n, P),
+                       labels=tuple(E.label for E in coll), precision=P)
 
 
 def _numeric_classes(obj, C):
@@ -99,6 +92,15 @@ def _numeric_classes(obj, C):
     return classes
 
 
+def _snap(v, C: ConstantTable, P: int):
+    """(the integer nearest to the pairing value v, or None when v is
+    10^(-P+10) or further from it; the distance |v - nearest|)."""
+    ctx = C.ctx
+    nearest = ctx.nint(v.real)
+    res = abs(v - nearest)
+    return (int(nearest) if res < ctx.mpf(10) ** (-P + 10) else None), res
+
+
 def gram_matrix(basis, C: ConstantTable | None = None, P: int = 50) -> dict:
     """Pairing matrix [A_i, A_j) with integer snapping.
 
@@ -112,19 +114,16 @@ def gram_matrix(basis, C: ConstantTable | None = None, P: int = 50) -> dict:
     if C is None:
         C = make_constants(P=P)
     classes = _numeric_classes(basis, C)
-    ctx = C.ctx
-    snap = ctx.mpf(10) ** (-P + 10)
     entries, integers = [], []
-    max_res = ctx.mpf(0)
+    max_res = C.ctx.mpf(0)
     for a in classes:
         row_e, row_i = [], []
         for b in classes:
             v = pair_bracket(a, b, C)
-            nearest = ctx.nint(v.real)
-            res = abs(v - nearest)
+            nearest, res = _snap(v, C, P)
             max_res = max(max_res, res)
             row_e.append(v)
-            row_i.append(int(nearest) if res < snap else None)
+            row_i.append(nearest)
         entries.append(row_e)
         integers.append(row_i)
     return {"entries": entries, "integers": integers, "max_residual": max_res}
@@ -133,10 +132,10 @@ def gram_matrix(basis, C: ConstantTable | None = None, P: int = 50) -> dict:
 def _pair_snapped(basis: MarkedBasis, a: GradedVector, b: GradedVector):
     C = make_constants(P=basis.precision)
     v = pair_bracket(a, b, C)
-    nearest = C.ctx.nint(v.real)
-    if abs(v - nearest) > C.ctx.mpf(10) ** (-basis.precision + 10):
+    nearest, _ = _snap(v, C, basis.precision)
+    if nearest is None:
         raise ArithmeticError(f"pairing {v} too far from an integer to mutate")
-    return int(nearest)
+    return nearest
 
 
 def _mutate(basis: MarkedBasis, i: int, right: bool) -> MarkedBasis:

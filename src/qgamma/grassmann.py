@@ -233,8 +233,7 @@ class AntiSymmetricElement:
                 raise ValueError("keys must be strictly decreasing")
 
 
-def antisymmetric_from_polynomial(poly, r: int, n: int,
-                                  check_cancellation=True) -> AntiSymmetricElement:
+def antisymmetric_from_polynomial(poly, r: int, n: int) -> AntiSymmetricElement:
     """Collapses an antisymmetric polynomial to wedge-basis coordinates.
 
     Each alternant contributes all r! of its monomials, hence the division;
@@ -249,10 +248,9 @@ def antisymmetric_from_polynomial(poly, r: int, n: int,
             acc[K] = acc.get(K, 0) + sign * c
         else:
             residue[e] = residue.get(e, 0) + c
-    if check_cancellation:
-        bad = {e: c for e, c in residue.items() if c}
-        if bad:
-            raise ArithmeticError(f"not antisymmetric: residue at {bad}")
+    bad = {e: c for e, c in residue.items() if c}
+    if bad:
+        raise ArithmeticError(f"not antisymmetric: residue at {bad}")
     rfact = factorial(r)
     coeffs = {K: c / rfact for K, c in acc.items() if c}
     return AntiSymmetricElement(r=r, n=n, coeffs=coeffs)
@@ -403,9 +401,9 @@ def ehx_mirror(r: int, n: int) -> LaurentPolynomial:
     return LaurentPolynomial(m, terms)
 
 
-def ehx_constant_terms(r: int, n: int, N: int, budget: int = 6_000_000):
+def ehx_constant_terms(r: int, n: int, N: int):
     """G_d = Const(W^d)/d!, exact."""
-    return constant_term_series(ehx_mirror(r, n), N, budget=budget)
+    return constant_term_series(ehx_mirror(r, n), N)
 
 
 # --------------------------------------------------------------------------

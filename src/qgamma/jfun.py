@@ -10,7 +10,6 @@ constructions).
 from __future__ import annotations
 
 import functools
-import json
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -260,8 +259,11 @@ def evaluate_j(J: JSeries, t, log_branch=0, P: int = 50,
     matrix of cup-by-c1.  Coefficients and N are converted once per working
     precision and kept on the series.  When log t is real (no branch, no
     half turns) every scalar is real, and the result becomes complex only at
-    the final rounding to P digits.
+    the final rounding to P digits.  Raises ValueError at t = 0, where
+    log t is undefined.
     """
+    if t == 0:
+        raise ValueError("log t is undefined at t = 0")
     view = J._numeric
     wdps = P + max(0, _peak_digits(view, t)) + 20
     ctx = working_context(wdps)
@@ -320,7 +322,8 @@ def evaluate_j(J: JSeries, t, log_branch=0, P: int = 50,
 
 
 def _peak_digits(view: _NumericView, t) -> int:
-    """ceil(log10) of the largest 15-digit term m_d |t|^d (0 if none).
+    """ceil(log10) of the largest 15-digit term m_d |t|^d (0 if none), for
+    t != 0.
 
     Float logs pick the candidate degrees, those within 1e-6 of the float
     maximum; their errors are near 1e-12, so the degree of the largest
@@ -329,14 +332,11 @@ def _peak_digits(view: _NumericView, t) -> int:
     """
     scan = working_context(15)
     ta = abs(scan.convert(t))
-    if ta:
-        lt = float(scan.log10(ta))
-        logs = [lp + d * lt for d, lp in zip(view.degrees, view.log_peaks)]
-        top = max(logs) - 1e-6
-        terms = (m * ta ** d for d, m, lg in zip(view.degrees, view.peaks, logs)
-                 if lg >= top)
-    else:
-        terms = (m * ta ** d for d, m in zip(view.degrees, view.peaks))
+    lt = float(scan.log10(ta))
+    logs = [lp + d * lt for d, lp in zip(view.degrees, view.log_peaks)]
+    top = max(logs) - 1e-6
+    terms = (m * ta ** d for d, m, lg in zip(view.degrees, view.peaks, logs)
+             if lg >= top)
     peak = max(terms, default=scan.zero)
     return int(scan.ceil(scan.log10(peak))) if peak > 0 else 0
 
@@ -435,7 +435,3 @@ def _scalar_str(c) -> str:
     if isinstance(c, (int, Fraction)):
         return str(Fraction(c))
     return mpmath.nstr(c, c.context.dps)
-
-
-def jseries_to_json(J: JSeries, space: str) -> str:
-    return json.dumps(jseries_to_json_dict(J, space), sort_keys=True, indent=2)

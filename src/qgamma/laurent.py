@@ -9,7 +9,6 @@ constant terms it returns are Fractions again.
 
 from __future__ import annotations
 
-import json
 from fractions import Fraction
 from math import isqrt, lcm
 
@@ -118,15 +117,6 @@ class LaurentPolynomial:
     def is_nonnegative(self) -> bool:
         return all(c > 0 for c in self.terms.values())
 
-    def exp_eval(self, u, ctx):
-        """Value of sum c_b exp(<b, u>) at a real/complex log-coordinate
-        vector u."""
-        tot = ctx.mpf(0)
-        for e, c in self.terms.items():
-            tot = tot + ctx.convert(c) * ctx.exp(
-                ctx.fsum(ctx.convert(ei) * ui for ei, ui in zip(e, u)))
-        return tot
-
 
 def pair_constant(f: LaurentPolynomial, g: LaurentPolynomial) -> Fraction:
     """Constant term of f*g without forming the product."""
@@ -219,22 +209,3 @@ class ResourceBudgetExceeded(RuntimeError):
         super().__init__(f"support budget exhausted after power {completed}")
         self.completed = completed
 
-
-# --------------------------------------------------------------------------
-# serialization
-# --------------------------------------------------------------------------
-
-def laurent_to_json_dict(f: LaurentPolynomial) -> dict:
-    return {"nvars": f.nvars,
-            "terms": [{"exponents": list(e), "coefficient": str(c)}
-                      for e, c in f.items()]}
-
-
-def laurent_from_json_dict(d: dict) -> LaurentPolynomial:
-    return LaurentPolynomial(
-        d["nvars"],
-        {tuple(t["exponents"]): Fraction(t["coefficient"]) for t in d["terms"]})
-
-
-def laurent_to_json(f: LaurentPolynomial) -> str:
-    return json.dumps(laurent_to_json_dict(f), sort_keys=True, indent=2)

@@ -108,6 +108,9 @@ def _period_from(coeffs, D):
 # conifold point
 # --------------------------------------------------------------------------
 
+_NEWTON_CAP = 200       # Newton steps before conifold_point gives up
+
+
 @dataclass(frozen=True)
 class ConifoldResult:
     x_con: tuple
@@ -117,10 +120,9 @@ class ConifoldResult:
     hessian_positive: bool
 
 
-def conifold_point(f, tol=None, P: int = 50, start=None,
-                   max_iter: int = 200) -> ConifoldResult:
+def conifold_point(f, P: int = 50) -> ConifoldResult:
     """Global minimum of f on the positive real orthant by Newton iteration
-    in u = log x coordinates.
+    in u = log x coordinates, from u = 0, to gradient norm 10^(-P+5).
 
     f may be a LaurentPolynomial or a PrzyjalkowskiModel; for a model the
     separately-carried constant shift is subtracted from the reported value.
@@ -136,24 +138,21 @@ def conifold_point(f, tol=None, P: int = 50, start=None,
         raise ValueError("origin not interior to the Newton polytope; "
                          "no minimum on the positive orthant")
     ctx = working_context(P + 10)
-    if tol is None:
-        tol = ctx.mpf(10) ** (-P + 5)
-    else:
-        tol = ctx.convert(tol)
+    tol = ctx.mpf(10) ** (-P + 5)
     m = f.nvars
-    u = [ctx.mpf(0)] * m if start is None else [ctx.convert(x) for x in start]
+    terms = list(f.terms.items())
 
-    def value(uu):
-        return ctx.fsum(ctx.convert(c) * ctx.exp(
+    def weights(uu):
+        """c_e e^<e,u> per term: f(e^u) is their sum, and the gradient and
+        Hessian are their first and second moments in e."""
+        return [ctx.convert(c) * ctx.exp(
             ctx.fsum(ctx.mpf(ei) * ui for ei, ui in zip(e, uu)))
-            for e, c in f.terms.items())
+            for e, c in terms]
 
-    def grad_hess(uu):
+    def grad_hess(ws):
         g = [ctx.mpf(0)] * m
         H = ctx.zeros(m, m)
-        for e, c in f.terms.items():
-            w = ctx.convert(c) * ctx.exp(
-                ctx.fsum(ctx.mpf(ei) * ui for ei, ui in zip(e, uu)))
+        for (e, _), w in zip(terms, ws):
             for i in range(m):
                 if e[i]:
                     g[i] += e[i] * w
@@ -162,27 +161,28 @@ def conifold_point(f, tol=None, P: int = 50, start=None,
                             H[i, j] += e[i] * e[j] * w
         return g, H
 
-    it = 0
-    gnorm = ctx.mpf("inf")
-    for it in range(1, max_iter + 1):
-        g, H = grad_hess(u)
+    u = [ctx.mpf(0)] * m
+    ws = weights(u)
+    for it in range(1, _NEWTON_CAP + 1):
+        g, H = grad_hess(ws)
         gnorm = ctx.sqrt(ctx.fsum(x * x for x in g))
         if gnorm < tol:
             break
         step = ctx.lu_solve(H, ctx.matrix([-x for x in g]))
-        f0 = value(u)
+        f0 = ctx.fsum(ws)
         lam = ctx.mpf(1)
         # full steps always work on a convex function except via rounding
         for _ in range(60):
             trial = [ui + lam * step[i] for i, ui in enumerate(u)]
-            if value(trial) <= f0 or lam < ctx.mpf(10) ** (-40):
-                u = trial
+            trial_ws = weights(trial)
+            if ctx.fsum(trial_ws) <= f0 or lam < ctx.mpf(10) ** (-40):
+                u, ws = trial, trial_ws
                 break
             lam = lam / 2
     else:
         raise RuntimeError("Newton iteration cap exceeded")
 
-    _, H = grad_hess(u)
+    # H is the Hessian at the final u
     try:
         ctx.cholesky(H)
         posdef = True
@@ -191,7 +191,7 @@ def conifold_point(f, tol=None, P: int = 50, start=None,
     out = working_context(P)
     return ConifoldResult(
         x_con=tuple(out.exp(out.convert(ui)) for ui in u),
-        T_con=out.convert(value(u)) - out.convert(shift),
+        T_con=out.convert(ctx.fsum(ws)) - out.convert(shift),
         newton_iterations=it,
         gradient_norm=out.convert(gnorm),
         hessian_positive=posdef)

@@ -14,7 +14,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import combinations
+from itertools import combinations, combinations_with_replacement, product
 from math import factorial
 
 from .exactla import solve
@@ -26,14 +26,16 @@ from .ring import GradedVector, cup, gamma_exponent_coeffs, line_bundle, \
 from .scalars import make_constants, private_context, working_context
 
 
+_MARGIN_DIGITS = 10     # extra decay digits for the truncation box
+_MAX_DIM = 3            # orthant-integral dimension guard
+
+
 @dataclass(frozen=True)
 class QuadratureConfig:
     tol: float = 1e-12          # relative agreement between successive grids
     precision: int = 50
     start_points: int = 48      # first grid size per axis
     max_doublings: int = 6
-    margin_digits: int = 10     # extra decay digits for the truncation box
-    max_dim: int = 3            # orthant-integral dimension guard
 
 
 def _direction_reach(exponents, v):
@@ -142,34 +144,18 @@ def _grid_sum(f, z, L, npts, ctx, symmetric):
 
     total = ctx.mpf(0)
     if symmetric:
-        # iterate over weakly increasing index tuples with orbit sizes
-        def rec(start, prefix):
-            nonlocal total
-            if len(prefix) == m:
-                counts = {}
-                for x in prefix:
-                    counts[x] = counts.get(x, 0) + 1
-                orbit = factorial(m)
-                for cnt in counts.values():
-                    orbit //= factorial(cnt)
-                total += orbit * node_value(prefix)
-                return
-            for j in range(start, npts):
-                rec(j, prefix + (j,))
-        rec(0, ())
+        # weakly increasing index tuples in lexicographic order, each
+        # weighted by the size of its orbit under permuting the axes, the
+        # multinomial m!/prod(multiplicity!) (every partial quotient is an
+        # integer, so the division order does not matter)
+        for idx in combinations_with_replacement(range(npts), m):
+            orbit = factorial(m)
+            for j in set(idx):
+                orbit //= factorial(idx.count(j))
+            total += orbit * node_value(idx)
     else:
-        idx = [0] * m
-        while True:
-            total += node_value(tuple(idx))
-            i = m - 1
-            while i >= 0:
-                idx[i] += 1
-                if idx[i] < npts:
-                    break
-                idx[i] = 0
-                i -= 1
-            if i < 0:
-                break
+        for idx in product(range(npts), repeat=m):
+            total += node_value(idx)
     return total * h ** m
 
 
@@ -185,15 +171,15 @@ def oscillatory_integral(f: LaurentPolynomial, z, q: QuadratureConfig | None = N
         q = QuadratureConfig()
     if any(c <= 0 for _, c in f.items()):
         raise ValueError("need strictly positive coefficients")
-    if f.nvars > q.max_dim:
-        raise ValueError(f"integral dimension {f.nvars} above the cap {q.max_dim}")
+    if f.nvars > _MAX_DIM:
+        raise ValueError(f"integral dimension {f.nvars} above the cap {_MAX_DIM}")
     if not origin_in_interior([e for e, _ in f.items()]):
         raise ValueError("origin not interior to the Newton polytope")
     ctx = working_context(q.precision + 10)
     zc = ctx.convert(z)
     if not zc > 0:
         raise ValueError("need z > 0")
-    digits = q.precision + q.margin_digits
+    digits = q.precision + _MARGIN_DIGITS
     L = _truncation_radius(f, zc, digits, ctx)
     symmetric = _is_fully_symmetric(f)
 

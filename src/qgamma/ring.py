@@ -9,10 +9,9 @@ or big-complex coefficients; all operations are pure.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 from fractions import Fraction
-from math import factorial, gcd
+from math import factorial
 
 from .scalars import ConstantTable
 
@@ -254,59 +253,6 @@ def _hyperplane_ring(name: str, n: int, degree: int, index: int,
         chTF_coeffs=chTF, fano_index=index)
 
 
-def tensor_ring(R1: CohomologyRing, R2: CohomologyRing) -> CohomologyRing:
-    """Product space: basis pairs, degrees add, structure constants multiply."""
-    n1, n2 = R1.rank, R2.rank
-
-    def idx(i, j):
-        return i * n2 + j
-
-    basis = []
-    degrees = []
-    for i in range(n1):
-        for j in range(n2):
-            l1, l2 = R1.basis[i], R2.basis[j]
-            basis.append(l1 if l2 == "1" else (l2 if l1 == "1" else f"{l1}|{l2}"))
-            degrees.append(R1.degrees[i] + R2.degrees[j])
-    cup_table = {}
-    for i1 in range(n1):
-        for j1 in range(i1, n1):
-            t1 = R1.cup_basis(i1, j1)
-            for i2 in range(n2):
-                for j2 in range(n2):
-                    a, b = idx(i1, i2), idx(j1, j2)
-                    if a > b:
-                        continue
-                    # guard the i1 == j1 diagonal from double counting
-                    if i1 == j1 and idx(j1, j2) < idx(i1, i2):
-                        continue
-                    t2 = R2.cup_basis(i2, j2)
-                    if not t1 or not t2:
-                        continue
-                    entries = tuple((idx(k1, k2), s1 * s2)
-                                    for k1, s1 in t1 for k2, s2 in t2)
-                    if entries:
-                        cup_table[(a, b)] = entries
-    integral = tuple(R1.integral[i] * R2.integral[j]
-                     for i in range(n1) for j in range(n2))
-    c1 = [Fraction(0)] * (n1 * n2)
-    chtf = [Fraction(0)] * (n1 * n2)
-    u1 = R1.degrees.index(0)
-    u2 = R2.degrees.index(0)
-    for i in range(n1):
-        c1[idx(i, u2)] += R1.c1_coeffs[i]
-        chtf[idx(i, u2)] += R1.chTF_coeffs[i]
-    for j in range(n2):
-        c1[idx(u1, j)] += R2.c1_coeffs[j]
-        chtf[idx(u1, j)] += R2.chTF_coeffs[j]
-    return CohomologyRing(
-        name=f"{R1.name}x{R2.name}",
-        complex_dimension=R1.complex_dimension + R2.complex_dimension,
-        basis=tuple(basis), degrees=tuple(degrees), cup_table=cup_table,
-        integral=integral, c1_coeffs=tuple(c1), chTF_coeffs=tuple(chtf),
-        fano_index=gcd(R1.fano_index, R2.fano_index))
-
-
 def build_hypersurface_ambient_ring(n: int, a: int) -> CohomologyRing:
     """Ambient part of a smooth degree-a hypersurface Y in the projective
     space of dimension n: the image of restriction, spanned by hyperplane
@@ -326,34 +272,30 @@ def build_hypersurface_ambient_ring(n: int, a: int) -> CohomologyRing:
 # Gamma class, modified Chern character, pairing, HRR
 # --------------------------------------------------------------------------
 
-def gamma_exponent_coeffs(C: ConstantTable, top: int, dual: bool = False):
+def gamma_exponent_coeffs(C: ConstantTable, top: int):
     """Coefficients g_k with log Gamma-class = sum_k g_k * (k! ch_k)-free form.
 
     Returns the per-degree multipliers applied to ch_k(TF).  From
     log Gamma(1+x) = -euler_gamma*x + sum_{k>=2} (-1)^k zeta(k) x^k / k and
-    ch_k = (power sum)/k!, the degree-k multiplier is (-1)^k (k-1)! zeta(k);
-    the dual class (all Chern roots negated) flips by (-1)^k per degree.
+    ch_k = (power sum)/k!, the degree-k multiplier is (-1)^k (k-1)! zeta(k).
     """
     ctx = C.ctx
-    out = {1: -C.gamma if not dual else C.gamma}
+    out = {1: -C.gamma}
     for k in range(2, top + 1):
         g = (-1) ** k * factorial(k - 1) * C.require_zeta(k)
-        if dual:
-            g = (-1) ** k * g
         out[k] = ctx.mpf(g)
     return out
 
 
-def gamma_class(R: CohomologyRing, C: ConstantTable, dual: bool = False) -> GradedVector:
+def gamma_class(R: CohomologyRing, C: ConstantTable) -> GradedVector:
     """Multiplicative Gamma class of the tangent bundle, as a basis vector.
 
     Computed as exp(-euler_gamma*c1 + sum_{k>=2} (-1)^(k-1)(k-1)! zeta(k) ch_k(TF)).
-    `dual=True` builds the class with all Chern roots negated.
     """
     top = R.complex_dimension
     if C.K_max < top:
         raise ValueError("constant table does not cover zeta up to the dimension")
-    mult = gamma_exponent_coeffs(C, top, dual=dual)
+    mult = gamma_exponent_coeffs(C, top)
     expo = R.zero()
     for k in range(1, top + 1):
         part = R.chTF.degree_part(k)
@@ -468,32 +410,3 @@ def ring_to_json_dict(R: CohomologyRing) -> dict:
         "chTF": [str(x) for x in R.chTF_coeffs],
         "index": R.fano_index,
     }
-
-
-def ring_from_json_dict(doc: dict) -> CohomologyRing:
-    basis = tuple(b["label"] for b in doc["basis"])
-    degrees = tuple(int(b["degree"]) for b in doc["basis"])
-    rk = len(basis)
-    cup_table = {}
-    for i in range(rk):
-        for j in range(i, rk):
-            entries = tuple((k, Fraction(s))
-                            for k, s in enumerate(doc["cup_table"][i][j])
-                            if Fraction(s) != 0)
-            if entries:
-                cup_table[(i, j)] = entries
-    return CohomologyRing(
-        name=doc["name"], complex_dimension=int(doc["dimension"]), basis=basis,
-        degrees=degrees, cup_table=cup_table,
-        integral=tuple(Fraction(s) for s in doc["integral"]),
-        c1_coeffs=tuple(Fraction(s) for s in doc["c1"]),
-        chTF_coeffs=tuple(Fraction(s) for s in doc["chTF"]),
-        fano_index=int(doc["index"]))
-
-
-def ring_to_json(R: CohomologyRing) -> str:
-    return json.dumps(ring_to_json_dict(R), sort_keys=True, indent=2)
-
-
-def ring_from_json(text: str) -> CohomologyRing:
-    return ring_from_json_dict(json.loads(text))

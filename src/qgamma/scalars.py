@@ -17,7 +17,6 @@ from __future__ import annotations
 
 import functools
 from dataclasses import dataclass, field
-from fractions import Fraction
 
 import mpmath
 
@@ -78,12 +77,6 @@ class ConstantTable:
         if k < 2 or k > self.K_max:
             raise ValueError(f"zeta({k}) outside table range 2..{self.K_max}")
         return self.zeta[k]
-
-    def real(self, x) -> object:
-        return self.ctx.mpf(x) if not isinstance(x, Fraction) else self.ctx.convert(x)
-
-    def complex(self, re, im=0) -> object:
-        return self.ctx.mpc(self.real(re), self.real(im))
 
 
 def _agrees_with_reference(ctx, value, digits: str, P: int) -> bool:

@@ -3,13 +3,15 @@ from fractions import Fraction
 import mpmath
 import pytest
 
+from qgamma import exactla
 from qgamma.asympt import (ExtrapolationConfig, apery_ratio, gamma_I_verdict,
                            growth_rate, growth_sequence, kernel_c1,
                            make_grid, neville_at_zero,
                            principal_asymptotic_class)
 from qgamma.grassmann import bcfk_j_series, ehx_constant_terms, schubert_ring
 from qgamma.jfun import j_projective, quantum_period
-from qgamma.ring import GradedVector, build_projective_ring, gamma_class
+from qgamma.ring import (GradedVector, build_hypersurface_ambient_ring,
+                         build_projective_ring, cup, gamma_class)
 from qgamma.scalars import make_constants
 
 
@@ -95,6 +97,22 @@ def test_kernel_c1_dimensions():
     assert len(ker) == 2
     weights = sorted(sum(1 for c in a.coeffs if c) for a in ker)
     assert weights == [1, 2]
+
+
+def test_kernel_c1_against_cup_products():
+    # second route: pair each kernel class with c1 cup basis_j, built by
+    # cup rather than read off c1_matrix
+    rings = [build_projective_ring(n) for n in (2, 3, 4, 5)]
+    rings += [build_hypersurface_ambient_ring(4, 2), schubert_ring(2, 4),
+              schubert_ring(2, 5)]
+    for R in rings:
+        ker = kernel_c1(R)
+        images = [cup(R.c1, R.basis_vector(j)) for j in range(R.rank)]
+        for alpha in ker:
+            assert all(type(c) is Fraction for c in alpha.coeffs)
+            assert all(alpha.pair(v) == 0 for v in images), R.name
+        rank_c1 = exactla.rank([list(v.coeffs) for v in images])
+        assert len(ker) == R.rank - rank_c1, R.name
 
 
 def test_apery_ratios_gr25():

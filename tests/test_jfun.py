@@ -8,9 +8,9 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from qgamma.jfun import (JSeries, _t0_value, classical_quintic_coefficient,
-                         evaluate_j, j_projective, jseries_to_json,
-                         jseries_to_json_dict, quantum_lefschetz,
-                         quantum_period, quintic_pf_annihilation)
+                         evaluate_j, j_projective, jseries_to_json_dict,
+                         quantum_lefschetz, quantum_period,
+                         quintic_pf_annihilation)
 from qgamma.grassmann import bcfk_j_series
 from qgamma.ring import build_projective_ring
 from qgamma.scalars import working_context
@@ -95,6 +95,18 @@ def test_evaluate_j_reports_convergence():
 def test_evaluate_j_flags_truncation():
     rec = evaluate_j(j_projective(2, 4), mpmath.mpf(3), P=30)
     assert not rec["converged"]
+
+
+def test_evaluate_j_rejects_zero():
+    # log t is undefined at t = 0; the series must not return a nan there
+    J = j_projective(2, 10)
+    for t in (0, Fraction(0), mpmath.mpf(0), mpmath.mpc(0, 0)):
+        with pytest.raises(ValueError):
+            evaluate_j(J, t, P=15)
+    # a tiny nonzero t still evaluates, to the unit class plus log terms
+    rec = evaluate_j(J, mpmath.mpf(10) ** -30, P=15)
+    assert rec["converged"]
+    assert all(mpmath.isfinite(c) for c in rec["value"].coeffs)
 
 
 def test_evaluate_j_half_turn_rotation():
@@ -270,4 +282,4 @@ def test_jseries_json_dict():
     assert rows[0] == ["1", "0"]
     assert rows[2] == ["1", "-2"]
     assert rows[4] == ["1/4", "-3/4"]
-    assert jseries_to_json(J, "P1") == jseries_to_json(j_projective(2, 6), "P1")
+    assert d == jseries_to_json_dict(j_projective(2, 6), "P1")

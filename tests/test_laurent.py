@@ -5,9 +5,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from qgamma.laurent import (LaurentPolynomial, PowerCache,
-                            ResourceBudgetExceeded, laurent_from_json_dict,
-                            laurent_to_json, laurent_to_json_dict,
-                            pair_constant)
+                            ResourceBudgetExceeded, pair_constant)
 
 
 def xpx():
@@ -71,24 +69,6 @@ def test_power_cache_budget():
     assert info.value.completed >= 1
     # completed powers remain usable
     assert pc.power(info.value.completed) is pc.pows[info.value.completed]
-
-
-def test_exp_eval():
-    import mpmath
-    ctx = mpmath.mp
-    f = xpx()
-    u = mpmath.mpf("0.3")
-    # exp_eval takes a log-coordinate vector, one entry per variable
-    val = f.exp_eval([u], ctx)
-    want = mpmath.exp(u) + mpmath.exp(-u)
-    assert abs(val - want) < mpmath.mpf(10) ** -50
-
-
-def test_json_roundtrip():
-    f = LaurentPolynomial(2, {(1, -2): Fraction(3, 7), (0, 0): Fraction(-1)})
-    assert laurent_from_json_dict(laurent_to_json_dict(f)) == f
-    assert laurent_to_json(f) == laurent_to_json(
-        LaurentPolynomial(2, {(0, 0): Fraction(-1), (1, -2): Fraction(3, 7)}))
 
 
 def test_is_nonnegative():

@@ -8,7 +8,7 @@ from qgamma.ring import (CohomologyRing, GradedVector, KClass,
                          build_hypersurface_ambient_ring,
                          build_projective_ring, cup, gamma_class, hrr_record,
                          line_bundle, modified_chern, pair_bracket,
-                         ring_from_json, ring_to_json, todd_class)
+                         todd_class)
 from qgamma.scalars import make_constants
 
 import oracles
@@ -164,12 +164,6 @@ def test_vector_algebra():
     assert w.coeffs == (Fraction(2), Fraction(4), Fraction(6))
     s = v + w
     assert s.coeffs == (Fraction(3), Fraction(6), Fraction(9))
-
-
-def test_ring_json_roundtrip():
-    for R in (build_projective_ring(3),
-              build_hypersurface_ambient_ring(3, 2)):
-        assert ring_from_json(ring_to_json(R)) == R
 
 
 def test_bad_hypersurface_rejected():

@@ -58,15 +58,6 @@ def test_table_covers_requested_range():
         C.require_zeta(21)
 
 
-def test_real_and_complex_conversion():
-    C = make_constants(P=30)
-    from fractions import Fraction
-    x = C.real(Fraction(1, 3))
-    assert abs(3 * x - 1) < C.ctx.mpf(10) ** -28
-    z = C.complex(Fraction(1, 2), Fraction(-1, 2))
-    assert abs(z - C.ctx.mpc("0.5", "-0.5")) == 0
-
-
 def test_low_precision_tables_build():
     # at P = 15, zeta(53) - 1 = 2^-53 + 3^-53 + ... rounds to 2^-52, exactly
     # the tail bound 2^(1-k); the check runs on the guard-digit values
