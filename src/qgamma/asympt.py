@@ -148,8 +148,10 @@ def apery_ratio(J: JSeries, alpha: HomologyVector, N: int, P: int = 50) -> dict:
     """Coefficient ratios <alpha, J_{rn}>/<[pt], J_{rn}> for n = 1..N.
 
     alpha must annihilate c1 (checked exactly), which is the hypothesis
-    under which the ratios converge to <alpha, Gamma-class>.  Returns the
-    raw sequence, one Aitken acceleration pass, and the pairing target.
+    under which the ratios converge to <alpha, Gamma-class>.  Degrees where
+    <[pt], J_{rn}> vanishes are skipped, and "n" lists the n that were used.
+    Returns those n, the raw sequence, one Aitken acceleration pass, and the
+    pairing target.
     """
     R = J.ring
     if alpha.ring is not R:
@@ -161,16 +163,18 @@ def apery_ratio(J: JSeries, alpha: HomologyVector, N: int, P: int = 50) -> dict:
         raise ValueError("series truncated below the requested index")
     ctx = working_context(P)
     pt = R.point_class()
-    ratios = []
+    used, ratios = [], []
     for m in range(1, N + 1):
         Jd = J.coefficient(r * m)
         den = pt.pair(Jd)
-        if not den:
-            raise ZeroDivisionError(f"period coefficient vanishes at degree {r * m}")
-        num = alpha.pair(Jd)
-        ratios.append(ctx.convert(num) / ctx.convert(den))
+        if den:
+            used.append(m)
+            ratios.append(ctx.convert(alpha.pair(Jd)) / ctx.convert(den))
+    if not ratios:
+        raise ZeroDivisionError(
+            f"period coefficient vanishes at every degree up to {r * N}")
     target = alpha.pair(gamma_class(R, make_constants(P=P)))
-    return {"n": list(range(1, N + 1)), "ratios": ratios,
+    return {"n": used, "ratios": ratios,
             "accelerated": _aitken(ratios, ctx), "target": target}
 
 

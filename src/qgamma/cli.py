@@ -10,6 +10,7 @@ abort.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import re
@@ -23,8 +24,8 @@ import mpmath
 from . import exceptional
 from .asympt import ExtrapolationConfig, apery_ratio, gamma_I_verdict, \
     kernel_c1, make_grid
-from .grassmann import bcfk_j_series, ehx_constant_terms, ehx_mirror, \
-    grassmann_spectrum, schubert_ring
+from .grassmann import bcfk_j_series, ehx_mirror, grassmann_spectrum, \
+    schubert_ring
 from .jfun import _t0_value, j_projective, jseries_to_json_dict, \
     quantum_lefschetz, quantum_period
 from .laurent import ResourceBudgetExceeded
@@ -222,40 +223,24 @@ def _render(x, P: int):
     return str(x)
 
 
-def _emit(payload: dict, args) -> None:
-    if _want_csv(args):
-        raise UsageError("csv output is not available for this command")
-    text = json.dumps(_render(payload, args.digits), sort_keys=True,
-                      indent=2) + "\n"
+def _emit(doc, args) -> None:
+    """Write a JSON payload, or CSV text, to stdout and to --output."""
+    if isinstance(doc, str):
+        text = doc
+    else:
+        text = json.dumps(_render(doc, args.digits), sort_keys=True,
+                          indent=2) + "\n"
     sys.stdout.write(text)
     if args.output:
         Path(args.output).write_text(text)
 
 
-def _emit_csv(text: str, args) -> None:
-    if not text.endswith("\n"):
-        text += "\n"
-    sys.stdout.write(text)
-    if args.output:
-        Path(args.output).write_text(text)
-
-
-def _payload(args, command: str, **fields) -> dict:
-    echo = {}
-    for key in ("space", "digits", "order", "tmax", "korder", "quad_tol",
-                "tol", "N", "t", "u", "word", "index", "kernel_index",
-                "format"):
-        if hasattr(args, key) and getattr(args, key) is not None:
-            echo[key] = getattr(args, key)
-    out = {"tool_version": TOOL_VERSION, "command": command,
-           "config_echo": echo}
-    out.setdefault("error_estimates", {})
-    out.update(fields)
-    return out
-
-
-def _want_csv(args) -> bool:
-    return getattr(args, "format", "json") == "csv"
+def _payload(args, command: str, error_estimates=None, **fields) -> dict:
+    echo = {k: v for k, v in vars(args).items()
+            if v is not None and k not in ("command", "config", "output")}
+    return {"tool_version": TOOL_VERSION, "command": command,
+            "config_echo": echo, "error_estimates": error_estimates or {},
+            **fields}
 
 
 # ---------------------------------------------------------------------------
@@ -296,12 +281,10 @@ def cmd_qperiod(args) -> int:
         qp = quantum_period(j_projective(spec.n, N))
     elif spec.kind == "hypersurface":
         qp = model_period_series(przyjalkowski_model(spec.n - 1, spec.d), N)
-    elif spec.kind == "grassmannian":
-        qp = ehx_constant_terms(spec.r, spec.n, N)
     else:
         qp = constant_term_series(spec.mirror(), N)
-    if _want_csv(args):
-        _emit_csv(qp.to_csv(), args)
+    if args.format == "csv":
+        _emit(qp.to_csv(), args)
         return 0
     rows = [{"d": d, "exact": str(qp.coefficient(d)),
              "float": qp.float_str(d, args.digits)}
@@ -320,10 +303,10 @@ def cmd_conifold(args) -> int:
     value = {"T0": res.T_con, "location": list(res.x_con),
              "newton_iterations": res.newton_iterations,
              "hessian_positive": res.hessian_positive}
-    payload = _payload(args, "conifold", value=value,
-                       verdict=bool(res.hessian_positive))
-    payload["error_estimates"] = {"gradient_norm": res.gradient_norm}
-    _emit(payload, args)
+    _emit(_payload(args, "conifold", value=value,
+                   verdict=bool(res.hessian_positive),
+                   error_estimates={"gradient_norm": res.gradient_norm}),
+          args)
     return 0 if res.hessian_positive else 1
 
 
@@ -359,13 +342,12 @@ def cmd_check_gamma1(args) -> int:
                               order=args.korder, precision=args.digits)
     tol = args.tol if args.tol is not None else 1e-4
     verdict = gamma_I_verdict(R, J, cfg, tol)
-    payload = _payload(args, "check-gamma1", value=verdict,
-                       verdict=bool(verdict["pass"]))
-    payload["error_estimates"] = {
-        "worst_difference": verdict["worst_difference"],
-        "extrapolation": [c["extrapolation_error"]
-                          for c in verdict["component_errors"]]}
-    _emit(payload, args)
+    errors = {"worst_difference": verdict["worst_difference"],
+              "extrapolation": [c["extrapolation_error"]
+                                for c in verdict["component_errors"]]}
+    _emit(_payload(args, "check-gamma1", value=verdict,
+                   verdict=bool(verdict["pass"]), error_estimates=errors),
+          args)
     return 0 if verdict["pass"] else 1
 
 
@@ -386,10 +368,9 @@ def cmd_apery(args) -> int:
              "kernel_dimension": len(kern),
              "n": list(res["n"]), "ratios": list(res["ratios"]),
              "accelerated": res["accelerated"], "target": res["target"]}
-    payload = _payload(args, "apery", value=value)
-    payload["error_estimates"] = {
-        "last_gap": abs(res["ratios"][-1] - res["target"])}
-    _emit(payload, args)
+    gap = abs(res["ratios"][-1] - res["target"])
+    _emit(_payload(args, "apery", value=value,
+                   error_estimates={"last_gap": gap}), args)
     return 0
 
 
@@ -410,12 +391,11 @@ def cmd_oscillatory(args) -> int:
     rel = abs(Z - osc) / abs(Z)
     tol = args.tol if args.tol is not None else 1e-6
     verdict = bool(rel < tol)
-    payload = _payload(args, "oscillatory", verdict=verdict,
-                       value={"t": t, "central_charge": Z,
-                              "oscillatory_integral": osc,
-                              "relative_difference": rel, "tol": tol})
-    payload["error_estimates"] = {"relative_difference": rel}
-    _emit(payload, args)
+    _emit(_payload(args, "oscillatory", verdict=verdict,
+                   value={"t": t, "central_charge": Z,
+                          "oscillatory_integral": osc,
+                          "relative_difference": rel, "tol": tol},
+                   error_estimates={"relative_difference": rel}), args)
     return 0 if verdict else 1
 
 
@@ -428,11 +408,10 @@ def cmd_lefschetz(args) -> int:
     rep = laplace_lefschetz_check(JX, spec.d, mpmath.mpf(args.u),
                                   tol=args.tol, P=args.digits)
     verdict = bool(rep.get("pass", True))
-    payload = _payload(args, "lefschetz", verdict=verdict, value=rep)
-    payload["error_estimates"] = {"rel_diff": rep["rel_diff"],
-                                  "quad_error":
-                                      rep["grid_params"]["quad_error"]}
-    _emit(payload, args)
+    errors = {"rel_diff": rep["rel_diff"],
+              "quad_error": rep["grid_params"]["quad_error"]}
+    _emit(_payload(args, "lefschetz", verdict=verdict, value=rep,
+                   error_estimates=errors), args)
     return 0 if verdict else 1
 
 
@@ -444,17 +423,17 @@ def cmd_gram(args) -> int:
     g = exceptional.gram_matrix(coll, P=args.digits)
     labels = [E.label for E in coll]
     integral = all(x is not None for row in g["integers"] for x in row)
-    if _want_csv(args):
+    if args.format == "csv":
         lines = ["pair," + ",".join(labels)]
         for lab, row in zip(labels, g["integers"]):
             lines.append(lab + "," + ",".join("" if x is None else str(x)
                                               for x in row))
-        _emit_csv("\n".join(lines), args)
+        _emit("\n".join(lines) + "\n", args)
         return 0 if integral else 1
-    payload = _payload(args, "gram", verdict=integral,
-                       value={"labels": labels, "integers": g["integers"]})
-    payload["error_estimates"] = {"max_residual": g["max_residual"]}
-    _emit(payload, args)
+    _emit(_payload(args, "gram", verdict=integral,
+                   value={"labels": labels, "integers": g["integers"]},
+                   error_estimates={"max_residual": g["max_residual"]}),
+          args)
     return 0 if integral else 1
 
 
@@ -484,13 +463,13 @@ def cmd_mutate(args) -> int:
     order = exceptional.unitriangular_order(g["integers"]) if integral \
         else None
     verdict = integral and order is not None
-    payload = _payload(args, "mutate", verdict=verdict,
-                       value={"labels": list(basis.labels),
-                              "rows": [list(r) for r in basis.rows],
-                              "gram_integers": g["integers"],
-                              "resort_order": order})
-    payload["error_estimates"] = {"max_residual": g["max_residual"]}
-    _emit(payload, args)
+    _emit(_payload(args, "mutate", verdict=verdict,
+                   value={"labels": list(basis.labels),
+                          "rows": [list(r) for r in basis.rows],
+                          "gram_integers": g["integers"],
+                          "resort_order": order},
+                   error_estimates={"max_residual": g["max_residual"]}),
+          args)
     return 0 if verdict else 1
 
 
@@ -504,8 +483,7 @@ def cmd_fekete(args) -> int:
     f = spec.mirror()
     rep = fekete_limit(f, r, N, P=args.digits)
     verdict = bool(rep["supermultiplicative"])
-    payload = _payload(args, "fekete", verdict=verdict, value=rep)
-    _emit(payload, args)
+    _emit(_payload(args, "fekete", verdict=verdict, value=rep), args)
     return 0 if verdict else 1
 
 
@@ -522,107 +500,119 @@ _COMMANDS = {
     "fekete": cmd_fekete,
 }
 
-_CONFIG_KEYS = {"space", "digits", "order", "tmax", "korder", "quad_tol",
-                "tol", "n", "t", "u", "word", "index", "kernel_index",
-                "output", "format"}
-_INT_KEYS = {"digits", "order", "korder", "n", "index", "kernel_index"}
-_FLOAT_KEYS = {"tmax", "quad_tol", "tol", "t", "u"}
+_ALL = tuple(_COMMANDS)
 
 
-def _load_config(path: str) -> dict:
+def _positive(kind):
+    """An argparse type: `kind` of the text, refused unless positive."""
+    def convert(text):
+        value = kind(text)
+        if value <= 0:
+            raise argparse.ArgumentTypeError(f"must be positive, got {text}")
+        return value
+    convert.__name__ = kind.__name__    # "invalid int value: ..." on bad text
+    return convert
+
+
+# One row per option: its flags, its argparse keywords and the subcommands
+# that read it.  The parser, the config keys and config_echo come from here.
+_OPTIONS = (
+    (("--space",), {"required": True,
+                    "help": "P<n>, Gr(r,n), X(n,d), P1xP1, toric:rays.json"},
+     _ALL),
+    (("--digits", "-P"), {"type": int, "default": 50}, _ALL),
+    (("--output", "-o"), {}, _ALL),
+    (("--order", "-D"), {"type": _positive(int),
+                         "help": "series truncation order"},
+     ("jseries", "check-gamma1", "apery", "oscillatory", "lefschetz")),
+    (("--format",), {"choices": ("json", "csv"), "default": "json"},
+     ("qperiod", "gram")),
+    (("-N",), {"type": _positive(int)}, ("qperiod", "apery", "fekete")),
+    (("--tmax",), {"type": _positive(float), "default": 40.0},
+     ("check-gamma1",)),
+    (("--korder", "-k"), {"type": _positive(int), "default": 6},
+     ("check-gamma1",)),
+    (("--tol",), {"type": float}, ("check-gamma1", "oscillatory", "lefschetz")),
+    (("--t",), {"type": _positive(float), "default": 1.0}, ("oscillatory",)),
+    (("--quad-tol",), {"type": _positive(float), "default": 1e-12},
+     ("oscillatory",)),
+    (("--u",), {"type": _positive(float), "default": 0.05}, ("lefschetz",)),
+    (("--word",), {"required": True,
+                   "help": "mutation word, e.g. 'R1 L2 R3'"}, ("mutate",)),
+    (("--kernel-index",), {"type": int}, ("apery",)),
+    (("--index",), {"type": int,
+                    "help": "divisibility step for the power sequence"},
+     ("fekete",)),
+)
+
+# config key (the long option name, `-` or `_`; `n` for -N) -> option row
+_BY_KEY = {row[0][0].lstrip("-").replace("-", "_").lower(): row
+           for row in _OPTIONS}
+
+
+@functools.cache
+def _build_parser() -> argparse.ArgumentParser:
+    top = argparse.ArgumentParser(
+        prog="qgamma",
+        description="quantum cohomology asymptotics and mirror checks")
+    top.add_argument("--config", help="key = value lines read as flags "
+                                      "of the subcommand; flags override")
+    sub = top.add_subparsers(dest="command")
+    for name in _COMMANDS:
+        p = sub.add_parser(name)
+        for flags, keywords, commands in _OPTIONS:
+            if name in commands:
+                p.add_argument(*flags, **keywords)
+    return top
+
+
+def _config_flags(path: str, command) -> list:
+    """The config file's keys as flags of `command`; a key that only
+    another subcommand reads is skipped."""
     import configparser
-    cp = configparser.ConfigParser()
+    cp = configparser.ConfigParser(interpolation=None)   # values as typed
     try:
         cp.read_string("[qgamma]\n" + Path(path).read_text())
     except FileNotFoundError:
         raise UsageError(f"config file not found: {path}")
     except configparser.Error as e:
         raise UsageError(f"bad config file: {e}")
-    out = {}
+    flags = []
     for key, raw in cp["qgamma"].items():
         key = key.replace("-", "_").lower()
-        if key == "n":
-            key = "N"
-        elif key not in _CONFIG_KEYS:
+        if key not in _BY_KEY:
             raise UsageError(f"unknown config key {key!r}")
-        if key in _INT_KEYS or key == "N":
-            out[key] = int(raw)
-        elif key in _FLOAT_KEYS:
-            out[key] = float(raw)
-        else:
-            out[key] = raw
-    return out
+        option, _, commands = _BY_KEY[key]
+        if command in commands:
+            flags.append(f"{option[0]}={raw}")
+    return flags
 
 
-def _build_parser(defaults: dict | None = None) -> argparse.ArgumentParser:
-    top = argparse.ArgumentParser(
-        prog="qgamma",
-        description="quantum cohomology asymptotics and mirror checks")
-    top.add_argument("--config", help="key = value defaults, "
-                                      "overridden by flags")
-    sub = top.add_subparsers(dest="command")
-    for name in _COMMANDS:
-        p = sub.add_parser(name)
-        p.add_argument("--space", required=True,
-                       help="P<n>, Gr(r,n), X(n,d), P1xP1, toric:rays.json")
-        p.add_argument("--digits", "-P", type=int, default=50)
-        p.add_argument("--order", "-D", type=int, default=None,
-                       help="series truncation order")
-        p.add_argument("--output", "-o", default=None)
-        p.add_argument("--format", choices=("json", "csv"), default="json")
-        if name in ("qperiod", "apery", "fekete"):
-            p.add_argument("-N", type=int, default=None)
-        if name == "check-gamma1":
-            p.add_argument("--tmax", type=float, default=40.0)
-            p.add_argument("--korder", "-k", type=int, default=6)
-        if name in ("check-gamma1", "oscillatory", "lefschetz"):
-            p.add_argument("--tol", type=float, default=None)
-        if name == "oscillatory":
-            p.add_argument("--t", type=float, default=1.0)
-            p.add_argument("--quad-tol", dest="quad_tol", type=float,
-                           default=1e-12)
-        if name == "lefschetz":
-            p.add_argument("--u", type=float, default=0.05)
-        if name == "mutate":
-            p.add_argument("--word", required=True,
-                           help="mutation word, e.g. 'R1 L2 R3'")
-        if name == "apery":
-            p.add_argument("--kernel-index", dest="kernel_index", type=int,
-                           default=None)
-        if name == "fekete":
-            p.add_argument("--index", type=int, default=None,
-                           help="divisibility step for the power sequence")
-        if defaults:
-            known = {a.dest for a in p._actions}
-            usable = {k: v for k, v in defaults.items() if k in known}
-            if usable:
-                p.set_defaults(**usable)
-                for a in p._actions:
-                    if a.dest in usable:
-                        a.required = False
-    return top
+@functools.cache
+def _config_parser() -> argparse.ArgumentParser:
+    """Reads --config and leaves the subcommand and what follows in rest."""
+    pre = argparse.ArgumentParser(prog="qgamma", add_help=False)
+    pre.add_argument("--config")
+    pre.add_argument("rest", nargs=argparse.REMAINDER)
+    return pre
 
 
-def _config_path(argv) -> str | None:
-    path = None
-    for i, tok in enumerate(argv):
-        if tok == "--config" and i + 1 < len(argv):
-            path = argv[i + 1]
-        elif tok.startswith("--config="):
-            path = tok.split("=", 1)[1]
-    return path
+def _with_config(argv: list) -> list:
+    """argv with a --config file's flags placed right after the subcommand
+    name, so argparse checks them and later flags override them."""
+    opts, extra = _config_parser().parse_known_args(argv)
+    if not opts.config or not opts.rest:
+        return argv
+    command, *rest = opts.rest
+    return extra + [command] + _config_flags(opts.config, command) + rest
 
 
 def main(argv=None) -> int:
     argv = list(sys.argv[1:] if argv is None else argv)
     try:
-        defaults = None
-        path = _config_path(argv)
-        if path:
-            defaults = _load_config(path)
-        parser = _build_parser(defaults)
+        parser = _build_parser()
         try:
-            args = parser.parse_args(argv)
+            args = parser.parse_args(_with_config(argv))
         except SystemExit as e:
             return 0 if e.code in (0, None) else 2
         if args.command is None:
@@ -630,10 +620,6 @@ def main(argv=None) -> int:
             return 2
         if args.digits < 15:
             raise UsageError("need at least 15 digits")
-        for field in ("order", "tmax", "korder", "quad_tol", "N", "t", "u"):
-            v = getattr(args, field, None)
-            if v is not None and v <= 0:
-                raise UsageError(f"--{field} must be positive")
         return _COMMANDS[args.command](args)
     except (ResourceBudgetExceeded, PartialPeriodError) as e:
         print(f"resource abort: {e}", file=sys.stderr)

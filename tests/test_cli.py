@@ -131,9 +131,9 @@ def test_toric_rays_match_product_space(capsys, tmp_path):
     rays = tmp_path / "rays.json"
     rays.write_text(json.dumps([[1, 0], [-1, 0], [0, 1], [0, -1]]))
     rc1, out1, _ = run(capsys, ["qperiod", "--space", f"toric:{rays}",
-                                "--order", "6", "--format", "csv"])
+                                "-N", "6", "--format", "csv"])
     rc2, out2, _ = run(capsys, ["qperiod", "--space", "P1xP1",
-                                "--order", "6", "--format", "csv"])
+                                "-N", "6", "--format", "csv"])
     assert rc1 == rc2 == 0
     assert out1 == out2
     rows = {int(l.split(",")[0]): l.split(",")[1]
@@ -147,7 +147,7 @@ def test_nonprimitive_ray_rejected(capsys, tmp_path):
     rays = tmp_path / "rays.json"
     rays.write_text(json.dumps([[2, 0], [-1, 0], [0, 1], [0, -1]]))
     rc, out, err = run(capsys, ["qperiod", "--space", f"toric:{rays}",
-                                "--order", "4"])
+                                "-N", "4"])
     assert rc == 2
     assert "primitive" in err
 
@@ -184,28 +184,75 @@ def test_config_unknown_key(capsys, tmp_path):
     for text in ("spaace = P1\n", "seed = 3\n"):
         cfg.write_text(text)
         rc, out, err = run(capsys, ["--config", str(cfg), "qperiod",
-                                    "--space", "P1", "--order", "2"])
+                                    "--space", "P1", "-N", "2"])
         assert rc == 2, text
         assert "unknown config key" in err
 
 
+def test_config_does_not_carry_into_the_next_call(capsys, tmp_path):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("space = P1\n")
+    rc, out, err = run(capsys, ["--config", str(cfg), "ring"])
+    assert rc == 0, err
+    rc, out, err = run(capsys, ["ring"])
+    assert rc == 2
+    assert "required: --space" in err
+
+
+def test_config_values_are_checked_like_flags(capsys, tmp_path):
+    cfg = tmp_path / "run.cfg"
+    for text, reason in (("format = xml\n", "invalid choice: 'xml'"),
+                         ("n = 50%\n", "invalid int value: '50%'")):
+        cfg.write_text("space = P1\n" + text)
+        rc, out, err = run(capsys, ["--config", str(cfg), "qperiod"])
+        assert rc == 2, text
+        assert out == ""
+        assert reason in err, text
+
+
+def test_config_key_of_another_command_is_skipped(capsys, tmp_path):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("space = P1\nn = 4\ntmax = 20\n")
+    rc, out, err = run(capsys, ["--config", str(cfg), "qperiod"])
+    assert rc == 0, err
+    d = json.loads(out)
+    assert d["config_echo"] == {"space": "P1", "digits": 50, "N": 4,
+                                "format": "json"}
+    assert [row["d"] for row in d["value"]] == [0, 2, 4]
+
+
 def test_usage_errors_exit_2(capsys):
+    # each case with a piece of the message that names its reason
     cases = [
-        ["qperiod", "--space", "P0", "--order", "4"],
-        ["qperiod", "--space", "Q5", "--order", "4"],
-        ["qperiod", "--space", "X(3,3)", "--order", "4"],
-        ["gamma", "--space", "P2", "--digits", "10"],
-        ["gamma", "--space", "P2", "--format", "csv"],
-        ["mutate", "--space", "P3", "--word", "Q1"],
-        ["mutate", "--space", "P3", "--word", "R9"],
-        ["oscillatory", "--space", "P4", "--digits", "20"],
-        ["qperiod", "--space", "P1", "--order", "0"],
-        ["spectrum"],
-        ["no-such-command", "--space", "P1"],
+        (["qperiod", "--space", "P0", "-N", "4"], "dimension >= 1"),
+        (["qperiod", "--space", "Q5", "-N", "4"], "unknown space 'Q5'"),
+        (["qperiod", "--space", "X(3,3)", "-N", "4"],
+         "hypersurface needs n >= 3"),
+        (["gamma", "--space", "P2", "--digits", "10"],
+         "need at least 15 digits"),
+        (["gamma", "--space", "P2", "--format", "csv"],
+         "unrecognized arguments: --format csv"),
+        (["mutate", "--space", "P3", "--word", "Q1"],
+         "bad mutation token 'Q1'"),
+        (["mutate", "--space", "P3", "--word", "R9"],
+         "mutation position 9 out of range"),
+        (["oscillatory", "--space", "P4", "--digits", "20"],
+         "dimension 4 above the cap 3"),
+        (["jseries", "--space", "P1", "--order", "0"],
+         "argument --order/-D: must be positive"),
+        (["spectrum"], "the following arguments are required: --space"),
+        (["no-such-command", "--space", "P1"],
+         "invalid choice: 'no-such-command'"),
+        # options that their subcommand does not read are refused
+        (["ring", "--space", "P2", "--order", "3"],
+         "unrecognized arguments: --order 3"),
+        (["conifold", "--space", "P2", "--format", "csv"],
+         "unrecognized arguments: --format csv"),
     ]
-    for argv in cases:
+    for argv, reason in cases:
         rc, out, err = run(capsys, argv)
         assert rc == 2, argv
+        assert reason in err, (argv, err)
 
 
 def test_jseries_payload(capsys):
@@ -312,6 +359,19 @@ def test_apery_order_sets_truncation(capsys):
     assert rc == 2
     assert out == ""
     assert "truncated below the requested index" in err
+
+
+@pytest.mark.parametrize("space, N", [("X(4,3)", 8), ("X(5,4)", 6)])
+def test_apery_index_one_hypersurface(capsys, space, N):
+    # <[pt], J_1> = 0 on these, so the ratios start at n = 2
+    rc, out, err = run(capsys, ["apery", "--space", space, "-N", str(N)])
+    assert rc == 0, err
+    value = json.loads(out)["value"]
+    assert value["n"] == list(range(2, N + 1))
+    assert len(value["ratios"]) == N - 1
+    rc, out, err = run(capsys, ["apery", "--space", space, "-N", "1"])
+    assert rc == 2
+    assert "vanishes at every degree up to 1" in err
 
 
 def test_readme_commands_run(capsys):
