@@ -126,7 +126,7 @@ class SpaceSpec:
             J = j_projective(self.n, D)
             return J.ring, J, {}
         if self.kind == "grassmannian":
-            J = bcfk_j_series(self.r, self.n, D, P)
+            J = bcfk_j_series(self.r, self.n, D)
             return J.ring, J, {}
         if self.kind == "hypersurface":
             r = self.n - self.d

@@ -206,20 +206,25 @@ def phase_assignment(n: int, phi, P: int = 50) -> dict:
     imaginary part after rotation by e^(-i phi); each pair's rotated
     difference is reported.  When admissible, every integer k with
     |2 pi k/n + phi| < pi/2 + pi/n is listed with its twisting sheaf.
+
+    Everything is computed at P + 15 digits and compared against 10^(-P);
+    the values are reported at P digits.
     """
-    ctx = working_context(P)
+    ctx = working_context(P + 15)
+    out = working_context(P)
     phiv = ctx.convert(phi)
-    marks = eigenvalue_marks(n, P)
+    marks = eigenvalue_marks(n, P + 15)
     rot = ctx.exp(ctx.mpc(0, -1) * phiv)
     pairs = []
     admissible = True
-    thresh = ctx.mpf(10) ** (-P + 15)
+    thresh = ctx.mpf(10) ** -P
     for i in range(n):
         for j in range(i + 1, n):
             im = ((marks[i] - marks[j]) * rot).imag
             ok = abs(im) > thresh
             admissible = admissible and ok
-            pairs.append({"i": i, "j": j, "imag_part": im, "nonzero": ok})
+            pairs.append({"i": i, "j": j, "imag_part": out.mpf(im),
+                          "nonzero": ok})
     window = ctx.pi / 2 + ctx.pi / n
     assigned = None
     if admissible:
@@ -230,7 +235,8 @@ def phase_assignment(n: int, phi, P: int = 50) -> dict:
         while k <= int(ctx.ceil(hi)):
             val = abs(2 * ctx.pi * k / n + phiv)
             if val < window:
-                assigned.append({"k": k, "value": val, "bundle": f"O({k})"})
+                assigned.append({"k": k, "value": out.mpf(val),
+                                 "bundle": f"O({k})"})
             k += 1
-    return {"n": n, "phi": phiv, "admissible": admissible, "pairs": pairs,
-            "window": window, "assigned": assigned}
+    return {"n": n, "phi": out.mpf(phiv), "admissible": admissible,
+            "pairs": pairs, "window": out.mpf(window), "assigned": assigned}

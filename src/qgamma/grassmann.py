@@ -14,7 +14,7 @@ from .exactla import det
 from .jfun import JSeries, j_projective
 from .laurent import LaurentPolynomial
 from .mirror import _compositions, constant_term_series, property_o_report
-from .ring import CohomologyRing, GradedVector, KClass, cup, ring_exp
+from .ring import CohomologyRing, GradedVector, KClass
 from .scalars import working_context
 
 
@@ -279,7 +279,7 @@ def satake_map(a: AntiSymmetricElement, R: CohomologyRing) -> GradedVector:
     index = {mu: i for i, mu in enumerate(parts)}
     if R.rank != len(parts):
         raise ValueError("ring does not match (r, n)")
-    out = [0] * R.rank
+    out = [Fraction(0)] * R.rank
     for K, c in a.coeffs.items():
         mu = tuple(K[i] - (a.r - 1 - i) for i in range(a.r))
         out[index[mu]] = out[index[mu]] + c
@@ -290,16 +290,16 @@ def satake_map(a: AntiSymmetricElement, R: CohomologyRing) -> GradedVector:
 # J-series via the abelian/non-abelian correspondence
 # --------------------------------------------------------------------------
 
-def bcfk_j_series(r: int, n: int, D: int, P: int = 50) -> JSeries:
+def bcfk_j_series(r: int, n: int, D: int) -> JSeries:
     """J-series of Gr(r,n) from the product-of-projective-spaces series.
 
     The degree-nm coefficient is assembled exactly: for each ordered
     multidegree d with |d| = m the twisted product
     prod_{i<j}(x_i - x_j + d_i - d_j) * prod_i Jcoeff_{d_i}(x_i) is summed,
     the antisymmetric total is expanded in wedge coordinates and pushed
-    through the Satake identification.  The phase bookkeeping (xi powers and
-    the sigma_1 exponentials) is done in big-complex arithmetic and the
-    imaginary parts are asserted small rather than assumed zero.
+    through the Satake identification.  The phase is the sign
+    (-1)^((r-1)m): the sigma_1 exponentials e^(-+i pi (r-1) sigma_1) cancel
+    to the unit class, and xi^(nm) = e^(i pi (r-1) m).
     """
     if D < 0:
         raise ValueError("negative truncation")
@@ -308,30 +308,13 @@ def bcfk_j_series(r: int, n: int, D: int, P: int = 50) -> JSeries:
     JP = j_projective(n, n * mmax) if mmax > 0 else j_projective(n, n)
     glists = {d: JP.coefficient(n * d).coeffs for d in range(mmax + 1)}
 
-    ctx = working_context(P + 10)
-    tol = ctx.mpf(10) ** (-P + 12)
-    # e^{-i pi (r-1) sigma_1} e^{+i pi (r-1) sigma_1}: algebraically the unit;
-    # computed numerically as a deliberate phase-error tripwire
-    sigma1 = Fraction(1, n) * R.c1
-    phase = ctx.mpc(0, 1) * ctx.pi * (r - 1)
-    E = cup(ring_exp(sigma1.map_coeffs(lambda c: -phase * ctx.convert(c))),
-            ring_exp(sigma1.map_coeffs(lambda c: phase * ctx.convert(c))))
-
-    out = working_context(P)
     coeffs = {0: R.unit()}
     for m in range(1, mmax + 1):
         poly = {}
         for d in _compositions(m, r):
             poly = _poly_add(poly, _twisted_term(d, glists, r, n))
         wedge = antisymmetric_from_polynomial(poly, r, n)
-        vec = satake_map(wedge, R)
-        zeta = ctx.expjpi((r - 1) * m)
-        jm = zeta * cup(E, vec.map_coeffs(ctx.convert))
-        worst = max((abs(ctx.im(c)) for c in jm.coeffs), default=ctx.mpf(0))
-        if worst >= tol:
-            raise ArithmeticError(
-                f"imaginary residue {worst} at degree {n*m}: phase bug")
-        coeffs[n * m] = jm.map_coeffs(lambda c: out.mpf(ctx.re(c)))
+        coeffs[n * m] = (-1) ** ((r - 1) * m) * satake_map(wedge, R)
     return JSeries(ring=R, D=D, fano_index=n, coeffs=coeffs)
 
 

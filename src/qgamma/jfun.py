@@ -3,8 +3,7 @@ transformation.
 
 Series convention: J(t) = e^(c1 log t) * sum_{d>=0} J_d t^d with J_0 = 1 and
 J_d = 0 unless the Fano index divides d.  Coefficients J_d are ring vectors
-over exact rationals (built-in families) or big-complex numbers (quotient
-constructions).
+over exact rationals.
 """
 
 from __future__ import annotations
@@ -74,7 +73,7 @@ class _NumericView(NamedTuple):
 class QuantumPeriod:
     fano_index: int
     D: int
-    coeffs: dict                # d -> G_d (Fraction or big real)
+    coeffs: dict                # d -> G_d, exact rational
 
     def coefficient(self, d: int):
         return self.coeffs.get(d, Fraction(0))
@@ -90,10 +89,8 @@ class QuantumPeriod:
 
     def to_csv(self) -> str:
         lines = ["d,G_d_exact,G_d_float"]
-        for d in sorted(self.coeffs):
-            g = self.coeffs[d]
-            exact = str(Fraction(g)) if isinstance(g, (int, Fraction)) else ""
-            lines.append(f"{d},{exact},{self.float_str(d, 17)}")
+        for d, g in sorted(self.coeffs.items()):
+            lines.append(f"{d},{g},{self.float_str(d, 17)}")
         return "\n".join(lines) + "\n"
 
 
@@ -427,11 +424,5 @@ def jseries_to_json_dict(J: JSeries, space: str) -> dict:
     rows = []
     for d in J.nonzero_degrees():
         v = J.coefficient(d)
-        rows.append({"d": d, "coeffs": [_scalar_str(c) for c in v.coeffs]})
+        rows.append({"d": d, "coeffs": [str(c) for c in v.coeffs]})
     return {"space": space, "D": J.D, "r": J.fano_index, "coefficients": rows}
-
-
-def _scalar_str(c) -> str:
-    if isinstance(c, (int, Fraction)):
-        return str(Fraction(c))
-    return mpmath.nstr(c, c.context.dps)

@@ -28,14 +28,14 @@ from .scalars import make_constants, private_context, working_context
 
 _MARGIN_DIGITS = 10     # extra decay digits for the truncation box
 _MAX_DIM = 3            # orthant-integral dimension guard
+_START_POINTS = 48      # first quadrature grid size per axis
+_MAX_DOUBLINGS = 6      # grid refinements before the quadrature gives up
 
 
 @dataclass(frozen=True)
 class QuadratureConfig:
     tol: float = 1e-12          # relative agreement between successive grids
     precision: int = 50
-    start_points: int = 48      # first grid size per axis
-    max_doublings: int = 6
 
 
 def _direction_reach(exponents, v):
@@ -183,10 +183,10 @@ def oscillatory_integral(f: LaurentPolynomial, z, q: QuadratureConfig | None = N
     L = _truncation_radius(f, zc, digits, ctx)
     symmetric = _is_fully_symmetric(f)
 
-    npts = q.start_points
+    npts = _START_POINTS
     prev = None
     tol = ctx.convert(q.tol)
-    for _ in range(q.max_doublings + 1):
+    for _ in range(_MAX_DOUBLINGS + 1):
         cur = _grid_sum(f, zc, L, npts, ctx, symmetric)
         if prev is not None and abs(cur - prev) <= tol * abs(cur):
             out = working_context(q.precision)

@@ -85,33 +85,32 @@ def _agrees_with_reference(ctx, value, digits: str, P: int) -> bool:
     return abs(value - ref) <= abs(ref) * ctx.mpf(10) ** (2 - min(P, 95))
 
 
+_K_MAX = 64     # the table holds zeta(k) for 2 <= k <= _K_MAX
+
+
 @functools.lru_cache
-def make_constants(P: int = 50, K_max: int = 64) -> ConstantTable:
+def make_constants(P: int = 50) -> ConstantTable:
     """Build the shared constant table at `P` decimal digits.
 
     Constants are computed with guard digits, rounded back to `P`, and checked
     against a hard-coded 100-digit reference table; a failure here means the
     arithmetic backend is broken, so it raises rather than warns.  The last 128
-    tables are memoised on (P, K_max), so callers at one precision share one
+    tables are memoised on P, so callers at one precision share one
     table; nothing may mutate a returned table or its context.
     """
     if P < 15:
         raise ValueError("P < 15 is below the precision floor of every consumer")
-    if K_max < 2:
-        raise ValueError("K_max must be at least 2")
 
     work = working_context(P + 15)
     out = working_context(P)
 
     pi = out.mpf(+work.pi)
     gamma = out.mpf(+work.euler)
-    guarded = {k: work.zeta(k) for k in range(2, K_max + 1)}
+    guarded = {k: work.zeta(k) for k in range(2, _K_MAX + 1)}
     zeta = {k: out.mpf(z) for k, z in guarded.items()}
 
     for name, val in (("pi", pi), ("gamma", gamma), ("zeta2", zeta[2]),
-                      ("zeta3", zeta.get(3))):
-        if val is None:
-            continue
+                      ("zeta3", zeta[3])):
         if not _agrees_with_reference(out, val, _REFERENCE_100[name], P):
             raise ArithmeticError(f"constant {name} failed reference validation")
 
@@ -121,7 +120,7 @@ def make_constants(P: int = 50, K_max: int = 64) -> ConstantTable:
     # checked on the guard-digit values: rounded to P digits, zeta(k) - 1 can
     # land on the bound (zeta(53) at P = 15) and neighbours can tie
     prev = None
-    for k in range(2, K_max + 1):
+    for k in range(2, _K_MAX + 1):
         bound = work.mpf(2) ** (1 - k) if k >= 3 else work.mpf(3) / 4
         if not (guarded[k] - 1) < bound:
             raise ArithmeticError(f"zeta({k}) tail bound violated")
@@ -129,4 +128,4 @@ def make_constants(P: int = 50, K_max: int = 64) -> ConstantTable:
             raise ArithmeticError(f"zeta({k}) not monotone")
         prev = guarded[k]
 
-    return ConstantTable(P=P, K_max=K_max, ctx=out, pi=pi, gamma=gamma, zeta=zeta)
+    return ConstantTable(P=P, K_max=_K_MAX, ctx=out, pi=pi, gamma=gamma, zeta=zeta)

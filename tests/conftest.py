@@ -1,9 +1,4 @@
 import pathlib
 import sys
 
-import mpmath
-
-# exact Fractions from the library get compared at high precision in tests
-mpmath.mp.dps = 60
-
 sys.path.insert(0, str(pathlib.Path(__file__).resolve().parent))

@@ -12,7 +12,7 @@ from qgamma.grassmann import bcfk_j_series, ehx_constant_terms, schubert_ring
 from qgamma.jfun import j_projective, quantum_period
 from qgamma.ring import (GradedVector, build_hypersurface_ambient_ring,
                          build_projective_ring, cup, gamma_class)
-from qgamma.scalars import make_constants
+from qgamma.scalars import make_constants, working_context
 
 
 def test_make_grid_exact():
@@ -116,13 +116,14 @@ def test_kernel_c1_against_cup_products():
 
 
 def test_apery_ratios_gr25():
-    J = bcfk_j_series(2, 5, 100, P=50)
+    J = bcfk_j_series(2, 5, 100)
     ker = kernel_c1(J.ring)
     alpha = [a for a in ker if not a.coeffs[0]][0]
     rec = apery_ratio(J, alpha, 20, P=50)
     target = rec["target"]
     # the pairing with the limit class lands on zeta(2) on the nose
-    assert abs(target - mpmath.zeta(2)) < mpmath.mpf(10) ** -45
+    ctx = working_context(60)
+    assert abs(target - ctx.zeta(2)) < ctx.mpf(10) ** -45
     errs = [abs(r - target) for r in rec["ratios"]]
     assert all(b < a for a, b in zip(errs, errs[1:]))
     # geometric rate (second eigenvalue ratio)^(5n) beats 1e-40 by n = 20
@@ -131,7 +132,7 @@ def test_apery_ratios_gr25():
 
 
 def test_apery_rejects_bad_inputs():
-    J = bcfk_j_series(2, 5, 20, P=30)
+    J = bcfk_j_series(2, 5, 20)
     R = J.ring
     from qgamma.ring import HomologyVector
     not_kernel = HomologyVector(R, tuple(Fraction(int(i == 1))

@@ -1,6 +1,7 @@
 import json
 import re
 import shlex
+from fractions import Fraction
 from pathlib import Path
 
 import mpmath
@@ -39,9 +40,10 @@ def test_spectrum_grassmannian(capsys):
     assert set(d) >= {"tool_version", "command", "config_echo", "value"}
     assert d["command"] == "spectrum"
     assert d["config_echo"]["space"] == "Gr(2,5)"
-    T = mpmath.mpf(d["value"]["T"])
-    want = 5 * mpmath.sin(2 * mpmath.pi / 5) / mpmath.sin(mpmath.pi / 5)
-    assert abs(T - want) < mpmath.mpf(10) ** -30
+    ctx = working_context(60)
+    T = ctx.mpf(d["value"]["T"])
+    want = 5 * ctx.sin(2 * ctx.pi / 5) / ctx.sin(ctx.pi / 5)
+    assert abs(T - want) < ctx.mpf(10) ** -30
     assert d["value"]["property_o"]["satisfied"] is True
     assert d["verdict"] is True
 
@@ -321,17 +323,19 @@ def test_oscillatory_leaves_global_context_alone(capsys, monkeypatch):
 
 
 def test_jseries_grassmannian_full_precision(capsys):
-    rc, out, err = run(capsys, ["jseries", "--space", "Gr(2,4)", "-D", "12",
-                                "--digits", "60"])
-    assert rc == 0
-    rows = json.loads(out)["value"]["coefficients"]
+    # exact rationals, the same at every --digits
+    printed = []
+    for digits in ("15", "60"):
+        rc, out, err = run(capsys, ["jseries", "--space", "Gr(2,4)", "-D",
+                                    "12", "--digits", digits])
+        assert rc == 0
+        printed.append(json.loads(out)["value"]["coefficients"])
+    rows = printed[0]
+    assert printed[1] == rows
     exact = ehx_constant_terms(2, 4, 12)
-    ctx = working_context(80)
     assert [row["d"] for row in rows] == [0, 4, 8, 12]
     for row in rows:
-        want = ctx.convert(exact.coefficient(row["d"]))
-        got = ctx.mpf(row["coeffs"][0])
-        assert abs(got - want) < ctx.mpf(10) ** -55 * abs(want), row["d"]
+        assert Fraction(row["coeffs"][0]) == exact.coefficient(row["d"])
 
 
 def test_jseries_t0_at_requested_digits(capsys):

@@ -1,5 +1,6 @@
 import math
 import random
+from fractions import Fraction
 
 import mpmath
 import pytest
@@ -118,6 +119,18 @@ def test_phase_assignment_inadmissible():
         assert rec["assigned"] is None
     rec = phase_assignment(3, 0)
     assert rec["admissible"]
+
+
+def test_phase_assignment_verdict_at_precision_floor():
+    # P = 15 must give the verdicts of P = 50
+    for n in (3, 4, 5):
+        for k in range(1, 200):
+            phi = Fraction(k, 100)
+            low = phase_assignment(n, phi, P=15)
+            high = phase_assignment(n, phi, P=50)
+            assert low["admissible"] == high["admissible"], (n, k)
+            assert [p["nonzero"] for p in low["pairs"]] \
+                == [p["nonzero"] for p in high["pairs"]], (n, k)
 
 
 def test_mutation_position_bounds():

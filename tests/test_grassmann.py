@@ -17,7 +17,7 @@ from qgamma.mirror import conifold_point, constant_term_series, \
     projective_rays, toric_mirror_from_rays
 from qgamma.ring import (build_projective_ring, cup, gamma_class, line_bundle,
                          modified_chern, pair_bracket, ring_exp)
-from qgamma.scalars import make_constants
+from qgamma.scalars import make_constants, working_context
 
 import oracles
 
@@ -210,42 +210,22 @@ def test_schubert_ring_degrees_and_pairing():
     assert R.poincare_pairing(R.basis_vector(i1), R.basis_vector(i2)) == 1
 
 
-def test_bcfk_matches_ladder_mirror():
-    J = bcfk_j_series(2, 4, 12)
+@pytest.mark.parametrize("r, n, D, pinned", [
+    (2, 4, 24, {4: Fraction(2), 8: Fraction(3, 8), 12: Fraction(5, 324)}),
+    (2, 5, 20, {5: Fraction(3), 10: Fraction(19, 32)}),
+    (3, 7, 14, {}),
+], ids=["gr24", "gr25", "gr37"])
+def test_bcfk_matches_ladder_mirror(r, n, D, pinned):
+    # criterion 07's two routes to the quantum period, equal as rationals
+    J = bcfk_j_series(r, n, D)
+    assert all(type(c) is Fraction
+               for d, v in J.coeffs.items() if d for c in v.coeffs)
     G = quantum_period(J)
-    E = ehx_constant_terms(2, 4, 12)
-    tol = mpmath.mpf(10) ** -38
-    for d in (4, 8, 12):
-        ge = E.coefficient(d)
-        assert abs(G.coefficient(d) - mpmath.mpf(ge.numerator) / ge.denominator) \
-            < tol, d
-    assert E.coefficient(4) == Fraction(2)
-    assert E.coefficient(8) == Fraction(3, 8)
-    assert E.coefficient(12) == Fraction(5, 324)
-
-
-def test_bcfk_matches_ladder_mirror_gr25():
-    G = quantum_period(bcfk_j_series(2, 5, 10))
-    E = ehx_constant_terms(2, 5, 10)
-    tol = mpmath.mpf(10) ** -38
-    assert E.coefficient(5) == Fraction(3)
-    assert E.coefficient(10) == Fraction(19, 32)
-    for d in (5, 10):
-        ge = E.coefficient(d)
-        assert abs(G.coefficient(d) - mpmath.mpf(ge.numerator) / ge.denominator) \
-            < tol, d
-
-
-def test_bcfk_matches_ladder_mirror_gr37():
-    # criterion 07's two routes to the quantum period on Gr(3,7)
-    G = quantum_period(bcfk_j_series(3, 7, 14))
-    E = ehx_constant_terms(3, 7, 14)
-    ctx = mpmath.MPContext()
-    ctx.dps = 60
-    tol = ctx.mpf(10) ** -38
-    for d in (7, 14):
-        ge = E.coefficient(d)
-        assert abs(ctx.convert(G.coefficient(d)) - ctx.convert(ge)) < tol, d
+    E = ehx_constant_terms(r, n, D)
+    for d in range(D + 1):
+        assert G.coefficient(d) == E.coefficient(d), d
+    for d, want in pinned.items():
+        assert E.coefficient(d) == want, d
 
 
 def test_ladder_minimum_is_spectral_radius():
@@ -378,9 +358,10 @@ def test_gamma_line_wedges_square_to_bundle_classes():
 
 def test_spectrum_gr25():
     sp = grassmann_spectrum(2, 5, P=50)
-    want = 5 * mpmath.sin(2 * mpmath.pi / 5) / mpmath.sin(mpmath.pi / 5)
-    assert abs(sp["T"] - want) < mpmath.mpf(10) ** -45
-    assert abs(sp["T"] - sp["T_formula"]) < mpmath.mpf(10) ** -45
+    ctx = working_context(60)
+    want = 5 * ctx.sin(2 * ctx.pi / 5) / ctx.sin(ctx.pi / 5)
+    assert abs(sp["T"] - want) < ctx.mpf(10) ** -45
+    assert abs(sp["T"] - sp["T_formula"]) < ctx.mpf(10) ** -45
     assert len(sp["maximizers"]) == 5
     assert sp["maximizers_consecutive"]
     assert sp["property_o"]["satisfied"]
@@ -388,7 +369,8 @@ def test_spectrum_gr25():
 
 def test_spectrum_gr24():
     sp = grassmann_spectrum(2, 4, P=50)
-    assert abs(sp["T"] - 4 * mpmath.sqrt(2)) < mpmath.mpf(10) ** -45
+    ctx = working_context(60)
+    assert abs(sp["T"] - 4 * ctx.sqrt(2)) < ctx.mpf(10) ** -45
     assert len(sp["maximizers"]) == 4
     assert sp["maximizers_consecutive"]
     assert sp["property_o"]["satisfied"]
@@ -397,9 +379,10 @@ def test_spectrum_gr24():
 def test_spectrum_rotation_invariance():
     sp = grassmann_spectrum(2, 5, P=50)
     vals = sp["eigenvalues"]
-    rot = mpmath.expjpi(mpmath.mpf(2) / 5)
+    ctx = working_context(60)
+    rot = ctx.expjpi(ctx.mpf(2) / 5)
     rotated = [v * rot for v in vals]
-    tol = mpmath.mpf(10) ** -40
+    tol = ctx.mpf(10) ** -40
     used = [False] * len(vals)
     for w in rotated:
         hit = min((abs(w - v), i) for i, v in enumerate(vals)

@@ -13,6 +13,7 @@ from qgamma.mirror import (PartialPeriodError, conifold_point,
                            model_period_series, origin_in_interior,
                            projective_rays, property_o_report,
                            przyjalkowski_model, toric_mirror_from_rays)
+from qgamma.scalars import working_context
 
 import oracles
 
@@ -202,11 +203,11 @@ def test_fekete_rejects_signed_coefficients():
 
 
 def test_property_o_projective_plane_marks():
-    ctx = mpmath.mp
-    marks = [3 * mpmath.expjpi(mpmath.mpf(-2 * k) / 3) for k in range(3)]
+    ctx = working_context(60)
+    marks = [3 * ctx.expjpi(ctx.mpf(-2 * k) / 3) for k in range(3)]
     rec = property_o_report(marks, 3, P=50)
     assert rec["satisfied"]
-    assert abs(rec["T"] - 3) < mpmath.mpf(10) ** -45
+    assert abs(rec["T"] - 3) < ctx.mpf(10) ** -45
     assert rec["multiplicity_at_T"] == 1
     assert rec["circle_count"] == 3
 

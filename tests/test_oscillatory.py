@@ -23,13 +23,14 @@ import oracles
 def test_orthant_integral_is_bessel():
     # int e^(-(x+1/x)/z) dx/x = 2 K_0(2/z)
     f = toric_mirror_from_rays(projective_rays(2))
-    for z in (mpmath.mpf(1), mpmath.mpf(2)):
+    ctx = working_context(60)
+    for z in (ctx.mpf(1), ctx.mpf(2)):
         Z = oscillatory_integral(f, z)
-        want = 2 * mpmath.besselk(0, 2 / z)
-        assert abs(Z - want) / want < mpmath.mpf(10) ** -30, z
-    Z1 = oscillatory_integral(f, mpmath.mpf(1))
-    series = 2 * oracles.bessel_k0_series(mpmath.mpf(2), 60)
-    assert abs(Z1 - series) < mpmath.mpf(10) ** -38
+        want = 2 * ctx.besselk(0, 2 / z)
+        assert abs(Z - want) / want < ctx.mpf(10) ** -30, z
+    Z1 = oscillatory_integral(f, ctx.mpf(1))
+    series = 2 * ctx.convert(oracles.bessel_k0_series(2, 60))
+    assert abs(Z1 - series) < ctx.mpf(10) ** -38
 
 
 def test_multiplicative_substitution_invariance():
@@ -82,7 +83,7 @@ def test_input_guards():
 
 def test_refinement_cap():
     f = toric_mirror_from_rays(projective_rays(2))
-    q = QuadratureConfig(tol=1e-40, start_points=4, max_doublings=1)
+    q = QuadratureConfig(tol=1e-300)
     with pytest.raises(ArithmeticError):
         oscillatory_integral(f, 1, q)
 

@@ -12,10 +12,11 @@ import oracles
 def test_working_context_precision():
     ctx = working_context(40)
     assert ctx.dps >= 40
-    # contexts are independent of the global state
-    assert mpmath.mp.dps == 60
     two = ctx.mpf(2)
     assert abs(ctx.sqrt(two) ** 2 - 2) < ctx.mpf(10) ** -38
+    make_constants(P=60)
+    # the library leaves mpmath's global context at its default
+    assert mpmath.mp.dps == 15
 
 
 def test_working_context_is_shared_and_private_context_is_not():
@@ -52,10 +53,11 @@ def test_euler_gamma_against_harmonic_route():
 
 
 def test_table_covers_requested_range():
-    C = make_constants(P=30, K_max=20)
-    C.require_zeta(20)
+    C = make_constants(P=30)
+    assert C.K_max == 64
+    C.require_zeta(64)
     with pytest.raises(ValueError):
-        C.require_zeta(21)
+        C.require_zeta(65)
 
 
 def test_low_precision_tables_build():
