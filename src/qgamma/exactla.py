@@ -1,14 +1,14 @@
 """Exact linear algebra: one fraction-free elimination behind the
-determinant, the rank and the reduced row echelon form, and an exact simplex
-for cone membership.
+determinant, the rank and the reduced row echelon form, and one exact
+simplex behind every polytope question.
 
 Matrices are lists of row tuples/lists.  `det`, `rank` and `row_reduce`
 share one Bareiss elimination, which stays in Python ints on integer
 matrices: every intermediate entry is a minor of the input, so each division
 is exact.  `row_reduce` finishes the echelon form over Fractions, and
-`nullspace` and `solve` read their answers off it.  `cone_contains` runs a
-phase-1 simplex over Fractions.  Sizes here are tiny (cohomology ranks, ray
-counts).
+`nullspace` reads its kernel off it.  `lp_max` is a two-phase simplex over
+Fractions; cone membership and the reach of a polytope along a direction
+are both one call.  Sizes here are tiny (cohomology ranks, ray counts).
 """
 
 from __future__ import annotations
@@ -62,21 +62,6 @@ def nullspace(rows, ncols=None):
     return basis
 
 
-def solve(rows, rhs):
-    """Unique solution of M v = rhs; raises on inconsistent or underdetermined."""
-    aug = [list(r) + [b] for r, b in zip(rows, rhs)]
-    red, pivots = row_reduce(aug)
-    ncols = len(rows[0])
-    if ncols in pivots:
-        raise ValueError("inconsistent system")
-    if len(pivots) < ncols:
-        raise ValueError("underdetermined system")
-    v = [Fraction(0)] * ncols
-    for ri, pc in enumerate(pivots):
-        v[pc] = red[ri][-1]
-    return tuple(v)
-
-
 # --------------------------------------------------------------------------
 # fraction-free elimination
 # --------------------------------------------------------------------------
@@ -120,43 +105,72 @@ def _bareiss(m):
     return pivots, sign
 
 
-def cone_contains(generators, w) -> bool:
-    """Whether w is a nonnegative combination of the generator vectors.
+def lp_max(columns, b, cost=None):
+    """The maximum of <cost, x> over x >= 0 with sum_i x_i columns[i] = b;
+    None when no such x exists, ArithmeticError when there is no maximum.
 
-    One phase-1 simplex over Fractions on sum_i mu_i g_i = w, mu >= 0: each
-    coordinate row gets an artificial variable (the row negated first if
-    w is negative there), the all-artificial basis is the start, and the
-    sum of the artificials is minimised.  w lies in the cone exactly when
-    the minimum is 0.  Artificials never re-enter the basis, which keeps the
-    answer right: at a basis where no mu_i can enter, the simplex
-    multipliers y have <y, g_i> <= 0 for every i, so any mu >= 0 solving the
-    system would give objective <y, w> = sum_i mu_i <y, g_i> <= 0.  Bland's
-    rule (the lowest improving column enters; ratio ties leave by the lowest
-    basic index) rules out cycling on degenerate instances.
+    Two-phase simplex over Fractions on one tableau.  Phase 1 minimises the
+    sum of one artificial per row (the row negated first where b < 0) from
+    the all-artificial basis, and x exists exactly when the minimum is 0:
+    artificials never re-enter, and at a basis where no x_i can enter the
+    simplex multipliers y have <y, c_i> <= 0 for all i, so a feasible x
+    would give <y, b> <= 0.  With cost None that first feasible basis gives
+    0.  Otherwise artificials left basic at level 0 are pivoted out on any
+    nonzero column of their row (a row with none is redundant and dropped),
+    and phase 2 maximises <cost, x>.  Bland's rule (the lowest improving
+    column enters; ratio ties leave by the lowest basic index) rules out
+    cycling.
     """
-    m, N = len(w), len(generators)
-    rows = []
-    for j in range(m):
-        row = [Fraction(g[j]) for g in generators] + [Fraction(w[j])]
-        rows.append([-x for x in row] if w[j] < 0 else row)
-    # reduced costs of the objective, and minus its value in the last slot
-    cost = [-sum(row[c] for row in rows) for c in range(N + 1)]
+    m, N = len(b), len(columns)
+    rows = [[Fraction(c[j]) for c in columns] + [Fraction(b[j])]
+            for j in range(m)]
+    rows = [[-x for x in row] if row[N] < 0 else row for row in rows]
     basis = [N + j for j in range(m)]      # artificial j has index N + j
-    while cost[N]:
-        enter = next((c for c in range(N) if cost[c] < 0), None)
-        if enter is None:
-            return False
-        # a phase-1 objective is bounded below, so some entry is positive
-        _, _, i = min((row[N] / row[enter], basis[i], i)
-                      for i, row in enumerate(rows) if row[enter] > 0)
-        pv = rows[i][enter]
-        pivot = rows[i] = [x / pv for x in rows[i]]
-        for other in rows + [cost]:
-            f = other[enter]
-            if f and other is not pivot:
-                other[:] = [x - f * y for x, y in zip(other, pivot)]
-        basis[i] = enter
+    # reduced costs of the objective, and minus its value in the last slot
+    obj = [-sum(row[c] for row in rows) for c in range(N + 1)]
+    while obj[N]:
+        if not _improve(rows, basis, obj):
+            return None
+    if cost is None:
+        return Fraction(0)
+    for i in reversed(range(m)):
+        if basis[i] >= N:
+            c = next((c for c in range(N) if rows[i][c]), None)
+            if c is None:
+                del rows[i], basis[i]
+            else:
+                _pivot(rows, basis, obj, i, c)
+    cost = [Fraction(x) for x in cost] + [Fraction(0)]
+    obj = [sum(cost[k] * row[c] for k, row in zip(basis, rows)) - cost[c]
+           for c in range(N + 1)]
+    while _improve(rows, basis, obj):
+        pass
+    return obj[N]
+
+
+def _improve(rows, basis, obj):
+    """One pivot by Bland's rule; False when no column improves obj."""
+    N = len(obj) - 1
+    enter = next((c for c in range(N) if obj[c] < 0), None)
+    if enter is None:
+        return False
+    ratios = [(row[N] / row[enter], basis[i], i)
+              for i, row in enumerate(rows) if row[enter] > 0]
+    if not ratios:
+        # a phase-1 objective is bounded below, so only phase 2 gets here
+        raise ArithmeticError("unbounded linear program")
+    _pivot(rows, basis, obj, min(ratios)[2], enter)
     return True
+
+
+def _pivot(rows, basis, obj, i, enter):
+    pv = rows[i][enter]
+    pivot = rows[i] = [x / pv for x in rows[i]]
+    for other in rows + [obj]:
+        f = other[enter]
+        if f and other is not pivot:
+            other[:] = [x - f * y for x, y in zip(other, pivot)]
+    basis[i] = enter
 
 
 def integer_row(row):

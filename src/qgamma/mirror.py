@@ -28,15 +28,14 @@ def origin_in_interior(rays) -> bool:
     mu >= 0 with sum mu_i b_i = w gives the relation sum (1 + mu_i) b_i = 0,
     and a relation scaled to min lambda_i = 1 gives mu = lambda - 1.  The
     rank comes from the Bareiss elimination, the cone membership from one
-    exact simplex (`exactla.cone_contains`).
+    exact simplex (`exactla.lp_max`).  The hull of no rays has no interior.
     """
-    m = len(rays[0])
     # clearing denominators rescales each ray by a positive factor, which
     # keeps the rank and every positive relation
     mat = [exactla.integer_row(r) for r in rays]
-    if exactla.rank(mat) < m:
+    if not rays or exactla.rank(mat) < len(rays[0]):
         return False
-    return exactla.cone_contains(mat, [-sum(col) for col in zip(*mat)])
+    return exactla.lp_max(mat, [-sum(col) for col in zip(*mat)]) is not None
 
 
 def toric_mirror_from_rays(rays) -> LaurentPolynomial:

@@ -5,22 +5,22 @@ J-series.
 The orthant integral of e^(-f/z) with the multiplicative volume form is
 computed in logarithmic coordinates on a truncated box.  The truncation
 radius comes from an exact convexity bound: for each coordinate direction
-+-e_i we find the largest rho with rho*(+-e_i) inside the Newton polytope
-of f; weighted AM-GM then gives f(e^u) >= c_min * e^(rho * |u_i|) on the
-corresponding face, which pins the box size for a requested decay.
++-e_i one exact LP gives the largest rho with rho*(+-e_i) inside the Newton
+polytope of f, and all 2m reaches are positive exactly when the origin is
+interior to it; weighted AM-GM then gives f(e^u) >= c_min * e^(rho * |u_i|)
+on the corresponding face, which pins the box size for a requested decay.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import combinations, combinations_with_replacement, product
+from itertools import combinations_with_replacement, product
 from math import factorial
 
-from .exactla import solve
+from .exactla import lp_max
 from .jfun import JSeries, evaluate_j, quantum_lefschetz
 from .laurent import LaurentPolynomial
-from .mirror import origin_in_interior
 from .ring import GradedVector, cup, gamma_exponent_coeffs, line_bundle, \
     pair_bracket, ring_exp
 from .scalars import make_constants, private_context, working_context
@@ -41,45 +41,28 @@ class QuadratureConfig:
 def _direction_reach(exponents, v):
     """Largest rho with rho*v in the convex hull of the exponent vectors.
 
-    Exact: every boundary point of the hull lies in the convex span of m
-    vertices (m = dimension), so it is enough to solve the barycentric
-    system over all size-m subsets and keep the admissible maximum.
+    One exact LP (`exactla.lp_max`): maximise rho over lambda >= 0 and
+    rho >= 0 with sum_i lambda_i e_i - rho v = 0 and sum_i lambda_i = 1.
+    Raises when no positive rho exists: then the origin is not interior.
     """
-    m = len(v)
-    best = None
-    for sub in combinations(exponents, m):
-        rows = [[Fraction(sub[j][i]) for j in range(m)] + [Fraction(-v[i])]
-                for i in range(m)]
-        rows.append([Fraction(1)] * m + [Fraction(0)])
-        rhs = [Fraction(0)] * m + [Fraction(1)]
-        try:
-            sol = solve(rows, rhs)
-        except ValueError:
-            continue
-        lam, rho = sol[:m], sol[m]
-        if rho > 0 and all(x >= 0 for x in lam):
-            if best is None or rho > best:
-                best = rho
-    if best is None:
-        raise ValueError("no positive reach along a coordinate direction")
-    return best
+    columns = [tuple(e) + (1,) for e in exponents]
+    columns.append(tuple(-x for x in v) + (0,))
+    rho = lp_max(columns, (0,) * len(v) + (1,), (0,) * len(exponents) + (1,))
+    if not rho:
+        raise ValueError("origin not interior to the Newton polytope")
+    return rho
 
 
-def _truncation_radius(f: LaurentPolynomial, z, digits, ctx):
+def _truncation_radius(f: LaurentPolynomial, z, digits, rho, ctx):
     """Half-width L of the log-coordinate box capturing the integrand mass.
 
-    Ensures c_min * e^(rho*L)/z >= digits*log(10) on every face of the box.
+    Ensures c_min * e^(rho*L)/z >= digits*log(10) on every face of the box,
+    rho the smallest reach along the coordinate directions.
     """
-    exps = [e for e, _ in f.items()]
     cmin = min(ctx.convert(c) for _, c in f.items())
     need = ctx.convert(digits) * ctx.log(10) * ctx.convert(z) / cmin
-    L = ctx.mpf(1)
-    for i in range(f.nvars):
-        for s in (1, -1):
-            v = tuple(s if j == i else 0 for j in range(f.nvars))
-            rho = _direction_reach(exps, v)
-            L = max(L, ctx.log(need if need > 1 else ctx.mpf(2)) / ctx.convert(rho))
-    return L
+    return max(ctx.mpf(1),
+               ctx.log(need if need > 1 else ctx.mpf(2)) / ctx.convert(rho))
 
 
 def _is_fully_symmetric(f: LaurentPolynomial) -> bool:
@@ -173,14 +156,16 @@ def oscillatory_integral(f: LaurentPolynomial, z, q: QuadratureConfig | None = N
         raise ValueError("need strictly positive coefficients")
     if f.nvars > _MAX_DIM:
         raise ValueError(f"integral dimension {f.nvars} above the cap {_MAX_DIM}")
-    if not origin_in_interior([e for e, _ in f.items()]):
-        raise ValueError("origin not interior to the Newton polytope")
+    # the origin check: 2m positive reaches span a cross-polytope about 0
+    exps, m = [e for e, _ in f.items()], f.nvars
+    rho = min(_direction_reach(exps, tuple(s * (j == i) for j in range(m)))
+              for i in range(m) for s in (1, -1))
     ctx = working_context(q.precision + 10)
     zc = ctx.convert(z)
     if not zc > 0:
         raise ValueError("need z > 0")
     digits = q.precision + _MARGIN_DIGITS
-    L = _truncation_radius(f, zc, digits, ctx)
+    L = _truncation_radius(f, zc, digits, rho, ctx)
     symmetric = _is_fully_symmetric(f)
 
     npts = _START_POINTS

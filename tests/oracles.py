@@ -233,6 +233,31 @@ def cone_contains(generators, w) -> bool:
     return False
 
 
+def direction_reach(exponents, v):
+    """Largest rho > 0 with rho*v in the convex hull of the exponent
+    vectors, or None, for a full-dimensional hull.
+
+    The farthest such point lies on a facet whose hyperplane misses the
+    origin, so by Caratheodory in that facet it is a convex combination of
+    m affinely independent vertices (m the dimension).  The barycentric
+    system sum_j lambda_j e_j = rho v, sum_j lambda_j = 1 is solved for
+    every m-subset, and the largest admissible rho is kept.
+    """
+    m = len(v)
+    best = None
+    for subset in combinations(exponents, m):
+        # unknowns lambda_1..lambda_m and rho, then the right-hand side
+        aug = [[e[i] for e in subset] + [-v[i], 0] for i in range(m)]
+        aug.append([1] * m + [0, 1])
+        red, pivots = _rref(aug, m + 2)
+        if pivots != list(range(m + 1)):
+            continue      # singular, or no solution
+        rho = red[m][m + 1]
+        if rho > 0 and all(red[j][m + 1] >= 0 for j in range(m)):
+            best = rho if best is None else max(best, rho)
+    return best
+
+
 def permutation_det(rows):
     """Determinant as the signed sum over all permutations (Leibniz)."""
     n = len(rows)

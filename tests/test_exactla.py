@@ -3,8 +3,7 @@ from fractions import Fraction
 
 import pytest
 
-from qgamma.exactla import (cone_contains, det, nullspace, rank, row_reduce,
-                            solve)
+from qgamma.exactla import det, lp_max, nullspace, rank, row_reduce
 from qgamma.mirror import origin_in_interior
 
 import oracles
@@ -34,26 +33,6 @@ def test_rank_and_nullspace_rectangular():
 def test_nullspace_trivial():
     rows = [[F(1), F(0)], [F(0), F(1)]]
     assert nullspace(rows) == []
-
-
-def test_solve_exact():
-    rows = [[F(1), F(2)], [F(3), F(5)]]
-    x = solve(rows, [F(5), F(12)])
-    # det = -1; solution is exact
-    assert [rows[0][0] * x[0] + rows[0][1] * x[1],
-            rows[1][0] * x[0] + rows[1][1] * x[1]] == [F(5), F(12)]
-
-
-def test_solve_inconsistent_raises():
-    rows = [[F(1), F(1)], [F(1), F(1)]]
-    with pytest.raises(ValueError):
-        solve(rows, [F(1), F(2)])
-
-
-def test_solve_underdetermined_raises():
-    rows = [[F(1), F(1), F(1)]]
-    with pytest.raises(ValueError):
-        solve(rows, [F(1)])
 
 
 def test_rref_idempotent():
@@ -145,15 +124,15 @@ def test_cone_contains_degenerate():
     # lies on a face of the cone that several generators span; the first
     # ratio test ties between two rows
     gens = [(1, 0, 0), (0, 1, 0), (1, 1, 0), (1, 1, 1), (1, 1, -1)]
-    assert cone_contains(gens, (1, 1, 0))
-    assert cone_contains(gens, (2, 1, -1))
-    assert cone_contains(gens, (0, 0, 0))
+    assert lp_max(gens, (1, 1, 0)) is not None
+    assert lp_max(gens, (2, 1, -1)) is not None
+    assert lp_max(gens, (0, 0, 0)) is not None
     # the third coordinate alone needs the x and y parts to cancel
-    assert not cone_contains(gens, (0, 0, 1))
-    assert not cone_contains(gens, (-1, 0, 0))
+    assert lp_max(gens, (0, 0, 1)) is None
+    assert lp_max(gens, (-1, 0, 0)) is None
     half, third = Fraction(1, 2), Fraction(-1, 3)
-    assert cone_contains([(half, 0), (0, third)], (F(3), F(-7)))
-    assert not cone_contains([(half, 0), (0, third)], (F(3), F(7)))
+    assert lp_max([(half, 0), (0, third)], (F(3), F(-7))) is not None
+    assert lp_max([(half, 0), (0, third)], (F(3), F(7))) is None
 
 
 def test_cone_contains_against_caratheodory_oracle():
@@ -164,19 +143,57 @@ def test_cone_contains_against_caratheodory_oracle():
         gens = [tuple(rng.choice(entries) for _ in range(m))
                 for _ in range(rng.randint(1, 6))]
         w = tuple(rng.choice(entries) for _ in range(m))
-        assert cone_contains(gens, w) == oracles.cone_contains(gens, w), \
-            (gens, w)
+        assert (lp_max(gens, w) is not None) == \
+            oracles.cone_contains(gens, w), (gens, w)
 
 
 def test_ray_test_needs_rank_and_positive_relation():
     # rank-deficient: the rays span a plane in R^3, so the origin is not
     # interior, although -sum(rays) = 0 lies in their cone
     flat = [(1, 0, 0), (-1, 0, 0), (0, 1, 0), (0, -1, 0)]
-    assert rank(flat) == 2 and cone_contains(flat, (0, 0, 0))
+    assert rank(flat) == 2 and lp_max(flat, (0, 0, 0)) is not None
     assert not origin_in_interior(flat)
     # boundary: full rank, but the only relations put weight 0 on (0, 1),
     # so -sum(rays) = (0, -1) is outside the cone
     edge = [(1, 0), (-1, 0), (0, 1)]
-    assert rank(edge) == 2 and not cone_contains(edge, (0, -1))
+    assert rank(edge) == 2 and lp_max(edge, (0, -1)) is None
     assert not origin_in_interior(edge)
     assert origin_in_interior(edge + [(1, -3)])
+
+
+def test_lp_max_optimum_unbounded_and_infeasible():
+    # max x0 + 2 x1 on x0 + x1 + x2 = 3, x0 - x1 = 1: the vertex (2, 1, 0)
+    cols = [(1, 1), (1, -1), (1, 0)]
+    assert lp_max(cols, (3, 1), (1, 2, 0)) == 4
+    assert lp_max(cols, (3, 1), (0, 0, -1)) == 0
+    assert lp_max(cols, (3, 1)) == 0
+    # x0 - x1 = 0 holds all along the ray x0 = x1 >= 0
+    with pytest.raises(ArithmeticError):
+        lp_max([(1,), (-1,)], (0,), (1, 0))
+    assert lp_max([(1,), (-1,)], (0,), (-1, -1)) == 0
+    # nonnegative columns never sum to a negative coordinate
+    assert lp_max([(1, 0), (2, 1)], (-1, 1), (1, 1)) is None
+    assert lp_max([(1, 0), (2, 1)], (-1, 1)) is None
+    half = Fraction(1, 2)
+    assert lp_max([(half, 1)], (half / 2, Fraction(1, 3))) is None
+
+
+def test_lp_max_no_columns():
+    # x lives in R^0: feasible exactly when b = 0, and then the optimum is 0
+    assert lp_max([], (0, 0)) == 0
+    assert lp_max([], (0, 0), ()) == 0
+    assert lp_max([], (0, Fraction(1, 2))) is None
+    assert lp_max([], (-1,), ()) is None
+
+
+def test_lp_max_duplicated_row():
+    # max 3 x0 + x1 on x0 + x1 + x2 = 4 (stated twice) and x0 - x1 = 0.  The
+    # columns have rank 2, so phase 1 ends with an artificial still basic at
+    # level 0, in a row with no nonzero entry left: that row is dropped
+    cols = [(1, 1, 1), (1, 1, -1), (1, 1, 0)]
+    once = [(1, 1), (1, -1), (1, 0)]
+    assert lp_max(once, (4, 0), (3, 1, 0)) == 8
+    assert lp_max(cols, (4, 4, 0), (3, 1, 0)) == 8
+    assert lp_max(cols, (4, 4, 0), (0, 0, 1)) == 4
+    assert lp_max(cols, (4, 4, 0)) == 0
+    assert lp_max(cols, (4, 5, 0), (3, 1, 0)) is None

@@ -30,6 +30,8 @@ def test_origin_interior_negatives():
     assert not origin_in_interior([(1, 0), (-1, 0), (2, 1)])
     # rank-deficient ray set never has the origin interior
     assert not origin_in_interior([(1, 0), (-1, 0)])
+    # nor does the hull of no rays
+    assert not origin_in_interior([])
 
 
 @st.composite
@@ -136,6 +138,13 @@ def test_conifold_point_projective_plane():
     assert res.hessian_positive
     assert res.gradient_norm < tol
     assert res.newton_iterations >= 1
+
+
+def test_conifold_point_needs_origin_interior():
+    with pytest.raises(ValueError, match="origin not interior"):
+        conifold_point(LaurentPolynomial(2, {}))
+    with pytest.raises(ValueError, match="origin not interior"):
+        conifold_point(LaurentPolynomial(2, {(1, 0): 1, (0, 1): 1}))
 
 
 def test_conifold_point_cubic_surface_model():

@@ -1,3 +1,4 @@
+import random
 from fractions import Fraction
 
 import mpmath
@@ -9,8 +10,10 @@ from qgamma.asympt import (ExtrapolationConfig, make_grid,
 from qgamma.grassmann import ehx_mirror
 from qgamma.jfun import evaluate_j, j_projective
 from qgamma.laurent import LaurentPolynomial
-from qgamma.mirror import projective_rays, toric_mirror_from_rays
-from qgamma.oscillatory import (QuadratureConfig, _gamma_inverse_series,
+from qgamma.mirror import (projective_rays, przyjalkowski_model,
+                           toric_mirror_from_rays)
+from qgamma.oscillatory import (QuadratureConfig, _direction_reach,
+                                _gamma_inverse_series,
                                 central_charge_structure_sheaf,
                                 laplace_lefschetz_check, oscillatory_integral)
 from qgamma.ring import (build_hypersurface_ambient_ring,
@@ -74,11 +77,75 @@ def test_input_guards():
     with pytest.raises(ValueError):
         oscillatory_integral(f, 1)
     g = LaurentPolynomial(2, {(1, 0): Fraction(1), (0, 1): Fraction(1)})
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="origin not interior"):
         oscillatory_integral(g, 1)
+    # the hull of no exponents has no interior
+    with pytest.raises(ValueError, match="origin not interior"):
+        oscillatory_integral(LaurentPolynomial(2, {}), 1)
     h = toric_mirror_from_rays(projective_rays(2))
     with pytest.raises(ValueError):
         oscillatory_integral(h, -1)
+
+
+def _coordinate_directions(m):
+    return [tuple(s * (j == i) for j in range(m))
+            for i in range(m) for s in (1, -1)]
+
+
+def _reach_or_none(exponents, v):
+    try:
+        return _direction_reach(exponents, v)
+    except ValueError:
+        return None
+
+
+def test_direction_reach_against_subset_oracle_on_seeded_polytopes():
+    # full-dimensional point sets in 1-6 dimensions with the origin inside,
+    # on the boundary or outside (on a lower-dimensional hull every
+    # barycentric system of the oracle is singular); the reach raises
+    # exactly where the oracle finds no positive rho.  The oracle solves
+    # C(points, m) systems per direction, so high dimensions get few points
+    rng = random.Random(303)
+    for m, count, extra in ((1, 40, 3), (2, 40, 3), (3, 20, 3), (4, 8, 2),
+                            (5, 3, 2), (6, 2, 1)):
+        done = 0
+        while done < count:
+            pts = [tuple(rng.randint(-3, 3) for _ in range(m))
+                   for _ in range(m + rng.randint(1, extra))]
+            diffs = [[a - b for a, b in zip(p, pts[0])] for p in pts[1:]]
+            if len(oracles._rref(diffs, m)[1]) < m:
+                continue
+            done += 1
+            for v in _coordinate_directions(m):
+                assert _reach_or_none(pts, v) == \
+                    oracles.direction_reach(pts, v), (pts, v)
+
+
+def test_direction_reach_against_subset_oracle_on_mirrors():
+    mirrors = [ehx_mirror(1, 3), ehx_mirror(1, 4), ehx_mirror(1, 5),
+               ehx_mirror(2, 4), ehx_mirror(2, 5)]
+    mirrors += [przyjalkowski_model(n, d).f
+                for n, d in ((3, 3), (4, 2), (4, 3))]
+    for f in mirrors:
+        exps = list(f.terms)
+        for v in _coordinate_directions(f.nvars):
+            rho = _direction_reach(exps, v)
+            assert rho > 0 and rho == oracles.direction_reach(exps, v), v
+
+
+def test_direction_reach_projective_space_closed_form():
+    # x_1 + ... + x_n + 1/(x_1...x_n): along -e_i the farthest point is
+    # (e_j for j != i and the last exponent, each with weight 1/n)
+    for n in range(1, 9):
+        exps = list(toric_mirror_from_rays(projective_rays(n + 1)).terms)
+        for i, v in enumerate(_coordinate_directions(n)):
+            assert _direction_reach(exps, v) == (1 if i % 2 == 0
+                                                 else Fraction(1, n))
+    # a segment: the reach along it is exact, across it there is none
+    assert _direction_reach([(-1, 0), (2, 0)], (1, 0)) == 2
+    assert _direction_reach([(-1, 0), (2, 0)], (-1, 0)) == 1
+    with pytest.raises(ValueError, match="origin not interior"):
+        _direction_reach([(-1, 0), (2, 0)], (0, 1))
 
 
 def test_refinement_cap():
