@@ -85,10 +85,8 @@ def _numeric_classes(obj, C):
             if gam is None:
                 gam = gamma_class(x.ring, C)
             classes.append(cup(gam, modified_chern(x, C)))
-        elif isinstance(x, GradedVector):
-            classes.append(x)
         else:
-            raise TypeError("expected MarkedBasis, K-classes, or ring vectors")
+            raise TypeError("expected a MarkedBasis or K-classes")
     return classes
 
 
@@ -101,18 +99,18 @@ def _snap(v, C: ConstantTable, P: int):
     return (int(nearest) if res < ctx.mpf(10) ** (-P + 10) else None), res
 
 
-def gram_matrix(basis, C: ConstantTable | None = None, P: int = 50) -> dict:
-    """Pairing matrix [A_i, A_j) with integer snapping.
+def gram_matrix(basis, P: int = 50) -> dict:
+    """Pairing matrix [A_i, A_j) with integer snapping, at P digits (a
+    MarkedBasis brings its own precision).
 
-    Accepts a MarkedBasis, a list of K-classes (weighted by the Gamma class
-    automatically), or raw numeric classes.  Entries within 10^(-P+10) of an
-    integer are reported in "integers"; the worst distance is in
-    "max_residual" (entries further away leave a None in that slot).
+    Accepts a MarkedBasis or a list of K-classes (weighted by the Gamma
+    class automatically).  Entries within 10^(-P+10) of an integer are
+    reported in "integers"; the worst distance is in "max_residual"
+    (entries further away leave a None in that slot).
     """
     if isinstance(basis, MarkedBasis):
         P = basis.precision
-    if C is None:
-        C = make_constants(P=P)
+    C = make_constants(P=P)
     classes = _numeric_classes(basis, C)
     entries, integers = [], []
     max_res = C.ctx.mpf(0)

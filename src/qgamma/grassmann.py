@@ -103,16 +103,22 @@ def schur_expand(poly, r: int):
     Coefficients are cleared to ints by their common denominator first.
     """
     work = {e: c for e, c in poly.items() if c}
-    for e, c in work.items():
-        for i in range(r - 1):
-            if work.get(e[:i] + (e[i + 1], e[i]) + e[i + 2:]) != c:
-                raise ValueError("input polynomial is not symmetric")
+    if not _alternates(work, r, 1):
+        raise ValueError("input polynomial is not symmetric")
     L = lcm(*(Fraction(c).denominator for c in work.values()))
     ints = {e: int(c * L) for e, c in work.items()}
     delta = tuple(range(r - 1, -1, -1))
     return {lam: Fraction(c, L)
             for lam, c in sorted(_alternant_product(ints, delta).items(),
                                  reverse=True)}
+
+
+def _alternates(poly, r: int, sign: int) -> bool:
+    """Whether swapping two adjacent variables multiplies the polynomial
+    in r variables by `sign` (+1: symmetric, -1: antisymmetric).  Zero
+    coefficients count as absent terms."""
+    return all(poly.get(e[:i] + (e[i + 1], e[i]) + e[i + 2:], 0) == sign * c
+               for e, c in poly.items() if c for i in range(r - 1))
 
 
 def _alternant_product(poly, v):
@@ -233,34 +239,6 @@ class AntiSymmetricElement:
                 raise ValueError("keys must be strictly decreasing")
 
 
-def antisymmetric_from_polynomial(poly, r: int, n: int) -> AntiSymmetricElement:
-    """Collapses an antisymmetric polynomial to wedge-basis coordinates.
-
-    Each alternant contributes all r! of its monomials, hence the division;
-    monomials with repeated exponents must cancel and are asserted to.
-    """
-    acc = {}
-    residue = {}
-    for e, c in poly.items():
-        if len(set(e)) == r:
-            K = tuple(sorted(e, reverse=True))
-            sign = _sort_sign(e)
-            acc[K] = acc.get(K, 0) + sign * c
-        else:
-            residue[e] = residue.get(e, 0) + c
-    bad = {e: c for e, c in residue.items() if c}
-    if bad:
-        raise ArithmeticError(f"not antisymmetric: residue at {bad}")
-    rfact = factorial(r)
-    coeffs = {K: c / rfact for K, c in acc.items() if c}
-    return AntiSymmetricElement(r=r, n=n, coeffs=coeffs)
-
-
-def _sort_sign(e) -> int:
-    order = sorted(range(len(e)), key=lambda i: -e[i])
-    return _perm_sign(tuple(order))
-
-
 def wedge_from_vectors(vectors, n: int) -> AntiSymmetricElement:
     """v_1 wedge ... wedge v_r for coefficient sequences over 0..n-1; the
     wedge coordinate at K is the minor det(v_i[k_j])."""
@@ -296,7 +274,8 @@ def bcfk_j_series(r: int, n: int, D: int) -> JSeries:
     The degree-nm coefficient is assembled exactly: for each ordered
     multidegree d with |d| = m the twisted product
     prod_{i<j}(x_i - x_j + d_i - d_j) * prod_i Jcoeff_{d_i}(x_i) is summed,
-    the antisymmetric total is expanded in wedge coordinates and pushed
+    the total is checked to be antisymmetric, its terms with strictly
+    decreasing exponents are its wedge coordinates, and these are pushed
     through the Satake identification.  The phase is the sign
     (-1)^((r-1)m): the sigma_1 exponentials e^(-+i pi (r-1) sigma_1) cancel
     to the unit class, and xi^(nm) = e^(i pi (r-1) m).
@@ -313,7 +292,11 @@ def bcfk_j_series(r: int, n: int, D: int) -> JSeries:
         poly = {}
         for d in _compositions(m, r):
             poly = _poly_add(poly, _twisted_term(d, glists, r, n))
-        wedge = antisymmetric_from_polynomial(poly, r, n)
+        if not _alternates(poly, r, -1):
+            raise ArithmeticError(f"degree {n * m} total is not antisymmetric")
+        wedge = AntiSymmetricElement(r=r, n=n, coeffs={
+            e: c for e, c in poly.items()
+            if all(e[i] > e[i + 1] for i in range(r - 1))})
         coeffs[n * m] = (-1) ** ((r - 1) * m) * satake_map(wedge, R)
     return JSeries(ring=R, D=D, fano_index=n, coeffs=coeffs)
 
@@ -443,12 +426,6 @@ def _chi_projective(l: int, k: int, n: int) -> int:
     for j in range(1, n):
         num *= k - l + j
     return num // factorial(n - 1)
-
-
-def chi_projective_line_bundles(l: int, k: int, n: int) -> Fraction:
-    """Euler pairing of O(l), O(k) on the projective space with n
-    coordinates: the degree-(n-1) binomial polynomial in k-l."""
-    return Fraction(_chi_projective(l, k, n))
 
 
 def euler_matrix_grassmann(mu, nu, r: int, n: int) -> Fraction:

@@ -18,7 +18,7 @@ from typing import NamedTuple
 import mpmath
 
 from .ring import (CohomologyRing, GradedVector, build_hypersurface_ambient_ring,
-                   build_projective_ring, cup)
+                   build_projective_ring)
 from .scalars import working_context
 
 
@@ -106,34 +106,36 @@ def j_projective(n: int, D: int) -> JSeries:
         raise ValueError("truncation below the first nonzero coefficient")
     R = build_projective_ring(n)
     coeffs = {0: R.unit()}
-    cur = [Fraction(1)] + [Fraction(0)] * (n - 1)   # series in h, length n
+    cur = [Fraction(1)]         # series in h mod h^n
     d = 1
     while n * d <= D:
-        inv = _inverse_power_series_h_plus_k(d, n)
-        cur = _mul_trunc(cur, inv, n)
+        cur = _mul_trunc(cur, _inverse_power(d, n, n), n)
         coeffs[n * d] = R.vector(tuple(cur))
         d += 1
     return JSeries(ring=R, D=D, fano_index=n, coeffs=coeffs)
 
 
-def _inverse_power_series_h_plus_k(k: int, n: int):
-    """(h+k)^(-n) as a length-n list of exact rationals."""
+def _inverse_power(k: int, e: int, n: int):
+    """(h+k)^(-e) mod h^n as a length-n list of exact rationals:
+    sum_j binom(e+j-1, j) (-1)^j k^(-e-j) h^j."""
     out = []
     binom = Fraction(1)
     for j in range(n):
-        out.append(binom * Fraction((-1) ** j, k ** (n + j)))
-        binom = binom * (n + j) / (j + 1)
+        out.append(binom * Fraction((-1) ** j, k ** (e + j)))
+        binom = binom * (e + j) / (j + 1)
     return out
 
 
 def _mul_trunc(a, b, n):
+    """The product of two series in h (coefficient sequences, either of any
+    length) mod h^n, as a length-n list."""
     out = [Fraction(0)] * n
-    for i, ai in enumerate(a):
+    for i, ai in enumerate(a[:n]):
         if not ai:
             continue
-        for j in range(n - i):
-            if b[j]:
-                out[i + j] += ai * b[j]
+        for j, bj in enumerate(b[:n - i]):
+            if bj:
+                out[i + j] += ai * bj
     return out
 
 
@@ -171,15 +173,16 @@ def quantum_lefschetz(JX: JSeries, a: int, DY: int | None = None) -> dict:
     else:
         c0 = Fraction(0)
 
+    # J_X,dd times the twist prod_{m=1..a*dd} (a h + m), both mod h^n (the
+    # restriction to Y), the twist extended by a factors per dd
     nmax = JX.D // r
     S = []
-    tw = amb.unit()             # prod_{m=1..a*dd} (a h + m), extended per dd
+    tw = [Fraction(1)]
     for dd in range(nmax + 1):
-        v = JX.coefficient(r * dd)
-        restricted = amb.vector(v.coeffs[:n])
         for m in range(max(1, a * dd - a + 1), a * dd + 1):
-            tw = cup(tw, _twist_factor(amb, a, m))
-        S.append(cup(tw, restricted))
+            tw = _mul_trunc(tw, (m, a), n)
+        S.append(amb.vector(tuple(
+            _mul_trunc(tw, JX.coefficient(r * dd).coeffs, n))))
 
     coeffs = {}
     if c0 == 0:
@@ -201,13 +204,6 @@ def quantum_lefschetz(JX: JSeries, a: int, DY: int | None = None) -> dict:
 
     # (T0/(r-a))^(r-a) = a^a (T_X/r)^r with T_X = r here
     return {"JY": JY, "c0": c0, "T0": _t0_value(a, r - a)}
-
-
-def _twist_factor(amb: CohomologyRing, a: int, m: int) -> GradedVector:
-    """a h + m in the ambient-restriction ring."""
-    return amb.vector(tuple(
-        Fraction(m) if p == 0 else (Fraction(a) if p == 1 else Fraction(0))
-        for p in range(amb.rank)))
 
 
 def _t0_value(a: int, b: int, P: int = 60):
@@ -342,78 +338,38 @@ def _peak_digits(view: _NumericView, t) -> int:
 # quintic hypergeometric check in Q[eps]/(eps^4)
 # --------------------------------------------------------------------------
 
-_EPS_N = 4
-
-
-def _eps_mul(a, b):
-    return tuple(_mul_trunc(a, b, _EPS_N))
-
-
-def _eps_linear(c, s):
-    """c + s*eps as an eps-polynomial."""
-    return (Fraction(c), Fraction(s), Fraction(0), Fraction(0))
-
-
-def _eps_inv(a):
-    """Inverse of a unit (a0 != 0) modulo eps^4."""
-    a0 = a[0]
-    if not a0:
-        raise ZeroDivisionError("not a unit")
-    u = tuple(x / a0 for x in a)     # 1 + n, n nilpotent
-    n = (Fraction(0), -u[1], -u[2], -u[3])
-    inv = (Fraction(1),) + (Fraction(0),) * 3
-    term = (Fraction(1),) + (Fraction(0),) * 3
-    for _ in range(1, _EPS_N):
-        term = _eps_mul(term, n)
-        inv = tuple(x + y for x, y in zip(inv, term))
-    return tuple(x / a0 for x in inv)
-
-
-def _eps_pow(a, k):
-    out = (Fraction(1), Fraction(0), Fraction(0), Fraction(0))
-    for _ in range(k):
-        out = _eps_mul(out, a)
-    return out
-
-
 def quintic_pf_annihilation(order: int) -> dict:
     """Exact check that the degree-4 logarithmic operator
     theta^4 - 5^5 t^5 (theta+1)(theta+2)(theta+3)(theta+4)
     kills the quintic hypergeometric series with coefficients
     A_n(eps) = prod_{j=1..5n} (j+5eps) / prod_{j=1..n} (j+eps)^5
-    in Q[eps]/(eps^4), working coefficientwise in t^(5n+5eps).
+    in Q[eps]/(eps^4), working coefficientwise in t^(5n+5eps).  The
+    truncated products are those of the h-series (`_mul_trunc`,
+    `_inverse_power`) with eps for h.
     """
     if order < 1:
         raise ValueError("order must be >= 1")
-    A_prev = (Fraction(1), Fraction(0), Fraction(0), Fraction(0))
-    residuals = []
-    ok = True
+
+    def times(a, *linear):
+        """a times the linear factors (c, s) = c + s*eps, mod eps^4."""
+        for f in linear:
+            a = _mul_trunc(a, f, 4)
+        return a
+
     # n = 0 term: theta^4 acting alone gives (5 eps)^4 = 0 mod eps^4
-    theta0 = _eps_pow(_eps_linear(0, 5), 4)
-    residuals.append({"n": 0, "residual": theta0, "zero": all(x == 0 for x in theta0)})
-    ok = ok and residuals[-1]["zero"]
+    theta0 = tuple(times([Fraction(1)], *[(0, 5)] * 4))
+    residuals = [{"n": 0, "residual": theta0, "zero": not any(theta0)}]
+    A_prev = [Fraction(1)]
     for nn in range(1, order + 1):
-        ratio = (Fraction(1), Fraction(0), Fraction(0), Fraction(0))
-        for j in range(5 * nn - 4, 5 * nn + 1):
-            ratio = _eps_mul(ratio, _eps_linear(j, 5))
-        ratio = _eps_mul(ratio, _eps_pow(_eps_inv(_eps_linear(nn, 1)), 5))
-        A = _eps_mul(A_prev, ratio)
-        lhs = _eps_mul(A, _eps_pow(_eps_linear(5 * nn, 5), 4))
-        rhs = A_prev
-        for j in range(1, 5):
-            rhs = _eps_mul(rhs, _eps_linear(5 * nn - 5 + j, 5))
-        rhs = tuple(Fraction(5 ** 5) * x for x in rhs)
-        res = tuple(x - y for x, y in zip(lhs, rhs))
-        is_zero = all(x == 0 for x in res)
-        residuals.append({"n": nn, "residual": res, "zero": is_zero})
-        ok = ok and is_zero
+        A = times(_mul_trunc(A_prev, _inverse_power(nn, 5, 4), 4),
+                  *[(j, 5) for j in range(5 * nn - 4, 5 * nn + 1)])
+        lhs = times(A, *[(5 * nn, 5)] * 4)
+        rhs = times(A_prev, *[(5 * nn - 5 + j, 5) for j in range(1, 5)])
+        res = tuple(x - 5 ** 5 * y for x, y in zip(lhs, rhs))
+        residuals.append({"n": nn, "residual": res, "zero": not any(res)})
         A_prev = A
-    return {"annihilated": ok, "order": order, "residuals": residuals}
-
-
-def classical_quintic_coefficient(n: int) -> Fraction:
-    """The eps-degree-0 shadow (5n)!/(n!)^5."""
-    return Fraction(factorial(5 * n), factorial(n) ** 5)
+    return {"annihilated": all(r["zero"] for r in residuals), "order": order,
+            "residuals": residuals}
 
 
 # --------------------------------------------------------------------------

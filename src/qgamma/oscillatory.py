@@ -21,8 +21,7 @@ from math import factorial
 from .exactla import lp_max
 from .jfun import JSeries, evaluate_j, quantum_lefschetz
 from .laurent import LaurentPolynomial
-from .ring import GradedVector, cup, gamma_exponent_coeffs, line_bundle, \
-    pair_bracket, ring_exp
+from .ring import GradedVector, cup, gamma_of_ch, line_bundle, pair_bracket
 from .scalars import make_constants, private_context, working_context
 
 
@@ -209,19 +208,6 @@ def central_charge_structure_sheaf(J: JSeries, gamma: GradedVector, t,
     return out.mpc(z)
 
 
-def _gamma_inverse_series(R, a: int, C):
-    """Gamma(1 + a*h)^(-1) as a ring element, h the hyperplane generator.
-
-    The Gamma class of the line bundle O(a) inverted: exp(-sum_k g_k ch_k(O(a)))
-    with g_k the multipliers of `gamma_exponent_coeffs`.
-    """
-    ch = line_bundle(R, a).ch
-    expo = R.zero()
-    for k, g in gamma_exponent_coeffs(C, R.complex_dimension).items():
-        expo = expo - g * ch.degree_part(k)
-    return ring_exp(expo.map_coeffs(C.ctx.convert))
-
-
 def laplace_lefschetz_check(JX: JSeries, a: int, u, tol=None, P: int = 50) -> dict:
     """Compare the hypersurface series with the Laplace transform of the
     ambient one.
@@ -282,7 +268,7 @@ def laplace_lefschetz_check(JX: JSeries, a: int, u, tol=None, P: int = 50) -> di
     integral = GradedVector(RY, tuple(comps))
 
     C = make_constants(P=wp)
-    ginv = _gamma_inverse_series(RY, a, C)
+    ginv = gamma_of_ch(-line_bundle(RY, a).ch, C)    # Gamma(1+a h)^(-1)
     pref = ctx.exp(-ctx.convert(c0) * t)
     rhs = pref * cup(ginv, integral)
 

@@ -288,20 +288,24 @@ def gamma_exponent_coeffs(C: ConstantTable, top: int):
 
 
 def gamma_class(R: CohomologyRing, C: ConstantTable) -> GradedVector:
-    """Multiplicative Gamma class of the tangent bundle, as a basis vector.
-
-    Computed as exp(-euler_gamma*c1 + sum_{k>=2} (-1)^(k-1)(k-1)! zeta(k) ch_k(TF)).
-    """
-    top = R.complex_dimension
-    if C.K_max < top:
+    """Multiplicative Gamma class of the tangent bundle, as a basis vector:
+    `gamma_of_ch` of its Chern character."""
+    if C.K_max < R.complex_dimension:
         raise ValueError("constant table does not cover zeta up to the dimension")
-    mult = gamma_exponent_coeffs(C, top)
+    return gamma_of_ch(R.chTF, C)
+
+
+def gamma_of_ch(ch: GradedVector, C: ConstantTable) -> GradedVector:
+    """Gamma class of the K-class with Chern character ch,
+    exp(sum_k g_k ch_k) with g_k the multipliers of `gamma_exponent_coeffs`:
+    exp(-euler_gamma*ch_1 + sum_{k>=2} (-1)^k (k-1)! zeta(k) ch_k).  Of -ch
+    it is the inverse."""
+    R = ch.ring
     expo = R.zero()
-    for k in range(1, top + 1):
-        part = R.chTF.degree_part(k)
-        if part.is_zero():
-            continue
-        expo = expo + mult[k] * part
+    for k, g in gamma_exponent_coeffs(C, R.complex_dimension).items():
+        part = ch.degree_part(k)
+        if not part.is_zero():
+            expo = expo + g * part
     return ring_exp(expo).map_coeffs(C.ctx.convert)
 
 
@@ -342,22 +346,14 @@ def todd_class(R: CohomologyRing) -> GradedVector:
     (p_m = m! ch_m) and c_m the series coefficients of log(x/(1-e^(-x))).
     """
     top = R.complex_dimension
-    # series x/(1-e^(-x)) = sum b_m x^m, exact
-    denom = [Fraction((-1) ** m, factorial(m + 1)) for m in range(top + 1)]  # (1-e^(-x))/x
-    b = [Fraction(0)] * (top + 1)
-    b[0] = Fraction(1)
-    for m in range(1, top + 1):
-        s = Fraction(0)
-        for j in range(1, m + 1):
-            s += denom[j] * b[m - j]
-        b[m] = -s
-    # c = log(series b)
+    # c = -log((1-e^(-x))/x), the series b = (1-e^(-x))/x exact
+    b = [Fraction((-1) ** m, factorial(m + 1)) for m in range(top + 1)]
     c = [Fraction(0)] * (top + 1)
     for m in range(1, top + 1):
         s = b[m]
         for j in range(1, m):
-            s -= Fraction(j, m) * c[j] * b[m - j]
-        c[m] = s
+            s += Fraction(j, m) * c[j] * b[m - j]
+        c[m] = -s
     expo = R.zero()
     for m in range(1, top + 1):
         pm = factorial(m) * R.chTF.degree_part(m)

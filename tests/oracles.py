@@ -104,6 +104,44 @@ def p1_period_coefficient(n: int) -> Fraction:
     return Fraction(comb(2 * n, n), factorial(2 * n))
 
 
+def hypersurface_j_series(n: int, a: int, dmax: int) -> dict:
+    """Quantum Lefschetz J-series of a degree-a hypersurface Y in P^n.
+
+    J_Y,d = prod_{m=1..ad} (a h + m) / prod_{k=1..d} (h+k)^(n+1) mod h^n,
+    the quotient taken by power-series long division, for d = 0..dmax.
+    Returns {degree: [coefficient of h^p for p < n]}: degree (n+1-a) d for
+    J_Y,d, or, at index n+1-a = 1, the degree-m coefficient of
+    e^(-a! t) sum_d J_Y,d t^d.
+    """
+    def times(p, q):
+        out = [Fraction(0)] * n
+        for i, x in enumerate(p):
+            for j, y in enumerate(q):
+                if i + j < n:
+                    out[i + j] += x * y
+        return out
+
+    series = []
+    num = den = [Fraction(1)] + [Fraction(0)] * (n - 1)
+    for d in range(dmax + 1):
+        for m in range(a * d - a + 1 if d else 1, a * d + 1):
+            num = times(num, [m, a])
+        if d:
+            den = times(den, [comb(n + 1, j) * d ** (n + 1 - j)
+                              for j in range(n + 1)])
+        quo = []
+        for j in range(n):
+            quo.append((num[j] - sum(den[i] * quo[j - i]
+                                     for i in range(1, j + 1))) / den[0])
+        series.append(quo)
+    if n + 1 - a > 1:
+        return {(n + 1 - a) * d: v for d, v in enumerate(series)}
+    c0 = factorial(a)
+    return {m: [sum(Fraction((-c0) ** (m - d), factorial(m - d)) * series[d][p]
+                    for d in range(m + 1)) for p in range(n)]
+            for m in range(dmax + 1)}
+
+
 def chi_projective(n: int, a: int, b: int) -> int:
     """Euler pairing of the twisting sheaves O(a), O(b) on P^(n-1).
 

@@ -5,13 +5,13 @@ from fractions import Fraction
 import mpmath
 import pytest
 
-from qgamma.grassmann import (box_partitions, bcfk_j_series,
-                              chi_projective_line_bundles, e_mu_class,
+from qgamma.grassmann import (box_partitions, bcfk_j_series, e_mu_class,
                               ehx_constant_terms, ehx_mirror,
                               euler_matrix_grassmann, grassmann_spectrum,
                               partition_label, satake_map, schubert_ring,
                               schur_expand, schur_polynomial,
-                              wedge_from_vectors, _ch_tangent_poly)
+                              wedge_from_vectors, _alternates,
+                              _ch_tangent_poly, _chi_projective)
 from qgamma.jfun import quantum_period
 from qgamma.mirror import conifold_point, constant_term_series, \
     projective_rays, toric_mirror_from_rays
@@ -133,6 +133,30 @@ def test_schur_expand_rejects_asymmetric():
         schur_expand({**s21, (0, 1, 2): Fraction(2)}, 3)
     with pytest.raises(ValueError):
         schur_expand({e: c for e, c in s21.items() if e != (1, 0, 2)}, 3)
+
+
+def test_alternates_on_hand_built_polynomials():
+    sym = {(2, 1, 0): 3, (2, 0, 1): 3, (1, 2, 0): 3, (1, 0, 2): 3,
+           (0, 2, 1): 3, (0, 1, 2): 3, (1, 1, 1): Fraction(-1, 2)}
+    assert _alternates(sym, 3, 1)
+    assert not _alternates(sym, 3, -1)
+    # the Vandermonde (x0 - x1)(x0 - x2)(x1 - x2)
+    vdm = {(2, 1, 0): 1, (2, 0, 1): -1, (1, 2, 0): -1, (1, 0, 2): 1,
+           (0, 2, 1): 1, (0, 1, 2): -1}
+    assert _alternates(vdm, 3, -1)
+    assert not _alternates(vdm, 3, 1)
+    # a nonzero monomial with a repeated exponent is its own swap partner,
+    # so it breaks antisymmetry; with coefficient 0 it is absent
+    assert not _alternates({**vdm, (1, 1, 0): 2}, 3, -1)
+    assert _alternates({**vdm, (1, 1, 0): 0}, 3, -1)
+    # a missing partner
+    assert not _alternates({(1, 0): 1}, 2, 1)
+    assert not _alternates({(1, 0): 1}, 2, -1)
+    assert not _alternates({(1, 0): 1, (0, 1): 2}, 2, 1)
+    # one variable: nothing to swap
+    assert _alternates({(3,): 5, (0,): -1}, 1, 1)
+    assert _alternates({(3,): 5, (0,): -1}, 1, -1)
+    assert _alternates({}, 2, -1)
 
 
 def test_schur_expand_three_rows_matches_oracle():
@@ -282,8 +306,8 @@ def test_euler_pairings_against_oracle_determinants():
     for n in range(1, 6):
         for l in range(-5, 6):
             for k in range(-5, 6):
-                chi = chi_projective_line_bundles(l, k, n)
-                assert type(chi) is Fraction
+                chi = _chi_projective(l, k, n)
+                assert type(chi) is int
                 assert chi == oracles.chi_projective(n, l, k), (n, l, k)
 
 

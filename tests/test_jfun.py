@@ -7,10 +7,9 @@ import mpmath
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from qgamma.jfun import (JSeries, _t0_value, classical_quintic_coefficient,
-                         evaluate_j, j_projective, jseries_to_json_dict,
-                         quantum_lefschetz, quantum_period,
-                         quintic_pf_annihilation)
+from qgamma.jfun import (JSeries, _t0_value, evaluate_j, j_projective,
+                         jseries_to_json_dict, quantum_lefschetz,
+                         quantum_period, quintic_pf_annihilation)
 from qgamma.grassmann import bcfk_j_series
 from qgamma.ring import build_projective_ring
 from qgamma.scalars import working_context
@@ -73,6 +72,19 @@ def test_quantum_lefschetz_quadric_threefold():
     assert G.coefficient(2) == Fraction(2)
     assert G.coefficient(4) == Fraction(3, 2)
     assert G.coefficient(6) == Fraction(5, 9)
+
+
+def test_quantum_lefschetz_against_closed_form():
+    # every hypersurface of P^3..P^7 with ambient coefficients through
+    # degree 60, each coefficient equal as rationals to the closed form
+    for n in range(3, 8):
+        JX = j_projective(n + 1, 60)
+        for a in range(1, n + 1):
+            JY = quantum_lefschetz(JX, a)["JY"]
+            want = oracles.hypersurface_j_series(n, a, 60 // (n + 1))
+            assert sorted(JY.coeffs) == sorted(want), (n, a)
+            for d, v in want.items():
+                assert JY.coefficient(d).coeffs == tuple(v), (n, a, d)
 
 
 def test_evaluate_j_reports_convergence():
@@ -254,13 +266,6 @@ def test_quintic_picard_fuchs():
     assert rec["annihilated"]
     assert rec["order"] >= 20
     assert all(r["zero"] for r in rec["residuals"])
-
-
-def test_classical_quintic_coefficients():
-    assert classical_quintic_coefficient(0) == 1
-    assert classical_quintic_coefficient(1) == 120
-    assert classical_quintic_coefficient(2) == 113400
-    assert classical_quintic_coefficient(3) == 168168000
 
 
 def test_period_csv_format():
