@@ -58,6 +58,12 @@ class JSeries:
         log_peaks = [float(scan.log10(m)) if m else -math.inf for m in peaks]
         return _NumericView(degrees, peaks, log_peaks, {})
 
+    @functools.cached_property
+    def _hypersurfaces(self) -> dict:
+        """a -> `quantum_lefschetz(self, a)` for the degrees a its callers
+        asked for, kept on the series like `_numeric`."""
+        return {}
+
 
 class _NumericView(NamedTuple):
     degrees: list       # the series' degrees, ascending

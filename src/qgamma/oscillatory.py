@@ -3,7 +3,10 @@ central charges, plus the Laplace-transform route to the hypersurface
 J-series.
 
 The orthant integral of e^(-f/z) with the multiplicative volume form is
-computed in logarithmic coordinates on a truncated box.  The truncation
+computed by the midpoint rule in logarithmic coordinates on a truncated box,
+doubling the grid until two successive sums agree.  On that grid each
+monomial's factor e^(-(c/z) x^e) takes one value per integer <e, j>, so it
+is read from one table and no node needs an exp of its own.  The truncation
 radius comes from an exact convexity bound: for each coordinate direction
 +-e_i one exact LP gives the largest rho with rho*(+-e_i) inside the Newton
 polytope of f, and all 2m reaches are positive exactly when the origin is
@@ -15,8 +18,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import combinations_with_replacement, product
-from math import factorial
+from itertools import product
 
 from .exactla import lp_max
 from .jfun import JSeries, evaluate_j, quantum_lefschetz
@@ -64,81 +66,57 @@ def _truncation_radius(f: LaurentPolynomial, z, digits, rho, ctx):
                ctx.log(need if need > 1 else ctx.mpf(2)) / ctx.convert(rho))
 
 
-def _is_fully_symmetric(f: LaurentPolynomial) -> bool:
-    if f.nvars < 2:
-        return False
-    terms = dict(f.items())
-    for i in range(f.nvars - 1):
-        swapped = {}
-        for e, c in terms.items():
-            le = list(e)
-            le[i], le[i + 1] = le[i + 1], le[i]
-            swapped[tuple(le)] = c
-        if swapped != terms:
-            return False
-    return True
+def _grid_sum(f, z, L, npts, ctx):
+    """Midpoint-rule value of the orthant integral on an npts^m log grid.
 
-
-def _grid_sum(f, z, L, npts, ctx, symmetric):
-    """Midpoint-rule value of the orthant integral on an npts^m log grid."""
+    On the nodes u_i = -L + (j_i + 1/2) h the exponent <e, u> of a monomial
+    is k h + s (h/2 - L) with the integers k = <e, j> and s = e_1 + ... + e_m,
+    so its factor e^(-(c/z) e^<e,u>) comes from one table over k.  The sum
+    runs row by row over j_1..j_(m-1): monomials free of x_m give one scalar
+    per row, the others strided slices of their tables over j_m, and the
+    row ends in one fdot.
+    """
     m = f.nvars
     h = 2 * L / npts
-    us = [-L + (j + ctx.mpf(0.5)) * h for j in range(npts)]
+    a = h / 2 - L
     zc = ctx.convert(z)
+    powers = {}     # (k, s) -> e^(k h + s a), also serving (-k, -s)
 
-    axis_terms = [[] for _ in range(m)]
-    general = []
+    def power(k, s):
+        v = powers.get((k, s))
+        if v is None:
+            w = powers.get((-k, -s))
+            v = 1 / w if w is not None else ctx.exp(k * h + s * a)
+            powers[k, s] = v
+        return v
+
+    tables = {}     # equal (c, s, range of k) give equal tables
+    free, along = [], []
     for e, c in f.items():
-        support = [i for i, x in enumerate(e) if x]
-        if len(support) == 1:
-            axis_terms[support[0]].append((e[support[0]], ctx.convert(c)))
-        else:
-            general.append((e, ctx.convert(c)))
+        s = sum(e)
+        lo = (npts - 1) * sum(x for x in e if x < 0)
+        hi = (npts - 1) * sum(x for x in e if x > 0)
+        key = (c, s, lo, hi)
+        if key not in tables:
+            w = -ctx.convert(c) / zc
+            tables[key] = [ctx.exp(w * power(k, s)) for k in range(lo, hi + 1)]
+        (along if e[-1] else free).append((e, lo, tables[key]))
 
-    # per-axis factor tables for the separable monomials
-    tables = []
-    for i in range(m):
-        col = []
-        for u in us:
-            g = ctx.mpf(0)
-            for k, c in axis_terms[i]:
-                g += c * ctx.exp(k * u)
-            col.append(ctx.exp(-g / zc))
-        tables.append(col)
-    # per-monomial power tables e^(k*u_j) for the remaining monomials
-    powers = [[[ctx.exp(e[i] * u) for u in us] if e[i] else None
-               for i in range(m)] for e, _ in general]
-
-    def node_value(idx):
-        acc = tables[0][idx[0]]
-        for i in range(1, m):
-            acc *= tables[i][idx[i]]
-        if general:
-            g = ctx.mpf(0)
-            for t, (e, c) in enumerate(general):
-                w = c
-                for i in range(m):
-                    if e[i]:
-                        w *= powers[t][i][idx[i]]
-                g += w
-            acc *= ctx.exp(-g / zc)
-        return acc
-
-    total = ctx.mpf(0)
-    if symmetric:
-        # weakly increasing index tuples in lexicographic order, each
-        # weighted by the size of its orbit under permuting the axes, the
-        # multinomial m!/prod(multiplicity!) (every partial quotient is an
-        # integer, so the division order does not matter)
-        for idx in combinations_with_replacement(range(npts), m):
-            orbit = factorial(m)
-            for j in set(idx):
-                orbit //= factorial(idx.count(j))
-            total += orbit * node_value(idx)
-    else:
-        for idx in product(range(npts), repeat=m):
-            total += node_value(idx)
-    return total * h ** m
+    weights, rows = [], []
+    for head in product(range(npts), repeat=m - 1):
+        weights.append(ctx.fprod(
+            T[sum(x * j for x, j in zip(e, head)) - lo] for e, lo, T in free))
+        slices = []
+        for e, lo, T in along:
+            start = sum(x * j for x, j in zip(e, head)) - lo
+            stop = start + e[-1] * npts
+            slices.append(T[start:stop if stop >= 0 else None:e[-1]])
+        # the origin is interior, so x_m appears with both signs
+        first, second, *rest = slices
+        for col in rest:
+            first = [x * y for x, y in zip(first, col)]
+        rows.append(ctx.fdot(first, second))
+    return ctx.fdot(weights, rows) * h ** m
 
 
 def oscillatory_integral(f: LaurentPolynomial, z, q: QuadratureConfig | None = None):
@@ -147,7 +125,9 @@ def oscillatory_integral(f: LaurentPolynomial, z, q: QuadratureConfig | None = N
     Requires positive coefficients and the origin interior to the Newton
     polytope (so the integrand decays in every direction).  Refines a
     midpoint rule in log coordinates until two successive grids agree to
-    q.tol relatively; raises if the refinement cap is hit first.
+    q.tol relatively; raises if the refinement cap is hit first, and before
+    any grid when q.tol is below the working precision 10^-(q.precision+10),
+    where no agreement could confirm it.
     """
     if q is None:
         q = QuadratureConfig()
@@ -159,19 +139,22 @@ def oscillatory_integral(f: LaurentPolynomial, z, q: QuadratureConfig | None = N
     exps, m = [e for e, _ in f.items()], f.nvars
     rho = min(_direction_reach(exps, tuple(s * (j == i) for j in range(m)))
               for i in range(m) for s in (1, -1))
-    ctx = working_context(q.precision + 10)
+    wp = q.precision + 10
+    ctx = working_context(wp)
     zc = ctx.convert(z)
     if not zc > 0:
         raise ValueError("need z > 0")
+    tol = ctx.convert(q.tol)
+    if tol < ctx.mpf(10) ** -wp:
+        raise ArithmeticError(f"quadrature tol {q.tol} below the working "
+                              f"precision 1e-{wp}")
     digits = q.precision + _MARGIN_DIGITS
     L = _truncation_radius(f, zc, digits, rho, ctx)
-    symmetric = _is_fully_symmetric(f)
 
     npts = _START_POINTS
     prev = None
-    tol = ctx.convert(q.tol)
     for _ in range(_MAX_DOUBLINGS + 1):
-        cur = _grid_sum(f, zc, L, npts, ctx, symmetric)
+        cur = _grid_sum(f, zc, L, npts, ctx)
         if prev is not None and abs(cur - prev) <= tol * abs(cur):
             out = working_context(q.precision)
             return out.mpf(cur)
@@ -212,7 +195,8 @@ def laplace_lefschetz_check(JX: JSeries, a: int, u, tol=None, P: int = 50) -> di
     """Compare the hypersurface series with the Laplace transform of the
     ambient one.
 
-    Left side: J_Y at t = u^(a/(r-a)) from the degree-a twist of JX.
+    Left side: J_Y at t = u^(a/(r-a)) from the degree-a twist of JX, built
+    once per JX and a and kept on JX.
     Right side: e^(-c0 t)/(Gamma(1+a h) u) * int_0^inf  i*J_X(q^(a/r))
     e^(-q/u) dq, integrated adaptively componentwise.  Reports componentwise
     absolute and relative differences.
@@ -227,7 +211,9 @@ def laplace_lefschetz_check(JX: JSeries, a: int, u, tol=None, P: int = 50) -> di
     if not uc > 0:
         raise ValueError("need u > 0")
 
-    lef = quantum_lefschetz(JX, a)
+    lef = JX._hypersurfaces.get(a)
+    if lef is None:
+        lef = JX._hypersurfaces[a] = quantum_lefschetz(JX, a)
     JY, c0 = lef["JY"], lef["c0"]
     RY = JY.ring
     exponent = Fraction(a, r - a)

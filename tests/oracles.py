@@ -7,7 +7,7 @@ oracle is evidence, not circularity.
 """
 
 from fractions import Fraction
-from itertools import combinations, permutations
+from itertools import combinations, permutations, product
 from math import comb, factorial, gcd
 
 import mpmath
@@ -437,3 +437,25 @@ def evaluate_series_by_powers(coeffs, cup_table, c1, basis_degrees, t,
     out = context(P)
     return ([out.mpc(x) for x in cup(expo, acc)], out.mpf(tail), converged,
             wdps)
+
+
+def midpoint_orthant_sum(f, z, L, npts, P):
+    """Midpoint rule for the integral of e^(-f(x)/z) dx/x over x_i > 0 in
+    log coordinates on the box [-L, L]^m with npts nodes per axis: the sum
+    over every node u of exp(-f(e^u)/z) h^m, with h = 2L/npts, evaluating
+    f monomial by monomial at each node in its own P-digit context.
+    """
+    ctx = mpmath.ctx_mp.MPContext()
+    ctx.dps = P
+    terms = [(e, ctx.mpf(c.numerator) / c.denominator) for e, c in f.items()]
+    m = len(terms[0][0])
+    z, L = ctx.convert(z), ctx.convert(L)
+    h = 2 * L / npts
+    axis = [-L + (j + ctx.mpf(1) / 2) * h for j in range(npts)]
+    total = ctx.mpf(0)
+    for u in product(axis, repeat=m):
+        g = ctx.mpf(0)
+        for e, c in terms:
+            g += c * ctx.exp(sum(x * ui for x, ui in zip(e, u)))
+        total += ctx.exp(-g / z)
+    return total * h ** m

@@ -8,7 +8,7 @@ from qgamma import oscillatory, scalars
 from qgamma.asympt import (ExtrapolationConfig, make_grid,
                            principal_asymptotic_class)
 from qgamma.grassmann import ehx_mirror
-from qgamma.jfun import evaluate_j, j_projective
+from qgamma.jfun import evaluate_j, j_projective, quantum_lefschetz
 from qgamma.laurent import LaurentPolynomial
 from qgamma.mirror import (projective_rays, przyjalkowski_model,
                            toric_mirror_from_rays)
@@ -155,6 +155,84 @@ def test_refinement_cap():
         oscillatory_integral(f, 1, q)
 
 
+def test_doubling_cap(monkeypatch):
+    # with no doubling allowed no second grid can confirm the first
+    monkeypatch.setattr(oscillatory, "_MAX_DOUBLINGS", 0)
+    f = toric_mirror_from_rays(projective_rays(2))
+    with pytest.raises(ArithmeticError, match="refinement cap"):
+        oscillatory_integral(f, 1)
+
+
+def test_tol_below_working_precision_sums_no_grid(monkeypatch):
+    def no_grid(*args):
+        raise AssertionError("a grid was summed")
+    monkeypatch.setattr(oscillatory, "_grid_sum", no_grid)
+    f = toric_mirror_from_rays(projective_rays(2))
+    for P in (15, 50):
+        q = QuadratureConfig(tol=10.0 ** -(P + 11), precision=P)
+        with pytest.raises(ArithmeticError, match="below the working precision"):
+            oscillatory_integral(f, 1, q)
+
+
+def _kernel_cases():
+    def poly(m, terms):
+        return LaurentPolynomial(m, {e: Fraction(c) for e, c in terms.items()})
+    return [
+        toric_mirror_from_rays(projective_rays(2)),
+        toric_mirror_from_rays(projective_rays(3)),
+        toric_mirror_from_rays(projective_rays(4)),
+        # not symmetric, and three monomials along the last axis
+        poly(2, {(1, 0): 1, (0, 1): 2, (-1, -1): Fraction(1, 3),
+                 (1, 1): Fraction(1, 5)}),
+        # stride 2 through the table of x^2
+        poly(1, {(2,): 1, (-1,): 1}),
+        # x*y leaves out the last axis, y^-1 z^2 walks it with stride 2
+        poly(3, {(1, 0, 0): 1, (0, 1, 0): 2, (0, 0, 1): Fraction(1, 3),
+                 (-1, -1, -1): 1, (1, 1, 0): Fraction(1, 5),
+                 (0, -1, 2): Fraction(1, 7)}),
+    ]
+
+
+def test_grid_sum_against_per_node_oracle():
+    P = 30
+    ctx = working_context(P + 10)
+    for f in _kernel_cases():
+        for z, L in ((Fraction(3, 4), Fraction(5, 2)), (2, 3)):
+            for npts in (6, 12):
+                got = oscillatory._grid_sum(f, ctx.convert(z), ctx.convert(L),
+                                            npts, ctx)
+                want = oracles.midpoint_orthant_sum(f, z, L, npts, P + 20)
+                assert abs(got - want) <= ctx.mpf(10) ** -(P + 5) * abs(want), \
+                    (f.terms, z, npts)
+
+
+class _CountingContext:
+    """A working context that counts the exps asked of it."""
+
+    def __init__(self, ctx):
+        self._ctx = ctx
+        self.exps = 0
+
+    def exp(self, x):
+        self.exps += 1
+        return self._ctx.exp(x)
+
+    def __getattr__(self, name):
+        return getattr(self._ctx, name)
+
+
+def test_grid_sum_exps_grow_linearly_in_the_grid():
+    # at most two exps per table entry, and a table per monomial has
+    # N*|e|_1 + 1 entries: no exp per node
+    npts = 48
+    for n in (3, 4):
+        f = toric_mirror_from_rays(projective_rays(n))
+        ctx = _CountingContext(working_context(60))
+        oscillatory._grid_sum(f, ctx.mpf(1), ctx.mpf(4), npts, ctx)
+        bound = 2 * sum(npts * sum(map(abs, e)) + 1 for e, _ in f.items())
+        assert 0 < ctx.exps <= bound, (n, ctx.exps, bound)
+
+
 def test_central_charge_guards():
     J = j_projective(2, 120)
     C = make_constants(P=40)
@@ -174,6 +252,20 @@ def test_laplace_route_quadric_surface():
     assert rec["space"] == "Y(3,2)"
     assert max(rec["rel_diff"]) < mpmath.mpf(10) ** -8
     assert len(rec["lhs"]) == len(rec["rhs"]) == 3
+
+
+def test_laplace_route_builds_each_hypersurface_once(monkeypatch):
+    built = []
+
+    def counted(JX, a):
+        built.append((JX, a))
+        return quantum_lefschetz(JX, a)
+    monkeypatch.setattr(oscillatory, "quantum_lefschetz", counted)
+    JX, other = j_projective(4, 160), j_projective(4, 160)
+    for J in (JX, JX, other):
+        laplace_lefschetz_check(J, 2, Fraction(1, 20), P=20)
+    # kept per series, not per equal series
+    assert [(J is JX, a) for J, a in built] == [(True, 2), (False, 2)]
 
 
 def _bits(x):
