@@ -405,7 +405,7 @@ def cmd_lefschetz(args) -> int:
         raise UsageError("lefschetz check needs a hypersurface space X(n,d)")
     D = args.order if args.order is not None else 160
     JX = j_projective(spec.n, D)
-    rep = laplace_lefschetz_check(JX, spec.d, mpmath.mpf(args.u),
+    rep = laplace_lefschetz_check(JX, spec.d, args.u,
                                   tol=args.tol, P=args.digits)
     verdict = bool(rep.get("pass", True))
     errors = {"rel_diff": rep["rel_diff"],

@@ -8,10 +8,11 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
-from math import factorial, lcm
+from math import factorial, lcm, prod
+from operator import sub
 
 from .exactla import det
-from .jfun import JSeries, j_projective
+from .jfun import JSeries, _mul_trunc, j_projective
 from .laurent import LaurentPolynomial
 from .mirror import _compositions, constant_term_series, property_o_report
 from .ring import CohomologyRing, GradedVector, KClass
@@ -25,43 +26,22 @@ from .scalars import working_context
 def box_partitions(r: int, n: int):
     """Partitions with at most r parts, each at most n-r, as length-r tuples,
     sorted by weight then lexicographically."""
-    out = []
-    def rec(prefix, maxpart):
-        if len(prefix) == r:
-            out.append(tuple(prefix))
-            return
-        for p in range(maxpart + 1):
-            rec(prefix + [p], p)
-    rec([], n - r)
-    out.sort(key=lambda mu: (sum(mu), mu))
-    return out
+    return [mu for w in range(r * (n - r) + 1)
+            for mu in _partitions(w, r, n - r)]
+
+
+def _partitions(weight: int, r: int, top: int):
+    """Partitions of weight with at most r parts, each at most top, as
+    length-r tuples in increasing lexicographic order."""
+    if r == 0:
+        return [()] if weight == 0 else []
+    return [(p,) + rest for p in range(min(weight, top) + 1)
+            for rest in _partitions(weight - p, r - 1, p)]
 
 
 def partition_label(mu) -> str:
     trimmed = [str(p) for p in mu if p]
     return "s" + ".".join(trimmed) if trimmed else "s"
-
-
-def _poly_add(a, b):
-    out = dict(a)
-    for e, c in b.items():
-        s = out.get(e, Fraction(0)) + c
-        if s:
-            out[e] = s
-        elif e in out:
-            del out[e]
-    return out
-
-
-def _poly_mul(a, b, max_deg=None):
-    out = {}
-    for e1, c1 in a.items():
-        for e2, c2 in b.items():
-            e = tuple(x + y for x, y in zip(e1, e2))
-            if max_deg is not None and sum(e) > max_deg:
-                continue
-            out[e] = out.get(e, Fraction(0)) + c1 * c2
-    return {e: c for e, c in out.items() if c}
 
 
 def schur_polynomial(mu, r: int):
@@ -100,7 +80,10 @@ def schur_expand(poly, r: int):
 
     s_lam = a_{lam+delta} / a_delta, so the coefficient of s_lam in p is the
     coefficient of x^{lam+delta} in p * a_delta; p need not be homogeneous.
-    Coefficients are cleared to ints by their common denominator first.
+    Only the lam with at most r rows whose weight is the degree of a term of
+    p can occur, and only these are asked for.  Coefficients are cleared to
+    ints by their common denominator first; the nonzero ones come back in
+    decreasing lexicographic order of lam.
     """
     work = {e: c for e, c in poly.items() if c}
     if not _alternates(work, r, 1):
@@ -108,8 +91,10 @@ def schur_expand(poly, r: int):
     L = lcm(*(Fraction(c).denominator for c in work.values()))
     ints = {e: int(c * L) for e, c in work.items()}
     delta = tuple(range(r - 1, -1, -1))
+    lams = [lam for w in sorted({sum(e) for e in ints})
+            for lam in _partitions(w, r, w)]
     return {lam: Fraction(c, L)
-            for lam, c in sorted(_alternant_product(ints, delta).items(),
+            for lam, c in sorted(_alternant_product(ints, delta, lams).items(),
                                  reverse=True)}
 
 
@@ -121,22 +106,24 @@ def _alternates(poly, r: int, sign: int) -> bool:
                for e, c in poly.items() if c for i in range(r - 1))
 
 
-def _alternant_product(poly, v):
-    """{lam: coefficient of x^{lam+delta} in poly * a_v} over the nonzero
-    coefficients, where a_v = sum_sigma sign(sigma) x^{sigma(v)} and
-    delta = (r-1, ..., 1, 0).  With v = nu + delta and poly = s_mu these
-    are the Littlewood-Richardson coefficients c^lam_{mu nu}."""
+def _alternant_product(poly, v, lams):
+    """{lam: coefficient of x^{lam+delta} in poly * a_v} for the lam in
+    `lams` whose coefficient is nonzero, in the order of `lams`, where
+    a_v = sum_sigma sign(sigma) x^{sigma(v)} and delta = (r-1, ..., 1, 0).
+    Each coefficient is the signed sum of the r! entries poly[lam + delta -
+    sigma(v)].  With v = nu + delta and poly = s_mu these are the
+    Littlewood-Richardson coefficients c^lam_{mu nu}."""
     r = len(v)
     shifts = [(_perm_sign(p), tuple(v[i] for i in p))
               for p in itertools.permutations(range(r))]
     out = {}
-    for e, c in poly.items():
-        for sign, w in shifts:
-            t = [a + b for a, b in zip(e, w)]
-            if all(t[i] > t[i + 1] for i in range(r - 1)):
-                lam = tuple(x - (r - 1 - i) for i, x in enumerate(t))
-                out[lam] = out.get(lam, 0) + sign * c
-    return {lam: c for lam, c in out.items() if c}
+    for lam in lams:
+        t = [x + r - 1 - i for i, x in enumerate(lam)]
+        c = sum(sign * poly.get(tuple(map(sub, t, w)), 0)
+                for sign, w in shifts)
+        if c:
+            out[lam] = c
+    return out
 
 
 # --------------------------------------------------------------------------
@@ -145,13 +132,15 @@ def _alternant_product(poly, v):
 
 def schubert_ring(r: int, n: int) -> CohomologyRing:
     """Cohomology of Gr(r,n) on the Schubert basis indexed by partitions in
-    the r x (n-r) box; products are Schur expansions with out-of-box terms
-    dropped (they lie in the defining ideal)."""
+    the r x (n-r) box.  The product s_mu s_nu asks the alternant kernel for
+    its coefficients at the box partitions of weight |mu| + |nu| only; the
+    terms outside the box lie in the defining ideal and are never formed."""
     if not 1 <= r <= n - 1:
         raise ValueError("need 1 <= r <= n-1")
     parts = box_partitions(r, n)
     index = {mu: i for i, mu in enumerate(parts)}
     dim = r * (n - r)
+    by_weight = [_partitions(w, r, n - r) for w in range(dim + 1)]
     # s_mu s_nu a_delta = s_mu a_{nu+delta}: the product is read off the
     # alternant without forming s_mu s_nu
     spolys = {mu: schur_polynomial(mu, r) for mu in parts}
@@ -160,21 +149,21 @@ def schubert_ring(r: int, n: int) -> CohomologyRing:
     for i, mu in enumerate(parts):
         for j in range(i, len(parts)):
             nu = parts[j]
-            if sum(mu) + sum(nu) > dim:
+            weight = sum(mu) + sum(nu)
+            if weight > dim:
                 continue
             expansion = _alternant_product(
-                spolys[mu], tuple(x + r - 1 - k for k, x in enumerate(nu)))
-            entries = tuple((index[lam], Fraction(c))
-                            for lam, c in sorted(expansion.items())
-                            if lam[0] <= n - r)
-            if entries:
-                cup_table[(i, j)] = entries
+                spolys[mu], tuple(x + r - 1 - k for k, x in enumerate(nu)),
+                by_weight[weight])
+            if expansion:
+                cup_table[(i, j)] = tuple((index[lam], Fraction(c))
+                                          for lam, c in expansion.items())
 
     integral = tuple(Fraction(1) if mu == ((n - r),) * r else Fraction(0)
                      for mu in parts)
     c1 = tuple(Fraction(n) if mu == (1,) + (0,) * (r - 1) else Fraction(0)
                for mu in parts)
-    chTF = _expand_in_basis(_ch_tangent_poly(r, n, dim), r, n, parts, index)
+    chTF = _expand_in_basis(_ch_tangent_poly(r, n, dim), r, parts)
     return CohomologyRing(
         name=f"Gr({r},{n})",
         complex_dimension=dim,
@@ -187,34 +176,43 @@ def schubert_ring(r: int, n: int) -> CohomologyRing:
         fano_index=n)
 
 
-def _exp_series_poly(var: int, r: int, scale: int, max_deg: int):
-    """exp(scale * x_var) truncated at total degree max_deg."""
+def _exp_substitute(poly, r: int, top: int):
+    """The image of a Laurent polynomial in r variables under x^e -> e^<e,x>,
+    truncated above total degree top: each monomial becomes the product of
+    e^(e_i x_i) over the i in the support of e, so only the exponents
+    supported there are enumerated."""
+    series = {}         # e_i -> [e_i^k / k! for k <= top]
     out = {}
-    for k in range(max_deg + 1):
-        e = [0] * r
-        e[var] = k
-        out[tuple(e)] = Fraction(scale ** k, factorial(k))
-    return out
+    for e, c in poly.items():
+        terms = [((0,) * r, Fraction(c))]
+        for i, x in enumerate(e):
+            if not x:
+                continue
+            if x not in series:
+                series[x] = [Fraction(x ** k, factorial(k))
+                             for k in range(top + 1)]
+            terms = [(k[:i] + (a,) + k[i + 1:], v * series[x][a])
+                     for k, v in terms for a in range(top + 1 - sum(k))]
+        for k, v in terms:
+            out[k] = out.get(k, 0) + v
+    return {k: v for k, v in out.items() if v}
 
 
 def _ch_tangent_poly(r: int, n: int, max_deg: int):
-    """ch(T) = ch(S^dual) (n - ch(S)) with Chern roots x_i of S^dual."""
-    pos = {}
-    neg = {}
-    for i in range(r):
-        pos = _poly_add(pos, _exp_series_poly(i, r, 1, max_deg))
-        neg = _poly_add(neg, _exp_series_poly(i, r, -1, max_deg))
-    rhs = _poly_add({(0,) * r: Fraction(n)},
-                    {e: -c for e, c in neg.items()})
-    return _poly_mul(pos, rhs, max_deg=max_deg)
+    """ch(T) = ch(S^dual) (n - ch(S)) = sum_i e^{x_i} (n - sum_j e^{-x_j})
+    with Chern roots x_i of S^dual: the exponential substitution of
+    n sum_i x_i - sum_{i,j} x_i / x_j."""
+    unit = [tuple(int(t == i) for t in range(r)) for i in range(r)]
+    poly = {u: n for u in unit}
+    poly[(0,) * r] = -r
+    for a, b in itertools.permutations(unit, 2):
+        poly[tuple(x - y for x, y in zip(a, b))] = -1
+    return _exp_substitute(poly, r, max_deg)
 
 
-def _expand_in_basis(poly, r, n, parts, index):
-    coeffs = [Fraction(0)] * len(parts)
-    for mu, c in schur_expand(poly, r).items():
-        if mu[0] <= n - r:
-            coeffs[index[mu]] = c
-    return tuple(coeffs)
+def _expand_in_basis(poly, r, parts):
+    expansion = schur_expand(poly, r)
+    return tuple(expansion.get(mu, Fraction(0)) for mu in parts)
 
 
 # --------------------------------------------------------------------------
@@ -271,11 +269,14 @@ def satake_map(a: AntiSymmetricElement, R: CohomologyRing) -> GradedVector:
 def bcfk_j_series(r: int, n: int, D: int) -> JSeries:
     """J-series of Gr(r,n) from the product-of-projective-spaces series.
 
-    The degree-nm coefficient is assembled exactly: for each ordered
-    multidegree d with |d| = m the twisted product
-    prod_{i<j}(x_i - x_j + d_i - d_j) * prod_i Jcoeff_{d_i}(x_i) is summed,
-    the total is checked to be antisymmetric, its terms with strictly
-    decreasing exponents are its wedge coordinates, and these are pushed
+    The degree-nm coefficient is the sum, over the ordered multidegrees d
+    with |d| = m, of the twisted products
+    prod_{i<j}(x_i - x_j + d_i - d_j) * prod_i Jcoeff_{d_i}(x_i).  The first
+    factor is the Vandermonde determinant in y_i = x_i + d_i, so each
+    product is det[y_i^(r-1-j) Jcoeff_{d_i}(x_i)], and its wedge coordinate
+    at k_1 > ... > k_r is the r x r minor of the x^{k_i}-coefficients.  The
+    rows of one degree d are cleared to ints by one common denominator, the
+    minors are integer determinants, and the wedge coordinates are pushed
     through the Satake identification.  The phase is the sign
     (-1)^((r-1)m): the sigma_1 exponentials e^(-+i pi (r-1) sigma_1) cancel
     to the unit class, and xi^(nm) = e^(i pi (r-1) m).
@@ -285,52 +286,31 @@ def bcfk_j_series(r: int, n: int, D: int) -> JSeries:
     R = schubert_ring(r, n)
     mmax = D // n
     JP = j_projective(n, n * mmax) if mmax > 0 else j_projective(n, n)
-    glists = {d: JP.coefficient(n * d).coeffs for d in range(mmax + 1)}
+    # rows[d][k]: the x^k-coefficients of y^(r-1-j) Jcoeff_d(x), y = x + d,
+    # for j = 0..r-1, times scale[d]
+    rows, scale = {}, {}
+    for d in range(mmax + 1):
+        powers = [[Fraction(1)]]
+        for _ in range(r - 1):
+            powers.append(_mul_trunc(powers[-1], (d, 1), n))
+        polys = [_mul_trunc(p, JP.coefficient(n * d).coeffs, n)
+                 for p in reversed(powers)]
+        scale[d] = lcm(*(c.denominator for p in polys for c in p))
+        rows[d] = [tuple(int(p[k] * scale[d]) for p in polys)
+                   for k in range(n)]
 
     coeffs = {0: R.unit()}
     for m in range(1, mmax + 1):
-        poly = {}
-        for d in _compositions(m, r):
-            poly = _poly_add(poly, _twisted_term(d, glists, r, n))
-        if not _alternates(poly, r, -1):
-            raise ArithmeticError(f"degree {n * m} total is not antisymmetric")
-        wedge = AntiSymmetricElement(r=r, n=n, coeffs={
-            e: c for e, c in poly.items()
-            if all(e[i] > e[i + 1] for i in range(r - 1))})
+        comps = [(d, prod(scale[x] for x in d)) for d in _compositions(m, r)]
+        coords = {}
+        for K in itertools.combinations(range(n - 1, -1, -1), r):
+            c = sum(Fraction(det([rows[x][k] for x, k in zip(d, K)]), L)
+                    for d, L in comps)
+            if c:
+                coords[K] = c
+        wedge = AntiSymmetricElement(r=r, n=n, coeffs=coords)
         coeffs[n * m] = (-1) ** ((r - 1) * m) * satake_map(wedge, R)
     return JSeries(ring=R, D=D, fano_index=n, coeffs=coeffs)
-
-
-def _twisted_term(d, glists, r, n):
-    poly = {}
-    for exps in itertools.product(*(range(n) for _ in range(r))):
-        c = Fraction(1)
-        for i in range(r):
-            c *= glists[d[i]][exps[i]]
-            if not c:
-                break
-        if c:
-            poly[exps] = c
-    for i in range(r):
-        for j in range(i + 1, r):
-            poly = _mul_linear(poly, i, j, d[i] - d[j], n)
-    return poly
-
-
-def _mul_linear(poly, i, j, const, n):
-    """Multiply by (x_i - x_j + const), truncating each exponent below n."""
-    out = {}
-    for e, c in poly.items():
-        if const:
-            k = tuple(e)
-            out[k] = out.get(k, Fraction(0)) + const * c
-        if e[i] + 1 < n:
-            k = tuple(x + 1 if t == i else x for t, x in enumerate(e))
-            out[k] = out.get(k, Fraction(0)) + c
-        if e[j] + 1 < n:
-            k = tuple(x + 1 if t == j else x for t, x in enumerate(e))
-            out[k] = out.get(k, Fraction(0)) - c
-    return {e: c for e, c in out.items() if c}
 
 
 # --------------------------------------------------------------------------
@@ -444,18 +424,8 @@ def e_mu_class(R: CohomologyRing, mu, r: int, n: int,
                label: str | None = None) -> KClass:
     """K-class with Chern character the Schur polynomial of mu evaluated at
     the exponentials of the tautological Chern roots."""
-    dim = r * (n - r)
-    spoly = schur_polynomial(mu, r)
-    total = {}
-    for e, c in spoly.items():
-        term = {(0,) * r: c}
-        for i in range(r):
-            if e[i]:
-                term = _poly_mul(term, _exp_series_poly(i, r, e[i], dim),
-                                 max_deg=dim)
-        total = _poly_add(total, term)
-    parts = box_partitions(r, n)
-    index = {p: i for i, p in enumerate(parts)}
-    ch = _expand_in_basis(total, r, n, parts, index)
+    ch = _expand_in_basis(_exp_substitute(schur_polynomial(mu, r), r,
+                                          r * (n - r)),
+                          r, box_partitions(r, n))
     suffix = partition_label(mu)[1:]
     return KClass(ch=R.vector(ch), label=label or (f"E{suffix}" if suffix else "E"))

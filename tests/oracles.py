@@ -252,6 +252,108 @@ def schur_jacobi_trudi(mu, r: int) -> dict:
     return {e: c for e, c in total.items() if c}
 
 
+def _poly_add(a, b):
+    out = dict(a)
+    for e, c in b.items():
+        out[e] = out.get(e, Fraction(0)) + c
+    return {e: c for e, c in out.items() if c}
+
+
+def _poly_mul(a, b, max_deg):
+    """Product of dict polynomials, dropping terms of total degree above
+    max_deg."""
+    out = {}
+    for e1, c1 in a.items():
+        for e2, c2 in b.items():
+            e = tuple(x + y for x, y in zip(e1, e2))
+            if sum(e) <= max_deg:
+                out[e] = out.get(e, Fraction(0)) + c1 * c2
+    return {e: c for e, c in out.items() if c}
+
+
+def exp_substitute(poly, r: int, top: int) -> dict:
+    """Image of a Laurent polynomial in r variables under x^e -> e^<e,x>,
+    truncated above total degree top, as a product of truncated
+    exponentials: each monomial c x^e is {0: c} times the series
+    sum_k (e_i x_i)^k / k! of every variable with e_i != 0."""
+    total = {}
+    for e, c in poly.items():
+        term = {(0,) * r: c}
+        for i in range(r):
+            if e[i]:
+                series = {tuple(k if t == i else 0 for t in range(r)):
+                          Fraction(e[i] ** k, factorial(k))
+                          for k in range(top + 1)}
+                term = _poly_mul(term, series, top)
+        total = _poly_add(total, term)
+    return total
+
+
+def bcfk_twisted_products(r: int, n: int, D: int) -> dict:
+    """Wedge coordinates of the abelian/non-abelian J-series of Gr(r,n).
+
+    For m = 1..D//n, the twisted products
+    prod_{i<j}(x_i - x_j + d_i - d_j) * prod_i J_{d_i}(x_i) over the ordered
+    compositions d of m into r parts are multiplied out as dict polynomials
+    in r variables, each exponent truncated below n, with
+    J_d(h) = prod_{k=1..d} (h+k)^(-n) mod h^n the projective-space
+    coefficient.  The total is asserted antisymmetric; its terms with
+    strictly decreasing exponents, times (-1)^((r-1)m), are returned as
+    {n m: {(k_1 > ... > k_r): Fraction}}.
+    """
+    def inverse(series):
+        out = []
+        for j in range(n):
+            out.append((Fraction(int(j == 0)) - sum(
+                series[i] * out[j - i] for i in range(1, j + 1))) / series[0])
+        return out
+
+    jcoeff = [[Fraction(1)] + [Fraction(0)] * (n - 1)]
+    for k in range(1, D // n + 1):
+        step = inverse([Fraction(comb(n, j) * k ** (n - j))
+                        for j in range(n)])
+        jcoeff.append([sum(jcoeff[-1][i] * step[j - i] for i in range(j + 1))
+                       for j in range(n)])
+
+    def compositions(total, parts):
+        if parts == 1:
+            yield (total,)
+            return
+        for first in range(total + 1):
+            for rest in compositions(total - first, parts - 1):
+                yield (first,) + rest
+
+    out = {}
+    for m in range(1, D // n + 1):
+        total = {}
+        for d in compositions(m, r):
+            term = {}
+            for exps in product(range(n), repeat=r):
+                c = Fraction(1)
+                for i in range(r):
+                    c *= jcoeff[d[i]][exps[i]]
+                if c:
+                    term[exps] = c
+            for i in range(r):
+                for j in range(i + 1, r):
+                    factor = {}
+                    for e, c in term.items():
+                        factor[e] = factor.get(e, 0) + (d[i] - d[j]) * c
+                        for t, s in ((i, 1), (j, -1)):
+                            if e[t] + 1 < n:
+                                up = e[:t] + (e[t] + 1,) + e[t + 1:]
+                                factor[up] = factor.get(up, 0) + s * c
+                    term = {e: c for e, c in factor.items() if c}
+            total = _poly_add(total, term)
+        for e, c in total.items():
+            for i in range(r - 1):
+                swapped = e[:i] + (e[i + 1], e[i]) + e[i + 2:]
+                assert total.get(swapped, 0) == -c, (m, e)
+        out[n * m] = {e: (-1) ** ((r - 1) * m) * c for e, c in total.items()
+                      if all(e[i] > e[i + 1] for i in range(r - 1))}
+    return out
+
+
 def cone_contains(generators, w) -> bool:
     """w a nonnegative combination of the generators, by Caratheodory: then
     it is one of a linearly independent subset, so every independent subset

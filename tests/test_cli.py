@@ -7,7 +7,7 @@ from pathlib import Path
 import mpmath
 import pytest
 
-from qgamma.cli import main
+from qgamma.cli import _COMMANDS, main
 from qgamma.grassmann import ehx_constant_terms
 from qgamma.scalars import working_context
 
@@ -390,3 +390,38 @@ def test_readme_commands_run(capsys):
     for argv in commands:
         rc, out, err = run(capsys, argv)
         assert rc == 0, (argv, err)
+
+
+SMALL_REQUESTS = [
+    ["ring", "--space", "Gr(2,4)"],
+    ["gamma", "--space", "P2"],
+    ["jseries", "--space", "Gr(2,4)", "-D", "8"],
+    ["qperiod", "--space", "P1xP1", "-N", "6"],
+    ["conifold", "--space", "P2"],
+    ["spectrum", "--space", "Gr(2,5)"],
+    ["check-gamma1", "--space", "P1", "-D", "120", "--tmax", "12", "-k", "4"],
+    ["apery", "--space", "Gr(2,4)", "-N", "4"],
+    ["oscillatory", "--space", "P1", "--t", "0.7", "-D", "80",
+     "--quad-tol", "1e-8"],
+    ["lefschetz", "--space", "X(4,2)", "-D", "40", "--u", "0.05",
+     "--tol", "1e-8"],
+    ["gram", "--space", "P3"],
+    ["mutate", "--space", "P4", "--word", "R1 L2"],
+    ["fekete", "--space", "P2", "-N", "4"],
+]
+
+
+def test_small_requests_cover_every_subcommand():
+    assert [argv[0] for argv in SMALL_REQUESTS] == list(_COMMANDS)
+
+
+@pytest.mark.parametrize("argv", SMALL_REQUESTS, ids=lambda argv: argv[0])
+def test_output_ignores_global_precision(capsys, argv):
+    # every subcommand computes in its own contexts: a caller that lowered
+    # mpmath's global precision gets the same bytes
+    argv = argv + ["--digits", "20"]
+    want = run(capsys, argv)
+    assert want[0] == 0, want[2]
+    with mpmath.workdps(5):
+        got = run(capsys, argv)
+    assert got == want

@@ -1,5 +1,6 @@
 import itertools
 import math
+import random
 from fractions import Fraction
 
 import mpmath
@@ -10,8 +11,9 @@ from qgamma.grassmann import (box_partitions, bcfk_j_series, e_mu_class,
                               euler_matrix_grassmann, grassmann_spectrum,
                               partition_label, satake_map, schubert_ring,
                               schur_expand, schur_polynomial,
-                              wedge_from_vectors, _alternates,
-                              _ch_tangent_poly, _chi_projective)
+                              wedge_from_vectors, _alternant_product,
+                              _alternates, _ch_tangent_poly,
+                              _chi_projective, _exp_substitute)
 from qgamma.jfun import quantum_period
 from qgamma.mirror import conifold_point, constant_term_series, \
     projective_rays, toric_mirror_from_rays
@@ -32,17 +34,44 @@ def test_box_partitions():
 
 
 def test_schur_ring_products_are_lr_coefficients():
-    for r, n in ((2, 4), (2, 5), (3, 6)):
+    # every pair on the smaller boxes, a seeded sample of Gr(4,8) pairs;
+    # every box coefficient, the zeros of the right weight included
+    rng = random.Random(14)
+    zeros = 0
+    for r, n in ((2, 4), (2, 5), (3, 6), (3, 7), (4, 8)):
         R = schubert_ring(r, n)
         parts = box_partitions(r, n)
         index = {mu: i for i, mu in enumerate(parts)}
-        for mu in parts:
-            for nu in parts:
-                prod = cup(R.basis_vector(index[mu]),
-                           R.basis_vector(index[nu]))
-                for lam in parts:
-                    want = oracles.littlewood_richardson(mu, nu, lam)
-                    assert prod.coeffs[index[lam]] == want, (mu, nu, lam)
+        pairs = [(mu, nu) for mu in parts for nu in parts]
+        if r == 4:
+            pairs = rng.sample([(mu, nu) for mu, nu in pairs
+                                if sum(mu) + sum(nu) <= R.complex_dimension],
+                               150)
+        for mu, nu in pairs:
+            prod = cup(R.basis_vector(index[mu]), R.basis_vector(index[nu]))
+            for lam in parts:
+                want = oracles.littlewood_richardson(mu, nu, lam)
+                assert prod.coeffs[index[lam]] == want, (mu, nu, lam)
+                zeros += r == 4 and not want and \
+                    sum(lam) == sum(mu) + sum(nu)
+    assert zeros > 0
+
+
+def test_alternant_product_omits_zero_coefficients():
+    # s_1.1 s_1.1 = s_2.2 in two variables; s_4 and s_3.1 are asked for and
+    # have coefficient 0, a partition of another weight likewise
+    s11 = schur_polynomial((1, 1), 2)
+    lams = [(4, 0), (3, 1), (2, 2), (3, 0)]
+    got = _alternant_product(s11, (2, 1), lams)
+    assert got == {(2, 2): 1}
+    assert [oracles.littlewood_richardson((1, 1), (1, 1), lam)
+            for lam in lams] == [0, 0, 1, 0]
+    # s_1.1 s_2 = s_3.1 + s_2.1.1 in three variables, in the order asked
+    lams = [(2, 1, 1), (2, 2, 0), (3, 1, 0)]
+    got = _alternant_product(schur_polynomial((1, 1, 0), 3), (4, 1, 0), lams)
+    assert list(got) == [(2, 1, 1), (3, 1, 0)]
+    assert all(got.get(lam, 0) == oracles.littlewood_richardson(
+        (1, 1), (2,), lam) for lam in lams)
 
 
 def test_schur_polynomial_matches_jacobi_trudi_oracle():
@@ -114,6 +143,7 @@ def test_schur_expand_matches_oracle_without_box():
     expansion = schur_expand(prod, r)
     # two-row targets of weight 5: every coefficient, including the zeros
     assert expansion == {(4, 1): 1, (3, 2): 1}
+    assert list(expansion) == [(4, 1), (3, 2)]
     for lam in [(5, 0), (4, 1), (3, 2)]:
         assert expansion.get(lam, 0) == \
             oracles.littlewood_richardson(mu, nu, lam), lam
@@ -210,6 +240,40 @@ def test_ch_tangent_poly_against_direct_expansion():
     assert {e: c for e, c in back.items() if c} == want
 
 
+def test_exp_substitute_against_exponential_products():
+    # e_mu: s_mu at the exponentials of the Chern roots; ch T: the
+    # substitution of n sum_i x_i - sum_{i,j} x_i/x_j; and a hand-built
+    # Laurent polynomial with negative exponents and a constant
+    for r, n in ((2, 4), (2, 5), (3, 6)):
+        R = schubert_ring(r, n)
+        parts = box_partitions(r, n)
+        top = r * (n - r)
+        for mu in parts:
+            spoly = schur_polynomial(mu, r)
+            want = oracles.exp_substitute(spoly, r, top)
+            assert _exp_substitute(spoly, r, top) == want, mu
+            expansion = schur_expand(want, r)
+            ch = e_mu_class(R, mu, r, n).ch.coeffs
+            assert ch == tuple(expansion.get(lam, 0) for lam in parts), mu
+            assert all(type(c) is Fraction for c in ch)
+    for r, n in ((1, 3), (2, 4), (2, 6), (3, 6), (3, 7), (4, 8)):
+        unit = [tuple(int(t == i) for t in range(r)) for i in range(r)]
+        laurent = {u: n for u in unit}
+        laurent[(0,) * r] = -r
+        for a, b in itertools.permutations(unit, 2):
+            laurent[tuple(x - y for x, y in zip(a, b))] = -1
+        top = r * (n - r)
+        got = _ch_tangent_poly(r, n, top)
+        assert got == oracles.exp_substitute(laurent, r, top), (r, n)
+        assert all(type(c) is Fraction for c in got.values())
+    poly = {(2, -1, 0): 3, (0, 0, -2): Fraction(-1, 2), (1, 1, 1): 1,
+            (0, -3, 1): Fraction(2, 7), (0, 0, 0): 5}
+    for top in (0, 1, 4, 6):
+        assert _exp_substitute(poly, 3, top) == \
+            oracles.exp_substitute(poly, 3, top), top
+    assert _exp_substitute(poly, 3, 0) == {(0, 0, 0): Fraction(123, 14)}
+
+
 def test_satake_map_examples():
     R = schubert_ring(2, 4)
     unit_wedge = wedge_from_vectors([[0, 1, 0, 0], [1, 0, 0, 0]], 4)
@@ -250,6 +314,26 @@ def test_bcfk_matches_ladder_mirror(r, n, D, pinned):
         assert G.coefficient(d) == E.coefficient(d), d
     for d, want in pinned.items():
         assert E.coefficient(d) == want, d
+
+
+@pytest.mark.parametrize("r, n, D", [
+    (1, 3, 12), (2, 4, 24), (2, 5, 20), (2, 6, 18), (3, 6, 18), (3, 7, 14),
+    (4, 8, 16)])
+def test_bcfk_minors_equal_twisted_products(r, n, D):
+    # the integer-minor route against the products multiplied out in r
+    # variables, with their antisymmetry asserted; Fractions on both sides
+    J = bcfk_j_series(r, n, D)
+    want = oracles.bcfk_twisted_products(r, n, D)
+    assert sorted(J.coeffs) == [0] + sorted(want)
+    parts = box_partitions(r, n)
+    for d, wedge in want.items():
+        vec = [Fraction(0)] * len(parts)
+        for K, c in wedge.items():
+            mu = tuple(k - (r - 1 - i) for i, k in enumerate(K))
+            vec[parts.index(mu)] = c
+        got = J.coeffs[d].coeffs
+        assert got == tuple(vec), d
+        assert all(type(c) is Fraction for c in got), d
 
 
 def test_ladder_minimum_is_spectral_radius():
