@@ -97,15 +97,15 @@ def principal_asymptotic_class(J: JSeries, cfg: ExtrapolationConfig) -> dict:
     return {"limit": limit, "component_errors": errors, "error": max(errors)}
 
 
-def gamma_I_verdict(R: CohomologyRing, J: JSeries, cfg: ExtrapolationConfig,
-                    tol, expected: GradedVector | None = None) -> dict:
+def gamma_I_verdict(J: JSeries, cfg: ExtrapolationConfig, tol,
+                    expected: GradedVector | None = None) -> dict:
     """Componentwise comparison of the extrapolated limit with the Gamma class.
 
     `expected` overrides the comparison target (used for negative controls);
-    by default the Gamma class is computed from the ring's tangent data.
+    by default the Gamma class is computed from the tangent data of the
+    series' ring.
     """
-    if R is not J.ring:
-        raise ValueError("ring does not carry the series")
+    R = J.ring
     ctx = working_context(cfg.precision)
     if expected is None:
         C = make_constants(P=cfg.precision)

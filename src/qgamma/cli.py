@@ -1,10 +1,12 @@
 """Command-line front end.
 
-Every subcommand emits one deterministic JSON document (or CSV where it is
-the natural shape) carrying tool_version, config_echo, a value or verdict,
-and error estimates.  Exit codes: 0 = success / check passed, 1 = the
-computation ran but a verification failed, 2 = usage error or resource
-abort.
+Every subcommand returns (payload, verdict): the payload fields (or CSV
+text, where that is the natural shape) and True, False or None for a
+command that states no verdict.  `main` alone writes the output, one
+deterministic JSON document carrying tool_version, config_echo, the value,
+the verdict and error estimates, and sets the exit code: 0 = success /
+check passed, 1 = the computation ran but a verification failed, 2 = usage
+error or resource abort.
 """
 
 from __future__ import annotations
@@ -121,19 +123,17 @@ class SpaceSpec:
                          "use the lefschetz or conifold command")
 
     def jseries(self, D: int, P: int):
-        """(ring, J-series, extras) for spaces carrying a J-function."""
+        """(J-series, extras) for spaces carrying a J-function."""
         if self.kind == "projective":
-            J = j_projective(self.n, D)
-            return J.ring, J, {}
+            return j_projective(self.n, D), {}
         if self.kind == "grassmannian":
-            J = bcfk_j_series(self.r, self.n, D)
-            return J.ring, J, {}
+            return bcfk_j_series(self.r, self.n, D), {}
         if self.kind == "hypersurface":
             r = self.n - self.d
             DX = -(-D * self.n // r)
             out = quantum_lefschetz(j_projective(self.n, DX), self.d, DY=D)
-            return out["JY"].ring, out["JY"], {"c0": out["c0"],
-                                               "T0": _t0_value(self.d, r, P)}
+            return out["JY"], {"c0": out["c0"],
+                               "T0": _t0_value(self.d, r, P)}
         raise UsageError(f"no J-series construction for {self.label()}")
 
 
@@ -223,59 +223,53 @@ def _render(x, P: int):
     return str(x)
 
 
-def _emit(doc, args) -> None:
-    """Write a JSON payload, or CSV text, to stdout and to --output."""
+def _emit(args, doc, verdict) -> int:
+    """Write a command's result to stdout and to --output; return the exit
+    code, 1 for a false verdict and 0 otherwise.
+
+    A dict `doc` holds the payload fields and is written as the JSON
+    envelope, which carries "verdict" unless `verdict` is None; text (CSV)
+    is written as it is.
+    """
     if isinstance(doc, str):
         text = doc
     else:
+        echo = {k: v for k, v in vars(args).items()
+                if v is not None and k not in ("command", "config", "output")}
+        doc = {"tool_version": TOOL_VERSION, "command": args.command,
+               "config_echo": echo, "error_estimates": {}, **doc}
+        if verdict is not None:
+            doc["verdict"] = bool(verdict)
         text = json.dumps(_render(doc, args.digits), sort_keys=True,
                           indent=2) + "\n"
     sys.stdout.write(text)
     if args.output:
         Path(args.output).write_text(text)
-
-
-def _payload(args, command: str, error_estimates=None, **fields) -> dict:
-    echo = {k: v for k, v in vars(args).items()
-            if v is not None and k not in ("command", "config", "output")}
-    return {"tool_version": TOOL_VERSION, "command": command,
-            "config_echo": echo, "error_estimates": error_estimates or {},
-            **fields}
+    return 0 if verdict is None or verdict else 1
 
 
 # ---------------------------------------------------------------------------
-# subcommands (each returns the exit code)
+# subcommands: each returns (payload fields or CSV text, verdict), the
+# verdict None where the command states none
 
 
-def cmd_ring(args) -> int:
-    spec = parse_space(args.space)
+def cmd_ring(args, spec):
+    return {"value": ring_to_json_dict(spec.build_ring())}, None
+
+
+def cmd_gamma(args, spec):
     R = spec.build_ring()
-    _emit(_payload(args, "ring", value=ring_to_json_dict(R)), args)
-    return 0
+    g = gamma_class(R, make_constants(P=args.digits))
+    return {"value": dict(zip(R.basis, g.coeffs))}, None
 
 
-def cmd_gamma(args) -> int:
-    spec = parse_space(args.space)
-    R = spec.build_ring()
-    C = make_constants(P=args.digits)
-    g = gamma_class(R, C)
-    value = {label: c for label, c in zip(R.basis, g.coeffs)}
-    _emit(_payload(args, "gamma", value=value), args)
-    return 0
-
-
-def cmd_jseries(args) -> int:
-    spec = parse_space(args.space)
+def cmd_jseries(args, spec):
     D = args.order if args.order is not None else 20
-    _, J, extras = spec.jseries(D, args.digits)
-    value = jseries_to_json_dict(J, spec.label())
-    value.update(extras)
-    _emit(_payload(args, "jseries", value=value), args)
-    return 0
+    J, extras = spec.jseries(D, args.digits)
+    return {"value": {**jseries_to_json_dict(J, spec.label()), **extras}}, None
 
 
-def cmd_qperiod(args) -> int:
-    spec = parse_space(args.space)
+def cmd_qperiod(args, spec):
     N = args.N if args.N is not None else 10
     if spec.kind == "projective":
         qp = quantum_period(j_projective(spec.n, N))
@@ -284,17 +278,14 @@ def cmd_qperiod(args) -> int:
     else:
         qp = constant_term_series(spec.mirror(), N)
     if args.format == "csv":
-        _emit(qp.to_csv(), args)
-        return 0
+        return qp.to_csv(), None
     rows = [{"d": d, "exact": str(qp.coefficient(d)),
              "float": qp.float_str(d, args.digits)}
             for d in qp.nonzero_degrees()]
-    _emit(_payload(args, "qperiod", value=rows), args)
-    return 0
+    return {"value": rows}, None
 
 
-def cmd_conifold(args) -> int:
-    spec = parse_space(args.space)
+def cmd_conifold(args, spec):
     if spec.kind == "hypersurface":
         f = przyjalkowski_model(spec.n - 1, spec.d)
     else:
@@ -303,15 +294,12 @@ def cmd_conifold(args) -> int:
     value = {"T0": res.T_con, "location": list(res.x_con),
              "newton_iterations": res.newton_iterations,
              "hessian_positive": res.hessian_positive}
-    _emit(_payload(args, "conifold", value=value,
-                   verdict=bool(res.hessian_positive),
-                   error_estimates={"gradient_norm": res.gradient_norm}),
-          args)
-    return 0 if res.hessian_positive else 1
+    return ({"value": value,
+             "error_estimates": {"gradient_norm": res.gradient_norm}},
+            res.hessian_positive)
 
 
-def cmd_spectrum(args) -> int:
-    spec = parse_space(args.space)
+def cmd_spectrum(args, spec):
     if spec.kind == "grassmannian":
         s = grassmann_spectrum(spec.r, spec.n, P=args.digits)
         report = s["property_o"]
@@ -329,34 +317,27 @@ def cmd_spectrum(args) -> int:
                  "property_o": report}
     else:
         raise UsageError(f"spectrum needs P<n> or Gr(r,n), got {spec.label()}")
-    verdict = bool(report["satisfied"])
-    _emit(_payload(args, "spectrum", value=value, verdict=verdict), args)
-    return 0 if verdict else 1
+    return {"value": value}, report["satisfied"]
 
 
-def cmd_check_gamma1(args) -> int:
-    spec = parse_space(args.space)
+def cmd_check_gamma1(args, spec):
     D = args.order if args.order is not None else 600
-    R, J, _ = spec.jseries(D, args.digits)
+    J, _ = spec.jseries(D, args.digits)
     cfg = ExtrapolationConfig(t_grid=make_grid(args.tmax, args.korder),
                               order=args.korder, precision=args.digits)
     tol = args.tol if args.tol is not None else 1e-4
-    verdict = gamma_I_verdict(R, J, cfg, tol)
-    errors = {"worst_difference": verdict["worst_difference"],
+    report = gamma_I_verdict(J, cfg, tol)
+    errors = {"worst_difference": report["worst_difference"],
               "extrapolation": [c["extrapolation_error"]
-                                for c in verdict["component_errors"]]}
-    _emit(_payload(args, "check-gamma1", value=verdict,
-                   verdict=bool(verdict["pass"]), error_estimates=errors),
-          args)
-    return 0 if verdict["pass"] else 1
+                                for c in report["component_errors"]]}
+    return {"value": report, "error_estimates": errors}, report["pass"]
 
 
-def cmd_apery(args) -> int:
-    spec = parse_space(args.space)
+def cmd_apery(args, spec):
     N = args.N if args.N is not None else 20
     D = args.order if args.order is not None else spec.fano_index() * N
-    R, J, _ = spec.jseries(D, args.digits)
-    kern = kernel_c1(R)
+    J, _ = spec.jseries(D, args.digits)
+    kern = kernel_c1(J.ring)
     if not kern:
         raise UsageError(f"{spec.label()} has no primitive classes to pair")
     idx = args.kernel_index if args.kernel_index is not None else len(kern) - 1
@@ -369,54 +350,39 @@ def cmd_apery(args) -> int:
              "n": list(res["n"]), "ratios": list(res["ratios"]),
              "accelerated": res["accelerated"], "target": res["target"]}
     gap = abs(res["ratios"][-1] - res["target"])
-    _emit(_payload(args, "apery", value=value,
-                   error_estimates={"last_gap": gap}), args)
-    return 0
+    return {"value": value, "error_estimates": {"last_gap": gap}}, None
 
 
-def cmd_oscillatory(args) -> int:
-    spec = parse_space(args.space)
+def cmd_oscillatory(args, spec):
     if spec.kind != "projective":
         raise UsageError("oscillatory check is wired for P<n> spaces")
     D = args.order if args.order is not None else 400
-    R, J, _ = spec.jseries(D, args.digits)
-    C = make_constants(P=args.digits)
-    g = gamma_class(R, C)
-    ctx = working_context(args.digits + 10)
-    t = ctx.mpf(args.t)
-    z = 1 / t
+    J, _ = spec.jseries(D, args.digits)
+    g = gamma_class(J.ring, make_constants(P=args.digits))
+    t = working_context(args.digits + 10).mpf(args.t)
     Z = central_charge_structure_sheaf(J, g, t, P=args.digits)
     q = QuadratureConfig(tol=args.quad_tol, precision=args.digits)
-    osc = oscillatory_integral(spec.mirror(), z, q)
+    osc = oscillatory_integral(spec.mirror(), 1 / t, q)
     rel = abs(Z - osc) / abs(Z)
     tol = args.tol if args.tol is not None else 1e-6
-    verdict = bool(rel < tol)
-    _emit(_payload(args, "oscillatory", verdict=verdict,
-                   value={"t": t, "central_charge": Z,
-                          "oscillatory_integral": osc,
-                          "relative_difference": rel, "tol": tol},
-                   error_estimates={"relative_difference": rel}), args)
-    return 0 if verdict else 1
+    return ({"value": {"t": t, "central_charge": Z,
+                       "oscillatory_integral": osc,
+                       "relative_difference": rel, "tol": tol},
+             "error_estimates": {"relative_difference": rel}}, rel < tol)
 
 
-def cmd_lefschetz(args) -> int:
-    spec = parse_space(args.space)
+def cmd_lefschetz(args, spec):
     if spec.kind != "hypersurface":
         raise UsageError("lefschetz check needs a hypersurface space X(n,d)")
     D = args.order if args.order is not None else 160
-    JX = j_projective(spec.n, D)
-    rep = laplace_lefschetz_check(JX, spec.d, args.u,
+    rep = laplace_lefschetz_check(j_projective(spec.n, D), spec.d, args.u,
                                   tol=args.tol, P=args.digits)
-    verdict = bool(rep.get("pass", True))
     errors = {"rel_diff": rep["rel_diff"],
               "quad_error": rep["grid_params"]["quad_error"]}
-    _emit(_payload(args, "lefschetz", verdict=verdict, value=rep,
-                   error_estimates=errors), args)
-    return 0 if verdict else 1
+    return {"value": rep, "error_estimates": errors}, rep.get("pass", True)
 
 
-def cmd_gram(args) -> int:
-    spec = parse_space(args.space)
+def cmd_gram(args, spec):
     if spec.kind != "projective":
         raise UsageError("gram is wired for the twisting sheaves on P<n>")
     coll = exceptional.beilinson_collection(spec.n)
@@ -428,20 +394,16 @@ def cmd_gram(args) -> int:
         for lab, row in zip(labels, g["integers"]):
             lines.append(lab + "," + ",".join("" if x is None else str(x)
                                               for x in row))
-        _emit("\n".join(lines) + "\n", args)
-        return 0 if integral else 1
-    _emit(_payload(args, "gram", verdict=integral,
-                   value={"labels": labels, "integers": g["integers"]},
-                   error_estimates={"max_residual": g["max_residual"]}),
-          args)
-    return 0 if integral else 1
+        return "\n".join(lines) + "\n", integral
+    return ({"value": {"labels": labels, "integers": g["integers"]},
+             "error_estimates": {"max_residual": g["max_residual"]}},
+            integral)
 
 
 _WORD_RE = re.compile(r"^([RL])(\d+)$")
 
 
-def cmd_mutate(args) -> int:
-    spec = parse_space(args.space)
+def cmd_mutate(args, spec):
     if spec.kind != "projective":
         raise UsageError("mutate is wired for the twisting sheaves on P<n>")
     basis = exceptional.marked_beilinson_basis(spec.n, args.digits)
@@ -462,29 +424,19 @@ def cmd_mutate(args) -> int:
     integral = all(x is not None for row in g["integers"] for x in row)
     order = exceptional.unitriangular_order(g["integers"]) if integral \
         else None
-    verdict = integral and order is not None
-    _emit(_payload(args, "mutate", verdict=verdict,
-                   value={"labels": list(basis.labels),
-                          "rows": [list(r) for r in basis.rows],
-                          "gram_integers": g["integers"],
-                          "resort_order": order},
-                   error_estimates={"max_residual": g["max_residual"]}),
-          args)
-    return 0 if verdict else 1
+    return ({"value": {"labels": list(basis.labels),
+                       "rows": [list(r) for r in basis.rows],
+                       "gram_integers": g["integers"],
+                       "resort_order": order},
+             "error_estimates": {"max_residual": g["max_residual"]}},
+            order is not None)
 
 
-def cmd_fekete(args) -> int:
-    spec = parse_space(args.space)
+def cmd_fekete(args, spec):
     N = args.N if args.N is not None else 12
-    if args.index is not None:
-        r = args.index
-    else:
-        r = spec.fano_index()
-    f = spec.mirror()
-    rep = fekete_limit(f, r, N, P=args.digits)
-    verdict = bool(rep["supermultiplicative"])
-    _emit(_payload(args, "fekete", verdict=verdict, value=rep), args)
-    return 0 if verdict else 1
+    r = args.index if args.index is not None else spec.fano_index()
+    rep = fekete_limit(spec.mirror(), r, N, P=args.digits)
+    return {"value": rep}, rep["supermultiplicative"]
 
 
 # ---------------------------------------------------------------------------
@@ -620,7 +572,8 @@ def main(argv=None) -> int:
             return 2
         if args.digits < 15:
             raise UsageError("need at least 15 digits")
-        return _COMMANDS[args.command](args)
+        doc, verdict = _COMMANDS[args.command](args, parse_space(args.space))
+        return _emit(args, doc, verdict)
     except (ResourceBudgetExceeded, PartialPeriodError) as e:
         print(f"resource abort: {e}", file=sys.stderr)
         return 2

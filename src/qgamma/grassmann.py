@@ -86,7 +86,7 @@ def schur_expand(poly, r: int):
     decreasing lexicographic order of lam.
     """
     work = {e: c for e, c in poly.items() if c}
-    if not _alternates(work, r, 1):
+    if not _is_symmetric(work, r):
         raise ValueError("input polynomial is not symmetric")
     L = lcm(*(Fraction(c).denominator for c in work.values()))
     ints = {e: int(c * L) for e, c in work.items()}
@@ -98,11 +98,10 @@ def schur_expand(poly, r: int):
                                  reverse=True)}
 
 
-def _alternates(poly, r: int, sign: int) -> bool:
-    """Whether swapping two adjacent variables multiplies the polynomial
-    in r variables by `sign` (+1: symmetric, -1: antisymmetric).  Zero
-    coefficients count as absent terms."""
-    return all(poly.get(e[:i] + (e[i + 1], e[i]) + e[i + 2:], 0) == sign * c
+def _is_symmetric(poly, r: int) -> bool:
+    """Whether swapping two adjacent variables leaves the polynomial in r
+    variables unchanged.  Zero coefficients count as absent terms."""
+    return all(poly.get(e[:i] + (e[i + 1], e[i]) + e[i + 2:], 0) == c
                for e, c in poly.items() if c for i in range(r - 1))
 
 

@@ -239,14 +239,13 @@ def _integer_root(m: int, k: int):
 # evaluation
 # --------------------------------------------------------------------------
 
-def evaluate_j(J: JSeries, t, log_branch=0, P: int = 50,
-               half_turns: int = 0) -> dict:
-    """Sum the series at the point t with log t = log|t| + i*log_branch.
+def evaluate_j(J: JSeries, t, *, P: int = 50, half_turns: int = 0) -> dict:
+    """Sum the series at the point t with log t = log|t| + i*pi*half_turns.
 
-    `half_turns` adds that integer multiple of pi*i to the log, computed at
-    working precision (so rotations like e^(i pi) t stay exact to the last
-    digit).  Returns {"value": GradedVector over mpc, "tail_estimate": mpf,
-    "converged": bool, "work_digits": int}.  The tail estimate is twice the
+    The half-turn rotation is computed at working precision (so rotations
+    like e^(i pi) t stay exact to the last digit).  Returns {"value":
+    GradedVector over mpc, "tail_estimate": mpf, "converged": bool,
+    "work_digits": int}.  The tail estimate is twice the
     magnitude of the last included nonzero term; the converged flag reports
     whether term magnitudes were still decreasing at the truncation order.
 
@@ -256,10 +255,10 @@ def evaluate_j(J: JSeries, t, log_branch=0, P: int = 50,
     dot product of its coefficients with them (rounded once), and the
     prefactor e^(c1 log t) is applied as sum_k (log t)^k/k! N^k with N the
     matrix of cup-by-c1.  Coefficients and N are converted once per working
-    precision and kept on the series.  When log t is real (no branch, no
-    half turns) every scalar is real, and the result becomes complex only at
-    the final rounding to P digits.  Raises ValueError at t = 0, where
-    log t is undefined.
+    precision and kept on the series.  When log t is real (no half turns)
+    every scalar is real, and the result becomes complex only at the final
+    rounding to P digits.  Raises ValueError at t = 0, where log t is
+    undefined.
     """
     if t == 0:
         raise ValueError("log t is undefined at t = 0")
@@ -279,10 +278,9 @@ def evaluate_j(J: JSeries, t, log_branch=0, P: int = 50,
              for i, s in enumerate(col) if s])
     columns, last_rows, c1 = cached
 
-    branch = ctx.convert(log_branch) + half_turns * ctx.pi
     logt = ctx.log(abs(ctx.convert(t)))
-    if branch:
-        logt = ctx.mpc(logt, branch)
+    if half_turns:
+        logt = ctx.mpc(logt, half_turns * ctx.pi)
     tval = ctx.exp(logt)    # honors the chosen branch for non-integer uses
     powers = []             # t^d per degree, each from the one before
     steps = {}              # degree gap -> t^gap

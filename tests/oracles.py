@@ -463,7 +463,7 @@ def origin_in_interior(rays) -> bool:
 
 
 def evaluate_series_by_powers(coeffs, cup_table, c1, basis_degrees, t,
-                              log_branch=0, P: int = 50, half_turns: int = 0):
+                              P: int = 50, half_turns: int = 0):
     """J(t) = e^(c1 log t) sum_d J_d t^d summed term by term, each term with
     its own power t^d, and the prefactor taken as the cup product with the
     finite exponential series of (log t) c1.
@@ -507,8 +507,8 @@ def evaluate_series_by_powers(coeffs, cup_table, c1, basis_degrees, t,
     wdps = P + max(0, head) + 20
     ctx = context(wdps)
 
-    branch = ctx.convert(log_branch) + half_turns * ctx.pi
-    logt = ctx.log(abs(ctx.convert(t))) + ctx.mpc(0, 1) * branch
+    logt = ctx.log(abs(ctx.convert(t))) \
+        + ctx.mpc(0, 1) * (half_turns * ctx.pi)
     tval = ctx.exp(logt)
     acc = [ctx.mpc(0)] * rank
     last_two = []

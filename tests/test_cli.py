@@ -162,6 +162,30 @@ def test_output_file_matches_stdout(capsys, tmp_path):
     assert target.read_text() == out
 
 
+@pytest.mark.parametrize("doc, verdict, rc", [
+    ({"value": 1}, False, 1), ({"value": 1}, None, 0), ("a,b\n", False, 1)])
+def test_one_exit_path(capsys, monkeypatch, tmp_path, doc, verdict, rc):
+    # main alone renders what a subcommand returns and picks the exit code
+    monkeypatch.setitem(_COMMANDS, "ring", lambda args, spec: (doc, verdict))
+    target = tmp_path / "out"
+    got, out, err = run(capsys, ["ring", "--space", "P2",
+                                 "--output", str(target)])
+    assert got == rc
+    assert err == ""
+    assert target.read_text() == out
+    if isinstance(doc, str):
+        assert out == doc
+    else:
+        d = json.loads(out)
+        assert d["value"] == 1
+        assert d["command"] == "ring"
+        assert d["error_estimates"] == {}
+        if verdict is None:
+            assert "verdict" not in d
+        else:
+            assert d["verdict"] is verdict
+
+
 def test_json_output_deterministic(capsys):
     args = ["spectrum", "--space", "Gr(2,4)"]
     rc1, out1, _ = run(capsys, args)
