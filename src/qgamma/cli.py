@@ -34,7 +34,7 @@ from .laurent import ResourceBudgetExceeded
 from .mirror import PartialPeriodError, conifold_point, \
     constant_term_series, fekete_limit, model_period_series, \
     property_o_report, przyjalkowski_model, toric_mirror_from_rays
-from .oscillatory import QuadratureConfig, central_charge_structure_sheaf, \
+from .oscillatory import central_charge_structure_sheaf, \
     laplace_lefschetz_check, oscillatory_integral
 from .ring import build_hypersurface_ambient_ring, build_projective_ring, \
     gamma_class, ring_to_json_dict
@@ -224,8 +224,9 @@ def _render(x, P: int):
 
 
 def _emit(args, doc, verdict) -> int:
-    """Write a command's result to stdout and to --output; return the exit
-    code, 1 for a false verdict and 0 otherwise.
+    """Write a command's result to --output and then to stdout (so a failed
+    write prints nothing); return the exit code, 1 for a false verdict and
+    0 otherwise.
 
     A dict `doc` holds the payload fields and is written as the JSON
     envelope, which carries "verdict" unless `verdict` is None; text (CSV)
@@ -242,9 +243,9 @@ def _emit(args, doc, verdict) -> int:
             doc["verdict"] = bool(verdict)
         text = json.dumps(_render(doc, args.digits), sort_keys=True,
                           indent=2) + "\n"
-    sys.stdout.write(text)
     if args.output:
         Path(args.output).write_text(text)
+    sys.stdout.write(text)
     return 0 if verdict is None or verdict else 1
 
 
@@ -361,8 +362,8 @@ def cmd_oscillatory(args, spec):
     g = gamma_class(J.ring, make_constants(P=args.digits))
     t = working_context(args.digits + 10).mpf(args.t)
     Z = central_charge_structure_sheaf(J, g, t, P=args.digits)
-    q = QuadratureConfig(tol=args.quad_tol, precision=args.digits)
-    osc = oscillatory_integral(spec.mirror(), 1 / t, q)
+    osc = oscillatory_integral(spec.mirror(), 1 / t, tol=args.quad_tol,
+                               P=args.digits)
     rel = abs(Z - osc) / abs(Z)
     tol = args.tol if args.tol is not None else 1e-6
     return ({"value": {"t": t, "central_charge": Z,
@@ -379,23 +380,33 @@ def cmd_lefschetz(args, spec):
                                   tol=args.tol, P=args.digits)
     errors = {"rel_diff": rep["rel_diff"],
               "quad_error": rep["grid_params"]["quad_error"]}
-    return {"value": rep, "error_estimates": errors}, rep.get("pass", True)
+    return {"value": rep, "error_estimates": errors}, rep.get("pass")
+
+
+def _twisting_sheaves(args, spec):
+    """The marked basis of O(0..n-1) on P<n> at --digits."""
+    if spec.kind != "projective":
+        raise UsageError(f"{args.command} is wired for the twisting sheaves "
+                         "on P<n>")
+    return exceptional.marked_beilinson_basis(spec.n, args.digits)
+
+
+def _gram(basis):
+    """(the basis's gram_matrix, whether every entry is an integer)."""
+    g = exceptional.gram_matrix(basis)
+    return g, all(x is not None for row in g["integers"] for x in row)
 
 
 def cmd_gram(args, spec):
-    if spec.kind != "projective":
-        raise UsageError("gram is wired for the twisting sheaves on P<n>")
-    coll = exceptional.beilinson_collection(spec.n)
-    g = exceptional.gram_matrix(coll, P=args.digits)
-    labels = [E.label for E in coll]
-    integral = all(x is not None for row in g["integers"] for x in row)
+    basis = _twisting_sheaves(args, spec)
+    g, integral = _gram(basis)
     if args.format == "csv":
-        lines = ["pair," + ",".join(labels)]
-        for lab, row in zip(labels, g["integers"]):
+        lines = ["pair," + ",".join(basis.labels)]
+        for lab, row in zip(basis.labels, g["integers"]):
             lines.append(lab + "," + ",".join("" if x is None else str(x)
                                               for x in row))
         return "\n".join(lines) + "\n", integral
-    return ({"value": {"labels": labels, "integers": g["integers"]},
+    return ({"value": {"labels": basis.labels, "integers": g["integers"]},
              "error_estimates": {"max_residual": g["max_residual"]}},
             integral)
 
@@ -404,9 +415,7 @@ _WORD_RE = re.compile(r"^([RL])(\d+)$")
 
 
 def cmd_mutate(args, spec):
-    if spec.kind != "projective":
-        raise UsageError("mutate is wired for the twisting sheaves on P<n>")
-    basis = exceptional.marked_beilinson_basis(spec.n, args.digits)
+    basis = _twisting_sheaves(args, spec)
     for token in re.split(r"[,\s]+", args.word.strip()):
         if not token:
             continue
@@ -420,8 +429,7 @@ def cmd_mutate(args, spec):
         op = exceptional.right_mutation if m.group(1) == "R" \
             else exceptional.left_mutation
         basis = op(basis, i)
-    g = exceptional.gram_matrix(basis)
-    integral = all(x is not None for row in g["integers"] for x in row)
+    g, integral = _gram(basis)
     order = exceptional.unitriangular_order(g["integers"]) if integral \
         else None
     return ({"value": {"labels": list(basis.labels),
@@ -522,13 +530,18 @@ def _config_flags(path: str, command) -> list:
     """The config file's keys as flags of `command`; a key that only
     another subcommand reads is skipped."""
     import configparser
-    cp = configparser.ConfigParser(interpolation=None)   # values as typed
+    # values as typed; no header can name the nameless default section, so
+    # every header in the file opens a section of its own
+    cp = configparser.ConfigParser(interpolation=None, default_section="")
     try:
         cp.read_string("[qgamma]\n" + Path(path).read_text())
     except FileNotFoundError:
         raise UsageError(f"config file not found: {path}")
     except configparser.Error as e:
         raise UsageError(f"bad config file: {e}")
+    if len(cp.sections()) > 1:
+        raise UsageError(f"bad config file: section header "
+                         f"[{cp.sections()[1]}]; use key = value lines only")
     flags = []
     for key, raw in cp["qgamma"].items():
         key = key.replace("-", "_").lower()
@@ -578,7 +591,7 @@ def main(argv=None) -> int:
         print(f"resource abort: {e}", file=sys.stderr)
         return 2
     except (UsageError, ValueError, IndexError, ArithmeticError,
-            RuntimeError) as e:
+            RuntimeError, OSError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 2
 

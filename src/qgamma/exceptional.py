@@ -1,5 +1,4 @@
-"""Gram matrices and mutations for collections of asymptotic classes, and
-the phase window that assigns line bundles on projective space.
+"""Gram matrices and mutations for collections of asymptotic classes.
 
 A MarkedBasis keeps every class as an exact integer combination of the
 initial numeric classes.  Mutation coefficients come from the pairing and
@@ -13,8 +12,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .ring import GradedVector, KClass, cup, gamma_class, line_bundle, \
-    modified_chern, pair_bracket
+from .ring import GradedVector, build_projective_ring, cup, gamma_class, \
+    line_bundle, modified_chern, pair_bracket
 from .scalars import ConstantTable, make_constants, working_context
 
 
@@ -50,15 +49,6 @@ class MarkedBasis:
         return out
 
 
-def beilinson_collection(n: int):
-    """Chern characters of the twisting sheaves O(k), k = 0..n-1."""
-    if n < 2:
-        raise ValueError("need n >= 2")
-    from .ring import build_projective_ring
-    R = build_projective_ring(n)
-    return [line_bundle(R, k, label=f"O({k})") for k in range(n)]
-
-
 def eigenvalue_marks(n: int, P: int = 50):
     """First-Chern-class eigenvalues n*e^(-2 pi i k/n), k = 0..n-1."""
     ctx = working_context(P)
@@ -66,28 +56,18 @@ def eigenvalue_marks(n: int, P: int = 50):
 
 
 def marked_beilinson_basis(n: int, P: int = 50) -> MarkedBasis:
-    """MarkedBasis of the Gamma-weighted twisting sheaves on P^(n-1)."""
-    coll = beilinson_collection(n)
-    base = _numeric_classes(coll, make_constants(P=P))
+    """MarkedBasis of the Gamma-weighted twisting sheaves on P^(n-1): the
+    base classes are Gamma * Ch(O(k)), k = 0..n-1."""
+    if n < 2:
+        raise ValueError("need n >= 2")
+    R = build_projective_ring(n)
+    C = make_constants(P=P)
+    gam = gamma_class(R, C)
+    coll = [line_bundle(R, k, label=f"O({k})") for k in range(n)]
+    base = tuple(cup(gam, modified_chern(E, C)) for E in coll)
     ident = tuple(tuple(int(i == j) for j in range(n)) for i in range(n))
-    return MarkedBasis(base=tuple(base), rows=ident,
-                       marks=eigenvalue_marks(n, P),
+    return MarkedBasis(base=base, rows=ident, marks=eigenvalue_marks(n, P),
                        labels=tuple(E.label for E in coll), precision=P)
-
-
-def _numeric_classes(obj, C):
-    if isinstance(obj, MarkedBasis):
-        return obj.classes()
-    classes = []
-    gam = None
-    for x in obj:
-        if isinstance(x, KClass):
-            if gam is None:
-                gam = gamma_class(x.ring, C)
-            classes.append(cup(gam, modified_chern(x, C)))
-        else:
-            raise TypeError("expected a MarkedBasis or K-classes")
-    return classes
 
 
 def _snap(v, C: ConstantTable, P: int):
@@ -99,19 +79,17 @@ def _snap(v, C: ConstantTable, P: int):
     return (int(nearest) if res < ctx.mpf(10) ** (-P + 10) else None), res
 
 
-def gram_matrix(basis, P: int = 50) -> dict:
-    """Pairing matrix [A_i, A_j) with integer snapping, at P digits (a
-    MarkedBasis brings its own precision).
+def gram_matrix(basis: MarkedBasis) -> dict:
+    """Pairing matrix [A_i, A_j) with integer snapping, at the basis's
+    precision P.
 
-    Accepts a MarkedBasis or a list of K-classes (weighted by the Gamma
-    class automatically).  Entries within 10^(-P+10) of an integer are
-    reported in "integers"; the worst distance is in "max_residual"
-    (entries further away leave a None in that slot).
+    Entries within 10^(-P+10) of an integer are reported in "integers"; the
+    worst distance is in "max_residual" (entries further away leave a None
+    in that slot).
     """
-    if isinstance(basis, MarkedBasis):
-        P = basis.precision
+    P = basis.precision
     C = make_constants(P=P)
-    classes = _numeric_classes(basis, C)
+    classes = basis.classes()
     entries, integers = [], []
     max_res = C.ctx.mpf(0)
     for a in classes:
@@ -195,46 +173,3 @@ def unitriangular_order(integers):
         order.append(pick)
         remaining.remove(pick)
     return list(reversed(order))
-
-
-def phase_assignment(n: int, phi, P: int = 50) -> dict:
-    """Admissibility of the phase and the line-bundle window on P^(n-1).
-
-    A phase is admissible when no two eigenvalue marks have the same
-    imaginary part after rotation by e^(-i phi); each pair's rotated
-    difference is reported.  When admissible, every integer k with
-    |2 pi k/n + phi| < pi/2 + pi/n is listed with its twisting sheaf.
-
-    Everything is computed at P + 15 digits and compared against 10^(-P);
-    the values are reported at P digits.
-    """
-    ctx = working_context(P + 15)
-    out = working_context(P)
-    phiv = ctx.convert(phi)
-    marks = eigenvalue_marks(n, P + 15)
-    rot = ctx.exp(ctx.mpc(0, -1) * phiv)
-    pairs = []
-    admissible = True
-    thresh = ctx.mpf(10) ** -P
-    for i in range(n):
-        for j in range(i + 1, n):
-            im = ((marks[i] - marks[j]) * rot).imag
-            ok = abs(im) > thresh
-            admissible = admissible and ok
-            pairs.append({"i": i, "j": j, "imag_part": out.mpf(im),
-                          "nonzero": ok})
-    window = ctx.pi / 2 + ctx.pi / n
-    assigned = None
-    if admissible:
-        assigned = []
-        lo = (-phiv - window) * n / (2 * ctx.pi)
-        hi = (-phiv + window) * n / (2 * ctx.pi)
-        k = int(ctx.floor(lo))
-        while k <= int(ctx.ceil(hi)):
-            val = abs(2 * ctx.pi * k / n + phiv)
-            if val < window:
-                assigned.append({"k": k, "value": out.mpf(val),
-                                 "bundle": f"O({k})"})
-            k += 1
-    return {"n": n, "phi": out.mpf(phiv), "admissible": admissible,
-            "pairs": pairs, "window": out.mpf(window), "assigned": assigned}

@@ -309,7 +309,7 @@ def bcfk_j_series(r: int, n: int, D: int) -> JSeries:
                 coords[K] = c
         wedge = AntiSymmetricElement(r=r, n=n, coeffs=coords)
         coeffs[n * m] = (-1) ** ((r - 1) * m) * satake_map(wedge, R)
-    return JSeries(ring=R, D=D, fano_index=n, coeffs=coeffs)
+    return JSeries(ring=R, D=D, coeffs=coeffs)
 
 
 # --------------------------------------------------------------------------

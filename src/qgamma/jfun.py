@@ -26,8 +26,11 @@ from .scalars import working_context
 class JSeries:
     ring: CohomologyRing
     D: int                      # truncation: coefficients d = 0..D
-    fano_index: int
     coeffs: dict                # d -> GradedVector, only d with fano_index | d
+
+    @property
+    def fano_index(self) -> int:
+        return self.ring.fano_index
 
     def __post_init__(self):
         unit = self.ring.unit()
@@ -118,7 +121,7 @@ def j_projective(n: int, D: int) -> JSeries:
         cur = _mul_trunc(cur, _inverse_power(d, n, n), n)
         coeffs[n * d] = R.vector(tuple(cur))
         d += 1
-    return JSeries(ring=R, D=D, fano_index=n, coeffs=coeffs)
+    return JSeries(ring=R, D=D, coeffs=coeffs)
 
 
 def _inverse_power(k: int, e: int, n: int):
@@ -206,7 +209,7 @@ def quantum_lefschetz(JX: JSeries, a: int, DY: int | None = None) -> dict:
     if DY is not None:
         Dout = min(Dout, DY)
         coeffs = {d: v for d, v in coeffs.items() if d <= Dout}
-    JY = JSeries(ring=amb, D=Dout, fano_index=r - a, coeffs=coeffs)
+    JY = JSeries(ring=amb, D=Dout, coeffs=coeffs)
 
     # (T0/(r-a))^(r-a) = a^a (T_X/r)^r with T_X = r here
     return {"JY": JY, "c0": c0, "T0": _t0_value(a, r - a)}

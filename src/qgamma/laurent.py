@@ -111,9 +111,6 @@ class LaurentPolynomial:
     def coefficient(self, e) -> Fraction:
         return self.terms.get(tuple(e), Fraction(0))
 
-    def support_size(self) -> int:
-        return len(self.terms)
-
     def is_nonnegative(self) -> bool:
         return all(c > 0 for c in self.terms.values())
 

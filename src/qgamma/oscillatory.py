@@ -16,7 +16,6 @@ on the corresponding face, which pins the box size for a requested decay.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product
 
@@ -31,12 +30,6 @@ _MARGIN_DIGITS = 10     # extra decay digits for the truncation box
 _MAX_DIM = 3            # orthant-integral dimension guard
 _START_POINTS = 48      # first quadrature grid size per axis
 _MAX_DOUBLINGS = 6      # grid refinements before the quadrature gives up
-
-
-@dataclass(frozen=True)
-class QuadratureConfig:
-    tol: float = 1e-12          # relative agreement between successive grids
-    precision: int = 50
 
 
 def _direction_reach(exponents, v):
@@ -119,18 +112,17 @@ def _grid_sum(f, z, L, npts, ctx):
     return ctx.fdot(weights, rows) * h ** m
 
 
-def oscillatory_integral(f: LaurentPolynomial, z, q: QuadratureConfig | None = None):
-    """The integral of e^(-f(x)/z) dx_1...dx_m/(x_1...x_m) over x_i > 0.
+def oscillatory_integral(f: LaurentPolynomial, z, tol=1e-12, P: int = 50):
+    """The integral of e^(-f(x)/z) dx_1...dx_m/(x_1...x_m) over x_i > 0, at
+    P digits.
 
     Requires positive coefficients and the origin interior to the Newton
     polytope (so the integrand decays in every direction).  Refines a
     midpoint rule in log coordinates until two successive grids agree to
-    q.tol relatively; raises if the refinement cap is hit first, and before
-    any grid when q.tol is below the working precision 10^-(q.precision+10),
-    where no agreement could confirm it.
+    tol relatively; raises if the refinement cap is hit first, and before
+    any grid when tol is below the working precision 10^-(P+10), where no
+    agreement could confirm it.
     """
-    if q is None:
-        q = QuadratureConfig()
     if any(c <= 0 for _, c in f.items()):
         raise ValueError("need strictly positive coefficients")
     if f.nvars > _MAX_DIM:
@@ -139,24 +131,24 @@ def oscillatory_integral(f: LaurentPolynomial, z, q: QuadratureConfig | None = N
     exps, m = [e for e, _ in f.items()], f.nvars
     rho = min(_direction_reach(exps, tuple(s * (j == i) for j in range(m)))
               for i in range(m) for s in (1, -1))
-    wp = q.precision + 10
+    wp = P + 10
     ctx = working_context(wp)
     zc = ctx.convert(z)
     if not zc > 0:
         raise ValueError("need z > 0")
-    tol = ctx.convert(q.tol)
-    if tol < ctx.mpf(10) ** -wp:
-        raise ArithmeticError(f"quadrature tol {q.tol} below the working "
+    rel = ctx.convert(tol)
+    if rel < ctx.mpf(10) ** -wp:
+        raise ArithmeticError(f"quadrature tol {tol} below the working "
                               f"precision 1e-{wp}")
-    digits = q.precision + _MARGIN_DIGITS
+    digits = P + _MARGIN_DIGITS
     L = _truncation_radius(f, zc, digits, rho, ctx)
 
     npts = _START_POINTS
     prev = None
     for _ in range(_MAX_DOUBLINGS + 1):
         cur = _grid_sum(f, zc, L, npts, ctx)
-        if prev is not None and abs(cur - prev) <= tol * abs(cur):
-            out = working_context(q.precision)
+        if prev is not None and abs(cur - prev) <= rel * abs(cur):
+            out = working_context(P)
             return out.mpf(cur)
         prev = cur
         npts *= 2

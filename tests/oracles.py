@@ -157,6 +157,13 @@ def chi_projective(n: int, a: int, b: int) -> int:
     return int(num)
 
 
+def beilinson_gram(n: int) -> list:
+    """chi(O(i), O(j)) for i, j = 0..n-1 on P^(n-1): C(j - i + n - 1, n - 1)
+    on and above the diagonal, 0 below it (upper unitriangular)."""
+    return [[comb(j - i + n - 1, n - 1) if j >= i else 0 for j in range(n)]
+            for i in range(n)]
+
+
 def littlewood_richardson(mu, nu, lam) -> int:
     """LR coefficient c^lam_{mu,nu} by skew-tableau enumeration.
 

@@ -119,6 +119,37 @@ def test_gram_and_mutate(capsys):
     assert d["value"]["resort_order"] == [0, 1, 2, 3]
 
 
+@pytest.mark.parametrize("n", [2, 3, 4, 5])
+def test_gram_json_and_csv_match_closed_form(capsys, n):
+    # chi(O(i), O(j)) = C(j - i + n - 1, n - 1) on P^(n-1), both formats
+    want = oracles.beilinson_gram(n)
+    labels = [f"O({k})" for k in range(n)]
+    rc, out, err = run(capsys, ["gram", "--space", f"P{n - 1}"])
+    assert rc == 0
+    d = json.loads(out)
+    assert d["verdict"] is True
+    assert d["value"] == {"labels": labels, "integers": want}
+    rc, out, err = run(capsys, ["gram", "--space", f"P{n - 1}",
+                                "--format", "csv"])
+    assert rc == 0
+    header, *rows = [line.split(",") for line in out.splitlines()]
+    assert header == ["pair"] + labels
+    assert [row[0] for row in rows] == labels
+    assert [[int(x) for x in row[1:]] for row in rows] == want
+
+
+def test_lefschetz_without_tol_states_no_verdict(capsys):
+    rc, out, err = run(capsys, ["lefschetz", "--space", "X(4,2)", "-D", "40"])
+    assert rc == 0
+    d = json.loads(out)
+    assert "verdict" not in d
+    assert "pass" not in d["value"] and "tol" not in d["value"]
+    rc, out, err = run(capsys, ["lefschetz", "--space", "X(4,2)", "-D", "40",
+                                "--tol", "1e-8"])
+    assert rc == 0
+    assert json.loads(out)["verdict"] is True
+
+
 def test_apery_target_is_zeta2(capsys):
     rc, out, err = run(capsys, ["apery", "--space", "Gr(2,5)",
                                 "--order", "50", "-N", "10"])
@@ -160,6 +191,32 @@ def test_output_file_matches_stdout(capsys, tmp_path):
                                 "--output", str(target)])
     assert rc == 0
     assert target.read_text() == out
+
+
+def test_output_into_missing_directory_exits_2(capsys, tmp_path):
+    target = tmp_path / "missing" / "out.json"
+    rc, out, err = run(capsys, ["gamma", "--space", "P2",
+                                "--output", str(target)])
+    assert rc == 2
+    assert err.startswith("error: ") and "Traceback" not in err
+    assert out == ""
+    assert not target.exists()
+
+
+def test_config_directory_exits_2(capsys, tmp_path):
+    rc, out, err = run(capsys, ["--config", str(tmp_path), "gamma",
+                                "--space", "P2"])
+    assert rc == 2
+    assert err.startswith("error: ") and "Traceback" not in err
+    assert out == ""
+
+
+def test_toric_rays_directory_exits_2(capsys, tmp_path):
+    rc, out, err = run(capsys, ["qperiod", "--space", f"toric:{tmp_path}",
+                                "-N", "4"])
+    assert rc == 2
+    assert err.startswith("error: ") and "Traceback" not in err
+    assert out == ""
 
 
 @pytest.mark.parametrize("doc, verdict, rc", [
@@ -213,6 +270,20 @@ def test_config_unknown_key(capsys, tmp_path):
                                     "--space", "P1", "-N", "2"])
         assert rc == 2, text
         assert "unknown config key" in err
+
+
+def test_config_section_header_refused(capsys, tmp_path):
+    # keys under a header would otherwise be read into another section and
+    # dropped without a word
+    cfg = tmp_path / "run.cfg"
+    for text in ("digits = 20\n[other]\nbogus = 1\ndigits = 30\n",
+                 "digits = 20\n[DEFAULT]\n", "[qgamma]\ndigits = 20\n"):
+        cfg.write_text(text)
+        rc, out, err = run(capsys, ["--config", str(cfg), "gamma",
+                                    "--space", "P2"])
+        assert rc == 2, text
+        assert "bad config file" in err
+        assert out == ""
 
 
 def test_config_does_not_carry_into_the_next_call(capsys, tmp_path):

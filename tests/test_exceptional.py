@@ -1,14 +1,14 @@
 import math
 import random
-from fractions import Fraction
 
 import mpmath
 import pytest
 
-from qgamma.exceptional import (MarkedBasis, beilinson_collection,
-                                eigenvalue_marks, gram_matrix, left_mutation,
-                                marked_beilinson_basis, phase_assignment,
+from qgamma.exceptional import (MarkedBasis, eigenvalue_marks, gram_matrix,
+                                left_mutation, marked_beilinson_basis,
                                 right_mutation, unitriangular_order)
+
+import oracles
 
 
 def test_marked_basis_line():
@@ -27,9 +27,11 @@ def test_marked_basis_p4_binomial_gram():
     assert g["max_residual"] < mpmath.mpf(10) ** -40
 
 
-def test_gram_accepts_k_classes():
-    g = gram_matrix(beilinson_collection(3), P=50)
-    assert g["integers"] == [[1, 3, 6], [0, 1, 3], [0, 0, 1]]
+@pytest.mark.parametrize("n", [2, 3, 4, 5])
+def test_gram_matches_closed_form(n):
+    g = gram_matrix(marked_beilinson_basis(n))
+    assert g["integers"] == oracles.beilinson_gram(n)
+    assert g["max_residual"] < mpmath.mpf(10) ** -40
 
 
 def test_eigenvalue_marks():
@@ -100,37 +102,6 @@ def test_unitriangular_order_failure_cases():
     assert unitriangular_order([[1, 1], [1, 1]]) is None
     assert unitriangular_order([[2, 0], [0, 1]]) is None
     assert unitriangular_order([[1, 0], [1, 1]]) == [1, 0]
-
-
-def test_phase_assignment_admissible():
-    rec = phase_assignment(4, mpmath.mpf("0.1"))
-    assert rec["admissible"]
-    assert [a["k"] for a in rec["assigned"]] == [-1, 0, 1]
-    assert [a["bundle"] for a in rec["assigned"]] == ["O(-1)", "O(0)", "O(1)"]
-    assert all(p["nonzero"] for p in rec["pairs"])
-    assert len(rec["pairs"]) == 6
-
-
-def test_phase_assignment_inadmissible():
-    # opposite marks land on the same horizontal line at phi = 0
-    for n in (2, 4):
-        rec = phase_assignment(n, 0)
-        assert not rec["admissible"]
-        assert rec["assigned"] is None
-    rec = phase_assignment(3, 0)
-    assert rec["admissible"]
-
-
-def test_phase_assignment_verdict_at_precision_floor():
-    # P = 15 must give the verdicts of P = 50
-    for n in (3, 4, 5):
-        for k in range(1, 200):
-            phi = Fraction(k, 100)
-            low = phase_assignment(n, phi, P=15)
-            high = phase_assignment(n, phi, P=50)
-            assert low["admissible"] == high["admissible"], (n, k)
-            assert [p["nonzero"] for p in low["pairs"]] \
-                == [p["nonzero"] for p in high["pairs"]], (n, k)
 
 
 def test_mutation_position_bounds():

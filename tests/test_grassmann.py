@@ -353,7 +353,7 @@ def test_ehx_mirror_rank_one_is_projective():
 
 def test_ehx_mirror_shape():
     W = ehx_mirror(2, 4)
-    assert W.support_size() == 6
+    assert len(W.terms) == 6
     assert all(c == 1 for c in W.terms.values())
     with pytest.raises(ValueError):
         ehx_mirror(4, 4)

@@ -41,9 +41,9 @@ def test_projective_space_low_coefficients():
 def test_jseries_unit_constraint():
     R = build_projective_ring(2)
     with pytest.raises(ValueError):
-        JSeries(R, 4, 2, {0: R.basis_vector(1)})
+        JSeries(R, 4, {0: R.basis_vector(1)})
     with pytest.raises(ValueError):
-        JSeries(R, 4, 2, {0: R.unit(), 3: R.zero()})
+        JSeries(R, 4, {0: R.unit(), 3: R.zero()})
 
 
 def test_quantum_lefschetz_cubic_surface():

@@ -19,7 +19,7 @@ def test_arithmetic():
     assert g.coefficient((2,)) == 1
     assert g.coefficient((0,)) == 2
     assert g.coefficient((-2,)) == 1
-    assert (f - f).support_size() == 0
+    assert len((f - f).terms) == 0
     assert (f + f).coefficient((1,)) == 2
     assert (-f).coefficient((1,)) == -1
     assert (f ** 0).constant_term() == 1
@@ -28,11 +28,11 @@ def test_arithmetic():
 
 def test_zero_coefficients_dropped():
     f = xpx() - xpx()
-    assert f.support_size() == 0
+    assert len(f.terms) == 0
     assert f.constant_term() == 0
     g = xpx() * xpx()
     h = g - LaurentPolynomial(1, {(0,): Fraction(2)})
-    assert h.support_size() == 2
+    assert len(h.terms) == 2
 
 
 def test_constant_terms_are_central_binomials():
@@ -100,7 +100,7 @@ def test_power_cache_constant_terms_match_powers(f, d):
     assert type(got) is Fraction
     assert got == (f ** d).constant_term()
     # spent counts the unit plus the support of every materialized power
-    assert pc.spent == 1 + sum((f ** k).support_size()
+    assert pc.spent == 1 + sum(len((f ** k).terms)
                                for k in range(1, len(pc.pows)))
 
 

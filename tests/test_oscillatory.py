@@ -12,7 +12,7 @@ from qgamma.jfun import evaluate_j, j_projective, quantum_lefschetz
 from qgamma.laurent import LaurentPolynomial
 from qgamma.mirror import (projective_rays, przyjalkowski_model,
                            toric_mirror_from_rays)
-from qgamma.oscillatory import (QuadratureConfig, _direction_reach,
+from qgamma.oscillatory import (_direction_reach,
                                 central_charge_structure_sheaf,
                                 laplace_lefschetz_check, oscillatory_integral)
 from qgamma.ring import (build_hypersurface_ambient_ring,
@@ -150,9 +150,8 @@ def test_direction_reach_projective_space_closed_form():
 
 def test_refinement_cap():
     f = toric_mirror_from_rays(projective_rays(2))
-    q = QuadratureConfig(tol=1e-300)
     with pytest.raises(ArithmeticError):
-        oscillatory_integral(f, 1, q)
+        oscillatory_integral(f, 1, tol=1e-300)
 
 
 def test_doubling_cap(monkeypatch):
@@ -169,9 +168,8 @@ def test_tol_below_working_precision_sums_no_grid(monkeypatch):
     monkeypatch.setattr(oscillatory, "_grid_sum", no_grid)
     f = toric_mirror_from_rays(projective_rays(2))
     for P in (15, 50):
-        q = QuadratureConfig(tol=10.0 ** -(P + 11), precision=P)
         with pytest.raises(ArithmeticError, match="below the working precision"):
-            oscillatory_integral(f, 1, q)
+            oscillatory_integral(f, 1, tol=10.0 ** -(P + 11), P=P)
 
 
 def _kernel_cases():
