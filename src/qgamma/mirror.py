@@ -10,7 +10,7 @@ from fractions import Fraction
 from math import factorial, gcd
 
 from . import exactla
-from .jfun import QuantumPeriod, _t0_value
+from .jfun import QuantumPeriod
 from .laurent import LaurentPolynomial, PowerCache, ResourceBudgetExceeded
 from .scalars import working_context
 
@@ -119,17 +119,9 @@ class ConifoldResult:
     hessian_positive: bool
 
 
-def conifold_point(f, P: int = 50) -> ConifoldResult:
+def conifold_point(f: LaurentPolynomial, P: int = 50) -> ConifoldResult:
     """Global minimum of f on the positive real orthant by Newton iteration
-    in u = log x coordinates, from u = 0, to gradient norm 10^(-P+5).
-
-    f may be a LaurentPolynomial or a PrzyjalkowskiModel; for a model the
-    separately-carried constant shift is subtracted from the reported value.
-    """
-    shift = Fraction(0)
-    if isinstance(f, PrzyjalkowskiModel):
-        shift = f.c0_shift
-        f = f.f
+    in u = log x coordinates, from u = 0, to gradient norm 10^(-P+5)."""
     if not f.is_nonnegative():
         raise ValueError("conifold search needs positive coefficients")
     rays = list(f.terms)
@@ -190,7 +182,8 @@ def conifold_point(f, P: int = 50) -> ConifoldResult:
     out = working_context(P)
     return ConifoldResult(
         x_con=tuple(out.exp(out.convert(ui)) for ui in u),
-        T_con=out.convert(ctx.fsum(ws)) - out.convert(shift),
+        # out.mpf rounds to P digits; out.convert would keep all P + 10
+        T_con=out.mpf(ctx.fsum(ws)),
         newton_iterations=it,
         gradient_norm=out.convert(gnorm),
         hessian_positive=posdef)
@@ -200,25 +193,12 @@ def conifold_point(f, P: int = 50) -> ConifoldResult:
 # hypersurface model
 # --------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class PrzyjalkowskiModel:
-    f: LaurentPolynomial
-    c0_shift: Fraction
-    ambient_dim: int         # hypersurface sits in the projective space of
-    degree: int              # this dimension and has this degree
-
-    @property
-    def expected_T_con(self):
-        """(n+1-d) d^{d/(n+1-d)} minus the shift; exact when d^d is a perfect
-        (n+1-d)-th power, otherwise a 60-digit big real."""
-        n, d = self.ambient_dim, self.degree
-        return _t0_value(d, n + 1 - d) - self.c0_shift
-
-
-def przyjalkowski_model(n: int, d: int) -> PrzyjalkowskiModel:
+def przyjalkowski_model(n: int, d: int) -> LaurentPolynomial:
     """Laurent mirror of a degree-d hypersurface in the projective space of
-    dimension n, in (n-d) + (d-1) variables; the -delta_{d,n} d! constant is
-    carried as metadata, not as a monomial.
+    dimension n, in (n-d) + (d-1) variables, with positive coefficients.
+
+    At index 1 (d = n) the mirror carries the constant -d!, which cancels
+    exactly the monomial d! that the composition (1, ..., 1) contributes.
     """
     if not 1 <= d <= n or n < 2:
         raise ValueError("need 2 <= n and 1 <= d <= n")
@@ -238,9 +218,9 @@ def przyjalkowski_model(n: int, d: int) -> PrzyjalkowskiModel:
         e = [-1] * nx + [comp[j] - 1 for j in range(ny)]
         key = tuple(e)
         terms[key] = terms.get(key, Fraction(0)) + coef
-    f = LaurentPolynomial(m, terms)
-    shift = Fraction(factorial(d)) if d == n else Fraction(0)
-    return PrzyjalkowskiModel(f=f, c0_shift=shift, ambient_dim=n, degree=d)
+    if d == n:
+        terms[(0,) * m] -= factorial(d)
+    return LaurentPolynomial(m, terms)
 
 
 def _compositions(total, parts):
@@ -250,13 +230,6 @@ def _compositions(total, parts):
     for first in range(total + 1):
         for rest in _compositions(total - first, parts - 1):
             yield (first,) + rest
-
-
-def model_period_series(model: PrzyjalkowskiModel, N: int) -> QuantumPeriod:
-    """Quantum period of the model including the constant shift, so it is
-    directly comparable with the geometric series."""
-    g = model.f - model.c0_shift
-    return constant_term_series(g, N)
 
 
 # --------------------------------------------------------------------------

@@ -22,8 +22,8 @@ from qgamma.grassmann import (bcfk_j_series, box_partitions, e_mu_class,
                               ehx_constant_terms, ehx_mirror,
                               euler_matrix_grassmann, grassmann_spectrum,
                               schubert_ring)
-from qgamma.jfun import (j_projective, quantum_lefschetz, quantum_period,
-                         quintic_pf_annihilation)
+from qgamma.jfun import (_t0_value, j_projective, quantum_lefschetz,
+                         quantum_period, quintic_pf_annihilation)
 from qgamma.laurent import LaurentPolynomial, PowerCache
 from qgamma.mirror import (conifold_point, fekete_limit, projective_rays,
                            property_o_report, przyjalkowski_model,
@@ -166,8 +166,8 @@ def test_criterion_05_quantum_lefschetz_triangle():
     start = time.perf_counter()
     out = quantum_lefschetz(j_projective(4, 24), 3, 6)
     exact = out["c0"] == Fraction(6) and out["T0"] - out["c0"] == Fraction(21)
+    closed = _t0_value(3, 1) - math.factorial(3) == Fraction(21)
     model = przyjalkowski_model(3, 3)
-    closed = model.expected_T_con == Fraction(21)
     res = conifold_point(model, P=50)
     gap = abs(res.T_con - 21)
     elapsed = time.perf_counter() - start

@@ -1,4 +1,5 @@
 import json
+import math
 import re
 import shlex
 from fractions import Fraction
@@ -7,8 +8,10 @@ from pathlib import Path
 import mpmath
 import pytest
 
-from qgamma.cli import _COMMANDS, main
+from qgamma.cli import _COMMANDS, main, parse_space
 from qgamma.grassmann import ehx_constant_terms
+from qgamma.jfun import j_projective, quantum_lefschetz, quantum_period
+from qgamma.laurent import LaurentPolynomial
 from qgamma.scalars import working_context
 
 import oracles
@@ -286,6 +289,23 @@ def test_config_section_header_refused(capsys, tmp_path):
         assert out == ""
 
 
+@pytest.mark.parametrize("text, what", [
+    ("digits = 20\n[qgamma]\nspace = P2\n", "section 'qgamma' already"),
+    ("space = P2\ndigits 20\n", "parsing errors"),
+    ("digits = 20\ndigits = 30\n", "option 'digits'")])
+def test_config_error_names_file_and_line(capsys, tmp_path, text, what):
+    # each fault sits on line 2 of the file
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(text)
+    rc, out, err = run(capsys, ["--config", str(cfg), "gamma",
+                                "--space", "P2"])
+    assert rc == 2
+    assert out == ""
+    assert err.startswith("error: bad config file")
+    assert what in err
+    assert repr(str(cfg)) in err and "[line  2]" in err
+
+
 def test_config_does_not_carry_into_the_next_call(capsys, tmp_path):
     cfg = tmp_path / "run.cfg"
     cfg.write_text("space = P1\n")
@@ -520,3 +540,52 @@ def test_output_ignores_global_precision(capsys, argv):
     with mpmath.workdps(5):
         got = run(capsys, argv)
     assert got == want
+
+
+def test_qperiod_projective_keeps_the_j_series_route(capsys):
+    # through the mirror this request exhausts the support budget
+    rc, out, err = run(capsys, ["qperiod", "--space", "P4", "-N", "120"])
+    assert rc == 0, err
+    qp = quantum_period(j_projective(5, 120))
+    rows = json.loads(out)["value"]
+    assert [row["d"] for row in rows] == qp.nonzero_degrees()
+    assert all(Fraction(row["exact"]) == qp.coefficient(row["d"])
+               for row in rows)
+
+
+@pytest.mark.parametrize("space", ["P2", "P1xP1", "X(4,2)", "X(4,3)",
+                                   "Gr(2,4)", "toric"])
+def test_every_space_has_a_positive_laurent_mirror(tmp_path, space):
+    if space == "toric":
+        rays = tmp_path / "rays.json"
+        rays.write_text("[[1, 0], [0, 1], [-1, -1]]")
+        space = f"toric:{rays}"
+    f = parse_space(space).mirror()
+    assert isinstance(f, LaurentPolynomial)
+    assert f.is_nonnegative()
+
+
+@pytest.mark.parametrize("space, n, d", [("X(4,2)", 4, 2), ("X(5,2)", 5, 2),
+                                         ("X(5,3)", 5, 3)])
+def test_fekete_on_hypersurfaces_matches_quantum_lefschetz(capsys, space,
+                                                           n, d):
+    # the mirror's power constants are (rk)! G_{rk} for the quantum period G
+    # of the Lefschetz route, r = n - d the index
+    N, r = 4, n - d
+    rc, out, err = run(capsys, ["fekete", "--space", space, "-N", str(N)])
+    assert rc == 0, err
+    got = [Fraction(c) for c in json.loads(out)["value"]["constants"]]
+    JX = j_projective(n, N * n)     # degree r N on X needs N n on P
+    G = quantum_period(quantum_lefschetz(JX, d, DY=r * N)["JY"])
+    assert got == [math.factorial(r * k) * G.coefficient(r * k)
+                   for k in range(N + 1)]
+
+
+@pytest.mark.parametrize("argv", [["--space", "P2", "--index", "1"],
+                                  ["--space", "X(4,3)"]])
+def test_fekete_vanishing_constant_is_a_usage_error(capsys, argv):
+    # a zero Const(f^{rk}) breaks the hypothesis; it refutes nothing
+    rc, out, err = run(capsys, ["fekete", "-N", "4"] + argv)
+    assert rc == 2
+    assert out == ""
+    assert err.startswith("error: ") and "--index" in err

@@ -1,3 +1,4 @@
+import math
 import random
 from fractions import Fraction
 
@@ -10,9 +11,9 @@ from qgamma.jfun import j_projective, quantum_period
 from qgamma.laurent import LaurentPolynomial
 from qgamma.mirror import (PartialPeriodError, conifold_point,
                            constant_term_series, fekete_limit,
-                           model_period_series, origin_in_interior,
-                           projective_rays, property_o_report,
-                           przyjalkowski_model, toric_mirror_from_rays)
+                           origin_in_interior, projective_rays,
+                           property_o_report, przyjalkowski_model,
+                           toric_mirror_from_rays)
 from qgamma.scalars import working_context
 
 import oracles
@@ -149,18 +150,36 @@ def test_conifold_point_needs_origin_interior():
 
 def test_conifold_point_cubic_surface_model():
     model = przyjalkowski_model(3, 3)
-    assert model.c0_shift == 6
-    assert model.expected_T_con == Fraction(21)
+    # the index-1 constant -3! cancels the monomial 3! of the multinomial
+    assert model.constant_term() == 0
+    assert model.is_nonnegative()
     res = conifold_point(model, P=50)
     assert abs(res.T_con - 21) < mpmath.mpf(10) ** -10
     assert all(abs(x - 1) < mpmath.mpf(10) ** -10 for x in res.x_con)
     assert res.hessian_positive
 
 
+@pytest.mark.parametrize("d", [3, 4])
+def test_index_one_model_conifold_value(d):
+    # T_con = T0 - d! with T0 = d^d: 27 - 3! = 21 and 256 - 4! = 232
+    res = conifold_point(przyjalkowski_model(d, d), P=50)
+    want = d ** d - math.factorial(d)
+    assert abs(res.T_con - want) < mpmath.mpf(10) ** -10
+    assert res.hessian_positive
+
+
+@pytest.mark.parametrize("n, d", [(4, 2), (4, 3), (5, 2)])
+def test_conifold_value_is_rounded_to_P(n, d):
+    # Newton runs at P + 10 digits; the reported value keeps P of them
+    for P in (15, 30, 50):
+        res = conifold_point(przyjalkowski_model(n, d), P=P)
+        assert res.T_con._mpf_[3] <= working_context(P).prec
+
+
 def test_przyjalkowski_period_matches_lefschetz_route():
     # degree-3 surface in the 3-dimensional projective space
     model = przyjalkowski_model(3, 3)
-    G = model_period_series(model, 6)
+    G = constant_term_series(model, 6)
     assert G.coefficient(0) == 1
     assert G.coefficient(1) == 0
     assert G.coefficient(2) == Fraction(27)
@@ -172,8 +191,8 @@ def test_przyjalkowski_period_matches_lefschetz_route():
 
 def test_przyjalkowski_quadric_threefold():
     model = przyjalkowski_model(3, 2)
-    assert model.c0_shift == 0
-    G = model_period_series(model, 6)
+    assert model.constant_term() == 0
+    G = constant_term_series(model, 6)
     assert G.coefficient(2) == Fraction(2)
     assert G.coefficient(4) == Fraction(3, 2)
     assert G.coefficient(6) == Fraction(5, 9)

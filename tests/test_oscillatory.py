@@ -124,7 +124,7 @@ def test_direction_reach_against_subset_oracle_on_seeded_polytopes():
 def test_direction_reach_against_subset_oracle_on_mirrors():
     mirrors = [ehx_mirror(1, 3), ehx_mirror(1, 4), ehx_mirror(1, 5),
                ehx_mirror(2, 4), ehx_mirror(2, 5)]
-    mirrors += [przyjalkowski_model(n, d).f
+    mirrors += [przyjalkowski_model(n, d)
                 for n, d in ((3, 3), (4, 2), (4, 3))]
     for f in mirrors:
         exps = list(f.terms)
