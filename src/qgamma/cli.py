@@ -535,7 +535,8 @@ def _config_flags(path: str, command) -> list:
     # every header in the file opens a section of its own
     cp = configparser.ConfigParser(interpolation=None, default_section="")
     try:
-        cp.read_string("[qgamma]\n" + Path(path).read_text(), source=path)
+        text = Path(path).read_text()
+        cp.read_string("[qgamma]\n" + text, source=path)
     except FileNotFoundError:
         raise UsageError(f"config file not found: {path}")
     except configparser.Error as e:
@@ -544,8 +545,13 @@ def _config_flags(path: str, command) -> list:
                      lambda m: f"[line {int(m[1]) - 1:2d}]", str(e))
         raise UsageError(f"bad config file: {msg}")
     if len(cp.sections()) > 1:
-        raise UsageError(f"bad config file: section header "
-                         f"[{cp.sections()[1]}]; use key = value lines only")
+        name = cp.sections()[1]
+        line = next(i for i, s in enumerate(text.splitlines(), 1)
+                    if (m := cp.SECTCRE.match(s.strip()))
+                    and m["header"] == name)
+        raise UsageError(f"bad config file: While reading from {path!r} "
+                         f"[line {line:2d}]: section header [{name}]; "
+                         f"use key = value lines only")
     flags = []
     for key, raw in cp["qgamma"].items():
         key = key.replace("-", "_").lower()

@@ -19,7 +19,7 @@ import mpmath
 
 from .ring import (CohomologyRing, GradedVector, build_hypersurface_ambient_ring,
                    build_projective_ring)
-from .scalars import working_context
+from .scalars import from_fixed, to_fixed, working_context
 
 
 @dataclass(frozen=True)
@@ -73,9 +73,9 @@ class _NumericView(NamedTuple):
     peaks: list         # per degree, the largest |coefficient| at 15 digits
     log_peaks: list     # per degree, float log10 of that peak (-inf for 0)
     rows: dict          # working digits -> (per component [(degree
-                        # position, c)] with c != 0; the nonzero c of the
-                        # last two degrees; the nonzero entries (row,
-                        # column, value) of cup-by-c1)
+                        # position, m, s)] for each c = m * 2^-s != 0; the
+                        # nonzero c of the last two degrees; the nonzero
+                        # entries (row, column, value) of cup-by-c1)
 
 
 @dataclass(frozen=True)
@@ -245,23 +245,26 @@ def _integer_root(m: int, k: int):
 def evaluate_j(J: JSeries, t, *, P: int = 50, half_turns: int = 0) -> dict:
     """Sum the series at the point t with log t = log|t| + i*pi*half_turns.
 
-    The half-turn rotation is computed at working precision (so rotations
-    like e^(i pi) t stay exact to the last digit).  Returns {"value":
-    GradedVector over mpc, "tail_estimate": mpf, "converged": bool,
-    "work_digits": int}.  The tail estimate is twice the
+    Returns {"value": GradedVector over mpc, "tail_estimate": mpf,
+    "converged": bool, "work_digits": int}.  The tail estimate is twice the
     magnitude of the last included nonzero term; the converged flag reports
     whether term magnitudes were still decreasing at the truncation order.
 
     Working precision (unchanged): P + 20 digits plus the decimal exponent
-    of the largest term |c| |t|^d, taken at 15 digits.  Kernel: the powers
-    t^d come from a running product, each component of the sum is one exact
-    dot product of its coefficients with them (rounded once), and the
-    prefactor e^(c1 log t) is applied as sum_k (log t)^k/k! N^k with N the
-    matrix of cup-by-c1.  Coefficients and N are converted once per working
-    precision and kept on the series.  When log t is real (no half turns)
-    every scalar is real, and the result becomes complex only at the final
-    rounding to P digits.  Raises ValueError at t = 0, where log t is
-    undefined.
+    of the largest term |c| |t|^d, taken at 15 digits.  Kernel: every
+    degree d is an integer, so t^d = (-1)^(d*half_turns) |t|^d exactly and
+    the series sum is real.  It runs on Python ints: each coefficient is
+    kept as an exact mantissa and scale, the powers |t|^d come from a
+    running product of ints carrying prec + 2 bitlen(#degrees) + 10 bits,
+    and each component adds its exact products c |t|^d on one grid prec +
+    bitlen(#terms) + 10 bits below the largest of them, rounded once to
+    the working context.  The prefactor e^(c1 log t) is then applied as
+    sum_k (log t)^k/k! N^k with N the matrix of cup-by-c1; it is where the
+    half turns enter, as the imaginary part of log t.  Coefficients and N
+    are converted once per working precision and kept on the series.  When
+    log t is real (no half turns) every scalar is real, and the result
+    becomes complex only at the final rounding to P digits.  Raises
+    ValueError at t = 0, where log t is undefined.
     """
     if t == 0:
         raise ValueError("log t is undefined at t = 0")
@@ -274,28 +277,22 @@ def evaluate_j(J: JSeries, t, *, P: int = 50, half_turns: int = 0) -> dict:
         rows = [[ctx.convert(c) for c in J.coeffs[d].coeffs]
                 for d in view.degrees]
         cached = view.rows[wdps] = (
-            [[(k, row[i]) for k, row in enumerate(rows) if row[i]]
+            [[(k, *_scaled(row[i], ctx.prec, ctx))
+              for k, row in enumerate(rows) if row[i]]
              for i in range(R.rank)],
             [[c for c in row if c] for row in rows[-2:]],
             [(i, j, ctx.convert(s)) for j, col in enumerate(R.c1_matrix())
              for i, s in enumerate(col) if s])
     columns, last_rows, c1 = cached
 
-    logt = ctx.log(abs(ctx.convert(t)))
+    ta = abs(ctx.convert(t))
+    logt = ctx.log(ta)
     if half_turns:
         logt = ctx.mpc(logt, half_turns * ctx.pi)
     tval = ctx.exp(logt)    # honors the chosen branch for non-integer uses
-    powers = []             # t^d per degree, each from the one before
-    steps = {}              # degree gap -> t^gap
-    td, prev = ctx.one, 0
-    for d in view.degrees:
-        if d != prev:
-            step = steps.get(d - prev)
-            if step is None:
-                step = steps[d - prev] = tval ** (d - prev)
-            td, prev = td * step, d
-        powers.append(td)
-    acc = [ctx.fdot((c, powers[k]) for k, c in col) for col in columns]
+    powers = _fixed_powers(view.degrees, ta, half_turns, ctx)
+    acc = [from_fixed(ctx, *_fixed_sum(col, powers, ctx.prec))
+           for col in columns]
     # the last two term sizes, each from its own power of t
     last_two = []
     for d, row in zip(view.degrees[-2:], last_rows):
@@ -319,6 +316,52 @@ def evaluate_j(J: JSeries, t, *, P: int = 50, half_turns: int = 0) -> dict:
     return {"value": GradedVector(R, tuple(out.mpc(x) for x in value)),
             "tail_estimate": out.mpf(tail), "converged": converged,
             "work_digits": wdps}
+
+
+def _fixed_powers(degrees, ta, half_turns, ctx):
+    """Per degree d, (m, s) with t^d = m * 2^-s, for |t| = ta an mpf of
+    ctx: a running product of ints, truncated after each step to
+    bits = ctx.prec + 2 bitlen(#degrees) + 10, with the exact sign
+    (-1)^(d * half_turns)."""
+    bits = ctx.prec + 2 * len(degrees).bit_length() + 10
+    base, scale = _scaled(ta, bits, ctx)
+    steps = {}                      # degree gap -> |t|^gap
+    out = []
+    m, s, prev = 1, 0, 0
+    for d in degrees:
+        if d != prev:
+            step = steps.get(d - prev)
+            if step is None:
+                step = steps[d - prev] = _truncate(
+                    base ** (d - prev), scale * (d - prev), bits)
+            m, s = _truncate(m * step[0], s + step[1], bits)
+            prev = d
+        out.append((-m if d * half_turns % 2 else m, s))
+    return out
+
+
+def _scaled(x, bits: int, ctx):
+    """(m, s) with x = m * 2^-s exactly and m of `bits` bits, for a nonzero
+    mpf x of ctx and bits >= ctx.prec."""
+    s = bits - ctx.mag(x)
+    return to_fixed(x, s), s
+
+
+def _truncate(m: int, s: int, bits: int):
+    """m * 2^-s with m cut to its top `bits` bits, as (mantissa, scale)."""
+    extra = m.bit_length() - bits
+    return (m >> extra, s - extra) if extra > 0 else (m, s)
+
+
+def _fixed_sum(col, powers, prec: int):
+    """One component's sum over its terms (k, c, s), each c * 2^-s times
+    powers[k], as (n, G) with the sum n * 2^-G: every exact product is
+    truncated onto one grid prec + bitlen(#terms) + 10 bits below the
+    largest of them, and the ints are added exactly."""
+    prods = [(c * powers[k][0], s + powers[k][1]) for k, c, s in col]
+    top = max((p.bit_length() - s for p, s in prods), default=0)
+    G = prec + len(prods).bit_length() + 10 - top
+    return sum(p >> (s - G) if s >= G else p << (G - s) for p, s in prods), G
 
 
 def _peak_digits(view: _NumericView, t) -> int:

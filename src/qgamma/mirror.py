@@ -185,7 +185,7 @@ def conifold_point(f: LaurentPolynomial, P: int = 50) -> ConifoldResult:
         # out.mpf rounds to P digits; out.convert would keep all P + 10
         T_con=out.mpf(ctx.fsum(ws)),
         newton_iterations=it,
-        gradient_norm=out.convert(gnorm),
+        gradient_norm=out.mpf(gnorm),
         hessian_positive=posdef)
 
 

@@ -18,12 +18,14 @@ from __future__ import annotations
 
 from fractions import Fraction
 from itertools import product
+from operator import mul
 
 from .exactla import lp_max
 from .jfun import JSeries, evaluate_j, quantum_lefschetz
 from .laurent import LaurentPolynomial
 from .ring import GradedVector, cup, gamma_of_ch, line_bundle, pair_bracket
-from .scalars import make_constants, private_context, working_context
+from .scalars import (from_fixed, make_constants, private_context, to_fixed,
+                      working_context)
 
 
 _MARGIN_DIGITS = 10     # extra decay digits for the truncation box
@@ -65,9 +67,14 @@ def _grid_sum(f, z, L, npts, ctx):
     On the nodes u_i = -L + (j_i + 1/2) h the exponent <e, u> of a monomial
     is k h + s (h/2 - L) with the integers k = <e, j> and s = e_1 + ... + e_m,
     so its factor e^(-(c/z) e^<e,u>) comes from one table over k.  The sum
-    runs row by row over j_1..j_(m-1): monomials free of x_m give one scalar
-    per row, the others strided slices of their tables over j_m, and the
-    row ends in one fdot.
+    runs row by row over j_1..j_(m-1): monomials free of x_m give one weight
+    per row, the others strided slices of their tables over j_m.  The
+    arithmetic is on ints: each table is converted once to fixed point at
+    scale 2^F, products are shifted back by F, each row is one int dot
+    product, and the total is rounded once.  The sum is at least the
+    integrand e^(-f(x0)/z) at the node x0 nearest (1, ..., 1), so F puts
+    prec + 10 + bitlen(npts^m) bits below that value and the error stays
+    relative however small z makes the integrand.
     """
     m = f.nvars
     h = 2 * L / npts
@@ -83,6 +90,12 @@ def _grid_sum(f, z, L, npts, ctx):
             powers[k, s] = v
         return v
 
+    # x0 has j_i = npts // 2 on every axis, so <e, j> = (npts // 2) s there
+    fz = sum(ctx.convert(c) / zc * power(npts // 2 * sum(e), sum(e))
+             for e, c in f.items())
+    F = (ctx.prec + 10 + (npts ** m).bit_length()
+         + int(ctx.ceil(fz / ctx.ln2)))
+
     tables = {}     # equal (c, s, range of k) give equal tables
     free, along = [], []
     for e, c in f.items():
@@ -92,13 +105,16 @@ def _grid_sum(f, z, L, npts, ctx):
         key = (c, s, lo, hi)
         if key not in tables:
             w = -ctx.convert(c) / zc
-            tables[key] = [ctx.exp(w * power(k, s)) for k in range(lo, hi + 1)]
+            tables[key] = [to_fixed(ctx.exp(w * power(k, s)), F)
+                           for k in range(lo, hi + 1)]
         (along if e[-1] else free).append((e, lo, tables[key]))
 
     weights, rows = [], []
     for head in product(range(npts), repeat=m - 1):
-        weights.append(ctx.fprod(
-            T[sum(x * j for x, j in zip(e, head)) - lo] for e, lo, T in free))
+        weight = 1 << F
+        for e, lo, T in free:
+            weight = weight * T[sum(x * j for x, j in zip(e, head)) - lo] >> F
+        weights.append(weight)
         slices = []
         for e, lo, T in along:
             start = sum(x * j for x, j in zip(e, head)) - lo
@@ -107,9 +123,9 @@ def _grid_sum(f, z, L, npts, ctx):
         # the origin is interior, so x_m appears with both signs
         first, second, *rest = slices
         for col in rest:
-            first = [x * y for x, y in zip(first, col)]
-        rows.append(ctx.fdot(first, second))
-    return ctx.fdot(weights, rows) * h ** m
+            first = [x * y >> F for x, y in zip(first, col)]
+        rows.append(sum(map(mul, first, second)) >> F)
+    return from_fixed(ctx, sum(map(mul, weights, rows)), 2 * F) * h ** m
 
 
 def oscillatory_integral(f: LaurentPolynomial, z, tol=1e-12, P: int = 50):

@@ -19,6 +19,7 @@ import functools
 from dataclasses import dataclass, field
 
 import mpmath
+from mpmath.libmp import from_man_exp, round_nearest
 
 # 100-digit reference values (standard published digits) used to validate the
 # computed constants at construction time.  Two independent derivations of the
@@ -57,6 +58,25 @@ def working_context(P: int) -> mpmath.ctx_mp.MPContext:
     Nothing here touches mpmath's global ``mp`` context.
     """
     return private_context(P)
+
+
+def to_fixed(x, scale: int) -> int:
+    """The mpf `x` times 2^scale as an int, truncated toward zero.
+
+    Exact when 2^-scale divides x, as for any scale >= ctx.prec - ctx.mag(x)
+    with x an mpf of ctx.  Fixed-point sums convert each operand once with
+    this and round their int total once with :func:`from_fixed`.
+    """
+    sign, man, exp, _ = x._mpf_
+    shift = exp + scale
+    n = man << shift if shift >= 0 else man >> -shift
+    return -n if sign else n
+
+
+def from_fixed(ctx, n: int, scale: int):
+    """The int `n` times 2^-scale as an mpf of `ctx`, rounded once to
+    nearest at the context's precision."""
+    return ctx.make_mpf(from_man_exp(n, -scale, ctx.prec, round_nearest))
 
 
 @dataclass(frozen=True)

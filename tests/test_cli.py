@@ -306,6 +306,18 @@ def test_config_error_names_file_and_line(capsys, tmp_path, text, what):
     assert repr(str(cfg)) in err and "[line  2]" in err
 
 
+def test_config_foreign_section_names_file_and_line(capsys, tmp_path):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("digits = 20\n[other]\nspace = P2\n")
+    rc, out, err = run(capsys, ["--config", str(cfg), "gamma",
+                                "--space", "P2"])
+    assert rc == 2
+    assert out == ""
+    assert err.startswith("error: bad config file")
+    assert "section header [other]" in err
+    assert repr(str(cfg)) in err and "[line  2]" in err
+
+
 def test_config_does_not_carry_into_the_next_call(capsys, tmp_path):
     cfg = tmp_path / "run.cfg"
     cfg.write_text("space = P1\n")

@@ -1,5 +1,6 @@
 import functools
 import gc
+import random
 import weakref
 from fractions import Fraction
 
@@ -7,12 +8,13 @@ import mpmath
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from qgamma.jfun import (JSeries, _t0_value, evaluate_j, j_projective,
-                         jseries_to_json_dict, quantum_lefschetz,
-                         quantum_period, quintic_pf_annihilation)
+from qgamma.jfun import (JSeries, _fixed_powers, _fixed_sum, _t0_value,
+                         evaluate_j, j_projective, jseries_to_json_dict,
+                         quantum_lefschetz, quantum_period,
+                         quintic_pf_annihilation)
 from qgamma.grassmann import bcfk_j_series
 from qgamma.ring import build_projective_ring
-from qgamma.scalars import working_context
+from qgamma.scalars import from_fixed, to_fixed, working_context
 
 import oracles
 
@@ -208,6 +210,55 @@ def test_evaluate_j_matches_power_per_degree_oracle():
                         assert all(abs(ctx.convert(g.imag) - v.imag) < bound
                                    for g, v in zip(got, value)), case
                 k += 1
+
+
+def _exact(m, s):
+    return Fraction(m) / Fraction(2) ** s
+
+
+def _fraction(x):
+    sign, man, exp, _ = x._mpf_
+    return _exact(-man if sign else man, -exp)
+
+
+def test_fixed_point_sum_against_exact_fraction_sum():
+    # seeded rows with mixed signs, magnitudes across 10^+-200, rows that
+    # cancel to a small remainder, and the half-turn signs (-1)^d of the
+    # powers; the one rounding leaves at most 2^-prec * sum |terms|
+    rng = random.Random(1808)
+    for P in (15, 30, 50, 100):
+        ctx = working_context(P + 20)
+        for _ in range(25):
+            n = rng.randint(1, 60)
+            t = ctx.mpf(rng.uniform(0.05, 40))
+            half_turns = rng.choice((0, 1, -1, 2))
+            degrees = [0] + sorted(rng.sample(range(1, 200), n - 1))
+            powers = _fixed_powers(degrees, t, half_turns, ctx)
+            for (m, s), d in zip(powers, degrees):
+                assert (m < 0) == (d * half_turns % 2 == 1), (d, half_turns)
+                want = _fraction(t) ** d
+                assert abs(abs(_exact(m, s)) - want) \
+                    <= want * Fraction(n, 2 ** (ctx.prec + 10))
+            def term(k, c, s):
+                return _exact(c * powers[k][0], s + powers[k][1])
+            col = []
+            for k in range(n):
+                c = ctx.mpf(rng.choice((-1, 1)) * rng.random()) \
+                    * ctx.mpf(10) ** rng.randint(-200, 200)
+                s = ctx.prec - ctx.mag(c)
+                col.append((k, to_fixed(c, s), s))
+            if n > 1 and rng.random() < 0.3:
+                # the last term cancels all but a 2^-90 part of the others
+                others = sum(term(*x) for x in col[:-1])
+                c = ctx.convert(-others * (1 - Fraction(1, 2 ** 90))
+                                / _exact(*powers[-1]))
+                s = ctx.prec - ctx.mag(c)
+                col[-1] = (n - 1, to_fixed(c, s), s)
+            terms = [term(*x) for x in col]
+            got = from_fixed(ctx, *_fixed_sum(col, powers, ctx.prec))
+            assert got._mpf_[3] <= ctx.prec
+            err = abs(_fraction(got) - sum(terms))
+            assert err <= sum(map(abs, terms)) / 2 ** ctx.prec, (P, n)
 
 
 @functools.cache

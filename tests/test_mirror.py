@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import random
 from fractions import Fraction
@@ -174,6 +175,23 @@ def test_conifold_value_is_rounded_to_P(n, d):
     for P in (15, 30, 50):
         res = conifold_point(przyjalkowski_model(n, d), P=P)
         assert res.T_con._mpf_[3] <= working_context(P).prec
+
+
+def test_every_conifold_field_is_rounded_to_P():
+    # x_con, T_con and gradient_norm all come back in the P-digit context
+    # (gradient_norm had 203 bits on X(4,2) at P = 50, where P keeps 169)
+    for f in (przyjalkowski_model(4, 2), przyjalkowski_model(3, 3),
+              toric_mirror_from_rays(projective_rays(3))):
+        for P in (15, 30, 50, 100):
+            res = conifold_point(f, P=P)
+            values = []
+            for field in dataclasses.fields(res):
+                v = getattr(res, field.name)
+                values.extend(v if isinstance(v, tuple) else [v])
+            mpfs = [v for v in values if hasattr(v, "_mpf_")]
+            assert len(mpfs) == f.nvars + 2
+            assert all(v._mpf_[3] <= working_context(P).prec for v in mpfs), \
+                (f.terms, P)
 
 
 def test_przyjalkowski_period_matches_lefschetz_route():

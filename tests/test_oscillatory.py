@@ -66,6 +66,16 @@ def test_master_identity_projective_plane():
     assert abs(cc - Z) / abs(Z) < mpmath.mpf(10) ** -38
 
 
+def test_master_identity_projective_3_space():
+    # the three-variable orthant integral at 15 digits and tol 1e-8
+    f = toric_mirror_from_rays(projective_rays(4))
+    J = j_projective(4, 160)
+    Z = oscillatory_integral(f, 1, tol=1e-8, P=15)
+    cc = central_charge_structure_sheaf(
+        J, gamma_class(J.ring, make_constants(P=15)), 1, P=15)
+    assert abs(cc - Z) / abs(Z) < 1e-7
+
+
 def test_dimension_cap():
     W = ehx_mirror(1, 5)        # four variables
     with pytest.raises(ValueError, match="dimension 4 above the cap 3"):
@@ -202,6 +212,23 @@ def test_grid_sum_against_per_node_oracle():
                 want = oracles.midpoint_orthant_sum(f, z, L, npts, P + 20)
                 assert abs(got - want) <= ctx.mpf(10) ** -(P + 5) * abs(want), \
                     (f.terms, z, npts)
+
+
+def test_grid_sum_keeps_relative_accuracy_at_small_z():
+    # at z = 1/20 the integrand peaks near e^(-f(1,...,1)/z), 1e-18 on the
+    # line and 1e-26 on the plane: a fixed-point scale blind to that
+    # deficit loses 18 or 26 of the digits the other test asks for
+    P = 30
+    ctx = working_context(P + 10)
+    z = Fraction(1, 20)
+    for n in (2, 3):
+        f = toric_mirror_from_rays(projective_rays(n))
+        for npts in (12, 24):
+            got = oscillatory._grid_sum(f, ctx.convert(z), ctx.mpf(2), npts,
+                                        ctx)
+            want = oracles.midpoint_orthant_sum(f, z, 2, npts, P + 20)
+            assert abs(got - want) <= ctx.mpf(10) ** -(P + 5) * abs(want), \
+                (n, npts)
 
 
 class _CountingContext:
