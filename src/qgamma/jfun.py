@@ -74,8 +74,9 @@ class _NumericView(NamedTuple):
     log_peaks: list     # per degree, float log10 of that peak (-inf for 0)
     rows: dict          # working digits -> (per component [(degree
                         # position, m, s)] for each c = m * 2^-s != 0; the
-                        # nonzero c of the last two degrees; the nonzero
-                        # entries (row, column, value) of cup-by-c1)
+                        # (m, s) of |c| for the nonzero c of the last two
+                        # degrees; the nonzero entries (row, column, value)
+                        # of cup-by-c1)
 
 
 @dataclass(frozen=True)
@@ -258,7 +259,9 @@ def evaluate_j(J: JSeries, t, *, P: int = 50, half_turns: int = 0) -> dict:
     running product of ints carrying prec + 2 bitlen(#degrees) + 10 bits,
     and each component adds its exact products c |t|^d on one grid prec +
     bitlen(#terms) + 10 bits below the largest of them, rounded once to
-    the working context.  The prefactor e^(c1 log t) is then applied as
+    the working context.  The two term sizes of the tail estimate, |c|
+    |t|^d for the last two degrees, come from the same ints, each product
+    rounded once.  The prefactor e^(c1 log t) is then applied as
     sum_k (log t)^k/k! N^k with N the matrix of cup-by-c1; it is where the
     half turns enter, as the imaginary part of log t.  Coefficients and N
     are converted once per working precision and kept on the series.  When
@@ -280,7 +283,8 @@ def evaluate_j(J: JSeries, t, *, P: int = 50, half_turns: int = 0) -> dict:
             [[(k, *_scaled(row[i], ctx.prec, ctx))
               for k, row in enumerate(rows) if row[i]]
              for i in range(R.rank)],
-            [[c for c in row if c] for row in rows[-2:]],
+            [[_scaled(abs(c), ctx.prec, ctx) for c in row if c]
+             for row in rows[-2:]],
             [(i, j, ctx.convert(s)) for j, col in enumerate(R.c1_matrix())
              for i, s in enumerate(col) if s])
     columns, last_rows, c1 = cached
@@ -289,15 +293,13 @@ def evaluate_j(J: JSeries, t, *, P: int = 50, half_turns: int = 0) -> dict:
     logt = ctx.log(ta)
     if half_turns:
         logt = ctx.mpc(logt, half_turns * ctx.pi)
-    tval = ctx.exp(logt)    # honors the chosen branch for non-integer uses
     powers = _fixed_powers(view.degrees, ta, half_turns, ctx)
     acc = [from_fixed(ctx, *_fixed_sum(col, powers, ctx.prec))
            for col in columns]
-    # the last two term sizes, each from its own power of t
-    last_two = []
-    for d, row in zip(view.degrees[-2:], last_rows):
-        td = tval ** d
-        last_two.append(max((abs(c * td) for c in row), default=ctx.zero))
+    # the last two term sizes |c| |t|^d, each product rounded once
+    last_two = [max((from_fixed(ctx, c * abs(m), s + sd) for c, s in row),
+                    default=ctx.zero)
+                for (m, sd), row in zip(powers[-2:], last_rows)]
     converged = len(last_two) < 2 or last_two[-1] < last_two[-2]
     tail = 2 * last_two[-1] if last_two else ctx.zero
 

@@ -12,13 +12,21 @@ radius comes from an exact convexity bound: for each coordinate direction
 polytope of f, and all 2m reaches are positive exactly when the origin is
 interior to it; weighted AM-GM then gives f(e^u) >= c_min * e^(rho * |u_i|)
 on the corresponding face, which pins the box size for a requested decay.
+
+The Laplace route integrates the ambient series against e^(-s) as one
+tanh-sinh sum over the whole vector: one series evaluation per node, the
+nodes and weights memoised per working precision and level, and a stop
+when every component's predicted error is small relative to it.
 """
 
 from __future__ import annotations
 
+import functools
 from fractions import Fraction
 from itertools import product
 from operator import mul
+
+from mpmath.calculus.quadrature import TanhSinh
 
 from .exactla import lp_max
 from .jfun import JSeries, evaluate_j, quantum_lefschetz
@@ -32,6 +40,7 @@ _MARGIN_DIGITS = 10     # extra decay digits for the truncation box
 _MAX_DIM = 3            # orthant-integral dimension guard
 _START_POINTS = 48      # first quadrature grid size per axis
 _MAX_DOUBLINGS = 6      # grid refinements before the quadrature gives up
+_MAX_LEVEL = 8          # tanh-sinh levels before the Laplace sum gives up
 
 
 def _direction_reach(exponents, v):
@@ -47,6 +56,17 @@ def _direction_reach(exponents, v):
     if not rho:
         raise ValueError("origin not interior to the Newton polytope")
     return rho
+
+
+@functools.lru_cache(maxsize=128)
+def _min_reach(exponents: tuple, m: int):
+    """The smallest `_direction_reach` of the exponents over the 2m
+    directions +-e_i, memoised on the sorted exponent tuple: it depends on
+    nothing else of a mirror.  The 2m positive reaches span a
+    cross-polytope about 0, so the origin is interior."""
+    return min(_direction_reach(exponents, tuple(s * (j == i)
+                                                 for j in range(m)))
+               for i in range(m) for s in (1, -1))
 
 
 def _truncation_radius(f: LaurentPolynomial, z, digits, rho, ctx):
@@ -143,10 +163,7 @@ def oscillatory_integral(f: LaurentPolynomial, z, tol=1e-12, P: int = 50):
         raise ValueError("need strictly positive coefficients")
     if f.nvars > _MAX_DIM:
         raise ValueError(f"integral dimension {f.nvars} above the cap {_MAX_DIM}")
-    # the origin check: 2m positive reaches span a cross-polytope about 0
-    exps, m = [e for e, _ in f.items()], f.nvars
-    rho = min(_direction_reach(exps, tuple(s * (j == i) for j in range(m)))
-              for i in range(m) for s in (1, -1))
+    rho = _min_reach(tuple(sorted(e for e, _ in f.items())), f.nvars)
     wp = P + 10
     ctx = working_context(wp)
     zc = ctx.convert(z)
@@ -206,8 +223,10 @@ def laplace_lefschetz_check(JX: JSeries, a: int, u, tol=None, P: int = 50) -> di
     Left side: J_Y at t = u^(a/(r-a)) from the degree-a twist of JX, built
     once per JX and a and kept on JX.
     Right side: e^(-c0 t)/(Gamma(1+a h) u) * int_0^inf  i*J_X(q^(a/r))
-    e^(-q/u) dq, integrated adaptively componentwise.  Reports componentwise
-    absolute and relative differences.
+    e^(-q/u) dq, in the variable s = q/u and cut at s = S with e^(-S) =
+    10^-(P+15), as one tanh-sinh sum over the whole vector (`_laplace_sum`).
+    Reports componentwise absolute and relative differences, and the
+    sum's predicted error per component as `quad_error`.
     """
     RX = JX.ring
     r = RX.fano_index
@@ -232,33 +251,8 @@ def laplace_lefschetz_check(JX: JSeries, a: int, u, tol=None, P: int = 50) -> di
         raise ArithmeticError("hypersurface series tail not under control")
     lhs = left["value"]
 
-    # flat cutoff for the Laplace variable: e^(-S) below the target digits
-    S = ctx.convert((P + 15)) * ctx.log(10)
-    ar = ctx.convert(Fraction(a, r))
-    cache = {}
-    # quad raises its context's prec by 20 bits while it calls the integrand,
-    # so it runs on a private context; the integrand's arithmetic follows it
-    # because mpmath takes the context of the left operand (s, a quad node)
-    qctx = private_context(wp)
-
-    def ambient_at(s):
-        key = str(s)
-        if key not in cache:
-            arg = (s * uc) ** ar
-            res = evaluate_j(JX, arg, P=wp)
-            if not res["converged"]:
-                raise ArithmeticError("ambient series tail not under control "
-                                      "inside the Laplace integral")
-            cache[key] = res["value"].coeffs
-        return cache[key]
-
-    comps = []
-    errs = []
-    for i in range(RY.rank):
-        val, err = qctx.quad(lambda s, i=i: ambient_at(s)[i] * qctx.exp(-s),
-                             [0, S], error=True, maxdegree=8)
-        comps.append(val)
-        errs.append(err)
+    comps, errs = _laplace_sum(JX, RY.rank, uc, ctx.convert(Fraction(a, r)),
+                               P)
     integral = GradedVector(RY, tuple(comps))
 
     C = make_constants(P=wp)
@@ -279,10 +273,90 @@ def laplace_lefschetz_check(JX: JSeries, a: int, u, tol=None, P: int = 50) -> di
         "rhs": [out.mpc(x) for x in rhs.coeffs],
         "abs_diff": [out.mpf(d) for d in abs_diff],
         "rel_diff": [out.mpf(d) for d in rel_diff],
-        "grid_params": {"laplace_cutoff": out.mpf(S), "quad_error": [out.mpf(e) for e in errs],
+        "grid_params": {"laplace_cutoff": out.mpf(_laplace_cutoff(wp)),
+                        "quad_error": [out.mpf(e) for e in errs],
                         "work_digits": wp},
     }
     if tol is not None:
         report["pass"] = bool(all(d < ctx.convert(tol) for d in rel_diff))
         report["tol"] = tol
     return report
+
+
+def _laplace_sum(JX: JSeries, rank: int, uc, ar, P: int):
+    """The first `rank` components of int_0^S J_X((s u)^ar) e^(-s) ds at
+    the working precision P + 10, with S = `_laplace_cutoff`, and the
+    predicted absolute error of each, both as lists of mpfs.
+
+    One tanh-sinh sum over the vector: each node of level k calls
+    `evaluate_j` once and its vector is added to every component, and level
+    k keeps level k-1's sum, I_k = I_(k-1)/2 + (the new nodes).  On t > 0
+    the ambient series is real, so the sums are.  With d_k = |I_k -
+    I_(k-1)| and each level doubling the digits, the error of I_k is
+    predicted as d_k^2/d_(k-1), floored by the rounding error the sum can
+    carry, (nodes so far) 2^-prec sum |weight * value|; an exactly-zero
+    component has floor 0 and converges.  The sum stops at the first level
+    where every prediction is at most 10^-(P+2) |I_k|, and raises if
+    `_MAX_LEVEL` comes first.
+    """
+    wp = P + 10
+    ctx = working_context(wp)
+    bound = ctx.mpf(10) ** -(P + 2)
+    ulp = ctx.ldexp(1, -ctx.prec)
+    total = [ctx.zero] * rank       # I_k
+    size = [ctx.zero] * rank        # sum of |weight * value|, halved alike
+    diffs = None                    # d_(k-1), from level 2 on
+    count = 0
+    for level in range(1, _MAX_LEVEL + 1):
+        prev = total
+        total = [x / 2 for x in total]
+        size = [x / 2 for x in size]
+        nodes = _laplace_nodes(wp, level)
+        for s, w in nodes:
+            res = evaluate_j(JX, (s * uc) ** ar, P=wp)
+            if not res["converged"]:
+                raise ArithmeticError("ambient series tail not under control "
+                                      "inside the Laplace integral")
+            for i, v in enumerate(res["value"].coeffs[:rank]):
+                wv = w * v.real
+                total[i] += wv
+                size[i] += abs(wv)
+        count += len(nodes)
+        if level == 1:
+            continue
+        d = [abs(x - y) for x, y in zip(total, prev)]
+        if diffs is not None:
+            errs = [max(dk * dk / dp if dp else dk, count * ulp * m)
+                    for dk, dp, m in zip(d, diffs, size)]
+            if all(e <= bound * abs(x) for e, x in zip(errs, total)):
+                return total, errs
+        diffs = d
+    raise ArithmeticError(f"Laplace sum did not converge within "
+                          f"{_MAX_LEVEL} tanh-sinh levels")
+
+
+def _laplace_cutoff(wp: int):
+    """S = (wp + 5) ln 10, so that e^(-S) = 10^-(wp+5), in
+    working_context(wp)."""
+    ctx = working_context(wp)
+    return ctx.convert(wp + 5) * ctx.log(10)
+
+
+@functools.lru_cache(maxsize=128)
+def _laplace_nodes(wp: int, level: int) -> tuple:
+    """The tanh-sinh nodes s on [0, `_laplace_cutoff(wp)`] that `level` adds
+    to the levels below it, each with its weight times the step 2^-level
+    and e^(-s), as pairs (s, weight) of mpfs of working_context(wp).
+
+    mpmath's `TanhSinh` builds them at the context's precision plus guard
+    bits, on a private context that it raises and is then dropped.
+    """
+    ctx = working_context(wp)
+    rule = TanhSinh(private_context(wp))
+    nodes = rule.get_nodes(0, _laplace_cutoff(wp), level, ctx.prec)
+    step = ctx.ldexp(1, -level)
+    out = []
+    for s, w in nodes:
+        s = ctx.convert(s)
+        out.append((s, step * ctx.convert(w) * ctx.exp(-s)))
+    return tuple(out)

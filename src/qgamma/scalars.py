@@ -8,9 +8,9 @@ Conventions used throughout the package:
   is a parameter of the computation, never global mutable state.  Contexts are
   memoised, one per digit count, and shared by every caller: they are
   read-only (nothing may set ``dps`` or ``prec`` on one) and meant for one
-  thread.  The one exception is a computation whose mpmath routine raises the
-  precision of its own context while calling back into this package (``quad``
-  in the Laplace check); it runs on a :func:`private_context`.
+  thread.  No routine raises a context's precision: an mpmath routine that
+  does so on its own context (``TanhSinh`` building the Laplace check's
+  nodes) gets a throwaway :func:`private_context`.
 """
 
 from __future__ import annotations
@@ -38,7 +38,8 @@ _REFERENCE_100 = {
 
 def private_context(P: int) -> mpmath.ctx_mp.MPContext:
     """A new real/complex context carrying `P` decimal digits, owned by the
-    caller, who may raise its precision (as mpmath's ``quad`` does)."""
+    caller, who may raise its precision (as mpmath's ``TanhSinh`` does
+    while it builds nodes)."""
     if P < 1:
         raise ValueError("precision must be positive")
     ctx = mpmath.ctx_mp.MPContext()
@@ -53,9 +54,9 @@ def working_context(P: int) -> mpmath.ctx_mp.MPContext:
     One context per digit count (the last 128 are memoised), so building one
     costs nothing after the first call.  It is read-only: no caller may set
     its ``dps`` or ``prec``, and it is not for use from several threads.  An
-    mpmath routine that raises its context's precision while it calls back
-    into this package (``quad``) needs a :func:`private_context` instead.
-    Nothing here touches mpmath's global ``mp`` context.
+    mpmath routine that raises its context's precision needs a
+    :func:`private_context` instead.  Nothing here touches mpmath's global
+    ``mp`` context.
     """
     return private_context(P)
 

@@ -8,6 +8,7 @@ from pathlib import Path
 import mpmath
 import pytest
 
+from qgamma import oscillatory
 from qgamma.cli import _COMMANDS, main, parse_space
 from qgamma.grassmann import ehx_constant_terms
 from qgamma.jfun import j_projective, quantum_lefschetz, quantum_period
@@ -151,6 +152,14 @@ def test_lefschetz_without_tol_states_no_verdict(capsys):
                                 "--tol", "1e-8"])
     assert rc == 0
     assert json.loads(out)["verdict"] is True
+
+
+def test_lefschetz_unconverged_sum_exits_2(capsys, monkeypatch):
+    monkeypatch.setattr(oscillatory, "_MAX_LEVEL", 2)
+    rc, out, err = run(capsys, ["lefschetz", "--space", "X(4,2)", "-D", "40",
+                                "--tol", "1e-8"])
+    assert rc == 2 and out == ""
+    assert err.startswith("error: Laplace sum did not converge")
 
 
 def test_apery_target_is_zeta2(capsys):

@@ -293,6 +293,86 @@ def test_laplace_route_builds_each_hypersurface_once(monkeypatch):
     assert [(J is JX, a) for J, a in built] == [(True, 2), (False, 2)]
 
 
+def _counting_evaluate_j(monkeypatch):
+    """Route the check's `evaluate_j` through a memo that counts calls."""
+    calls, memo = [], {}
+
+    def counted(J, t, **kwargs):
+        calls.append(t)
+        key = (id(J), t, tuple(sorted(kwargs.items())))
+        if key not in memo:
+            memo[key] = evaluate_j(J, t, **kwargs)
+        return memo[key]
+    monkeypatch.setattr(oscillatory, "evaluate_j", counted)
+    return calls
+
+
+def test_laplace_sum_against_one_more_level(monkeypatch):
+    # the accepted level k agrees with level k + 1 to 10^-(P+2) relatively,
+    # componentwise, and its predicted error is at least |I_k - I_(k+1)|;
+    # level k + 1 reuses the memoised values of the nodes k has
+    calls = _counting_evaluate_j(monkeypatch)
+    JX = j_projective(4, 160)
+    for a in (2, 3):
+        rank = build_hypersurface_ambient_ring(3, a).rank
+        for u in (Fraction(1, 100), Fraction(3, 100), Fraction(5, 100)):
+            for P in (15, 30, 50):
+                wp = P + 10
+                ctx = working_context(wp)
+                uc, ar = ctx.convert(u), ctx.convert(Fraction(a, 4))
+                calls.clear()
+                total, errs = oscillatory._laplace_sum(JX, rank, uc, ar, P)
+                level, seen = 0, 0
+                while seen < len(calls):
+                    level += 1
+                    seen += len(oscillatory._laplace_nodes(wp, level))
+                assert seen == len(calls) and level >= 3, (a, u, P)
+                nxt = [x / 2 for x in total]
+                for s, w in oscillatory._laplace_nodes(wp, level + 1):
+                    v = oscillatory.evaluate_j(JX, (s * uc) ** ar, P=wp)
+                    for i in range(rank):
+                        nxt[i] += w * v["value"].coeffs[i].real
+                for i, (x, y, e) in enumerate(zip(total, nxt, errs)):
+                    assert abs(x - y) <= ctx.mpf(10) ** -(P + 2) * abs(x), \
+                        (a, u, P, i)
+                    assert e >= abs(x - y), (a, u, P, i)
+
+
+def test_laplace_check_calls_evaluate_j_once_per_node(monkeypatch):
+    # 267 nodes on levels 1-5 and the left side; the per-component quad of
+    # the parent stopped one level later, at 535 nodes
+    calls = _counting_evaluate_j(monkeypatch)
+    rep = laplace_lefschetz_check(j_projective(4, 160), 2, Fraction(1, 20),
+                                  P=30)
+    assert len(calls) == 268
+    assert len(rep["grid_params"]["quad_error"]) == 3
+
+
+def test_laplace_level_cap_raises(monkeypatch):
+    # two levels give one difference and no prediction: the sum is refused,
+    # not reported
+    monkeypatch.setattr(oscillatory, "_MAX_LEVEL", 2)
+    with pytest.raises(ArithmeticError, match="within 2 tanh-sinh levels"):
+        laplace_lefschetz_check(j_projective(4, 160), 2, Fraction(1, 20),
+                                tol=Fraction(1, 10 ** 8), P=30)
+
+
+def test_reach_is_solved_once_per_mirror(monkeypatch):
+    solved = []
+
+    def counted(exponents, v):
+        solved.append(v)
+        return _direction_reach(exponents, v)
+    monkeypatch.setattr(oscillatory, "_direction_reach", counted)
+    oscillatory._min_reach.cache_clear()
+    for n in (2, 3):
+        f = toric_mirror_from_rays(projective_rays(n))
+        for z in (1, 2, 1):
+            oscillatory_integral(f, z, tol=1e-6, P=15)
+    # the P1 mirror has one variable, the P2 mirror two
+    assert len(solved) == 2 * 1 + 2 * 2
+
+
 def _bits(x):
     """Every binary digit of a report, with the precision of each number."""
     if hasattr(x, "_mpc_"):
@@ -320,6 +400,7 @@ def test_reports_do_not_depend_on_cache_state(monkeypatch):
     monkeypatch.setattr(scalars, "private_context", recording)
     working_context.cache_clear()
     make_constants.cache_clear()
+    oscillatory._laplace_nodes.cache_clear()
 
     # ... and check them each time the Laplace integrand calls back
     drifted = []
@@ -344,9 +425,10 @@ def test_reports_do_not_depend_on_cache_state(monkeypatch):
     assert _bits(cold) == _bits(warm)
     assert not drifted
     assert all(ctx.prec == prec for ctx, prec in built)
-    # the integrand runs at the precision quad raises its own context to;
-    # at the 40-digit working precision alone this noise-level digit moves
-    assert mpmath.nstr(cold[0]["rel_diff"][2], 5) == "3.0495e-40"
+    # the Laplace sum runs at the 40-digit working precision: its nodes and
+    # weights are rounded to it, and so is every product and partial sum;
+    # this noise-level digit is that of the sum in that order
+    assert mpmath.nstr(cold[0]["rel_diff"][2], 5) == "4.6759e-40"
 
 
 def test_laplace_guards():
