@@ -43,30 +43,23 @@ def make_grid(t_max, k: int):
     return tuple(tm * (k + j) / (2 * k) for j in range(k + 1))
 
 
-def neville_at_zero(svals, yvals):
-    """Value at 0 of the polynomial through the points (svals, yvals)."""
+def _neville(svals, yvals):
+    """Values at 0 of the polynomials through all the points (svals,
+    yvals) and through all but the first, from one Neville tableau: the
+    second is its entry 1 before the last level."""
     p = list(yvals)
     s = list(svals)
+    rest = None
     for lvl in range(1, len(p)):
+        rest = p[1]
         for i in range(len(p) - lvl):
             p[i] = (s[i] * p[i + 1] - s[i + lvl] * p[i]) / (s[i] - s[i + lvl])
-    return p[0]
+    return p[0], rest
 
 
-def _extrapolate_components(svals, rows, order):
-    """Componentwise Neville limits of orders `order` and `order-1`.
-
-    `rows` is one list of component values per grid point; the order-m
-    estimate uses the m+1 points nearest s = 0 (the grid is decreasing
-    in s, so those are the last rows).
-    """
-    ncomp = len(rows[0])
-    top, prev = [], []
-    for i in range(ncomp):
-        ys = [row[i] for row in rows]
-        top.append(neville_at_zero(svals[-(order + 1):], ys[-(order + 1):]))
-        prev.append(neville_at_zero(svals[-order:], ys[-order:]))
-    return top, prev
+def neville_at_zero(svals, yvals):
+    """Value at 0 of the polynomial through the points (svals, yvals)."""
+    return _neville(svals, yvals)[0]
 
 
 def principal_asymptotic_class(J: JSeries, cfg: ExtrapolationConfig) -> dict:
@@ -90,7 +83,11 @@ def principal_asymptotic_class(J: JSeries, cfg: ExtrapolationConfig) -> dict:
             raise ZeroDivisionError("normalizing coefficient vanished on the grid")
         rows.append([c / den for c in vec.coeffs])
         svals.append(1 / ctx.convert(t))
-    top, prev = _extrapolate_components(svals, rows, cfg.order)
+    # componentwise limits of orders k and k - 1 from one tableau on the
+    # k + 1 points nearest s = 0: the last, as the grid decreases in s
+    last = slice(-(cfg.order + 1), None)
+    top, prev = zip(*(_neville(svals[last], [row[i] for row in rows[last]])
+                      for i in range(R.rank)))
     errors = tuple(abs(a - b) for a, b in zip(top, prev))
     # grid points are real positive, so the limit is real
     limit = GradedVector(R, tuple(ctx.mpf(v.real) for v in top))

@@ -264,20 +264,18 @@ def cmd_gamma(args, spec):
 
 
 def cmd_jseries(args, spec):
-    D = args.order if args.order is not None else 20
-    J, extras = spec.jseries(D, args.digits)
+    J, extras = spec.jseries(args.order, args.digits)
     return {"value": {**jseries_to_json_dict(J, spec.label()), **extras}}, None
 
 
 def cmd_qperiod(args, spec):
-    N = args.N if args.N is not None else 10
     if spec.kind == "projective":
         # kept beside the mirror route: on a 2-core Xeon, -N 120 on P4 takes
         # 0.3 s here and exhausts the constant-term support budget after
         # 20 s through the mirror
-        qp = quantum_period(j_projective(spec.n, N))
+        qp = quantum_period(j_projective(spec.n, args.N))
     else:
-        qp = constant_term_series(spec.mirror(), N)
+        qp = constant_term_series(spec.mirror(), args.N)
     if args.format == "csv":
         return qp.to_csv(), None
     rows = [{"d": d, "exact": str(qp.coefficient(d)),
@@ -318,12 +316,10 @@ def cmd_spectrum(args, spec):
 
 
 def cmd_check_gamma1(args, spec):
-    D = args.order if args.order is not None else 600
-    J, _ = spec.jseries(D, args.digits)
+    J, _ = spec.jseries(args.order, args.digits)
     cfg = ExtrapolationConfig(t_grid=make_grid(args.tmax, args.korder),
                               order=args.korder, precision=args.digits)
-    tol = args.tol if args.tol is not None else 1e-4
-    report = gamma_I_verdict(J, cfg, tol)
+    report = gamma_I_verdict(J, cfg, args.tol)
     errors = {"worst_difference": report["worst_difference"],
               "extrapolation": [c["extrapolation_error"]
                                 for c in report["component_errors"]]}
@@ -331,17 +327,19 @@ def cmd_check_gamma1(args, spec):
 
 
 def cmd_apery(args, spec):
-    N = args.N if args.N is not None else 20
-    D = args.order if args.order is not None else spec.fano_index() * N
-    J, _ = spec.jseries(D, args.digits)
+    # on args for config_echo; spec.jseries refuses toric rays at any order
+    if args.order is None and spec.kind != "toric":
+        args.order = spec.fano_index() * args.N
+    J, _ = spec.jseries(args.order, args.digits)
     kern = kernel_c1(J.ring)
     if not kern:
         raise UsageError(f"{spec.label()} has no primitive classes to pair")
-    idx = args.kernel_index if args.kernel_index is not None else len(kern) - 1
+    idx = args.kernel_index = len(kern) - 1 if args.kernel_index is None \
+        else args.kernel_index
     if not 0 <= idx < len(kern):
         raise UsageError(f"kernel index out of range 0..{len(kern) - 1}")
     alpha = kern[idx]
-    res = apery_ratio(J, alpha, N, P=args.digits)
+    res = apery_ratio(J, alpha, args.N, P=args.digits)
     value = {"D": J.D, "alpha": list(alpha.coeffs),
              "kernel_dimension": len(kern),
              "n": list(res["n"]), "ratios": list(res["ratios"]),
@@ -353,27 +351,24 @@ def cmd_apery(args, spec):
 def cmd_oscillatory(args, spec):
     if spec.kind != "projective":
         raise UsageError("oscillatory check is wired for P<n> spaces")
-    D = args.order if args.order is not None else 400
-    J, _ = spec.jseries(D, args.digits)
+    J, _ = spec.jseries(args.order, args.digits)
     g = gamma_class(J.ring, make_constants(P=args.digits))
     t = working_context(args.digits + 10).mpf(args.t)
     Z = central_charge_structure_sheaf(J, g, t, P=args.digits)
     osc = oscillatory_integral(spec.mirror(), 1 / t, tol=args.quad_tol,
                                P=args.digits)
     rel = abs(Z - osc) / abs(Z)
-    tol = args.tol if args.tol is not None else 1e-6
     return ({"value": {"t": t, "central_charge": Z,
                        "oscillatory_integral": osc,
-                       "relative_difference": rel, "tol": tol},
-             "error_estimates": {"relative_difference": rel}}, rel < tol)
+                       "relative_difference": rel, "tol": args.tol},
+             "error_estimates": {"relative_difference": rel}}, rel < args.tol)
 
 
 def cmd_lefschetz(args, spec):
     if spec.kind != "hypersurface":
         raise UsageError("lefschetz check needs a hypersurface space X(n,d)")
-    D = args.order if args.order is not None else 160
-    rep = laplace_lefschetz_check(j_projective(spec.n, D), spec.d, args.u,
-                                  tol=args.tol, P=args.digits)
+    rep = laplace_lefschetz_check(j_projective(spec.n, args.order), spec.d,
+                                  args.u, tol=args.tol, P=args.digits)
     errors = {"rel_diff": rep["rel_diff"],
               "quad_error": rep["grid_params"]["quad_error"]}
     return {"value": rep, "error_estimates": errors}, rep.get("pass")
@@ -437,9 +432,8 @@ def cmd_mutate(args, spec):
 
 
 def cmd_fekete(args, spec):
-    N = args.N if args.N is not None else 12
-    r = args.index if args.index is not None else spec.fano_index()
-    rep = fekete_limit(spec.mirror(), r, N, P=args.digits)
+    r = args.index = spec.fano_index() if args.index is None else args.index
+    rep = fekete_limit(spec.mirror(), r, args.N, P=args.digits)
     if 0 in rep["constants"]:
         # a vanishing term breaks the hypothesis; it refutes nothing
         k = rep["constants"].index(0)
@@ -461,8 +455,6 @@ _COMMANDS = {
     "fekete": cmd_fekete,
 }
 
-_ALL = tuple(_COMMANDS)
-
 
 def _positive(kind):
     """An argparse type: `kind` of the text, refused unless positive."""
@@ -476,34 +468,36 @@ def _positive(kind):
 
 
 # One row per option: its flags, its argparse keywords and the subcommands
-# that read it.  The parser, the config keys and config_echo come from here.
+# that read it, each with its default.  The parser, the config keys and
+# config_echo come from here.  A None default is either derived from the
+# space by the subcommand or, for lefschetz's --tol, states no verdict.
 _OPTIONS = (
     (("--space",), {"required": True,
                     "help": "P<n>, Gr(r,n), X(n,d), P1xP1, toric:rays.json"},
-     _ALL),
-    (("--digits", "-P"), {"type": int, "default": 50}, _ALL),
-    (("--output", "-o"), {}, _ALL),
+     dict.fromkeys(_COMMANDS)),
+    (("--digits", "-P"), {"type": int}, dict.fromkeys(_COMMANDS, 50)),
+    (("--output", "-o"), {}, dict.fromkeys(_COMMANDS)),
     (("--order", "-D"), {"type": _positive(int),
                          "help": "series truncation order"},
-     ("jseries", "check-gamma1", "apery", "oscillatory", "lefschetz")),
-    (("--format",), {"choices": ("json", "csv"), "default": "json"},
-     ("qperiod", "gram")),
-    (("-N",), {"type": _positive(int)}, ("qperiod", "apery", "fekete")),
-    (("--tmax",), {"type": _positive(float), "default": 40.0},
-     ("check-gamma1",)),
-    (("--korder", "-k"), {"type": _positive(int), "default": 6},
-     ("check-gamma1",)),
-    (("--tol",), {"type": float}, ("check-gamma1", "oscillatory", "lefschetz")),
-    (("--t",), {"type": _positive(float), "default": 1.0}, ("oscillatory",)),
-    (("--quad-tol",), {"type": _positive(float), "default": 1e-12},
-     ("oscillatory",)),
-    (("--u",), {"type": _positive(float), "default": 0.05}, ("lefschetz",)),
-    (("--word",), {"required": True,
-                   "help": "mutation word, e.g. 'R1 L2 R3'"}, ("mutate",)),
-    (("--kernel-index",), {"type": int}, ("apery",)),
+     {"jseries": 20, "check-gamma1": 600, "apery": None, "oscillatory": 400,
+      "lefschetz": 160}),
+    (("--format",), {"choices": ("json", "csv")},
+     {"qperiod": "json", "gram": "json"}),
+    (("-N",), {"type": _positive(int)}, {"qperiod": 10, "apery": 20,
+                                         "fekete": 12}),
+    (("--tmax",), {"type": _positive(float)}, {"check-gamma1": 40.0}),
+    (("--korder", "-k"), {"type": _positive(int)}, {"check-gamma1": 6}),
+    (("--tol",), {"type": float},
+     {"check-gamma1": 1e-4, "oscillatory": 1e-6, "lefschetz": None}),
+    (("--t",), {"type": _positive(float)}, {"oscillatory": 1.0}),
+    (("--quad-tol",), {"type": _positive(float)}, {"oscillatory": 1e-12}),
+    (("--u",), {"type": _positive(float)}, {"lefschetz": 0.05}),
+    (("--word",), {"required": True, "help": "mutation word, e.g. 'R1 L2 R3'"},
+     {"mutate": None}),
+    (("--kernel-index",), {"type": int}, {"apery": None}),
     (("--index",), {"type": int,
                     "help": "divisibility step for the power sequence"},
-     ("fekete",)),
+     {"fekete": None}),
 )
 
 # config key (the long option name, `-` or `_`; `n` for -N) -> option row
@@ -521,45 +515,47 @@ def _build_parser() -> argparse.ArgumentParser:
     sub = top.add_subparsers(dest="command")
     for name in _COMMANDS:
         p = sub.add_parser(name)
-        for flags, keywords, commands in _OPTIONS:
-            if name in commands:
-                p.add_argument(*flags, **keywords)
+        for flags, keywords, defaults in _OPTIONS:
+            if name in defaults:
+                p.add_argument(*flags, default=defaults[name], **keywords)
     return top
 
 
 def _config_flags(path: str, command) -> list:
-    """The config file's keys as flags of `command`; a key that only
-    another subcommand reads is skipped."""
-    import configparser
-    # values as typed; no header can name the nameless default section, so
-    # every header in the file opens a section of its own
-    cp = configparser.ConfigParser(interpolation=None, default_section="")
+    """The config file's `key = value` lines as flags of `command`; a key
+    that only another subcommand reads is skipped.
+
+    Blank lines and lines whose first character is # or ; are skipped;
+    values are taken as typed, stripped.  A [header], a line without =, a
+    repeated key and an unknown key are refused, naming the file and line.
+    """
     try:
-        text = Path(path).read_text()
-        cp.read_string("[qgamma]\n" + text, source=path)
+        lines = Path(path).read_text().splitlines()
     except FileNotFoundError:
         raise UsageError(f"config file not found: {path}")
-    except configparser.Error as e:
-        # line numbers of the file, not of the text with the header first
-        msg = re.sub(r"\[line +(\d+)\]",
-                     lambda m: f"[line {int(m[1]) - 1:2d}]", str(e))
-        raise UsageError(f"bad config file: {msg}")
-    if len(cp.sections()) > 1:
-        name = cp.sections()[1]
-        line = next(i for i, s in enumerate(text.splitlines(), 1)
-                    if (m := cp.SECTCRE.match(s.strip()))
-                    and m["header"] == name)
+    flags, seen = [], set()
+    for number, line in enumerate(lines, 1):
+        line = line.strip()
+        if not line or line[0] in "#;":
+            continue
+        key, eq, value = line.partition("=")
+        key = key.strip().replace("-", "_").lower()
+        if line[0] == "[" and line[-1] == "]":
+            fault = f"section header {line}; use key = value lines only"
+        elif not eq:
+            fault = f"no '=' in {line!r}; use key = value lines only"
+        elif key in seen:
+            fault = f"repeated config key {key!r}"
+        elif key not in _BY_KEY:
+            fault = f"unknown config key {key!r}"
+        else:
+            seen.add(key)
+            option, _, defaults = _BY_KEY[key]
+            if command in defaults:
+                flags.append(f"{option[0]}={value.strip()}")
+            continue
         raise UsageError(f"bad config file: While reading from {path!r} "
-                         f"[line {line:2d}]: section header [{name}]; "
-                         f"use key = value lines only")
-    flags = []
-    for key, raw in cp["qgamma"].items():
-        key = key.replace("-", "_").lower()
-        if key not in _BY_KEY:
-            raise UsageError(f"unknown config key {key!r}")
-        option, _, commands = _BY_KEY[key]
-        if command in commands:
-            flags.append(f"{option[0]}={raw}")
+                         f"[line {number:2d}]: {fault}")
     return flags
 
 

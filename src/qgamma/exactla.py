@@ -42,13 +42,8 @@ def rank(rows) -> int:
     return len(_bareiss([integer_row(r) for r in rows])[0])
 
 
-def nullspace(rows, ncols=None):
-    """Basis of {v : M v = 0} as a list of Fraction tuples."""
-    if not rows:
-        if ncols is None:
-            raise ValueError("need ncols for an empty matrix")
-        return [tuple(Fraction(int(i == j)) for j in range(ncols))
-                for i in range(ncols)]
+def nullspace(rows):
+    """Basis of {v : M v = 0}, M with at least one row, as Fraction tuples."""
     ncols = len(rows[0])
     red, pivots = row_reduce(rows)
     free = [c for c in range(ncols) if c not in pivots]

@@ -63,7 +63,7 @@ def marked_beilinson_basis(n: int, P: int = 50) -> MarkedBasis:
     R = build_projective_ring(n)
     C = make_constants(P=P)
     gam = gamma_class(R, C)
-    coll = [line_bundle(R, k, label=f"O({k})") for k in range(n)]
+    coll = [line_bundle(R, k) for k in range(n)]
     base = tuple(cup(gam, modified_chern(E, C)) for E in coll)
     ident = tuple(tuple(int(i == j) for j in range(n)) for i in range(n))
     return MarkedBasis(base=base, rows=ident, marks=eigenvalue_marks(n, P),

@@ -12,6 +12,8 @@ from __future__ import annotations
 from fractions import Fraction
 from math import isqrt, lcm
 
+_SUPPORT_BUDGET = 6_000_000   # the terms one PowerCache may materialize
+
 
 class LaurentPolynomial:
     __slots__ = ("nvars", "terms")
@@ -144,9 +146,9 @@ class PowerCache:
     into a Fraction, Const(f^d) = Const((L f)^d) / L^d.
     """
 
-    def __init__(self, f: LaurentPolynomial, budget: int = 6_000_000):
+    def __init__(self, f: LaurentPolynomial):
         self.f = f
-        self.budget = budget
+        self.budget = budget = _SUPPORT_BUDGET
         self.spent = 1
         # key(v) = 0 forces v = 0 while every |v_i| < B: the lowest nonzero
         # v_i would have to be a multiple of B.  Two exponents of one power
@@ -160,10 +162,7 @@ class PowerCache:
         # 1 + sum_{k<=K} (k + 1) <= budget gives K <= isqrt(2 budget).
         # With one term or none, spent = 1 + K bounds K by the budget.
         M = max((abs(x) for e in f.terms for x in e), default=0)
-        if len(f.terms) <= 1:
-            K = int(budget)
-        else:
-            K = isqrt(max(int(2 * budget), 0))
+        K = budget if len(f.terms) <= 1 else isqrt(2 * budget)
         B = 2 * max(K, 1) * max(M, 1) + 1
         self._L = lcm(*(c.denominator for c in f.terms.values()))
         self._f = [(sum(x * B ** i for i, x in enumerate(e)),

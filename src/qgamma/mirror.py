@@ -82,10 +82,9 @@ class PartialPeriodError(RuntimeError):
         self.partial = partial
 
 
-def constant_term_series(f: LaurentPolynomial, N: int,
-                         budget: int = 6_000_000) -> QuantumPeriod:
+def constant_term_series(f: LaurentPolynomial, N: int) -> QuantumPeriod:
     """G_d = Const(f^d)/d! for d = 0..N, exact."""
-    cache = PowerCache(f, budget=budget)
+    cache = PowerCache(f)
     coeffs = {0: Fraction(1)}
     for d in range(1, N + 1):
         try:

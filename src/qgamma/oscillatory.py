@@ -31,7 +31,8 @@ from mpmath.calculus.quadrature import TanhSinh
 from .exactla import lp_max
 from .jfun import JSeries, evaluate_j, quantum_lefschetz
 from .laurent import LaurentPolynomial
-from .ring import GradedVector, cup, gamma_of_ch, line_bundle, pair_bracket
+from .ring import GradedVector, cup, gamma_class, gamma_of_ch, line_bundle, \
+    pair_bracket
 from .scalars import (from_fixed, make_constants, private_context, to_fixed,
                       working_context)
 
@@ -190,25 +191,33 @@ def oscillatory_integral(f: LaurentPolynomial, z, tol=1e-12, P: int = 50):
 
 def central_charge_structure_sheaf(J: JSeries, gamma: GradedVector, t,
                                    P: int = 50):
-    """(2 pi i)^dim [J(e^(i pi) t), gamma) with gamma = Gamma-class times
-    the modified Chern character of the bundle (the unit for the structure
-    sheaf).  The result is asserted to be real up to 10^(-P+12) relative.
-    """
+    """(2 pi i)^dim [J(e^(i pi) t), gamma) for gamma the Gamma class of J's
+    ring, the structure sheaf's; the argument names it, and it is rebuilt
+    at the working precision P + 20.  While the pairing cancels more than
+    10 of its guard digits (its terms are as large as J, on P1 ~ e^(2t),
+    and it is ~ e^(-2t)), it runs again with those digits added.  It raises
+    if the series tail exceeds 10^(-P+10) of the pairing, and asserts the
+    result real up to 10^(-P+12) relative."""
     R = J.ring
     if gamma.ring is not R:
         raise ValueError("class lives on a different ring")
     wp = P + 20
-    res = evaluate_j(J, t, P=wp, half_turns=1)
-    if not res["converged"]:
-        raise ArithmeticError("series tail not under control; raise D")
-    val = res["value"]
-    jnorm = max(abs(c) for c in val.coeffs)
-    C = make_constants(P=wp)
-    ctx = C.ctx
-    if res["tail_estimate"] > ctx.mpf(10) ** (-P + 10) * (1 + jnorm):
+    while True:
+        res = evaluate_j(J, t, P=wp, half_turns=1)
+        if not res["converged"]:
+            raise ArithmeticError("series tail not under control; raise D")
+        C = make_constants(P=wp)
+        ctx = C.ctx
+        pair = pair_bracket(res["value"], gamma_class(R, C), C)
+        # digits cancelled, all of them when nothing is left
+        jnorm = max(abs(c) for c in res["value"].coeffs)
+        lost = ctx.log10(jnorm / abs(pair)) if pair else ctx.mpf(wp)
+        if lost <= wp - P - 10:
+            break
+        wp = P + 20 + int(ctx.ceil(lost))
+    if res["tail_estimate"] > ctx.mpf(10) ** (-P + 10) * abs(pair):
         raise ArithmeticError("series tail above tolerance at the rotated point")
-    n = R.complex_dimension
-    z = (ctx.mpc(0, 2 * C.pi)) ** n * pair_bracket(val, gamma.map_coeffs(ctx.convert), C)
+    z = ctx.mpc(0, 2 * C.pi) ** R.complex_dimension * pair
     scale = max(abs(z), ctx.mpf(1))
     if abs(z.imag) > ctx.mpf(10) ** (-P + 12) * scale:
         raise ArithmeticError(f"imaginary residue {z.imag} above tolerance")

@@ -375,10 +375,10 @@ def hrr_record(E1: KClass, E2: KClass, C: ConstantTable):
     return {"chi_todd": chi_todd, "chi_gamma": chi_gamma}
 
 
-def line_bundle(R: CohomologyRing, k: int, label: str = "") -> KClass:
+def line_bundle(R: CohomologyRing, k: int) -> KClass:
     """O(k) on a ring with a single hyperplane generator in degree 1."""
     h = R.basis_vector(R.degrees.index(1))
-    return KClass(ring_exp(k * h), label=label or f"O({k})")
+    return KClass(ring_exp(k * h), label=f"O({k})")
 
 
 # --------------------------------------------------------------------------

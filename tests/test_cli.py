@@ -142,6 +142,24 @@ def test_gram_json_and_csv_match_closed_form(capsys, n):
     assert [[int(x) for x in row[1:]] for row in rows] == want
 
 
+def test_oscillatory_verdict_does_not_depend_on_digits(capsys):
+    # on P1 the central charge pairing cancels about 4 t log10(e) digits;
+    # it is 2 K_0(2 t) at 15 digits as at 50, and never a false verdict
+    base = ["oscillatory", "--space", "P1", "--quad-tol", "1e-8"]
+    for t in (8, 10):
+        K = 2 * oracles.bessel_k0_series(2 * t, 60)
+        for digits in ("15", "50"):
+            rc, out, err = run(capsys, base + ["--t", str(t),
+                                               "--digits", digits])
+            assert rc == 0, (t, digits, err)
+            z = complex(json.loads(out)["value"]["central_charge"]
+                        .replace(" ", ""))
+            assert abs(z - K) / K < 1e-6, (t, digits, z)
+    for digits in ("15", "30"):
+        rc, out, err = run(capsys, base + ["--t", "20", "--digits", digits])
+        assert rc != 1, (digits, out)
+
+
 def test_lefschetz_without_tol_states_no_verdict(capsys):
     rc, out, err = run(capsys, ["lefschetz", "--space", "X(4,2)", "-D", "40"])
     assert rc == 0
@@ -299,9 +317,10 @@ def test_config_section_header_refused(capsys, tmp_path):
 
 
 @pytest.mark.parametrize("text, what", [
-    ("digits = 20\n[qgamma]\nspace = P2\n", "section 'qgamma' already"),
-    ("space = P2\ndigits 20\n", "parsing errors"),
-    ("digits = 20\ndigits = 30\n", "option 'digits'")])
+    ("digits = 20\n[qgamma]\nspace = P2\n", "section header [qgamma]"),
+    ("space = P2\ndigits 20\n", "no '=' in 'digits 20'"),
+    ("digits = 20\ndigits = 30\n", "repeated config key 'digits'")],
+    ids=["header", "no-equals", "repeated-key"])
 def test_config_error_names_file_and_line(capsys, tmp_path, text, what):
     # each fault sits on line 2 of the file
     cfg = tmp_path / "run.cfg"
@@ -325,6 +344,35 @@ def test_config_foreign_section_names_file_and_line(capsys, tmp_path):
     assert err.startswith("error: bad config file")
     assert "section header [other]" in err
     assert repr(str(cfg)) in err and "[line  2]" in err
+
+
+def test_config_reader_rules(capsys, tmp_path):
+    # key=value with or without spaces, - or _ in keys, # and ; comments
+    # and blank lines
+    cfg = tmp_path / "run.cfg"
+    for key in ("quad-tol", "quad_tol"):
+        cfg.write_text(f"# P1 at 20 digits\nspace=P1\n\n; the grid\n"
+                       f"{key} = 1e-8\ndigits=20\norder =80\n")
+        rc, out, err = run(capsys, ["--config", str(cfg), "oscillatory",
+                                    "--t", "0.7"])
+        assert rc == 0, (key, err)
+        assert json.loads(out)["config_echo"] == {
+            "space": "P1", "digits": 20, "order": 80, "quad_tol": "1e-08",
+            "t": "0.7", "tol": "1e-06"}
+
+
+@pytest.mark.parametrize("text", ["space = P2\ndigits: 20\n",
+                                  "digits = 20\nspace =\n  P2\n"])
+def test_config_colon_and_continuation_lines_refused(capsys, tmp_path,
+                                                      text):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(text)
+    rc, out, err = run(capsys, ["--config", str(cfg), "gamma",
+                                "--space", "P2"])
+    assert rc == 2
+    assert out == ""
+    line = text.count("\n")
+    assert f"{repr(str(cfg))} [line  {line}]: no '='" in err, err
 
 
 def test_config_does_not_carry_into_the_next_call(capsys, tmp_path):
@@ -386,6 +434,11 @@ def test_usage_errors_exit_2(capsys):
          "unrecognized arguments: --order 3"),
         (["conifold", "--space", "P2", "--format", "csv"],
          "unrecognized arguments: --format csv"),
+        # toric rays have no J-series, with or without an order
+        (["apery", "--space", "toric:rays.json"],
+         "no J-series construction for toric:rays.json"),
+        (["apery", "--space", "toric:rays.json", "-D", "30"],
+         "no J-series construction for toric:rays.json"),
     ]
     for argv, reason in cases:
         rc, out, err = run(capsys, argv)
@@ -549,6 +602,56 @@ SMALL_REQUESTS = [
 
 def test_small_requests_cover_every_subcommand():
     assert [argv[0] for argv in SMALL_REQUESTS] == list(_COMMANDS)
+
+
+# each subcommand with only its required flags, the echo of every option
+# it reads beside space and digits (the table's defaults and the values
+# derived from the space: apery's order and kernel index, fekete's index;
+# lefschetz's tol is None, as it states no verdict, and --output is never
+# echoed), and a check that the payload used the echoed values
+DEFAULT_ECHOES = [
+    (["ring", "--space", "P1"], {}, None),
+    (["gamma", "--space", "P1"], {}, None),
+    (["jseries", "--space", "P1"], {"order": 20},
+     lambda v, e: v["D"] == e["order"]),
+    (["qperiod", "--space", "P1"], {"N": 10, "format": "json"},
+     lambda v, e: v[-1]["d"] == e["N"]),
+    (["conifold", "--space", "P1"], {}, None),
+    (["spectrum", "--space", "P1"], {}, None),
+    (["check-gamma1", "--space", "P1"],
+     {"order": 600, "tmax": "40.0", "korder": 6, "tol": "0.0001"},
+     lambda v, e: (v["D"], v["k"], float(v["t_max"]))
+     == (e["order"], e["korder"], float(e["tmax"]))),
+    (["apery", "--space", "Gr(2,4)"],
+     {"N": 20, "order": 80, "kernel_index": 1},
+     lambda v, e: v["D"] == e["order"]
+     and v["kernel_dimension"] == e["kernel_index"] + 1),
+    (["oscillatory", "--space", "P1"],
+     {"order": 400, "t": "1.0", "quad_tol": "1e-12", "tol": "1e-06"},
+     lambda v, e: (v["t"], v["tol"]) == (e["t"], e["tol"])),
+    (["lefschetz", "--space", "X(4,2)"], {"order": 160, "u": "0.05"},
+     lambda v, e: "pass" not in v and float(v["u"]) == float(e["u"])),
+    (["gram", "--space", "P1"], {"format": "json"}, None),
+    (["mutate", "--space", "P2", "--word", "R1"], {"word": "R1"}, None),
+    # Const((x + 1/x)^(2k)) for k = 0..N: index 2
+    (["fekete", "--space", "P1"], {"N": 12, "index": 2},
+     lambda v, e: v["constants"] == [str(math.comb(2 * k, k))
+                                     for k in range(e["N"] + 1)]),
+]
+
+
+def test_default_echoes_cover_every_subcommand():
+    assert [argv[0] for argv, _, _ in DEFAULT_ECHOES] == list(_COMMANDS)
+
+
+@pytest.mark.parametrize("argv, echo, used", DEFAULT_ECHOES,
+                         ids=[argv[0] for argv, _, _ in DEFAULT_ECHOES])
+def test_config_echo_holds_every_setting_used(capsys, argv, echo, used):
+    rc, out, err = run(capsys, argv)
+    assert rc == 0, err
+    d = json.loads(out)
+    assert d["config_echo"] == {"space": argv[2], "digits": 50, **echo}
+    assert used is None or used(d["value"], d["config_echo"])
 
 
 @pytest.mark.parametrize("argv", SMALL_REQUESTS, ids=lambda argv: argv[0])

@@ -4,6 +4,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from qgamma import laurent
 from qgamma.laurent import (LaurentPolynomial, PowerCache,
                             ResourceBudgetExceeded, pair_constant)
 
@@ -59,11 +60,12 @@ def test_power_cache_half_split():
     assert len(pc.pows) <= 11
 
 
-def test_power_cache_budget():
+def test_power_cache_budget(monkeypatch):
     # two-variable polynomial with growing support exhausts a tiny budget
+    monkeypatch.setattr(laurent, "_SUPPORT_BUDGET", 40)
     f = LaurentPolynomial(2, {(1, 0): Fraction(1), (-1, 0): Fraction(1),
                               (0, 1): Fraction(1), (0, -1): Fraction(1)})
-    pc = PowerCache(f, budget=40)
+    pc = PowerCache(f)
     with pytest.raises(ResourceBudgetExceeded) as info:
         pc.power(12)
     assert info.value.completed >= 1

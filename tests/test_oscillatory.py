@@ -269,6 +269,43 @@ def test_central_charge_guards():
         central_charge_structure_sheaf(short, gamma_class(short.ring, C), 3)
 
 
+@pytest.mark.parametrize("t", [8, 10, 20, 30, 60])
+def test_central_charge_at_low_digits_is_bessel(t):
+    # on P1 the pairing cancels about 4 t log10(e) digits (14 at t = 8, 35
+    # at t = 20, 104 at t = 60), more than all 35 working digits from t = 20
+    # on; the central charge of O is 2 K_0(2 t) at every precision all the
+    # same.  From t = 30 the series oracle's Euler constant is short of the
+    # digits that cancel, so mpmath's K_0 stands in for it.
+    J = j_projective(2, 600)
+    g = gamma_class(J.ring, make_constants(P=15))
+    cc = central_charge_structure_sheaf(J, g, t, P=15)
+    if t <= 20:
+        K = 2 * oracles.bessel_k0_series(2 * t, 60)
+    else:
+        with mpmath.workdps(150):
+            K = 2 * mpmath.besselk(0, 2 * t)
+    assert abs(cc - K) / K < mpmath.mpf(10) ** -13
+
+
+def test_central_charge_evaluates_j_once_without_cancellation(monkeypatch):
+    # up to 3.4 cancelled digits (P1 t <= 1.96, P2 t <= 1.03) one series
+    # evaluation suffices; at t = 8 a second one adds the lost digits
+    calls = []
+
+    def counting(*args, **kwargs):
+        calls.append(kwargs["P"])
+        return evaluate_j(*args, **kwargs)
+    monkeypatch.setattr(oscillatory, "evaluate_j", counting)
+    C = make_constants(P=50)
+    for n, t, passes in ((2, Fraction(196, 100), 1),
+                         (3, Fraction(103, 100), 1), (2, 8, 2)):
+        J = j_projective(n, 400)
+        calls.clear()
+        central_charge_structure_sheaf(J, gamma_class(J.ring, C), t, P=50)
+        assert len(calls) == passes, (n, t, calls)
+        assert calls[0] == 70
+
+
 def test_laplace_route_quadric_surface():
     JX = j_projective(4, 160)
     rec = laplace_lefschetz_check(JX, 2, mpmath.mpf("0.05"),

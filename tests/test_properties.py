@@ -27,7 +27,7 @@ def matrices(draw, max_dim=5):
 @given(matrices())
 def test_nullspace_annihilates(A):
     n = len(A[0])
-    null = nullspace(A, ncols=n)
+    null = nullspace(A)
     assert len(null) == n - rank(A)
     for v in null:
         for row in A:
