@@ -3,10 +3,13 @@ central charges, plus the Laplace-transform route to the hypersurface
 J-series.
 
 The orthant integral of e^(-f/z) with the multiplicative volume form is
-computed by the midpoint rule in logarithmic coordinates on a truncated box,
-doubling the grid until two successive sums agree.  On that grid each
-monomial's factor e^(-(c/z) x^e) takes one value per integer <e, j>, so it
-is read from one table and no node needs an exp of its own.  The truncation
+computed by the midpoint rule in logarithmic coordinates on a truncated box.
+The rule converges geometrically in the grid size, so a few small grids
+predict the grid that meets the tolerance, and that grid is summed and
+confirmed by one about 5/4 its size; the answer is the finer grid of a pair
+seen to agree.  On a grid each monomial's factor e^(-(c/z) x^e) takes one
+value per integer <e, j>, so it is read from one table and no node needs an
+exp of its own.  The truncation
 radius comes from an exact convexity bound: for each coordinate direction
 +-e_i one exact LP gives the largest rho with rho*(+-e_i) inside the Newton
 polytope of f, and all 2m reaches are positive exactly when the origin is
@@ -15,13 +18,15 @@ on the corresponding face, which pins the box size for a requested decay.
 
 The Laplace route integrates the ambient series against e^(-s) as one
 tanh-sinh sum over the whole vector: one series evaluation per node, the
-nodes and weights memoised per working precision and level, and a stop
-when every component's predicted error is small relative to it.
+nodes and weights memoised per working precision and level, no evaluation
+at a node whose weight times a bound on the series cannot reach the sum,
+and a stop when every component's predicted error is small relative to it.
 """
 
 from __future__ import annotations
 
 import functools
+import math
 from fractions import Fraction
 from itertools import product
 from operator import mul
@@ -39,8 +44,8 @@ from .scalars import (from_fixed, make_constants, private_context, to_fixed,
 
 _MARGIN_DIGITS = 10     # extra decay digits for the truncation box
 _MAX_DIM = 3            # orthant-integral dimension guard
-_START_POINTS = 48      # first quadrature grid size per axis
-_MAX_DOUBLINGS = 6      # grid refinements before the quadrature gives up
+_START_POINTS = 8       # first calibration grid size per axis
+_MAX_POINTS = 3072      # largest grid per axis before the quadrature gives up
 _MAX_LEVEL = 8          # tanh-sinh levels before the Laplace sum gives up
 
 
@@ -87,47 +92,72 @@ def _grid_sum(f, z, L, npts, ctx):
 
     On the nodes u_i = -L + (j_i + 1/2) h the exponent <e, u> of a monomial
     is k h + s (h/2 - L) with the integers k = <e, j> and s = e_1 + ... + e_m,
-    so its factor e^(-(c/z) e^<e,u>) comes from one table over k.  The sum
-    runs row by row over j_1..j_(m-1): monomials free of x_m give one weight
-    per row, the others strided slices of their tables over j_m.  The
-    arithmetic is on ints: each table is converted once to fixed point at
-    scale 2^F, products are shifted back by F, each row is one int dot
-    product, and the total is rounded once.  The sum is at least the
-    integrand e^(-f(x0)/z) at the node x0 nearest (1, ..., 1), so F puts
-    prec + 10 + bitlen(npts^m) bits below that value and the error stays
-    relative however small z makes the integrand.
+    so its factor e^(-(c/z) e^<e,u>) comes from one table over k.  The
+    powers e^(k h + s a) of one s are one exp and running products by e^h,
+    10 digits above the context, and the entries that are 0 at the
+    fixed-point scale below take no exp.  The sum runs row by row over
+    j_1..j_(m-1): monomials free of x_m give one weight per row, the others
+    strided slices of their tables over j_m.  The arithmetic is on ints:
+    each table is converted once to fixed point at scale 2^F, products are
+    shifted back by F, each row is one int dot product, and the total is
+    rounded once.  The sum is at least the integrand e^(-f(x0)/z) at the
+    node x0 nearest (1, ..., 1), so F puts prec + 10 + bitlen(npts^m) bits
+    below that value and the error stays relative however small z makes the
+    integrand.
     """
     m = f.nvars
     h = 2 * L / npts
     a = h / 2 - L
     zc = ctx.convert(z)
-    powers = {}     # (k, s) -> e^(k h + s a), also serving (-k, -s)
-
-    def power(k, s):
-        v = powers.get((k, s))
-        if v is None:
-            w = powers.get((-k, -s))
-            v = 1 / w if w is not None else ctx.exp(k * h + s * a)
-            powers[k, s] = v
-        return v
-
-    # x0 has j_i = npts // 2 on every axis, so <e, j> = (npts // 2) s there
-    fz = sum(ctx.convert(c) / zc * power(npts // 2 * sum(e), sum(e))
-             for e, c in f.items())
-    F = (ctx.prec + 10 + (npts ** m).bit_length()
-         + int(ctx.ceil(fz / ctx.ln2)))
-
-    tables = {}     # equal (c, s, range of k) give equal tables
-    free, along = [], []
+    # e^(k h + s a) over k = lo..hi for each s, from one exp and running
+    # products by e^h carried 10 digits above ctx
+    guard = working_context(ctx.dps + 10)
+    gh, ga = guard.convert(h), guard.convert(a)
+    step = guard.exp(gh)
+    spans = {}      # s -> the range of k its monomials need
+    monomials = []
     for e, c in f.items():
         s = sum(e)
         lo = (npts - 1) * sum(x for x in e if x < 0)
         hi = (npts - 1) * sum(x for x in e if x > 0)
+        monomials.append((e, c, s, lo, hi))
+        lo0, hi0 = spans.get(s, (lo, hi))
+        spans[s] = (min(lo, lo0), max(hi, hi0))
+    runs = {}       # s -> (lo, [e^(k h + s a) for k = lo..hi])
+    for s, (lo, hi) in spans.items():
+        v = guard.exp(lo * gh + s * ga)
+        run = []
+        for _ in range(lo, hi + 1):
+            run.append(v)
+            v *= step
+        runs[s] = (lo, run)
+
+    def power(k, s):
+        lo, run = runs[s]
+        return run[k - lo]
+
+    # x0 has j_i = npts // 2 on every axis, so <e, j> = (npts // 2) s there
+    fz = sum(ctx.convert(c) / zc * power(npts // 2 * s, s)
+             for _, c, s, _, _ in monomials)
+    F = (ctx.prec + 10 + (npts ** m).bit_length()
+         + int(ctx.ceil(fz / ctx.ln2)))
+
+    # an entry below 2^-F is 0 at scale 2^F, and along k the entries only
+    # fall: once the exponent is below -(F + 1) ln 2 the rest are 0
+    limit = -(F + 1) * guard.ln2
+    tables = {}     # equal (c, s, range of k) give equal tables
+    free, along = [], []
+    for e, c, s, lo, hi in monomials:
         key = (c, s, lo, hi)
         if key not in tables:
-            w = -ctx.convert(c) / zc
-            tables[key] = [to_fixed(ctx.exp(w * power(k, s)), F)
-                           for k in range(lo, hi + 1)]
+            w = -guard.convert(c) / guard.convert(zc)
+            table = []
+            for k in range(lo, hi + 1):
+                x = w * power(k, s)
+                if x < limit:
+                    break
+                table.append(to_fixed(ctx.exp(x), F))
+            tables[key] = table + [0] * (hi + 1 - lo - len(table))
         (along if e[-1] else free).append((e, lo, tables[key]))
 
     weights, rows = [], []
@@ -154,17 +184,40 @@ def oscillatory_integral(f: LaurentPolynomial, z, tol=1e-12, P: int = 50):
     P digits.
 
     Requires positive coefficients and the origin interior to the Newton
-    polytope (so the integrand decays in every direction).  Refines a
-    midpoint rule in log coordinates until two successive grids agree to
-    tol relatively; raises if the refinement cap is hit first, and before
-    any grid when tol is below the working precision 10^-(P+10), where no
-    agreement could confirm it.
+    polytope (so the integrand decays in every direction).  The value is
+    the finer grid of the first pair of midpoint grids in log coordinates
+    that agree to tol relatively (`_orthant_integral`); raises if the grid
+    cap comes first, and before any grid when tol is below the working
+    precision 10^-(P+10), where no agreement could confirm it.
+    """
+    return _orthant_integral(f, z, tol, P)[0]
+
+
+def _orthant_integral(f: LaurentPolynomial, z, tol, P: int):
+    """`oscillatory_integral` and the relative difference of the pair of
+    grids it accepted, an estimate of its error, as two mpfs at P digits.
+
+    The midpoint rule in log coordinates converges geometrically in the
+    points per axis N (Trefethen and Weideman, SIAM Review 56, 2014), so
+    the difference of two grids is about the error of the coarser one.
+    From `_START_POINTS` on, three calibration grids each have about twice
+    the nodes of the one before.  Then each difference is put at its
+    coarser grid, and the last edge of the upper hull of their logs gives
+    a rate and a level, an envelope that the oscillation of the error
+    cannot pull down.  When that envelope puts the last grid at most at
+    tol, the next grid is 5/4 of it, to confirm it; otherwise the next is
+    the N where the envelope falls to tol/3, at most twice the last grid,
+    or twice the last grid when the envelope is not falling.  A grid is
+    accepted when it has at least 5/4 of the points of the one before and
+    agrees with it to tol relatively: never on a prediction alone.
+    Raises past `_MAX_POINTS` points per axis.
     """
     if any(c <= 0 for _, c in f.items()):
         raise ValueError("need strictly positive coefficients")
-    if f.nvars > _MAX_DIM:
-        raise ValueError(f"integral dimension {f.nvars} above the cap {_MAX_DIM}")
-    rho = _min_reach(tuple(sorted(e for e, _ in f.items())), f.nvars)
+    m = f.nvars
+    if m > _MAX_DIM:
+        raise ValueError(f"integral dimension {m} above the cap {_MAX_DIM}")
+    rho = _min_reach(tuple(sorted(e for e, _ in f.items())), m)
     wp = P + 10
     ctx = working_context(wp)
     zc = ctx.convert(z)
@@ -177,16 +230,45 @@ def oscillatory_integral(f: LaurentPolynomial, z, tol=1e-12, P: int = 50):
     digits = P + _MARGIN_DIGITS
     L = _truncation_radius(f, zc, digits, rho, ctx)
 
+    sizes, sums = [], []
     npts = _START_POINTS
-    prev = None
-    for _ in range(_MAX_DOUBLINGS + 1):
+    while npts <= _MAX_POINTS:
         cur = _grid_sum(f, zc, L, npts, ctx)
-        if prev is not None and abs(cur - prev) <= rel * abs(cur):
-            out = working_context(P)
-            return out.mpf(cur)
-        prev = cur
-        npts *= 2
+        if sums and 4 * npts >= 5 * sizes[-1]:
+            diff = abs(cur - sums[-1]) / abs(cur)
+            if diff <= rel:
+                out = working_context(P)
+                return out.mpf(cur), out.mpf(diff)
+        sizes.append(npts)
+        sums.append(cur)
+        if len(sizes) < 3:
+            npts = math.ceil(npts * 2 ** (1 / m))
+        else:
+            npts = _next_points(sizes, sums, ctx.ln(rel * abs(cur)), ctx)
     raise ArithmeticError("quadrature did not stabilize within the refinement cap")
+
+
+def _next_points(sizes, sums, log_tol, ctx):
+    """The grid after `sizes` (ascending, with their `sums`), for an
+    absolute tolerance e^log_tol: see `_orthant_integral`."""
+    n = sizes[-1]
+    hull = []       # upper hull of (N, ln|difference|), N ascending
+    for p in [(a, ctx.ln(abs(y - x)))
+              for a, x, y in zip(sizes, sums, sums[1:]) if x != y]:
+        while len(hull) > 1 and ((hull[-1][0] - hull[-2][0])
+                                 * (p[1] - hull[-2][1])
+                                 >= (hull[-1][1] - hull[-2][1])
+                                 * (p[0] - hull[-2][0])):
+            hull.pop()
+        hull.append(p)
+    if len(hull) < 2 or not hull[-1][1] < hull[-2][1]:
+        return 2 * n
+    (x1, y1), (x2, y2) = hull[-2:]
+    rate = (y1 - y2) / (x2 - x1)
+    if y2 - rate * (n - x2) <= log_tol:
+        return math.ceil(5 * n / 4)
+    need = x2 + (y2 - log_tol + ctx.ln(3)) / rate
+    return min(int(ctx.ceil(need)), 2 * n)
 
 
 def central_charge_structure_sheaf(J: JSeries, gamma: GradedVector, t,
@@ -260,8 +342,8 @@ def laplace_lefschetz_check(JX: JSeries, a: int, u, tol=None, P: int = 50) -> di
         raise ArithmeticError("hypersurface series tail not under control")
     lhs = left["value"]
 
-    comps, errs = _laplace_sum(JX, RY.rank, uc, ctx.convert(Fraction(a, r)),
-                               P)
+    comps, errs, _ = _laplace_sum(JX, RY.rank, uc,
+                                  ctx.convert(Fraction(a, r)), P)
     integral = GradedVector(RY, tuple(comps))
 
     C = make_constants(P=wp)
@@ -294,34 +376,48 @@ def laplace_lefschetz_check(JX: JSeries, a: int, u, tol=None, P: int = 50) -> di
 
 def _laplace_sum(JX: JSeries, rank: int, uc, ar, P: int):
     """The first `rank` components of int_0^S J_X((s u)^ar) e^(-s) ds at
-    the working precision P + 10, with S = `_laplace_cutoff`, and the
-    predicted absolute error of each, both as lists of mpfs.
+    the working precision P + 10, with S = `_laplace_cutoff`, the
+    predicted absolute error of each, both as lists of mpfs, and the
+    tanh-sinh level the sum stopped at.
 
     One tanh-sinh sum over the vector: each node of level k calls
     `evaluate_j` once and its vector is added to every component, and level
     k keeps level k-1's sum, I_k = I_(k-1)/2 + (the new nodes).  On t > 0
-    the ambient series is real, so the sums are.  With d_k = |I_k -
-    I_(k-1)| and each level doubling the digits, the error of I_k is
-    predicted as d_k^2/d_(k-1), floored by the rounding error the sum can
-    carry, (nodes so far) 2^-prec sum |weight * value|; an exactly-zero
-    component has floor 0 and converges.  The sum stops at the first level
-    where every prediction is at most 10^-(P+2) |I_k|, and raises if
+    the ambient series is real, so the sums are.  A node of level k >= 2
+    is skipped, with no `evaluate_j`, when |weight| times `_series_bound`
+    at its t is below 10^-(P+12) of every component of I_(k-1): in practice
+    the far end of [0, S], where e^(-s) leaves nothing of the series.
+    With d_k = |I_k - I_(k-1)| and each level doubling the digits, the
+    error of I_k is predicted as d_k^2/d_(k-1), floored by the rounding
+    error the sum can carry, (nodes so far) 2^-prec sum |weight * value|,
+    plus the most the skipped nodes can carry; an exactly-zero component
+    skips nothing, has floor 0 and converges.  The sum stops at the first
+    level where every prediction is at most 10^-(P+2) |I_k|, and raises if
     `_MAX_LEVEL` comes first.
     """
     wp = P + 10
     ctx = working_context(wp)
     bound = ctx.mpf(10) ** -(P + 2)
     ulp = ctx.ldexp(1, -ctx.prec)
+    log_u = float(ctx.ln(uc))
+    ar_f = float(ar)
+    series_bound = _series_bound(JX)
     total = [ctx.zero] * rank       # I_k
     size = [ctx.zero] * rank        # sum of |weight * value|, halved alike
+    skipped = ctx.zero              # most the skipped nodes carry, alike
     diffs = None                    # d_(k-1), from level 2 on
     count = 0
     for level in range(1, _MAX_LEVEL + 1):
         prev = total
+        floor = min((abs(x) for x in prev), default=ctx.zero)
+        cut = float(ctx.log10(floor)) - (P + 12) if floor else -math.inf
         total = [x / 2 for x in total]
         size = [x / 2 for x in size]
-        nodes = _laplace_nodes(wp, level)
-        for s, w in nodes:
+        skipped /= 2
+        for s, w, log_s, log_w in _laplace_nodes(wp, level):
+            if log_w + series_bound(ar_f * (log_s + log_u)) < cut:
+                skipped += ctx.mpf(10) ** cut
+                continue
             res = evaluate_j(JX, (s * uc) ** ar, P=wp)
             if not res["converged"]:
                 raise ArithmeticError("ambient series tail not under control "
@@ -330,18 +426,47 @@ def _laplace_sum(JX: JSeries, rank: int, uc, ar, P: int):
                 wv = w * v.real
                 total[i] += wv
                 size[i] += abs(wv)
-        count += len(nodes)
+            count += 1
         if level == 1:
             continue
         d = [abs(x - y) for x, y in zip(total, prev)]
         if diffs is not None:
-            errs = [max(dk * dk / dp if dp else dk, count * ulp * m)
+            errs = [max(dk * dk / dp if dp else dk, count * ulp * m) + skipped
                     for dk, dp, m in zip(d, diffs, size)]
             if all(e <= bound * abs(x) for e, x in zip(errs, total)):
-                return total, errs
+                return total, errs, level
         diffs = d
     raise ArithmeticError(f"Laplace sum did not converge within "
                           f"{_MAX_LEVEL} tanh-sinh levels")
+
+
+def _series_bound(J: JSeries):
+    """The function ln t -> a float at least log10 |J(t)_i| for every
+    component i and every t > 0, in float arithmetic.
+
+    The sum part is at most sum_d m_d t^d, m_d the largest |coefficient|
+    of degree d, and the prefactor e^(c1 ln t) multiplies it by at most
+    sum_(k <= top degree) (|ln t| |N|)^k / k!, |N| the largest absolute
+    row sum of cup-by-c1.
+    """
+    view = J._numeric
+    R = J.ring
+    cols = R.c1_matrix()
+    norm = float(max(sum(abs(col[i]) for col in cols) for i in range(R.rank)))
+    top = max(R.degrees)
+    terms = [(d / math.log(10), lp)
+             for d, lp in zip(view.degrees, view.log_peaks) if lp > -math.inf]
+
+    def log10_bound(log_t):
+        logs = [lp + d * log_t for d, lp in terms]
+        peak = max(logs)
+        x, term, factor = abs(log_t) * norm, 1.0, 1.0
+        for k in range(1, top + 1):
+            term *= x / k
+            factor += term
+        return (peak + math.log10(sum(10 ** (y - peak) for y in logs))
+                + math.log10(factor))
+    return log10_bound
 
 
 def _laplace_cutoff(wp: int):
@@ -355,7 +480,8 @@ def _laplace_cutoff(wp: int):
 def _laplace_nodes(wp: int, level: int) -> tuple:
     """The tanh-sinh nodes s on [0, `_laplace_cutoff(wp)`] that `level` adds
     to the levels below it, each with its weight times the step 2^-level
-    and e^(-s), as pairs (s, weight) of mpfs of working_context(wp).
+    and e^(-s), as (s, weight, ln s, log10 |weight|): two mpfs of
+    working_context(wp) and two floats.
 
     mpmath's `TanhSinh` builds them at the context's precision plus guard
     bits, on a private context that it raises and is then dropped.
@@ -367,5 +493,6 @@ def _laplace_nodes(wp: int, level: int) -> tuple:
     out = []
     for s, w in nodes:
         s = ctx.convert(s)
-        out.append((s, step * ctx.convert(w) * ctx.exp(-s)))
+        w = step * ctx.convert(w) * ctx.exp(-s)
+        out.append((s, w, float(ctx.ln(s)), float(ctx.log10(w))))
     return tuple(out)

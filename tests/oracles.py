@@ -8,7 +8,7 @@ oracle is evidence, not circularity.
 
 from fractions import Fraction
 from itertools import combinations, permutations, product
-from math import comb, factorial, gcd
+from math import ceil, comb, factorial, gcd, log
 
 import mpmath
 
@@ -79,10 +79,16 @@ def bessel_i0_series(x, dps: int = 60):
 
 
 def bessel_k0_series(x, dps: int = 60):
-    """K_0(x) = -(ln(x/2) + gamma) I_0(x) + sum H_m (x/2)^(2m)/(m!)^2."""
-    with mpmath.workdps(dps + 10):
+    """K_0(x) = -(ln(x/2) + gamma) I_0(x) + sum H_m (x/2)^(2m)/(m!)^2, to dps
+    digits for x > 0.
+
+    Both parts grow like e^x while K_0(x) ~ e^(-x), so they cancel about
+    2x log10(e) digits: the sums run at dps + 10 + that many digits, with
+    Euler's constant from mpmath at the same precision.
+    """
+    work = dps + 10 + ceil(2 * float(x) / log(10))
+    with mpmath.workdps(work):
         x = mpmath.mpf(x)
-        gamma = euler_gamma_mascheroni(dps + 8)
         acc = mpmath.mpf(0)
         term = mpmath.mpf(1)
         h = mpmath.mpf(0)
@@ -93,10 +99,12 @@ def bessel_k0_series(x, dps: int = 60):
             h += mpmath.mpf(1) / m
             inc = h * term
             acc += inc
-            if abs(inc) < mpmath.mpf(10) ** (-dps - 8):
+            if inc < mpmath.eps * acc:
                 break
-        return +(-(mpmath.log(x / 2) + gamma) * bessel_i0_series(x, dps)
-                 + acc)
+        k0 = -(mpmath.log(x / 2) + mpmath.euler) * bessel_i0_series(x, work) \
+            + acc
+    with mpmath.workdps(dps + 10):
+        return +k0
 
 
 def p1_period_coefficient(n: int) -> Fraction:

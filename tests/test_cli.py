@@ -160,6 +160,21 @@ def test_oscillatory_verdict_does_not_depend_on_digits(capsys):
         assert rc != 1, (digits, out)
 
 
+def test_oscillatory_reports_quadrature_error(capsys):
+    # the relative difference of the grid pair the integral was accepted on,
+    # an estimate of its error, at most --quad-tol
+    rc, out, err = run(capsys, ["oscillatory", "--space", "P1", "--t", "0.7",
+                                "-D", "80", "--quad-tol", "1e-8",
+                                "--digits", "30"])
+    assert rc == 0, err
+    d = json.loads(out)
+    quad = float(d["error_estimates"]["quadrature_error"])
+    assert 0 <= quad <= 1e-8
+    K = 2 * oracles.bessel_k0_series("1.4", 60)
+    osc = mpmath.mpf(d["value"]["oscillatory_integral"])
+    assert abs(osc - K) / K < 1e-8
+
+
 def test_lefschetz_without_tol_states_no_verdict(capsys):
     rc, out, err = run(capsys, ["lefschetz", "--space", "X(4,2)", "-D", "40"])
     assert rc == 0
@@ -424,6 +439,9 @@ def test_usage_errors_exit_2(capsys):
          "mutation position 9 out of range"),
         (["oscillatory", "--space", "P4", "--digits", "20"],
          "dimension 4 above the cap 3"),
+        # the integral carries an error near --quad-tol
+        (["oscillatory", "--space", "P1", "--quad-tol", "1e-6"],
+         "--quad-tol 1e-06 must be below --tol 1e-06"),
         (["jseries", "--space", "P1", "--order", "0"],
          "argument --order/-D: must be positive"),
         (["spectrum"], "the following arguments are required: --space"),
