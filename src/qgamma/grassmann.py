@@ -238,14 +238,32 @@ class AntiSymmetricElement:
 
 def wedge_from_vectors(vectors, n: int) -> AntiSymmetricElement:
     """v_1 wedge ... wedge v_r for coefficient sequences over 0..n-1; the
-    wedge coordinate at K is the minor det(v_i[k_j])."""
-    r = len(vectors)
-    coeffs = {}
-    for K in itertools.combinations(range(n - 1, -1, -1), r):
-        minor = det([[v[k] for k in K] for v in vectors])
-        if minor:
-            coeffs[K] = minor
-    return AntiSymmetricElement(r=r, n=n, coeffs=coeffs)
+    wedge coordinate at K is the minor det(v_i[k_j]).
+
+    All minors come in one pass: those of v_1..v_j are the cofactor
+    expansions along v_j of the nonzero minors of v_1..v_(j-1), each
+    (j-1)-minor at K' adding (-1)^(j-1+p) v_j[k] times itself to the
+    j-minor at K' with k put in at its place p (counted from 0).
+    """
+    minors = {(): 1}
+    for j, v in enumerate(vectors):
+        nxt = {}
+        for K, m in minors.items():
+            edges = (n,) + K + (-1,)
+            for p in range(len(K) + 1):     # k between K[p-1] and K[p]
+                signed = m if (j + p) % 2 == 0 else -m
+                head, tail = K[:p], K[p:]
+                for k in range(edges[p] - 1, edges[p + 1], -1):
+                    x = v[k]
+                    if x:
+                        key = head + (k,) + tail
+                        nxt[key] = nxt.get(key, 0) + x * signed
+        minors = {K: c for K, c in nxt.items() if c}
+    # descending tuples in descending order: that of
+    # itertools.combinations(range(n - 1, -1, -1), r)
+    return AntiSymmetricElement(r=len(vectors), n=n,
+                                coeffs=dict(sorted(minors.items(),
+                                                   reverse=True)))
 
 
 def satake_map(a: AntiSymmetricElement, R: CohomologyRing) -> GradedVector:

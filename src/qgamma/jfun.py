@@ -13,13 +13,14 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from math import factorial
+from operator import mul
 from typing import NamedTuple
 
 import mpmath
 
 from .ring import (CohomologyRing, GradedVector, build_hypersurface_ambient_ring,
                    build_projective_ring)
-from .scalars import from_fixed, to_fixed, working_context
+from .scalars import from_fixed, from_ratio, to_fixed, working_context
 
 
 @dataclass(frozen=True)
@@ -62,6 +63,39 @@ class JSeries:
         return _NumericView(degrees, peaks, log_peaks, {})
 
     @functools.cached_property
+    def _moments(self) -> "_MomentView":
+        """What `MomentSum` needs from the series, all exact, so computed
+        once and kept on the series like `_numeric`."""
+        R = self.ring
+        rows = [[Fraction(c) for c in self.coeffs[d].coeffs]
+                for d in self._numeric.degrees]
+        den = math.lcm(*(c.denominator for row in rows for c in row))
+        # 2^(l - 2) < largest |J_d| < 2^l, l = 0 for a zero degree
+        offsets = [p.numerator.bit_length() - p.denominator.bit_length() + 1
+                   if p else 0 for p in (max(map(abs, row)) for row in rows)]
+        top = max(offsets)
+        columns = [[int(row[j] * den) << (top - off)
+                    for row, off in zip(rows, offsets)] for j in range(R.rank)]
+        # N^k / k! for k = 0..top degree, N the matrix of cup-by-c1
+        cols = R.c1_matrix()
+        term = [[Fraction(i == j) for j in range(R.rank)]
+                for i in range(R.rank)]
+        powers = [term]
+        for k in range(1, max(R.degrees) + 1):
+            term = [[sum(cols[m][i] * term[m][j] for m in range(R.rank)) / k
+                     for j in range(R.rank)] for i in range(R.rank)]
+            powers.append(term)
+        pden = math.lcm(*(x.denominator for mat in powers for row in mat
+                          for x in row))
+        prev, last = ([max(map(abs, row)) for row in rows[-2:]]
+                      if len(rows) > 1 else (1, 0))
+        return _MomentView(
+            offsets, columns, den * pden,
+            [[[int(x * pden) for x in row] for row in mat] for mat in powers],
+            (last.numerator * prev.denominator,
+             prev.numerator * last.denominator))
+
+    @functools.cached_property
     def _hypersurfaces(self) -> dict:
         """a -> `quantum_lefschetz(self, a)` for the degrees a its callers
         asked for, kept on the series like `_numeric`."""
@@ -77,6 +111,20 @@ class _NumericView(NamedTuple):
                         # (m, s) of |c| for the nonzero c of the last two
                         # degrees; the nonzero entries (row, column, value)
                         # of cup-by-c1)
+
+
+class _MomentView(NamedTuple):
+    offsets: list       # per degree d, l_d with 2^(l_d - 2) < max |J_d|
+                        # < 2^l_d (0 for a zero degree)
+    columns: list       # per component j, the ints J_d[j] den 2^(top - l_d)
+                        # over the degrees d, den the common denominator of
+                        # every J_d and top the largest l_d
+    denominator: int    # den times the common denominator of the N^k / k!
+    prefactor: list     # per k = 0..top degree, the int matrix [i][j] of
+                        # N^k / k! times that common denominator
+    tail: tuple         # ints (a, b) with a / b = max |J_d| of the last
+                        # degree over that of the one before; (0, 1) for
+                        # fewer than two degrees
 
 
 @dataclass(frozen=True)
@@ -364,6 +412,160 @@ def _fixed_sum(col, powers, prec: int):
     top = max((p.bit_length() - s for p, s in prods), default=0)
     G = prec + len(prods).bit_length() + 10 - top
     return sum(p >> (s - G) if s >= G else p << (G - s) for p, s in prods), G
+
+
+class MomentSum:
+    """sum_i W_i J(t_i) over weighted points t_i > 0, on Python ints.
+
+    For t > 0, J(t) = sum_k (ln t)^k / k! N^k sum_d J_d t^d with N the
+    matrix of cup-by-c1, so the sum is sum_k N^k / k! sum_d J_d M[k][d]
+    with the moments M[k][d] = sum_i W_i (ln t_i)^k t_i^d.  `add` puts
+    nodes into the moments, `total` contracts them with the exact
+    coefficients (the series' `_moments`) and `bounds` bounds its error,
+    each as often as the caller likes.
+
+    Fixed point: M[0][d] is an int on the grid 2^-(grid + l_d), l_d the
+    series' offset of degree d, so one unit of it times |J_d| is below
+    2^-grid, and M[k][d] for k >= 1 on the grid 2^-(grid + l_d + bits).
+    Per node, t_i is one int product and ln t_i one add, both to `bits`
+    bits; the terms W_i t_i^d come from a running product as in
+    `_fixed_powers`, and each is truncated onto its grid once; the
+    (ln t_i)^k 2^bits are a running product truncated to `bits` bits.
+    Each moment is then one exact dot product over the nodes.  In its
+    units, the error of M[k][d] is at most twice
+        (n + 1 + c_d m 2^-bits) L_k + E_k m,
+    n the nodes, m = M[0][d] + n, c_d = 10 (d + 1), L_k >= |(ln t_i)^k|
+    2^bits (L_0 = 1) and E_k >= |(ln t_i)^k - exact| 2^bits (E_0 = 0):
+    one truncation onto the grid per node; the relative error of t_i^d,
+    below 10 d 2^-bits from t_i's three roundings and two truncations per
+    degree step; and that of the log powers, from ln t_i's error below
+    4 2^-bits and one truncation per power.
+    """
+
+    def __init__(self, J: JSeries, grid: int, bits: int):
+        self.view = J._moments
+        self.degrees = J._numeric.degrees
+        self.grids = [grid + off for off in self.view.offsets]
+        self.scale = grid + max(self.view.offsets) + bits
+        self.bits = bits
+        top = len(self.view.prefactor) - 1
+        self.moments = [[0] * len(self.degrees) for _ in range(top + 1)]
+        self.count = 0                  # nodes added
+        self.log_max = [0] * top        # L_k for k = 1..top
+
+    def add(self, nodes, t0, log_t0: int) -> bool:
+        """Add the nodes (W, S, L): the weight W_i = m 2^-s > 0 for
+        (m, s) = W with m of at most `bits` bits, the point t_i = S t0 for
+        the (m, s) pairs S and t0 of `bits` bits, and ln t_i =
+        (L + log_t0) 2^-bits.  Returns whether the series passes
+        `evaluate_j`'s convergence test at every node: the last term size
+        |J_d| t^d below the one before."""
+        if not nodes:
+            return True
+        bits = self.bits
+        um, us = t0
+        # per node t_i, and q_i = W_i t_i^d as (mantissa, scale) from d = 0
+        # on, W_i's exact mantissa widened to `bits` bits; each degree step
+        # multiplies q_i by t_i^gap and drops bits - 1 bits, so the
+        # mantissa keeps at least bits - 1 bits (and gains at most one per
+        # step) with no bit count per term
+        ts, qs, scales, logs = [], [], [], []
+        for (wm, ws), (sm, ss), ls in nodes:
+            ts.append(_truncate(sm * um, ss + us, bits))
+            n = bits - wm.bit_length()
+            qs.append(wm << n)
+            scales.append(ws + n)
+            logs.append(ls + log_t0)
+        lpow = []                   # (ln t_i)^k 2^bits, k = 1..top
+        while len(lpow) < len(self.log_max):
+            lpow.append([x * y >> bits for x, y in zip(lpow[-1], logs)]
+                        if lpow else logs)
+        steps = {}                  # degree gap -> t_i^gap per node
+        before, prev = None, 0
+        for j, (d, g) in enumerate(zip(self.degrees, self.grids)):
+            if d != prev:
+                step = steps.get(d - prev)
+                if step is None:
+                    step = steps[d - prev] = [
+                        _truncate(m ** (d - prev), s * (d - prev), bits)
+                        for m, s in ts]
+                before = qs, scales
+                qs = [q * m >> bits - 1 for q, (m, _) in zip(qs, step)]
+                scales = [sc + s - bits + 1
+                          for sc, (_, s) in zip(scales, step)]
+                prev = d
+            # W_i t_i^d truncated onto the grid of degree d
+            col = [q >> sh if (sh := sc - g) >= 0 else q << -sh
+                   for q, sc in zip(qs, scales)]
+            self.moments[0][j] += sum(col)
+            for k, lk in enumerate(lpow, 1):
+                self.moments[k][j] += sum(map(mul, col, lk))
+        self.count += len(nodes)
+        self.log_max = [max(x, *map(abs, lk))
+                        for x, lk in zip(self.log_max, lpow)]
+        if before is None:
+            return True
+        # a q_last 2^-s_last < b q_prev 2^-s_prev at every node, W_i > 0
+        a, b = self.view.tail
+        return all(a * ql < b * qp << e if (e := sl - sp) >= 0
+                   else a * ql << -e < b * qp
+                   for ql, sl, qp, sp in zip(qs, scales, *before))
+
+    def total(self, ctx, shift: int):
+        """The sum over the nodes added, times 2^-shift, per component of
+        the series' ring, as mpfs of ctx: the exact contraction of the
+        moments with the J_d and the N^k / k!, rounded once to nearest."""
+        view = self.view
+        return self._rounded(ctx, shift, view.columns, view.prefactor,
+                             self.moments)
+
+    def bounds(self, ctx, shift: int):
+        """Per component, a bound on the error of `total(ctx, shift)` and
+        one on the sum of |W_i J(t_i)| times 2^-shift, as two lists of mpfs
+        of ctx.  The first is the class docstring's bound on each moment
+        carried through |J_d| and |N^k / k!|, plus the rounding to ctx;
+        the second carries bounds on the moments of |ln t_i|^k through
+        them: the even moments themselves, and for odd k the bound
+        |x|^k <= (x^(k-1) + x^(k+1)) / 2, or L_1 |x|^(k-1) at the top
+        degree."""
+        bits, n = self.bits, self.count
+        lam = [1] + self.log_max
+        slack, e = [], 0
+        for k, lk in enumerate(lam):
+            if k:       # E_k from E_(k-1), rounded up
+                e = (-(-e * lam[1] >> bits) + 1
+                     + 4 * -(-(lam[1] + 4) ** (k - 1) >> (k - 1) * bits))
+            slack.append([2 * ((n + 1 - (-10 * (d + 1) * (m + n) >> bits))
+                               * lk + e * (m + n))
+                          for d, m in zip(self.degrees, self.moments[0])])
+        even = [[x << bits for x in self.moments[0]]] + self.moments[1:]
+        absolute = [self.moments[0]]
+        for k in range(1, len(even)):
+            absolute.append(
+                even[k] if k % 2 == 0 else
+                [(x + y >> 1) + 1 for x, y in zip(even[k - 1], even[k + 1])]
+                if k + 1 < len(even) else
+                [(lam[1] * x >> bits) + 1 for x in even[k - 1]])
+        prefactor = [[[abs(x) for x in row] for row in mat]
+                     for mat in self.view.prefactor]
+        magnitudes = [list(map(abs, col)) for col in self.view.columns]
+        sizes = self._rounded(ctx, shift, magnitudes, prefactor, absolute)
+        return ([x + ctx.ldexp(m, -ctx.prec) for x, m in zip(
+            self._rounded(ctx, shift, magnitudes, prefactor, slack), sizes)],
+            sizes)
+
+    def _rounded(self, ctx, shift, columns, prefactor, moments):
+        return [from_ratio(ctx, x, self.view.denominator, self.scale + shift)
+                for x in self._contract(columns, prefactor, moments)]
+
+    def _contract(self, columns, prefactor, moments):
+        """sum_k P_k sum_d (columns)_d moments[k][d] on the grid of the
+        moments of k >= 1, P_k = prefactor[k]."""
+        ys = [[sum(map(mul, col, mk)) << (0 if k else self.bits)
+               for col in columns] for k, mk in enumerate(moments)]
+        return [sum(b * y for mat, y_k in zip(prefactor, ys)
+                    for b, y in zip(mat[i], y_k))
+                for i in range(len(columns))]
 
 
 def _peak_digits(view: _NumericView, t) -> int:

@@ -17,10 +17,13 @@ interior to it; weighted AM-GM then gives f(e^u) >= c_min * e^(rho * |u_i|)
 on the corresponding face, which pins the box size for a requested decay.
 
 The Laplace route integrates the ambient series against e^(-s) as one
-tanh-sinh sum over the whole vector: one series evaluation per node, the
-nodes and weights memoised per working precision and level, no evaluation
-at a node whose weight times a bound on the series cannot reach the sum,
-and a stop when every component's predicted error is small relative to it.
+tanh-sinh sum over the whole vector, by linearity: the nodes go into the
+moments sum w (ln t)^k t^d of `jfun.MomentSum`, which one contraction
+with the series' coefficients turns into the sum, so no node evaluates
+the series.  The nodes and weights are memoised per working precision and
+level, no node is taken whose weight times a bound on the series cannot
+reach the sum, and the sum stops when every component's predicted error
+is small relative to it.
 """
 
 from __future__ import annotations
@@ -34,7 +37,8 @@ from operator import mul
 from mpmath.calculus.quadrature import TanhSinh
 
 from .exactla import lp_max
-from .jfun import JSeries, evaluate_j, quantum_lefschetz
+from .jfun import (JSeries, MomentSum, _scaled, _truncate, evaluate_j,
+                   quantum_lefschetz)
 from .laurent import LaurentPolynomial
 from .ring import GradedVector, cup, gamma_class, gamma_of_ch, line_bundle, \
     pair_bracket
@@ -78,11 +82,15 @@ def _min_reach(exponents: tuple, m: int):
 def _truncation_radius(f: LaurentPolynomial, z, digits, rho, ctx):
     """Half-width L of the log-coordinate box capturing the integrand mass.
 
-    Ensures c_min * e^(rho*L)/z >= digits*log(10) on every face of the box,
-    rho the smallest reach along the coordinate directions.
+    Ensures c_min * e^(rho*L)/z >= digits*log(10) + f(1, ..., 1)/z on every
+    face of the box, rho the smallest reach along the coordinate
+    directions: there the integrand is 10^-digits of its value at
+    (1, ..., 1), so of its peak, however small z makes both.
     """
     cmin = min(ctx.convert(c) for _, c in f.items())
-    need = ctx.convert(digits) * ctx.log(10) * ctx.convert(z) / cmin
+    at_one = sum(ctx.convert(c) for _, c in f.items())
+    need = (ctx.convert(digits) * ctx.log(10) * ctx.convert(z)
+            + at_one) / cmin
     return max(ctx.mpf(1),
                ctx.log(need if need > 1 else ctx.mpf(2)) / ctx.convert(rho))
 
@@ -312,10 +320,11 @@ def laplace_lefschetz_check(JX: JSeries, a: int, u, tol=None, P: int = 50) -> di
     ambient one.
 
     Left side: J_Y at t = u^(a/(r-a)) from the degree-a twist of JX, built
-    once per JX and a and kept on JX.
+    once per JX and a and kept on JX: the check's one `evaluate_j`.
     Right side: e^(-c0 t)/(Gamma(1+a h) u) * int_0^inf  i*J_X(q^(a/r))
     e^(-q/u) dq, in the variable s = q/u and cut at s = S with e^(-S) =
-    10^-(P+15), as one tanh-sinh sum over the whole vector (`_laplace_sum`).
+    10^-(P+15), as one tanh-sinh sum over the whole vector (`_laplace_sum`),
+    taken from moments of the nodes with no series evaluation per node.
     Reports componentwise absolute and relative differences, and the
     sum's predicted error per component as `quad_error`.
     """
@@ -342,8 +351,7 @@ def laplace_lefschetz_check(JX: JSeries, a: int, u, tol=None, P: int = 50) -> di
         raise ArithmeticError("hypersurface series tail not under control")
     lhs = left["value"]
 
-    comps, errs, _ = _laplace_sum(JX, RY.rank, uc,
-                                  ctx.convert(Fraction(a, r)), P)
+    comps, errs, _ = _laplace_sum(JX, RY.rank, uc, Fraction(a, r), P)
     integral = GradedVector(RY, tuple(comps))
 
     C = make_constants(P=wp)
@@ -374,65 +382,79 @@ def laplace_lefschetz_check(JX: JSeries, a: int, u, tol=None, P: int = 50) -> di
     return report
 
 
-def _laplace_sum(JX: JSeries, rank: int, uc, ar, P: int):
+def _laplace_sum(JX: JSeries, rank: int, uc, ar: Fraction, P: int):
     """The first `rank` components of int_0^S J_X((s u)^ar) e^(-s) ds at
     the working precision P + 10, with S = `_laplace_cutoff`, the
     predicted absolute error of each, both as lists of mpfs, and the
     tanh-sinh level the sum stopped at.
 
-    One tanh-sinh sum over the vector: each node of level k calls
-    `evaluate_j` once and its vector is added to every component, and level
-    k keeps level k-1's sum, I_k = I_(k-1)/2 + (the new nodes).  On t > 0
-    the ambient series is real, so the sums are.  A node of level k >= 2
-    is skipped, with no `evaluate_j`, when |weight| times `_series_bound`
-    at its t is below 10^-(P+12) of every component of I_(k-1): in practice
-    the far end of [0, S], where e^(-s) leaves nothing of the series.
-    With d_k = |I_k - I_(k-1)| and each level doubling the digits, the
-    error of I_k is predicted as d_k^2/d_(k-1), floored by the rounding
-    error the sum can carry, (nodes so far) 2^-prec sum |weight * value|,
-    plus the most the skipped nodes can carry; an exactly-zero component
-    skips nothing, has floor 0 and converges.  The sum stops at the first
-    level where every prediction is at most 10^-(P+2) |I_k|, and raises if
-    `_MAX_LEVEL` comes first.
+    One tanh-sinh sum over the vector, on `jfun.MomentSum`: level k adds
+    its new nodes to the moments, from `_laplace_table`, and the level's
+    sum is the moments' contraction times the step 2^-k, I_k = I_(k-1)/2
+    + (the new nodes), with no series evaluation at any node.  On t > 0
+    the ambient series is real, so the sums are.  Level 1's nodes set the
+    grid: wp + 20 digits below the largest weighted term m_d |t|^d of the
+    level (m_d the largest |J_d| at 15 digits), the accuracy that a
+    series evaluation gave each node.  A node of level k >= 2 is skipped
+    when |weight| times `_series_bound` at its t is below 10^-(P+12) of
+    every component of I_(k-1): in practice the far end of [0, S], where
+    e^(-s) leaves nothing of the series.  Every other node must pass the
+    series' convergence test, the last term size below the one before,
+    or the sum raises.  With d_k = |I_k - I_(k-1)| and each level
+    doubling the digits, the error of I_k is predicted as d_k^2/d_(k-1),
+    floored by the kernel's bound on its own error plus one rounding of
+    the rule per node, (nodes so far) 2^-prec sum |weight * value| (its
+    nodes and weights are rounded to the working precision, and the nodes
+    nearest s = 0, where ln t is largest, magnify that), plus the most the
+    skipped nodes can carry; an exactly-zero component skips nothing, has
+    floor 0 and converges.  The sum stops at the first level where every
+    prediction is at most 10^-(P+2) |I_k|, and raises if `_MAX_LEVEL`
+    comes first.
     """
     wp = P + 10
     ctx = working_context(wp)
     bound = ctx.mpf(10) ** -(P + 2)
-    ulp = ctx.ldexp(1, -ctx.prec)
     log_u = float(ctx.ln(uc))
     ar_f = float(ar)
     series_bound = _series_bound(JX)
+    bits = _laplace_bits(wp)
+    t0, log_t0 = _fixed_root_and_log(uc, ar, bits)
+    # the grid, from level 1's largest weighted term in float logs
+    view = JX._numeric
+    terms = [(d / math.log(10), lp)
+             for d, lp in zip(view.degrees, view.log_peaks) if lp > -math.inf]
+    peak = max(log_w + lp + d * ar_f * (log_s + log_u)
+               for _, _, log_s, log_w in _laplace_nodes(wp, 1)
+               for d, lp in terms)
+    moments = MomentSum(JX, math.ceil((wp + 20 - peak) * math.log2(10)), bits)
     total = [ctx.zero] * rank       # I_k
-    size = [ctx.zero] * rank        # sum of |weight * value|, halved alike
-    skipped = ctx.zero              # most the skipped nodes carry, alike
+    skipped = ctx.zero              # most the skipped nodes carry, halved
     diffs = None                    # d_(k-1), from level 2 on
-    count = 0
     for level in range(1, _MAX_LEVEL + 1):
         prev = total
         floor = min((abs(x) for x in prev), default=ctx.zero)
         cut = float(ctx.log10(floor)) - (P + 12) if floor else -math.inf
-        total = [x / 2 for x in total]
-        size = [x / 2 for x in size]
-        skipped /= 2
-        for s, w, log_s, log_w in _laplace_nodes(wp, level):
-            if log_w + series_bound(ar_f * (log_s + log_u)) < cut:
-                skipped += ctx.mpf(10) ** cut
-                continue
-            res = evaluate_j(JX, (s * uc) ** ar, P=wp)
-            if not res["converged"]:
-                raise ArithmeticError("ambient series tail not under control "
-                                      "inside the Laplace integral")
-            for i, v in enumerate(res["value"].coeffs[:rank]):
-                wv = w * v.real
-                total[i] += wv
-                size[i] += abs(wv)
-            count += 1
+        # `series_bound` is at least 0 (J_0 = 1), so a weight of at least
+        # 10^cut keeps its node without calling it
+        nodes = _laplace_table(wp, level, ar)
+        kept = [node for (_, _, log_s, log_w), node in
+                zip(_laplace_nodes(wp, level), nodes)
+                if not floor or log_w >= cut
+                or log_w + series_bound(ar_f * (log_s + log_u)) >= cut]
+        skipped = skipped / 2 + (len(nodes) - len(kept)) * (
+            ctx.mpf(10) ** cut if floor else 0)
+        if not moments.add(kept, t0, log_t0):
+            raise ArithmeticError("ambient series tail not under control "
+                                  "inside the Laplace integral")
+        total = moments.total(ctx, level)[:rank]
         if level == 1:
             continue
         d = [abs(x - y) for x, y in zip(total, prev)]
         if diffs is not None:
-            errs = [max(dk * dk / dp if dp else dk, count * ulp * m) + skipped
-                    for dk, dp, m in zip(d, diffs, size)]
+            bounds, sizes = (x[:rank] for x in moments.bounds(ctx, level))
+            rule = moments.count * ctx.ldexp(1, -ctx.prec)
+            errs = [max(dk * dk / dp if dp else dk, b + rule * m) + skipped
+                    for dk, dp, b, m in zip(d, diffs, bounds, sizes)]
             if all(e <= bound * abs(x) for e, x in zip(errs, total)):
                 return total, errs, level
         diffs = d
@@ -474,6 +496,39 @@ def _laplace_cutoff(wp: int):
     working_context(wp)."""
     ctx = working_context(wp)
     return ctx.convert(wp + 5) * ctx.log(10)
+
+
+def _laplace_bits(wp: int) -> int:
+    """The bits of t and ln t in the Laplace sum at working digits wp:
+    wp + 20 digits, the grid's depth below the largest weighted term,
+    plus 64 for the error factors of `jfun.MomentSum`."""
+    return math.ceil((wp + 20) * math.log2(10)) + 64
+
+
+def _fixed_root_and_log(x, ar: Fraction, bits: int):
+    """For an mpf x > 0, x^ar as (m, s) with x^ar = m 2^-s cut to `bits`
+    bits, and ar ln x times 2^bits truncated to an int, both taken 16 bits
+    finer first."""
+    hp = working_context(math.ceil((bits + 16) * math.log10(2)) + 1)
+    x = hp.convert(x)
+    root = hp.root(x ** ar.numerator, ar.denominator)
+    return (_truncate(*_scaled(root, hp.prec, hp), bits),
+            to_fixed(hp.ln(x) * ar.numerator / ar.denominator, bits))
+
+
+@functools.lru_cache(maxsize=128)
+def _laplace_table(wp: int, level: int, ar: Fraction) -> tuple:
+    """`_laplace_nodes(wp, level)` in fixed point for the exponent ar, as
+    `jfun.MomentSum` takes them: per node (W, S, L), W = (m, s) with the
+    weight times 2^level = m 2^-s exactly, and (S, L) =
+    `_fixed_root_and_log(s, ar, _laplace_bits(wp))`."""
+    ctx = working_context(wp)
+    bits = _laplace_bits(wp)
+    out = []
+    for s, w, _, _ in _laplace_nodes(wp, level):
+        m, e = _scaled(w, ctx.prec, ctx)
+        out.append(((m, e - level), *_fixed_root_and_log(s, ar, bits)))
+    return tuple(out)
 
 
 @functools.lru_cache(maxsize=128)

@@ -19,7 +19,7 @@ import functools
 from dataclasses import dataclass, field
 
 import mpmath
-from mpmath.libmp import from_man_exp, round_nearest
+from mpmath.libmp import from_man_exp, from_rational, mpf_shift, round_nearest
 
 # 100-digit reference values (standard published digits) used to validate the
 # computed constants at construction time.  Two independent derivations of the
@@ -78,6 +78,13 @@ def from_fixed(ctx, n: int, scale: int):
     """The int `n` times 2^-scale as an mpf of `ctx`, rounded once to
     nearest at the context's precision."""
     return ctx.make_mpf(from_man_exp(n, -scale, ctx.prec, round_nearest))
+
+
+def from_ratio(ctx, n: int, den: int, scale: int):
+    """The rational n / den times 2^-scale, for ints n and den > 0, as an
+    mpf of `ctx`, rounded once to nearest at the context's precision."""
+    return ctx.make_mpf(mpf_shift(from_rational(n, den, ctx.prec,
+                                                round_nearest), -scale))
 
 
 @dataclass(frozen=True)

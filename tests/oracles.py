@@ -576,3 +576,17 @@ def midpoint_orthant_sum(f, z, L, npts, P):
             g += c * ctx.exp(sum(x * ui for x, ui in zip(e, u)))
         total += ctx.exp(-g / z)
     return total * h ** m
+
+
+def laplace_node_sum(evaluate, nodes, u, ar, rank):
+    """The per-node route of the Laplace sum: over the nodes (s, w), the
+    sum of w Re J((s u)^ar)_i for the first `rank` components i, with one
+    series evaluation per node, J(t) = evaluate(t) a sequence of complex
+    components, and every product and sum in the arithmetic of the mpf u.
+    """
+    total = [u * 0] * rank
+    for s, w in nodes:
+        v = evaluate((s * u) ** ar)
+        for i in range(rank):
+            total[i] += w * v[i].real
+    return total

@@ -195,6 +195,15 @@ def test_lefschetz_unconverged_sum_exits_2(capsys, monkeypatch):
     assert err.startswith("error: Laplace sum did not converge")
 
 
+def test_lefschetz_unconverged_ambient_series_exits_2(capsys):
+    # at -D 8 the ambient series' last term is not below the one before at
+    # the Laplace nodes
+    rc, out, err = run(capsys, ["lefschetz", "--space", "X(4,2)", "-D", "8",
+                                "--u", "0.05"])
+    assert rc == 2 and out == ""
+    assert err.startswith("error: ambient series tail not under control")
+
+
 def test_apery_target_is_zeta2(capsys):
     rc, out, err = run(capsys, ["apery", "--space", "Gr(2,5)",
                                 "--order", "50", "-N", "10"])

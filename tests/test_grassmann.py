@@ -14,6 +14,7 @@ from qgamma.grassmann import (box_partitions, bcfk_j_series, e_mu_class,
                               wedge_from_vectors, _alternant_product,
                               _is_symmetric, _ch_tangent_poly,
                               _chi_projective, _exp_substitute)
+from qgamma.exactla import det
 from qgamma.jfun import quantum_period
 from qgamma.mirror import conifold_point, constant_term_series, \
     projective_rays, toric_mirror_from_rays
@@ -263,6 +264,35 @@ def test_exp_substitute_against_exponential_products():
         assert _exp_substitute(poly, 3, top) == \
             oracles.exp_substitute(poly, 3, top), top
     assert _exp_substitute(poly, 3, 0) == {(0, 0, 0): Fraction(123, 14)}
+
+
+def test_wedge_minors_against_determinants():
+    # every nonzero r x r minor det(v_i[k_j]) over k_1 > ... > k_r, in the
+    # order of the decreasing tuples, on seeded integer and rational
+    # vectors with zero entries, zero vectors and repeated vectors, from
+    # r = 1 to r = n
+    rng = random.Random(2207)
+    cases = [([[0, 0, 0]], 3), ([[1, 2, 3], [1, 2, 3]], 3),
+             ([[0, 5, 0, -2]], 4), ([[1, 0], [0, 1]], 2)]
+    for _ in range(60):
+        n = rng.randint(1, 7)
+        r = rng.randint(1, n)
+        vs = [[rng.choice((0, 0, rng.randint(-9, 9), Fraction(rng.randint(
+            -9, 9), rng.randint(1, 4)))) for _ in range(n)] for _ in range(r)]
+        if r > 1 and rng.random() < 0.3:
+            vs[rng.randrange(1, r)] = list(vs[0])
+        if rng.random() < 0.1:
+            vs[-1] = [0] * n
+        cases.append((vs, n))
+    for vs, n in cases:
+        want = {}
+        for K in itertools.combinations(range(n - 1, -1, -1), len(vs)):
+            minor = det([[v[k] for k in K] for v in vs])
+            if minor:
+                want[K] = minor
+        got = wedge_from_vectors(vs, n).coeffs
+        assert list(got.items()) == list(want.items()), (vs, n)
+    assert wedge_from_vectors([[1, 2, 3], [1, 2, 3]], 3).coeffs == {}
 
 
 def test_satake_map_examples():

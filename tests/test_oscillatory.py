@@ -4,7 +4,7 @@ from fractions import Fraction
 import mpmath
 import pytest
 
-from qgamma import oscillatory, scalars
+from qgamma import jfun, oscillatory, scalars
 from qgamma.asympt import (ExtrapolationConfig, make_grid,
                            principal_asymptotic_class)
 from qgamma.grassmann import ehx_mirror
@@ -34,6 +34,19 @@ def test_orthant_integral_is_bessel():
     Z1 = oscillatory_integral(f, ctx.mpf(1), tol=1e-38)
     series = 2 * ctx.convert(oracles.bessel_k0_series(2, 60))
     assert abs(Z1 - series) < ctx.mpf(10) ** -38
+
+
+@pytest.mark.parametrize("P", [15, 30])
+@pytest.mark.parametrize("z", [Fraction(1, 20), Fraction(1, 10)])
+def test_orthant_box_holds_the_mass_at_small_z(P, z):
+    # at z = 1/20 the integrand peaks at e^(-40): a box sized for an
+    # absolute decay of 10^-(P+10) cut off mass that tol sees (1.4e-12
+    # off at P = 15); sized relative to the value at (1, ..., 1) it holds
+    f = toric_mirror_from_rays(projective_rays(2))
+    Z = oscillatory_integral(f, z, tol=1e-12, P=P)
+    ref = working_context(60)
+    want = 2 * ref.besselk(0, 2 / ref.convert(z))
+    assert abs(ref.convert(Z) - want) <= ref.mpf(10) ** -12 * want
 
 
 def test_multiplicative_substitution_invariance():
@@ -410,46 +423,119 @@ def _counting_evaluate_j(monkeypatch):
     return calls
 
 
-def test_laplace_sum_against_one_more_level(monkeypatch):
-    # the accepted level k agrees with level k + 1, all of whose new nodes
-    # are summed, to 10^-(P+2) relatively, componentwise, and its predicted
-    # error is at least |I_k - I_(k+1)|; level k evaluated at most its nodes
-    calls = _counting_evaluate_j(monkeypatch)
+def _recorded_nodes(monkeypatch):
+    """Record the nodes each level of the Laplace sum adds to its moments,
+    one list per level."""
+    added = []
+    add = jfun.MomentSum.add
+
+    def recording(self, nodes, t0, log_t0):
+        added.append(nodes)
+        return add(self, nodes, t0, log_t0)
+    monkeypatch.setattr(jfun.MomentSum, "add", recording)
+    return added
+
+
+def _per_node(JX, nodes, uc, ar, wp, rank):
+    """The oracle's sum over the nodes (s, w) of working digits wp, taken
+    10 digits finer, so that its own rounding is below the sum's."""
+    ctx = working_context(wp + 10)
+    return oracles.laplace_node_sum(
+        lambda t: evaluate_j(JX, t, P=wp + 10)["value"].coeffs, nodes,
+        ctx.convert(uc), ctx.convert(ar), rank)
+
+
+def test_laplace_sum_against_per_node_oracle(monkeypatch):
+    # the moment kernel against one series evaluation per node, on the
+    # nodes it kept: the same sum to 10^-(P+2) relatively, componentwise,
+    # inside its predicted error, and at the level where the per-node sum
+    # stopped (seen on that route: 5, 5, 6 and 7 at P = 15, 30, 50, 100)
+    added = _recorded_nodes(monkeypatch)
     JX = j_projective(4, 160)
     for a in (2, 3):
         rank = build_hypersurface_ambient_ring(3, a).rank
+        ar = Fraction(a, 4)
+        for u in (Fraction(1, 100), Fraction(3, 100), Fraction(5, 100)):
+            for P in (15, 30, 50, 100):
+                wp = P + 10
+                ctx = working_context(wp)
+                uc = ctx.convert(u)
+                added.clear()
+                total, errs, level = oscillatory._laplace_sum(JX, rank, uc,
+                                                              ar, P)
+                assert level == {15: 5, 30: 5, 50: 6, 100: 7}[P], (a, u, P)
+                assert len(added) == level
+                hi = working_context(wp + 10)
+                want = [hi.zero] * rank
+                for k, nodes in enumerate(added, 1):
+                    table = oscillatory._laplace_table(wp, k, ar)
+                    at = {id(x): i for i, x in enumerate(table)}
+                    kept = [oscillatory._laplace_nodes(wp, k)[at[id(x)]][:2]
+                            for x in nodes]
+                    part = _per_node(JX, kept, uc, ar, wp, rank)
+                    want = [x / 2 + y for x, y in zip(want, part)]
+                for i, (x, y, e) in enumerate(zip(total, want, errs)):
+                    diff = abs(hi.convert(x) - y)
+                    assert diff <= hi.mpf(10) ** -(P + 2) * abs(y), \
+                        (a, u, P, i)
+                    assert e >= diff, (a, u, P, i)
+
+
+def test_laplace_sum_against_one_more_level(monkeypatch):
+    # the accepted level k agrees with level k + 1, all of whose new nodes
+    # the per-node oracle sums, to 10^-(P+2) relatively, componentwise,
+    # and its predicted error is at least |I_k - I_(k+1)|; level k took at
+    # most its nodes
+    added = _recorded_nodes(monkeypatch)
+    JX = j_projective(4, 160)
+    for a in (2, 3):
+        rank = build_hypersurface_ambient_ring(3, a).rank
+        ar = Fraction(a, 4)
         for u in (Fraction(1, 100), Fraction(3, 100), Fraction(5, 100)):
             for P in (15, 30, 50):
                 wp = P + 10
                 ctx = working_context(wp)
-                uc, ar = ctx.convert(u), ctx.convert(Fraction(a, 4))
-                calls.clear()
+                uc = ctx.convert(u)
+                added.clear()
                 total, errs, level = oscillatory._laplace_sum(JX, rank, uc,
                                                               ar, P)
                 nodes = sum(len(oscillatory._laplace_nodes(wp, k))
                             for k in range(1, level + 1))
-                assert len(calls) <= nodes and level >= 3, (a, u, P)
-                nxt = [x / 2 for x in total]
-                for s, w, *_ in oscillatory._laplace_nodes(wp, level + 1):
-                    v = oscillatory.evaluate_j(JX, (s * uc) ** ar, P=wp)
-                    for i in range(rank):
-                        nxt[i] += w * v["value"].coeffs[i].real
+                assert sum(map(len, added)) <= nodes and level >= 3, \
+                    (a, u, P)
+                new = [x[:2] for x in
+                       oscillatory._laplace_nodes(wp, level + 1)]
+                hi = working_context(wp + 10)
+                nxt = [hi.convert(x) / 2 + y for x, y in
+                       zip(total, _per_node(JX, new, uc, ar, wp, rank))]
                 for i, (x, y, e) in enumerate(zip(total, nxt, errs)):
-                    assert abs(x - y) <= ctx.mpf(10) ** -(P + 2) * abs(x), \
+                    diff = abs(hi.convert(x) - y)
+                    assert diff <= hi.mpf(10) ** -(P + 2) * abs(x), \
                         (a, u, P, i)
-                    assert e >= abs(x - y), (a, u, P, i)
+                    assert e >= diff, (a, u, P, i)
 
 
 def test_laplace_check_calls_evaluate_j_once_per_node(monkeypatch):
-    # 267 nodes on levels 1-5, less the 74 at the far end that no series
-    # value can lift to 10^-42 of the sum, and the left side; summing every
-    # node took 268 calls, and a quad per component stopped one level
-    # later, at 535
+    # one series evaluation, the left side's: the 193 nodes of levels 1-5
+    # that can lift the sum to 10^-42 of itself (267 less 74 at the far
+    # end) go into the moments; one evaluation per node took 194 calls,
+    # and 268 when every node was summed
     calls = _counting_evaluate_j(monkeypatch)
+    added = _recorded_nodes(monkeypatch)
     rep = laplace_lefschetz_check(j_projective(4, 160), 2, Fraction(1, 20),
                                   P=30)
-    assert len(calls) == 194
+    assert len(calls) == 1
+    assert sum(map(len, added)) == 193
     assert len(rep["grid_params"]["quad_error"]) == 3
+
+
+@pytest.mark.parametrize("D, u", [(8, Fraction(1, 20)), (12, Fraction(1, 5))])
+def test_laplace_sum_refuses_an_unconverged_ambient_series(D, u):
+    # at these nodes the last term of the truncated series is not below
+    # the one before: the sum is refused, not reported
+    with pytest.raises(ArithmeticError, match="ambient series tail not "
+                       "under control inside the Laplace integral"):
+        laplace_lefschetz_check(j_projective(4, D), 2, u, P=15)
 
 
 def test_laplace_level_cap_raises(monkeypatch):
@@ -505,8 +591,9 @@ def test_reports_do_not_depend_on_cache_state(monkeypatch):
     working_context.cache_clear()
     make_constants.cache_clear()
     oscillatory._laplace_nodes.cache_clear()
+    oscillatory._laplace_table.cache_clear()
 
-    # ... and check them each time the Laplace integrand calls back
+    # ... and check them each time a series is evaluated
     drifted = []
 
     def checked(*args, **kwargs):
@@ -530,9 +617,9 @@ def test_reports_do_not_depend_on_cache_state(monkeypatch):
     assert not drifted
     assert all(ctx.prec == prec for ctx, prec in built)
     # the Laplace sum runs at the 40-digit working precision: its nodes and
-    # weights are rounded to it, and so is every product and partial sum;
-    # this noise-level digit is that of the sum in that order
-    assert mpmath.nstr(cold[0]["rel_diff"][2], 5) == "4.6759e-40"
+    # weights are rounded to it, and each component of its moment sum is
+    # rounded to it once; this noise-level digit is that of those roundings
+    assert mpmath.nstr(cold[0]["rel_diff"][2], 5) == "4.8792e-40"
 
 
 def test_laplace_guards():
