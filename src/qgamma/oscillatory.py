@@ -8,13 +8,15 @@ The rule converges geometrically in the grid size, so a few small grids
 predict the grid that meets the tolerance, and that grid is summed and
 confirmed by one about 5/4 its size; the answer is the finer grid of a pair
 seen to agree.  On a grid each monomial's factor e^(-(c/z) x^e) takes one
-value per integer <e, j>, so it is read from one table and no node needs an
-exp of its own.  The truncation
-radius comes from an exact convexity bound: for each coordinate direction
-+-e_i one exact LP gives the largest rho with rho*(+-e_i) inside the Newton
-polytope of f, and all 2m reaches are positive exactly when the origin is
-interior to it; weighted AM-GM then gives f(e^u) >= c_min * e^(rho * |u_i|)
-on the corresponding face, which pins the box size for a requested decay.
+value per integer exponent of e^(h/2), so every monomial of a coefficient
+reads one table per parity of that integer, filled on ints by one
+fixed-point exp per entry, and no node needs an exp of its own.  The
+truncation radius comes from an exact convexity bound: for each coordinate
+direction +-e_i one exact LP gives the largest rho with rho*(+-e_i) inside
+the Newton polytope of f, and all 2m reaches are positive exactly when the
+origin is interior to it; weighted AM-GM then gives f(e^u) >= c_min *
+e^(rho * |u_i|) on the corresponding face, which pins the box size for a
+requested decay.
 
 The Laplace route integrates the ambient series against e^(-s) as one
 tanh-sinh sum over the whole vector, by linearity: the nodes go into the
@@ -35,6 +37,7 @@ from itertools import product
 from operator import mul
 
 from mpmath.calculus.quadrature import TanhSinh
+from mpmath.libmp.libelefun import exp_fixed, ln2_fixed
 
 from .exactla import lp_max
 from .jfun import (JSeries, MomentSum, _scaled, _truncate, evaluate_j,
@@ -98,75 +101,64 @@ def _truncation_radius(f: LaurentPolynomial, z, digits, rho, ctx):
 def _grid_sum(f, z, L, npts, ctx):
     """Midpoint-rule value of the orthant integral on an npts^m log grid.
 
-    On the nodes u_i = -L + (j_i + 1/2) h the exponent <e, u> of a monomial
-    is k h + s (h/2 - L) with the integers k = <e, j> and s = e_1 + ... + e_m,
-    so its factor e^(-(c/z) e^<e,u>) comes from one table over k.  The
-    powers e^(k h + s a) of one s are one exp and running products by e^h,
-    10 digits above the context, and the entries that are 0 at the
-    fixed-point scale below take no exp.  The sum runs row by row over
-    j_1..j_(m-1): monomials free of x_m give one weight per row, the others
-    strided slices of their tables over j_m.  The arithmetic is on ints:
-    each table is converted once to fixed point at scale 2^F, products are
-    shifted back by F, each row is one int dot product, and the total is
-    rounded once.  The sum is at least the integrand e^(-f(x0)/z) at the
-    node x0 nearest (1, ..., 1), so F puts prec + 10 + bitlen(npts^m) bits
-    below that value and the error stays relative however small z makes the
-    integrand.
+    On the nodes u = (2 j + 1 - N) h/2, N = npts and h = 2L/N, the exponent
+    <e, u> of a monomial is i h/2 with the integer i = 2<e, j> + s(1 - N),
+    s = e_1 + ... + e_m, so |i| <= (N - 1)|e|_1 and i = s(1 - N) mod 2: its
+    factor e^(-(c/z) e^(i h/2)) comes from the one table of (c, i mod 2)
+    that every monomial with that coefficient and parity reads.  A table is
+    built on ints at scale 2^G, G = F + bitlen(F) + bitlen(1/h) + 8: x_i =
+    (c/z) e^(i h/2) is taken from an mpf once, at the highest i whose entry
+    is not yet 0 at scale 2^F, and walked down by x_(i-2) = x_i e^(-h), so
+    each truncation shrinks as it is carried and x_i is off by at most
+    about 2^-G (F + 1/h); each entry is `exp_fixed(-x_i)` cut to scale 2^F,
+    correct to absolute 2^-(F-1), the bound the products below take.  The
+    sum runs row by row over j_1..j_(m-1): monomials free of x_m give one
+    weight per row, the others strided slices of their tables over j_m.
+    Products are shifted back by F, each row is one int dot product, and
+    the total is rounded once.  The sum is at least the integrand
+    e^(-f(x0)/z) at the node x0 nearest (1, ..., 1), so F puts prec + 10 +
+    bitlen(npts^m) bits below that value and the error stays relative
+    however small z makes the integrand.
     """
     m = f.nvars
     h = 2 * L / npts
-    a = h / 2 - L
     zc = ctx.convert(z)
-    # e^(k h + s a) over k = lo..hi for each s, from one exp and running
-    # products by e^h carried 10 digits above ctx
-    guard = working_context(ctx.dps + 10)
-    gh, ga = guard.convert(h), guard.convert(a)
-    step = guard.exp(gh)
-    spans = {}      # s -> the range of k its monomials need
-    monomials = []
-    for e, c in f.items():
-        s = sum(e)
-        lo = (npts - 1) * sum(x for x in e if x < 0)
-        hi = (npts - 1) * sum(x for x in e if x > 0)
-        monomials.append((e, c, s, lo, hi))
-        lo0, hi0 = spans.get(s, (lo, hi))
-        spans[s] = (min(lo, lo0), max(hi, hi0))
-    runs = {}       # s -> (lo, [e^(k h + s a) for k = lo..hi])
-    for s, (lo, hi) in spans.items():
-        v = guard.exp(lo * gh + s * ga)
-        run = []
-        for _ in range(lo, hi + 1):
-            run.append(v)
-            v *= step
-        runs[s] = (lo, run)
-
-    def power(k, s):
-        lo, run = runs[s]
-        return run[k - lo]
-
-    # x0 has j_i = npts // 2 on every axis, so <e, j> = (npts // 2) s there
-    fz = sum(ctx.convert(c) / zc * power(npts // 2 * s, s)
-             for _, c, s, _, _ in monomials)
+    # x0 has i = s for even npts and i = 0 for odd
+    half = ctx.exp(h / 2) if npts % 2 == 0 else ctx.one
+    fz = sum(ctx.convert(c) / zc * half ** sum(e) for e, c in f.items())
     F = (ctx.prec + 10 + (npts ** m).bit_length()
          + int(ctx.ceil(fz / ctx.ln2)))
+    G = F + F.bit_length() + max(0, -ctx.mag(h)) + 8
+    gp = G + F.bit_length() + 2     # an mpf x < F is then off < 2^-G
 
-    # an entry below 2^-F is 0 at scale 2^F, and along k the entries only
-    # fall: once the exponent is below -(F + 1) ln 2 the rest are 0
-    limit = -(F + 1) * guard.ln2
-    tables = {}     # equal (c, s, range of k) give equal tables
+    reach = {}      # (c, i mod 2) -> the largest |i| its monomials need
+    for e, c in f.items():
+        key = (c, sum(e) * (1 - npts) % 2)
+        reach[key] = max(reach.get(key, 0), (npts - 1) * sum(map(abs, e)))
+    step = to_fixed(ctx.exp(-h, prec=G + 8), G)
+    ln2 = ln2_fixed(G)
+    limit = (F + 1) * ctx.ln2       # past it e^(-x) is 0 at scale 2^F
+    tables = {}     # (c, i mod 2) -> (R, [e^(-x_i) for i = -R, -R + 2, .., R])
+    for (c, p), R in reach.items():
+        w = ctx.convert(c) / zc
+        top = min(R, int(ctx.floor(2 * ctx.ln(limit / w) / h)))
+        top -= (top - R) % 2
+        # x_top = w e^(top h/2) from an mpf, then x_(i-2) = x_i e^(-h)
+        x = to_fixed(ctx.fdiv(
+            ctx.fmul(ctx.exp(ctx.ldexp(ctx.fmul(top, h, exact=True), -1),
+                             prec=gp), c.numerator, exact=True),
+            ctx.fmul(zc, c.denominator, exact=True), prec=gp), G)
+        entries = []
+        for _ in range((top + R) // 2 + 1):
+            entries.append(exp_fixed(-x, G, ln2) >> (G - F))
+            x = x * step >> G
+        tables[c, p] = (R, entries[::-1] + [0] * (R + 1 - len(entries)))
     free, along = [], []
-    for e, c, s, lo, hi in monomials:
-        key = (c, s, lo, hi)
-        if key not in tables:
-            w = -guard.convert(c) / guard.convert(zc)
-            table = []
-            for k in range(lo, hi + 1):
-                x = w * power(k, s)
-                if x < limit:
-                    break
-                table.append(to_fixed(ctx.exp(x), F))
-            tables[key] = table + [0] * (hi + 1 - lo - len(table))
-        (along if e[-1] else free).append((e, lo, tables[key]))
+    for e, c in f.items():
+        i0 = sum(e) * (1 - npts)        # i at j = 0
+        R, table = tables[c, i0 % 2]
+        # table index (i + R)/2 = <e, j> - lo
+        (along if e[-1] else free).append((e, -((i0 + R) // 2), table))
 
     weights, rows = [], []
     for head in product(range(npts), repeat=m - 1):

@@ -1,5 +1,6 @@
 import random
 from fractions import Fraction
+from itertools import product
 
 import mpmath
 import pytest
@@ -272,20 +273,28 @@ def _kernel_cases():
         poly(3, {(1, 0, 0): 1, (0, 1, 0): 2, (0, 0, 1): Fraction(1, 3),
                  (-1, -1, -1): 1, (1, 1, 0): Fraction(1, 5),
                  (0, -1, 2): Fraction(1, 7)}),
+        # x and x^-1 y^-2 share the table of c = 2 with s = 1 and s = -3,
+        # and x y reads the other parity of it
+        poly(2, {(1, 0): 2, (0, 1): 1, (-1, -2): 2, (1, 1): 2}),
     ]
 
 
 def test_grid_sum_against_per_node_oracle():
-    P = 30
-    ctx = working_context(P + 10)
-    for f in _kernel_cases():
-        for z, L in ((Fraction(3, 4), Fraction(5, 2)), (2, 3)):
-            for npts in (6, 12):
+    # odd and even npts take the tables of one parity or both; z = 1/20
+    # cuts each table well below its top index, z = 20 hardly at all;
+    # at P = 200 the fixed-point exps run past mpmath's 600-bit switch
+    for P in (15, 50, 200):
+        ctx = working_context(P + 10)
+        for f, (z, L) in product(_kernel_cases(), (
+                (Fraction(1, 20), 2), (Fraction(3, 4), Fraction(5, 2)),
+                (2, 3), (20, 3))):
+            small = f.nvars == 3 or P == 200
+            for npts in (6, 7) if small else (6, 7, 12):
                 got = oscillatory._grid_sum(f, ctx.convert(z), ctx.convert(L),
                                             npts, ctx)
                 want = oracles.midpoint_orthant_sum(f, z, L, npts, P + 20)
                 assert abs(got - want) <= ctx.mpf(10) ** -(P + 5) * abs(want), \
-                    (f.terms, z, npts)
+                    (P, f.terms, z, npts)
 
 
 def test_grid_sum_keeps_relative_accuracy_at_small_z():
@@ -305,31 +314,44 @@ def test_grid_sum_keeps_relative_accuracy_at_small_z():
                 (n, npts)
 
 
-class _CountingContext:
-    """A working context that counts the exps asked of it."""
-
-    def __init__(self, ctx):
-        self._ctx = ctx
-        self.exps = 0
-
-    def exp(self, x):
-        self.exps += 1
-        return self._ctx.exp(x)
-
-    def __getattr__(self, name):
-        return getattr(self._ctx, name)
+def _table_entries(f, npts):
+    """How many entries the (coefficient, parity) tables of `_grid_sum`
+    hold: c x^e reads the table of (c, sum(e) (1 - npts) mod 2) over i =
+    -R, -R + 2, ..., R, R the largest (npts - 1) |e|_1 among its readers."""
+    reach = {}
+    for e, c in f.items():
+        key = (c, sum(e) * (1 - npts) % 2)
+        reach[key] = max(reach.get(key, 0), (npts - 1) * sum(map(abs, e)))
+    return sum(R + 1 for R in reach.values())
 
 
-def test_grid_sum_exps_grow_linearly_in_the_grid():
-    # at most two exps per table entry, and a table per monomial has
-    # N*|e|_1 + 1 entries: no exp per node
-    npts = 48
-    for n in (3, 4):
+def test_grid_sum_exps_grow_linearly_in_the_grid(monkeypatch):
+    # at most one fixed-point exp per entry of each (coefficient, parity)
+    # table and none per node: on P2 at even N that is 2N, against
+    # 2 (4N + 3) when each monomial had a table of N |e|_1 + 1 powers
+    calls = []
+    exp_fixed = oscillatory.exp_fixed
+
+    def counted(*args):
+        calls.append(args)
+        return exp_fixed(*args)
+    monkeypatch.setattr(oscillatory, "exp_fixed", counted)
+    ctx = working_context(60)
+    for n in (2, 3, 4):
         f = toric_mirror_from_rays(projective_rays(n))
-        ctx = _CountingContext(working_context(60))
-        oscillatory._grid_sum(f, ctx.mpf(1), ctx.mpf(4), npts, ctx)
-        bound = 2 * sum(npts * sum(map(abs, e)) + 1 for e, _ in f.items())
-        assert 0 < ctx.exps <= bound, (n, ctx.exps, bound)
+        for npts in (47, 48):
+            calls.clear()
+            oscillatory._grid_sum(f, ctx.mpf(1), ctx.mpf(4), npts, ctx)
+            bound = _table_entries(f, npts)
+            assert 0 < len(calls) <= bound, (n, npts, len(calls), bound)
+    # x and 1/x on the P1 mirror share one table at even N
+    f = toric_mirror_from_rays(projective_rays(2))
+    for z, npts in ((1, 8), (1, 48), (Fraction(1, 20), 48)):
+        calls.clear()
+        oscillatory._grid_sum(f, ctx.convert(z), ctx.mpf(4), npts, ctx)
+        assert 0 < len(calls) <= npts, (z, npts, len(calls))
+    # at z = 1/20 the entries past the top index, 0 at scale 2^F, take none
+    assert len(calls) < 40, len(calls)
 
 
 def test_central_charge_guards():
