@@ -98,20 +98,47 @@ def _truncation_radius(f: LaurentPolynomial, z, digits, rho, ctx):
                ctx.log(need if need > 1 else ctx.mpf(2)) / ctx.convert(rho))
 
 
+def _exp_table(c, zc, R, h, F, ctx):
+    """[e^(-x_i) for i = -R, -R + 2, ..., R], x_i = (c/z) e^(i h/2), as ints
+    at scale 2^F, each correct to absolute 2^-(F-1).
+
+    Built at G = F + bitlen(F) + g + 8 bits, 2^g >= 1/(2h) with g = -mag(h)
+    for h < 1: x_i is taken from an mpf once, at the highest i whose entry is
+    not yet 0 at scale 2^F (there x_i <= (F + 1) ln 2 < F), and walked down by
+    x_(i-2) = x_i e^(-h) on ints.  Each step's truncation then shrinks by
+    e^(-h) per step carried, and the error of e^(-h) is carried k steps as
+    x_top k e^(-(k-1)h) 2^-G <= 2^-G F/h, so every x_i is off by about
+    2^-G (F + 1)/h < 2^-(F+6).  Each entry is `exp_fixed(-x_i)` at G bits
+    cut to scale 2^F, off by less than 2^-F + 2^-(F+6).
+    """
+    G = F + F.bit_length() + max(0, -ctx.mag(h)) + 8
+    gp = G + F.bit_length() + 2     # an mpf x < F is then off < 2^-G
+    limit = (F + 1) * ctx.ln2       # past it e^(-x) is 0 at scale 2^F
+    top = min(R, int(ctx.floor(2 * ctx.ln(limit / (ctx.convert(c) / zc))
+                                   / h)))
+    top -= (top - R) % 2
+    x = to_fixed(ctx.fdiv(
+        ctx.fmul(ctx.exp(ctx.ldexp(ctx.fmul(top, h, exact=True), -1),
+                         prec=gp), c.numerator, exact=True),
+        ctx.fmul(zc, c.denominator, exact=True), prec=gp), G)
+    step = to_fixed(ctx.exp(-h, prec=G + 8), G)
+    ln2 = ln2_fixed(G)
+    entries = []
+    for _ in range((top + R) // 2 + 1):
+        entries.append(exp_fixed(-x, G, ln2) >> (G - F))
+        x = x * step >> G
+    return entries[::-1] + [0] * (R + 1 - len(entries))
+
+
 def _grid_sum(f, z, L, npts, ctx):
     """Midpoint-rule value of the orthant integral on an npts^m log grid.
 
     On the nodes u = (2 j + 1 - N) h/2, N = npts and h = 2L/N, the exponent
     <e, u> of a monomial is i h/2 with the integer i = 2<e, j> + s(1 - N),
     s = e_1 + ... + e_m, so |i| <= (N - 1)|e|_1 and i = s(1 - N) mod 2: its
-    factor e^(-(c/z) e^(i h/2)) comes from the one table of (c, i mod 2)
-    that every monomial with that coefficient and parity reads.  A table is
-    built on ints at scale 2^G, G = F + bitlen(F) + bitlen(1/h) + 8: x_i =
-    (c/z) e^(i h/2) is taken from an mpf once, at the highest i whose entry
-    is not yet 0 at scale 2^F, and walked down by x_(i-2) = x_i e^(-h), so
-    each truncation shrinks as it is carried and x_i is off by at most
-    about 2^-G (F + 1/h); each entry is `exp_fixed(-x_i)` cut to scale 2^F,
-    correct to absolute 2^-(F-1), the bound the products below take.  The
+    factor e^(-(c/z) e^(i h/2)) comes from the one `_exp_table` of (c, i mod
+    2) that every monomial with that coefficient and parity reads, correct
+    to absolute 2^-(F-1), the bound the products below take.  The
     sum runs row by row over j_1..j_(m-1): monomials free of x_m give one
     weight per row, the others strided slices of their tables over j_m.
     Products are shifted back by F, each row is one int dot product, and
@@ -128,31 +155,13 @@ def _grid_sum(f, z, L, npts, ctx):
     fz = sum(ctx.convert(c) / zc * half ** sum(e) for e, c in f.items())
     F = (ctx.prec + 10 + (npts ** m).bit_length()
          + int(ctx.ceil(fz / ctx.ln2)))
-    G = F + F.bit_length() + max(0, -ctx.mag(h)) + 8
-    gp = G + F.bit_length() + 2     # an mpf x < F is then off < 2^-G
 
     reach = {}      # (c, i mod 2) -> the largest |i| its monomials need
     for e, c in f.items():
         key = (c, sum(e) * (1 - npts) % 2)
         reach[key] = max(reach.get(key, 0), (npts - 1) * sum(map(abs, e)))
-    step = to_fixed(ctx.exp(-h, prec=G + 8), G)
-    ln2 = ln2_fixed(G)
-    limit = (F + 1) * ctx.ln2       # past it e^(-x) is 0 at scale 2^F
-    tables = {}     # (c, i mod 2) -> (R, [e^(-x_i) for i = -R, -R + 2, .., R])
-    for (c, p), R in reach.items():
-        w = ctx.convert(c) / zc
-        top = min(R, int(ctx.floor(2 * ctx.ln(limit / w) / h)))
-        top -= (top - R) % 2
-        # x_top = w e^(top h/2) from an mpf, then x_(i-2) = x_i e^(-h)
-        x = to_fixed(ctx.fdiv(
-            ctx.fmul(ctx.exp(ctx.ldexp(ctx.fmul(top, h, exact=True), -1),
-                             prec=gp), c.numerator, exact=True),
-            ctx.fmul(zc, c.denominator, exact=True), prec=gp), G)
-        entries = []
-        for _ in range((top + R) // 2 + 1):
-            entries.append(exp_fixed(-x, G, ln2) >> (G - F))
-            x = x * step >> G
-        tables[c, p] = (R, entries[::-1] + [0] * (R + 1 - len(entries)))
+    tables = {key: (R, _exp_table(key[0], zc, R, h, F, ctx))
+              for key, R in reach.items()}
     free, along = [], []
     for e, c in f.items():
         i0 = sum(e) * (1 - npts)        # i at j = 0

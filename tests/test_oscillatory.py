@@ -282,19 +282,47 @@ def _kernel_cases():
 def test_grid_sum_against_per_node_oracle():
     # odd and even npts take the tables of one parity or both; z = 1/20
     # cuts each table well below its top index, z = 20 hardly at all;
-    # at P = 200 the fixed-point exps run past mpmath's 600-bit switch
+    # at P = 200 the fixed-point exps run past mpmath's 600-bit switch;
+    # 3-D grids of 12^3 nodes run at every P but 200 for z = 3/4 and 2
     for P in (15, 50, 200):
         ctx = working_context(P + 10)
         for f, (z, L) in product(_kernel_cases(), (
                 (Fraction(1, 20), 2), (Fraction(3, 4), Fraction(5, 2)),
                 (2, 3), (20, 3))):
-            small = f.nvars == 3 or P == 200
-            for npts in (6, 7) if small else (6, 7, 12):
+            big = P < 200 and (f.nvars < 3 or z in (Fraction(3, 4), 2))
+            for npts in (6, 7, 12) if big else (6, 7):
                 got = oscillatory._grid_sum(f, ctx.convert(z), ctx.convert(L),
                                             npts, ctx)
                 want = oracles.midpoint_orthant_sum(f, z, L, npts, P + 20)
                 assert abs(got - want) <= ctx.mpf(10) ** -(P + 5) * abs(want), \
                     (P, f.terms, z, npts)
+
+
+def test_exp_table_entries_within_two_units_of_scale():
+    # every entry within 2^-(F-1) of e^(-(c/z) e^(i h/2)) at P + 40 digits,
+    # the bound the grid sum takes (the worst is 1 unit of 2^-F): no guard
+    # bits in the walk misses it by 25 units, a table cut 3 bits early by
+    # 8, e^(-h) or the top argument at the working precision by 10^6 and
+    # more; the grid-sum tests, at 10^-(P+5), sit about 30 bits above this
+    # scale and cannot tell
+    hp = mpmath.ctx_mp.MPContext()
+    for P in (15, 50, 200):
+        ctx = working_context(P + 10)
+        hp.dps = P + 40
+        F = ctx.prec + 10 + 12
+        for c, z, (npts, L) in product(
+                (Fraction(1), Fraction(2), Fraction(1, 7)),
+                (Fraction(1, 20), Fraction(3, 4), 20),
+                ((7, 2), (48, 2), (48, 6))):
+            zc, h = ctx.convert(z), 2 * ctx.convert(L) / npts
+            for R in (npts - 1, 2 * (npts - 1)):
+                table = oscillatory._exp_table(c, zc, R, h, F, ctx)
+                assert len(table) == R + 1
+                for k, got in enumerate(table):
+                    x = (hp.mpf(c.numerator) / c.denominator / hp.mpf(zc)
+                         * hp.exp((2 * k - R) * hp.mpf(h) / 2))
+                    assert abs(got - hp.ldexp(hp.exp(-x), F)) <= 2, \
+                        (P, c, z, npts, L, R, k)
 
 
 def test_grid_sum_keeps_relative_accuracy_at_small_z():
