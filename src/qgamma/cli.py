@@ -29,7 +29,7 @@ from .asympt import ExtrapolationConfig, apery_ratio, gamma_I_verdict, \
 from .grassmann import bcfk_j_series, ehx_mirror, grassmann_spectrum, \
     schubert_ring
 from .jfun import _t0_value, j_projective, jseries_to_json_dict, \
-    quantum_lefschetz, quantum_period
+    quantum_lefschetz
 from .laurent import ResourceBudgetExceeded
 from .mirror import PartialPeriodError, conifold_point, \
     constant_term_series, fekete_limit, projective_rays, property_o_report, \
@@ -269,13 +269,7 @@ def cmd_jseries(args, spec):
 
 
 def cmd_qperiod(args, spec):
-    if spec.kind == "projective":
-        # kept beside the mirror route: on a 2-core Xeon, -N 120 on P4 takes
-        # 0.3 s here and exhausts the constant-term support budget after
-        # 20 s through the mirror
-        qp = quantum_period(j_projective(spec.n, args.N))
-    else:
-        qp = constant_term_series(spec.mirror(), args.N)
+    qp = constant_term_series(spec.mirror(), args.N)
     if args.format == "csv":
         return qp.to_csv(), None
     rows = [{"d": d, "exact": str(qp.coefficient(d)),

@@ -5,8 +5,10 @@ simplex behind every polytope question.
 Matrices are lists of row tuples/lists.  `det`, `rank` and `row_reduce`
 share one Bareiss elimination, which stays in Python ints on integer
 matrices: every intermediate entry is a minor of the input, so each division
-is exact.  `row_reduce` finishes the echelon form over Fractions, and
-`nullspace` reads its kernel off it.  `lp_max` is a two-phase simplex over
+is exact.  `row_reduce` clears each row of denominators and runs the same
+recurrence above the pivots too (fraction-free Gauss-Jordan, still on
+ints), then divides each pivot row by its pivot once; `nullspace` reads its
+kernel off the result.  `lp_max` is a two-phase simplex over
 Fractions; cone membership and the reach of a polytope along a direction
 are both one call.  Sizes here are tiny (cohomology ranks, ray counts).
 """
@@ -20,22 +22,16 @@ from math import lcm
 def row_reduce(rows):
     """Returns (rref rows, pivot column list).
 
-    The Bareiss echelon form over Fractions, then a Jordan back pass: each
-    pivot row is scaled to a leading 1 and its column cleared above it.
-    The reduced row echelon form is unique, so this is the same matrix that
-    Gauss-Jordan elimination gives.
+    One fraction-free Gauss-Jordan pass (`_bareiss` with ``jordan``) on the
+    rows cleared of denominators, a positive rescaling of each row that
+    keeps the rref; it leaves every pivot row d times its rref row, so each
+    entry is one Fraction.  The reduced row echelon form is unique, so this
+    is the same matrix that Gauss-Jordan elimination gives.
     """
-    m = [list(map(Fraction, r)) for r in rows]
-    pivots, _ = _bareiss(m)
-    for k in reversed(range(len(pivots))):
-        c = pivots[k]
-        pv = m[k][c]
-        row = m[k] = [x / pv for x in m[k]]
-        for i in range(k):
-            f = m[i][c]
-            if f:
-                m[i] = [x - f * y for x, y in zip(m[i], row)]
-    return m, pivots
+    m = [integer_row(r) for r in rows]
+    pivots, _ = _bareiss(m, jordan=True)
+    return ([[Fraction(x, row[c]) for x in row] for row, c in zip(m, pivots)]
+            + [[Fraction(0)] * len(row) for row in m[len(pivots):]], pivots)
 
 
 def rank(rows) -> int:
@@ -61,13 +57,15 @@ def nullspace(rows):
 # fraction-free elimination
 # --------------------------------------------------------------------------
 
-def _bareiss(m):
+def _bareiss(m, jordan=False):
     """Bareiss forward elimination of the list-of-lists m, in place.
 
     Returns (pivot columns, sign of the row permutation).  After it, pivot
     row k holds the (k+1)-st leading minor of the row-permuted matrix on
     the pivot columns at its pivot, and the rows below the last pivot are
-    zero.
+    zero.  With ``jordan`` the same recurrence clears each pivot's column
+    above it too (fraction-free Gauss-Jordan): every pivot entry ends equal
+    to the last pivot d, and each pivot row is d times its rref row.
     """
     integral = all(type(x) is int for row in m for x in row)
     pivots = []
@@ -85,7 +83,9 @@ def _bareiss(m):
             m[r], m[pr] = m[pr], m[r]
             sign = -sign
         pv, row = m[r][c], m[r]
-        for i in range(r + 1, len(m)):
+        for i in range(0 if jordan else r + 1, len(m)):
+            if i == r:
+                continue
             other = m[i]
             f = other[c]
             if not f and pv == prev:
@@ -171,6 +171,8 @@ def _pivot(rows, basis, obj, i, enter):
 def integer_row(row):
     """The row times the least common denominator of its entries, as ints;
     a positive rescaling, so ranks, kernels and sign patterns are kept."""
+    if all(type(x) is int for x in row):
+        return list(row)
     L = lcm(*(Fraction(x).denominator for x in row))
     return [int(Fraction(x) * L) for x in row]
 

@@ -4,13 +4,19 @@ Exponent vectors are integer tuples; zero coefficients are never stored and
 iteration is in sorted exponent order so every downstream artifact is
 deterministic.  `PowerCache` packs at its boundary: inside it, powers are
 dicts from Kronecker-packed int keys to int coefficients, and only the
-constant terms it returns are Fractions again.
+constant terms it returns are Fractions again.  It takes Const(f^d) in one
+of two layouts, chosen from f alone: with T terms in m variables, T - m < m
+and exponents of rank m, it powers only the T - m terms outside a monomial
+basis and sums over the relations among the monomials (the relation
+lattice); otherwise it pairs powers of f up to ceil(d/2) (the half split).
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from math import isqrt, lcm
+from math import factorial, isqrt, lcm
+
+from . import exactla
 
 _SUPPORT_BUDGET = 6_000_000   # the terms one PowerCache may materialize
 
@@ -132,46 +138,104 @@ def pair_constant(f: LaurentPolynomial, g: LaurentPolynomial) -> Fraction:
 
 
 class PowerCache:
-    """Incremental powers of a fixed Laurent polynomial with a support-size
-    budget; constant terms of high powers come from a half split so only
-    powers up to ceil(N/2) are ever materialized.
+    """Incremental powers of a fixed Laurent polynomial f under a support
+    budget, and the constant terms Const(f^d) read off them.
 
-    Packing happens at the cache boundary.  The constructor scales f by the
-    common denominator L of its coefficients and packs each exponent vector
-    e into the balanced Kronecker key sum e_i B^i, so ``pows[k]`` (which
-    ``power(k)`` returns) is a dict from packed key to the int coefficient
-    of (L f)^k.  The key is linear, key(e1 + e2) = key(e1) + key(e2) and
-    key(-e) = -key(e): a product is int addition, and the partner of k in
-    a constant-term pairing is -k.  ``constant_term`` unpacks the answer
-    into a Fraction, Const(f^d) = Const((L f)^d) / L^d.
+    The constructor scales f by the common denominator L of its
+    coefficients, so every power has int coefficients, and it picks one of
+    two layouts from f alone; T is the number of terms, m the number of
+    variables.  Either way ``constant_term`` returns the Fraction
+    Const(f^d) = Const((L f)^d) / L^d.
+
+    Relation lattice, when T - m < m and m exponent vectors of f are
+    independent.  One row reduction of the m x T exponent matrix decides
+    this, and its pivot columns are a basis A_B of m terms.  For a monomial
+    x^v of the other T - m terms, g, the basis monomials cancel it only as
+    x^v x^(A_B k) with k = -A_B^-1 v, so
+
+        Const((L f)^d) = sum over j + |k| = d, k in N^m, of
+                         multinomial(d; j, k) [x^(-A_B k)] (L g)^j
+                         prod_b (L c_b)^(k_b),
+
+    a sum over the relations sum k_e e = 0 among the monomials of f.  Only
+    g is powered, in the integer coordinates Q = D A_B^-1 v, D the common
+    denominator of A_B^-1 v over the terms of g (a divisor of |det A_B|).
+    A point of (L g)^j contributes when every Q_i <= 0 and D | Q_i, with
+    k = -Q/D.  Each power is scanned once, when it is made, into an int
+    accumulator, so Const(f^d) is complete once ``pows[0..d]`` exist.
+
+    Half split, otherwise.  f itself is powered, and Const(f^d) pairs the
+    terms of f^a and f^(d - a), a = d // 2, so powers up to ceil(d/2) are
+    made.
+
+    Up to degree N the lattice makes about N^(T - m) points, at T - m
+    products each, and the half split about (N/2)^(m + 1), at T products
+    each.  Measured, the half split is as fast or faster already where
+    T - m = m (P1 x P1, P1 x P1 x P1, X(4,2)) and 3 to 6 times faster on
+    X(4,3) and X(5,3), hence the rule T - m < m.
+
+    ``powered`` is the polynomial that is powered, g or f, in the original
+    coordinates.  ``pows[k]``, which ``power(k)`` returns, maps the packed
+    exponents of its k-th power (Q on the lattice) to their coefficients
+    times L^k.  ``spent`` is 1 plus the support of every power made: Q is
+    injective, so these are the support sizes of ``powered``'s powers.
     """
 
     def __init__(self, f: LaurentPolynomial):
         self.f = f
         self.budget = budget = _SUPPORT_BUDGET
         self.spent = 1
-        # key(v) = 0 forces v = 0 while every |v_i| < B: the lowest nonzero
-        # v_i would have to be a multiple of B.  Two exponents of one power
-        # collide, or a pairing finds a false partner, only through such a
-        # v, a difference or sum of exponents of powers a, d - a <= K.  So
-        # |v_i| <= 2 K M, with M = max |e_i| over f and K the largest power
-        # the budget admits, and B = 2 K M + 1 is enough.  Unless f has at
-        # most one term, f^k has at least k + 1 terms (a generic monomial
-        # substitution makes f univariate; then Hajos' lemma: a polynomial
-        # with a k-fold nonzero root has at least k + 1 terms), so
-        # 1 + sum_{k<=K} (k + 1) <= budget gives K <= isqrt(2 budget).
-        # With one term or none, spent = 1 + K bounds K by the budget.
-        M = max((abs(x) for e in f.terms for x in e), default=0)
-        K = budget if len(f.terms) <= 1 else isqrt(2 * budget)
-        B = 2 * max(K, 1) * max(M, 1) + 1
-        self._L = lcm(*(c.denominator for c in f.terms.values()))
-        self._f = [(sum(x * B ** i for i, x in enumerate(e)),
-                    c.numerator * (self._L // c.denominator))
-                   for e, c in f.terms.items()]
+        self._L = L = lcm(*(c.denominator for c in f.terms.values()))
+        scaled = {e: c.numerator * (L // c.denominator)
+                  for e, c in f.terms.items()}
+        lattice = _relation_basis(f)
+        if lattice is None:
+            self.powered, points, self._acc = f, {e: e for e in f.terms}, None
+        else:
+            basis, points, self._D = lattice
+            self.powered = LaurentPolynomial(
+                f.nvars, {e: f.terms[e] for e in points})
+            self._basis = [scaled[e] for e in basis]
+            self._acc = {0: 1}
+        # K bounds the powers the budget admits.  Unless the powered
+        # polynomial has at most one term, its k-th power has at least
+        # k + 1 terms (a generic monomial substitution makes it univariate;
+        # then Hajos' lemma: a polynomial with a k-fold nonzero root has at
+        # least k + 1 terms), so 1 + sum_{k<=K} (k + 1) <= budget gives
+        # K <= isqrt(2 budget).  With one term or none, spent = 1 + K
+        # bounds K by the budget.  A point of a power k <= K has every
+        # coordinate at most K M, M = max |coordinate| over the points.
+        M = max((abs(x) for p in points.values() for x in p), default=0)
+        K = budget if len(points) <= 1 else isqrt(2 * budget)
+        if lattice is None:
+            # key(v) = 0 forces v = 0 while every |v_i| < B: the lowest
+            # nonzero v_i would have to be a multiple of B.  Two exponents
+            # of one power collide, or a pairing finds a false partner, only
+            # through such a v, a difference or sum of exponents of powers
+            # a, d - a <= K.  So |v_i| <= 2 K M, and B = 2 K M + 1 is
+            # enough.  key(-e) = -key(e): a key's partner is its negative.
+            B = 2 * max(K, 1) * max(M, 1) + 1
+            def pack(p):
+                return sum(x * B ** i for i, x in enumerate(p))
+        else:
+            # No pairing partner here: a key is only unpacked, which needs
+            # every |Q_i| <= K M below half the base 2^w.  Balanced digits
+            # in [-2^(w-1), 2^(w-1)) are unique, so the key is injective on
+            # a power, and -key has the plain base-2^w digits -Q_i, each
+            # below 2^(w-1), exactly when every Q_i <= 0.  Otherwise a plain
+            # digit has its top bit set, or -key < 0 has bit w m - 1 set
+            # (|key| < 2^(w m - 1)): one mask of the top digit bits finds
+            # the points of the cone.
+            self._w = w = (K * M).bit_length() + 1
+            self._top = sum(1 << (w * i + w - 1) for i in range(f.nvars))
+            def pack(p):
+                return sum(x << (w * i) for i, x in enumerate(p))
+        self._f = [(pack(p), scaled[e]) for e, p in points.items()]
         self.pows = [{0: 1}]
 
     def power(self, k: int) -> dict:
-        """Packed (L f)^k: a dict from Kronecker key to int coefficient."""
+        """The k-th power of L times ``powered``, packed: a dict from
+        Kronecker key to int coefficient."""
         while len(self.pows) <= k:
             prev = self.pows[-1]
             nxt = {}
@@ -184,10 +248,36 @@ class PowerCache:
             self.spent += len(nxt)
             if self.spent > self.budget:
                 raise ResourceBudgetExceeded(len(self.pows) - 1)
+            if self._acc is not None:
+                self._collect(len(self.pows), nxt)
             self.pows.append(nxt)
         return self.pows[k]
 
+    def _collect(self, j, power):
+        """Adds the relations that close with the j-th power of g to the
+        accumulated Const((L f)^d)."""
+        w, top, D, acc = self._w, self._top, self._D, self._acc
+        mask = (1 << w) - 1
+        for v, a in [(-key, a) for key, a in power.items()
+                     if not -key & top]:
+            ks = []
+            for _ in self._basis:
+                q, v = v & mask, v >> w
+                if q % D:
+                    break
+                ks.append(q // D)
+            else:
+                d = j + sum(ks)
+                den = factorial(j)
+                for kb, cb in zip(ks, self._basis):
+                    den *= factorial(kb)
+                    a *= cb ** kb
+                acc[d] = acc.get(d, 0) + factorial(d) // den * a
+
     def constant_term(self, d: int) -> Fraction:
+        if self._acc is not None:
+            self.power(d)
+            return Fraction(self._acc.get(d, 0), self._L ** d)
         a = d // 2
         small, big = self.power(a), self.power(d - a)
         if len(small) > len(big):
@@ -195,6 +285,28 @@ class PowerCache:
         get = big.get
         tot = sum(c * get(-key, 0) for key, c in small.items())
         return Fraction(tot, self._L ** d)
+
+
+def _relation_basis(f: LaurentPolynomial):
+    """(basis terms, {term: Q}, D) for the relation-lattice layout of
+    `PowerCache`, or None where it does not apply.
+
+    The basis is the pivot columns of the reduced m x T exponent matrix;
+    the column of any other term e holds A_B^-1 e, and Q = D A_B^-1 e with D
+    the least common denominator of those columns.
+    """
+    m, exps = f.nvars, list(f.terms)
+    if not m <= len(exps) < 2 * m:
+        return None
+    red, pivots = exactla.row_reduce([[e[i] for e in exps] for i in range(m)])
+    if len(pivots) < m:
+        return None
+    rest = [c for c in range(len(exps)) if c not in pivots]
+    D = lcm(*(red[i][c].denominator for i in range(m) for c in rest))
+    return ([exps[c] for c in pivots],
+            {exps[c]: tuple(int(red[i][c] * D) for i in range(m))
+             for c in rest},
+            D)
 
 
 class ResourceBudgetExceeded(RuntimeError):

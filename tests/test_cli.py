@@ -693,8 +693,9 @@ def test_output_ignores_global_precision(capsys, argv):
     assert got == want
 
 
-def test_qperiod_projective_keeps_the_j_series_route(capsys):
-    # through the mirror this request exhausts the support budget
+def test_qperiod_projective_mirror_matches_j_series(capsys):
+    # qperiod reads the mirror, whose relation lattice powers one term of
+    # the P4 mirror; the J-series is the independent route
     rc, out, err = run(capsys, ["qperiod", "--space", "P4", "-N", "120"])
     assert rc == 0, err
     qp = quantum_period(j_projective(5, 120))

@@ -43,15 +43,19 @@ def test_rref_idempotent():
 
 
 def test_row_reduce_matches_gauss_jordan_oracle():
-    # every shape up to 7 x 7 (wide, square, tall), filled four ways: dense,
-    # sparse, zero, and rank-deficient (products of thinner factors, so
-    # the rank is below both dimensions)
+    # every shape up to 7 x 7 (wide, square, tall), filled five ways: dense,
+    # sparse, zero, integer (eliminated on ints throughout), and
+    # rank-deficient (products of thinner factors, so the rank is below
+    # both dimensions)
     rng = random.Random(8)
     for nrows in range(1, 8):
         for ncols in range(1, 8):
-            for kind in ("dense", "sparse", "zero", "deficient"):
+            for kind in ("dense", "sparse", "zero", "integer", "deficient"):
                 if kind == "zero":
                     rows = [[0] * ncols for _ in range(nrows)]
+                elif kind == "integer":
+                    rows = [[rng.randint(-9, 9) for _ in range(ncols)]
+                            for _ in range(nrows)]
                 elif kind == "deficient":
                     k = rng.randint(0, max(0, min(nrows, ncols) - 1))
                     A = [[rng.randint(-4, 4) for _ in range(k)]

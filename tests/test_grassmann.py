@@ -322,8 +322,9 @@ def test_schubert_ring_degrees_and_pairing():
 @pytest.mark.parametrize("r, n, D, pinned", [
     (2, 4, 24, {4: Fraction(2), 8: Fraction(3, 8), 12: Fraction(5, 324)}),
     (2, 5, 20, {5: Fraction(3), 10: Fraction(19, 32)}),
+    (3, 6, 24, {6: Fraction(6), 12: Fraction(63, 32)}),
     (3, 7, 14, {}),
-], ids=["gr24", "gr25", "gr37"])
+], ids=["gr24", "gr25", "gr36", "gr37"])
 def test_bcfk_matches_ladder_mirror(r, n, D, pinned):
     # criterion 07's two routes to the quantum period, equal as rationals
     J = bcfk_j_series(r, n, D)

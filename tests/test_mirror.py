@@ -124,13 +124,25 @@ def test_line_period_against_binomial_oracle():
 
 
 def test_budget_abort_carries_partial_result(monkeypatch):
+    # the Gr(2,5) ladder overruns on the relation lattice, the X(4,3) model
+    # (the cubic surface) on the half split; what they finish is the full
+    # run's
+    mirrors = (ehx_mirror(2, 5), przyjalkowski_model(3, 3))
+    full = [constant_term_series(f, 60) for f in mirrors]
     monkeypatch.setattr(laurent, "_SUPPORT_BUDGET", 500)
-    f = toric_mirror_from_rays(projective_rays(4))
-    with pytest.raises(PartialPeriodError) as info:
-        constant_term_series(f, 400)
-    partial = info.value.partial
-    assert partial.coefficient(0) == 1
-    assert partial.D < 400
+    for f, G in zip(mirrors, full):
+        with pytest.raises(PartialPeriodError) as info:
+            constant_term_series(f, 60)
+        partial = info.value.partial
+        assert 1 <= partial.D < 60
+        assert partial.coeffs == {d: c for d, c in G.coeffs.items()
+                                  if d <= partial.D}
+    # the P3 mirror powers only 1/(xyz), one term per power: N = 400 fits
+    G = constant_term_series(toric_mirror_from_rays(projective_rays(4)), 400)
+    assert G.D == 400
+    for d in range(401):
+        want = Fraction(1, math.factorial(d // 4) ** 4) if d % 4 == 0 else 0
+        assert G.coefficient(d) == want, d
 
 
 def test_conifold_point_projective_plane():
