@@ -17,7 +17,7 @@ print(f"space: {out['JY'].ring.name}")
 print(f"c0 = {out['c0']}, T0 = {out['T0']}, T0 - c0 = {out['T0'] - out['c0']}")
 print("G_d:", {d: str(G.coefficient(d)) for d in G.nonzero_degrees()[:5]})
 
-model = przyjalkowski_model(3, 3)
+model = przyjalkowski_model(4, 3)
 res = conifold_point(model, P=50)
 print(f"\ncritical value {mpmath.nstr(res.T_con, 20)} at x = "
       f"{tuple(mpmath.nstr(x, 8) for x in res.x_con)} "

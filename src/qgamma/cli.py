@@ -17,6 +17,7 @@ import json
 import math
 import re
 import sys
+from collections.abc import Callable
 from dataclasses import dataclass
 from fractions import Fraction
 from pathlib import Path
@@ -57,83 +58,41 @@ class UsageError(Exception):
 
 @dataclass(frozen=True)
 class SpaceSpec:
+    """A parsed --space, filled once per family by `parse_space`.
+
+    `mirror()` builds the Laurent mirror (positive coefficients), `ring()`
+    the cohomology ring and `series(D, P)` the (J-series, extras) pair; a
+    builder is None where the family has none, and `index` is None for
+    toric rays.
+    """
     kind: str                   # projective | product | hypersurface |
                                 # grassmannian | toric
+    label: str                  # the canonical --space text; rings and
+                                # J-series carry it as their name
+    index: int | None
+    mirror: Callable
+    ring: Callable | None = None
+    series: Callable | None = None
     n: int = 0                  # homogeneous coordinates (P, X) / Gr ambient
     d: int = 0                  # hypersurface degree
     r: int = 0                  # Grassmannian rank
-    factors: tuple = ()         # coordinate counts of product factors
-    path: str = ""              # rays file for toric
-
-    def label(self) -> str:
-        if self.kind == "projective":
-            return f"P{self.n - 1}"
-        if self.kind == "product":
-            return "x".join(f"P{m - 1}" for m in self.factors)
-        if self.kind == "hypersurface":
-            return f"X({self.n},{self.d})"
-        if self.kind == "grassmannian":
-            return f"Gr({self.r},{self.n})"
-        return f"toric:{self.path}"
 
     def fano_index(self) -> int:
-        if self.kind == "projective":
-            return self.n
-        if self.kind == "product":
-            return math.gcd(*self.factors)
-        if self.kind == "hypersurface":
-            return self.n - self.d
-        if self.kind == "grassmannian":
-            return self.n
-        raise UsageError("no canonical divisibility index for toric rays; "
-                         "pass --index")
+        if self.index is None:
+            raise UsageError("no canonical divisibility index for toric "
+                             "rays; pass --index")
+        return self.index
 
     def build_ring(self):
-        if self.kind == "projective":
-            return build_projective_ring(self.n)
-        if self.kind == "hypersurface":
-            # the constructor takes the ambient projective dimension
-            return build_hypersurface_ambient_ring(self.n - 1, self.d)
-        if self.kind == "grassmannian":
-            return schubert_ring(self.r, self.n)
-        raise UsageError(f"no cohomology ring constructor for {self.label()}")
-
-    def mirror(self):
-        """The space's Laurent mirror, with positive coefficients."""
-        if self.kind == "projective":
-            return toric_mirror_from_rays(projective_rays(self.n))
-        if self.kind == "hypersurface":
-            # the model takes the ambient projective dimension
-            return przyjalkowski_model(self.n - 1, self.d)
-        if self.kind == "product":
-            rays = []
-            offset = 0
-            dim = sum(m - 1 for m in self.factors)
-            for m in self.factors:
-                for ray in projective_rays(m):
-                    padded = [0] * dim
-                    for i, x in enumerate(ray):
-                        padded[offset + i] = x
-                    rays.append(tuple(padded))
-                offset += m - 1
-            return toric_mirror_from_rays(rays)
-        if self.kind == "grassmannian":
-            return ehx_mirror(self.r, self.n)
-        return toric_mirror_from_rays(load_rays(self.path))
+        if self.ring is None:
+            raise UsageError(f"no cohomology ring constructor for {self.label}")
+        return self.ring()
 
     def jseries(self, D: int, P: int):
         """(J-series, extras) for spaces carrying a J-function."""
-        if self.kind == "projective":
-            return j_projective(self.n, D), {}
-        if self.kind == "grassmannian":
-            return bcfk_j_series(self.r, self.n, D), {}
-        if self.kind == "hypersurface":
-            r = self.n - self.d
-            DX = -(-D * self.n // r)
-            out = quantum_lefschetz(j_projective(self.n, DX), self.d, DY=D)
-            return out["JY"], {"c0": out["c0"],
-                               "T0": _t0_value(self.d, r, P)}
-        raise UsageError(f"no J-series construction for {self.label()}")
+        if self.series is None:
+            raise UsageError(f"no J-series construction for {self.label}")
+        return self.series(D, P)
 
 
 _P_RE = re.compile(r"^P(\d+)$")
@@ -144,34 +103,62 @@ _X_RE = re.compile(r"^X\((\d+),(\d+)\)$")
 def parse_space(text: str) -> SpaceSpec:
     text = text.strip()
     if text.startswith("toric:"):
-        return SpaceSpec(kind="toric", path=text[len("toric:"):])
+        path = text[len("toric:"):]
+        return SpaceSpec("toric", text, None,
+                         lambda: toric_mirror_from_rays(load_rays(path)))
     m = _P_RE.match(text)
     if m:
         k = int(m.group(1))
         if k < 1:
             raise UsageError("projective space needs dimension >= 1")
-        return SpaceSpec(kind="projective", n=k + 1)
+        n = k + 1
+        return SpaceSpec("projective", f"P{k}", n,
+                         lambda: toric_mirror_from_rays(projective_rays(n)),
+                         lambda: build_projective_ring(n),
+                         lambda D, P: (j_projective(n, D), {}), n=n)
     m = _GR_RE.match(text)
     if m:
         r, n = int(m.group(1)), int(m.group(2))
         if not 1 <= r < n:
             raise UsageError("Grassmannian needs 1 <= r < n")
-        return SpaceSpec(kind="grassmannian", r=r, n=n)
+        return SpaceSpec("grassmannian", f"Gr({r},{n})", n,
+                         lambda: ehx_mirror(r, n),
+                         lambda: schubert_ring(r, n),
+                         lambda D, P: (bcfk_j_series(r, n, D), {}), n=n, r=r)
     m = _X_RE.match(text)
     if m:
         n, d = int(m.group(1)), int(m.group(2))
         if n < 3 or not 1 <= d < n:
             raise UsageError("hypersurface needs n >= 3 and 1 <= d < n")
-        return SpaceSpec(kind="hypersurface", n=n, d=d)
+
+        def series(D, P):
+            # degree D on X(n,d), of index n - d, needs degree D n/(n - d)
+            # on the ambient space
+            out = quantum_lefschetz(j_projective(n, -(-D * n // (n - d))), d,
+                                    DY=D)
+            return out["JY"], {"c0": out["c0"],
+                               "T0": _t0_value(d, n - d, P)}
+        return SpaceSpec("hypersurface", f"X({n},{d})", n - d,
+                         lambda: przyjalkowski_model(n, d),
+                         lambda: build_hypersurface_ambient_ring(n, d),
+                         series, n=n, d=d)
     if "x" in text:
         factors = []
         for part in text.split("x"):
             m = _P_RE.match(part)
             if not m or int(m.group(1)) < 1:
                 raise UsageError(f"unknown space {text!r}")
-            factors.append(int(m.group(1)) + 1)
+            factors.append(int(m.group(1)))
         if len(factors) >= 2:
-            return SpaceSpec(kind="product", factors=tuple(factors))
+            # the factors' fan rays, each in its own block of coordinates
+            rays, offset, dim = [], 0, sum(factors)
+            for k in factors:
+                for ray in projective_rays(k + 1):
+                    rays.append((0,) * offset + ray + (0,) * (dim - offset - k))
+                offset += k
+            return SpaceSpec("product", "x".join(f"P{k}" for k in factors),
+                             math.gcd(*(k + 1 for k in factors)),
+                             lambda: toric_mirror_from_rays(rays))
     raise UsageError(f"unknown space {text!r}")
 
 
@@ -265,7 +252,7 @@ def cmd_gamma(args, spec):
 
 def cmd_jseries(args, spec):
     J, extras = spec.jseries(args.order, args.digits)
-    return {"value": {**jseries_to_json_dict(J, spec.label()), **extras}}, None
+    return {"value": {**jseries_to_json_dict(J), **extras}}, None
 
 
 def cmd_qperiod(args, spec):
@@ -305,7 +292,7 @@ def cmd_spectrum(args, spec):
         value = {"T": report["T"], "eigenvalues": [out.mpc(u) for u in marks],
                  "property_o": report}
     else:
-        raise UsageError(f"spectrum needs P<n> or Gr(r,n), got {spec.label()}")
+        raise UsageError(f"spectrum needs P<n> or Gr(r,n), got {spec.label}")
     return {"value": value}, report["satisfied"]
 
 
@@ -327,7 +314,7 @@ def cmd_apery(args, spec):
     J, _ = spec.jseries(args.order, args.digits)
     kern = kernel_c1(J.ring)
     if not kern:
-        raise UsageError(f"{spec.label()} has no primitive classes to pair")
+        raise UsageError(f"{spec.label} has no primitive classes to pair")
     idx = args.kernel_index = len(kern) - 1 if args.kernel_index is None \
         else args.kernel_index
     if not 0 <= idx < len(kern):
@@ -437,7 +424,7 @@ def cmd_fekete(args, spec):
         # a vanishing term breaks the hypothesis; it refutes nothing
         k = rep["constants"].index(0)
         raise UsageError(f"Const(f^{r * k}) = 0: --index {r} is not a "
-                         f"divisibility step of the {spec.label()} mirror")
+                         f"divisibility step of the {spec.label} mirror")
     return {"value": rep}, rep["supermultiplicative"]
 
 

@@ -205,19 +205,20 @@ def quantum_period(J: JSeries) -> QuantumPeriod:
 
 
 def quantum_lefschetz(JX: JSeries, a: int, DY: int | None = None) -> dict:
-    """J-series of a degree-a hypersurface inside the projective space of JX.
+    """J-series of the degree-a hypersurface X(n,a) inside the projective
+    space of JX, whose ring must be `build_projective_ring(n)` (n
+    homogeneous coordinates, as from `j_projective`).
 
-    Returns {"JY": JSeries on the ambient-restriction ring, "c0": Fraction,
-    "T0": exact Fraction, or a 60-digit big real when irrational}.  The
-    e^(-c0 t) factor is folded into the series coefficients by a Cauchy
-    product so the output obeys the standard series convention with index
-    r-a.
+    Returns {"JY": JSeries on `build_hypersurface_ambient_ring(n, a)`, "c0":
+    Fraction, "T0": exact Fraction, or a 60-digit big real when
+    irrational}.  The e^(-c0 t) factor is folded into the series
+    coefficients by a Cauchy product so the output obeys the standard
+    series convention with index n-a.
     """
-    R = JX.ring
-    r = JX.fano_index
-    n = R.complex_dimension            # ambient projective dimension
-    if R.name != f"P{n}" or r != n + 1:
+    n = JX.ring.rank                   # homogeneous coordinates
+    if JX.ring != build_projective_ring(n):
         raise ValueError("ambient series must come from j_projective")
+    r = JX.fano_index
     if not 0 < a < r:
         raise ValueError("need 0 < a < index of the ambient space")
     amb = build_hypersurface_ambient_ring(n, a)
@@ -231,16 +232,16 @@ def quantum_lefschetz(JX: JSeries, a: int, DY: int | None = None) -> dict:
     else:
         c0 = Fraction(0)
 
-    # J_X,dd times the twist prod_{m=1..a*dd} (a h + m), both mod h^n (the
-    # restriction to Y), the twist extended by a factors per dd
+    # J_X,dd times the twist prod_{m=1..a*dd} (a h + m), both mod h^(n-1)
+    # (the restriction to Y), the twist extended by a factors per dd
     nmax = JX.D // r
     S = []
     tw = [Fraction(1)]
     for dd in range(nmax + 1):
         for m in range(max(1, a * dd - a + 1), a * dd + 1):
-            tw = _mul_trunc(tw, (m, a), n)
+            tw = _mul_trunc(tw, (m, a), n - 1)
         S.append(amb.vector(tuple(
-            _mul_trunc(tw, JX.coefficient(r * dd).coeffs, n))))
+            _mul_trunc(tw, JX.coefficient(r * dd).coeffs, n - 1))))
 
     coeffs = {}
     if c0 == 0:
@@ -630,9 +631,10 @@ def quintic_pf_annihilation(order: int) -> dict:
 # serialization
 # --------------------------------------------------------------------------
 
-def jseries_to_json_dict(J: JSeries, space: str) -> dict:
+def jseries_to_json_dict(J: JSeries) -> dict:
     rows = []
     for d in J.nonzero_degrees():
         v = J.coefficient(d)
         rows.append({"d": d, "coeffs": [str(c) for c in v.coeffs]})
-    return {"space": space, "D": J.D, "r": J.fano_index, "coefficients": rows}
+    return {"space": J.ring.name, "D": J.D, "r": J.fano_index,
+            "coefficients": rows}

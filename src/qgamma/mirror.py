@@ -193,15 +193,17 @@ def conifold_point(f: LaurentPolynomial, P: int = 50) -> ConifoldResult:
 # --------------------------------------------------------------------------
 
 def przyjalkowski_model(n: int, d: int) -> LaurentPolynomial:
-    """Laurent mirror of a degree-d hypersurface in the projective space of
-    dimension n, in (n-d) + (d-1) variables, with positive coefficients.
+    """Laurent mirror of the degree-d hypersurface X(n,d) in the projective
+    space with n homogeneous coordinates (Przyjalkowski, arXiv:0707.3758),
+    in (n-1-d) + (d-1) variables, with positive coefficients.
 
-    At index 1 (d = n) the mirror carries the constant -d!, which cancels
-    exactly the monomial d! that the composition (1, ..., 1) contributes.
+    At index 1 (d = n - 1) the mirror carries the constant -d!, which
+    cancels exactly the monomial d! that the composition (1, ..., 1)
+    contributes.
     """
-    if not 1 <= d <= n or n < 2:
-        raise ValueError("need 2 <= n and 1 <= d <= n")
-    nx = n - d
+    if n < 3 or not 1 <= d < n:
+        raise ValueError("hypersurface needs n >= 3 and 1 <= d < n")
+    nx = n - 1 - d
     ny = d - 1
     m = nx + ny
     terms = {}
@@ -217,7 +219,7 @@ def przyjalkowski_model(n: int, d: int) -> LaurentPolynomial:
         e = [-1] * nx + [comp[j] - 1 for j in range(ny)]
         key = tuple(e)
         terms[key] = terms.get(key, Fraction(0)) + coef
-    if d == n:
+    if d == n - 1:
         terms[(0,) * m] -= factorial(d)
     return LaurentPolynomial(m, terms)
 

@@ -254,18 +254,17 @@ def _hyperplane_ring(name: str, n: int, degree: int, index: int,
 
 
 def build_hypersurface_ambient_ring(n: int, a: int) -> CohomologyRing:
-    """Ambient part of a smooth degree-a hypersurface Y in the projective
-    space of dimension n: the image of restriction, spanned by hyperplane
-    powers 1, h, ..., h^(n-1), with int_Y h^(n-1) = a.
+    """Ambient part of a smooth degree-a Fano hypersurface X(n,a) in the
+    projective space with n homogeneous coordinates: the image of
+    restriction, spanned by hyperplane powers 1, h, ..., h^(n-2), with
+    int h^(n-2) = a and index n - a.
     """
-    if not 1 <= a <= n:
-        raise ValueError("need 1 <= a <= n for a Fano hypersurface")
-    if n < 2:
-        raise ValueError("dimension-0 hypersurface has no ring here")
+    if n < 3 or not 1 <= a < n:
+        raise ValueError("hypersurface needs n >= 3 and 1 <= d < n")
     # restriction of the ambient tangent character minus the normal line bundle
-    chTF = tuple(Fraction(n + 1, factorial(p)) - (1 if p == 0 else 0)
-                 - Fraction(a ** p, factorial(p)) for p in range(n))
-    return _hyperplane_ring(f"Y({n},{a})", n, a, n + 1 - a, chTF)
+    chTF = tuple(Fraction(n, factorial(p)) - (1 if p == 0 else 0)
+                 - Fraction(a ** p, factorial(p)) for p in range(n - 1))
+    return _hyperplane_ring(f"X({n},{a})", n - 1, a, n - a, chTF)
 
 
 # --------------------------------------------------------------------------

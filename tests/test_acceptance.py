@@ -167,7 +167,7 @@ def test_criterion_05_quantum_lefschetz_triangle():
     out = quantum_lefschetz(j_projective(4, 24), 3, 6)
     exact = out["c0"] == Fraction(6) and out["T0"] - out["c0"] == Fraction(21)
     closed = _t0_value(3, 1) - math.factorial(3) == Fraction(21)
-    model = przyjalkowski_model(3, 3)
+    model = przyjalkowski_model(4, 3)
     res = conifold_point(model, P=50)
     gap = abs(res.T_con - 21)
     elapsed = time.perf_counter() - start

@@ -96,7 +96,7 @@ def test_kernel_c1_against_cup_products():
     # second route: pair each kernel class with c1 cup basis_j, built by
     # cup rather than read off c1_matrix
     rings = [build_projective_ring(n) for n in (2, 3, 4, 5)]
-    rings += [build_hypersurface_ambient_ring(4, 2), schubert_ring(2, 4),
+    rings += [build_hypersurface_ambient_ring(5, 2), schubert_ring(2, 4),
               schubert_ring(2, 5)]
     for R in rings:
         ker = kernel_c1(R)

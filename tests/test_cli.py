@@ -10,7 +10,7 @@ import pytest
 
 from qgamma import oscillatory
 from qgamma.cli import _COMMANDS, main, parse_space
-from qgamma.grassmann import ehx_constant_terms
+from qgamma.grassmann import bcfk_j_series, ehx_constant_terms
 from qgamma.jfun import j_projective, quantum_lefschetz, quantum_period
 from qgamma.laurent import LaurentPolynomial
 from qgamma.scalars import working_context
@@ -90,12 +90,52 @@ def test_check_gamma1_impossible_tolerance_fails(capsys):
 
 
 def test_ring_hypersurface_naming(capsys):
+    # the name is pinned for every space by test_payload_names_its_space
     rc, out, err = run(capsys, ["ring", "--space", "X(4,3)"])
     assert rc == 0
     d = json.loads(out)
-    assert d["value"]["name"] == "Y(3,3)"
     assert d["value"]["dimension"] == 2
     assert d["value"]["index"] == 1
+
+
+@pytest.mark.parametrize("space", ["P1", "P2", "P3", "P4", "X(4,2)",
+                                   "X(4,3)", "X(5,3)", "Gr(2,4)", "Gr(2,5)",
+                                   "Gr(2,6)"])
+def test_payload_names_its_space(capsys, space):
+    # every ring and series is named by the --space label that built it;
+    # these are the cli-sweep spaces but P1xP1, which has neither.  The
+    # short check-gamma1 run resolves nothing, so its verdict is not read.
+    requests = {"ring": ("name", []), "jseries": ("space", ["-D", "12"]),
+                "check-gamma1": ("space", ["-D", "60", "--tmax", "2",
+                                           "-k", "3"])}
+    if space.startswith("X"):
+        requests["lefschetz"] = ("space", ["-D", "40"])
+    for command, (key, flags) in requests.items():
+        rc, out, err = run(capsys, [command, "--space", space, "--digits",
+                                    "15", *flags])
+        assert rc in (0, 1), (command, err)
+        assert json.loads(out)["value"][key] == space, command
+
+
+def test_hypersurface_constructors_count_coordinates():
+    # X(n,d) has n homogeneous coordinates in every constructor: a ring
+    # named by its label, of rank n - 1, index n - d and degree d, a mirror
+    # in n - 2 variables, and the Lefschetz route to the same ring
+    for n in range(3, 8):
+        for d in range(1, n):
+            spec = parse_space(f"X({n},{d})")
+            R = spec.build_ring()
+            assert (R.name, R.rank, R.fano_index, R.integral[-1]) == \
+                (spec.label, n - 1, n - d, d)
+            assert spec.mirror().nvars == n - 2
+            lef = quantum_lefschetz(j_projective(n, n), d)
+            assert lef["JY"].ring == R, (n, d)
+    # P^(n-1) on the Schubert basis, and a series on a hypersurface ring,
+    # are no ambient series
+    for JX in (bcfk_j_series(1, 5, 10),
+               quantum_lefschetz(j_projective(5, 10), 2)["JY"]):
+        with pytest.raises(ValueError, match="must come from j_projective"):
+            quantum_lefschetz(JX, 1)
 
 
 def test_conifold_cubic_surface(capsys):

@@ -53,7 +53,7 @@ def test_quantum_lefschetz_cubic_surface():
     assert out["c0"] == Fraction(6)
     assert out["T0"] == Fraction(27)
     JY = out["JY"]
-    assert JY.ring.name == "Y(3,3)"
+    assert JY.ring.name == "X(4,3)"
     assert JY.fano_index == 1
     G = quantum_period(JY)
     assert G.coefficient(1) == 0
@@ -64,7 +64,7 @@ def test_quantum_lefschetz_cubic_surface():
     assert G.coefficient(6) == Fraction(7999, 2)
 
 
-def test_quantum_lefschetz_quadric_threefold():
+def test_quantum_lefschetz_quadric_surface():
     out = quantum_lefschetz(j_projective(4, 16), 2, 8)
     # index 2, degree-2 section: no exponential prefactor to strip
     assert out["c0"] == 0
@@ -330,7 +330,7 @@ def test_period_csv_format():
 
 def test_jseries_json_dict():
     J = j_projective(2, 6)
-    d = jseries_to_json_dict(J, "P1")
+    d = jseries_to_json_dict(J)
     assert d["space"] == "P1"
     assert d["D"] == 6
     assert d["r"] == 2
@@ -338,4 +338,4 @@ def test_jseries_json_dict():
     assert rows[0] == ["1", "0"]
     assert rows[2] == ["1", "-2"]
     assert rows[4] == ["1/4", "-3/4"]
-    assert d == jseries_to_json_dict(j_projective(2, 6), "P1")
+    assert d == jseries_to_json_dict(j_projective(2, 6))

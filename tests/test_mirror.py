@@ -127,7 +127,7 @@ def test_budget_abort_carries_partial_result(monkeypatch):
     # the Gr(2,5) ladder overruns on the relation lattice, the X(4,3) model
     # (the cubic surface) on the half split; what they finish is the full
     # run's
-    mirrors = (ehx_mirror(2, 5), przyjalkowski_model(3, 3))
+    mirrors = (ehx_mirror(2, 5), przyjalkowski_model(4, 3))
     full = [constant_term_series(f, 60) for f in mirrors]
     monkeypatch.setattr(laurent, "_SUPPORT_BUDGET", 500)
     for f, G in zip(mirrors, full):
@@ -164,7 +164,7 @@ def test_conifold_point_needs_origin_interior():
 
 
 def test_conifold_point_cubic_surface_model():
-    model = przyjalkowski_model(3, 3)
+    model = przyjalkowski_model(4, 3)
     # the index-1 constant -3! cancels the monomial 3! of the multinomial
     assert model.constant_term() == 0
     assert model.is_nonnegative()
@@ -177,24 +177,25 @@ def test_conifold_point_cubic_surface_model():
 @pytest.mark.parametrize("d", [3, 4])
 def test_index_one_model_conifold_value(d):
     # T_con = T0 - d! with T0 = d^d: 27 - 3! = 21 and 256 - 4! = 232
-    res = conifold_point(przyjalkowski_model(d, d), P=50)
+    res = conifold_point(przyjalkowski_model(d + 1, d), P=50)
     want = d ** d - math.factorial(d)
     assert abs(res.T_con - want) < mpmath.mpf(10) ** -10
     assert res.hessian_positive
 
 
-@pytest.mark.parametrize("n, d", [(4, 2), (4, 3), (5, 2)])
-def test_conifold_value_is_rounded_to_P(n, d):
-    # Newton runs at P + 10 digits; the reported value keeps P of them
+@pytest.mark.parametrize("k, d", [(4, 2), (4, 3), (5, 2)])
+def test_conifold_value_is_rounded_to_P(k, d):
+    # Newton runs at P + 10 digits; the reported value keeps P of them, on
+    # X(k + 1, d)
     for P in (15, 30, 50):
-        res = conifold_point(przyjalkowski_model(n, d), P=P)
+        res = conifold_point(przyjalkowski_model(k + 1, d), P=P)
         assert res.T_con._mpf_[3] <= working_context(P).prec
 
 
 def test_every_conifold_field_is_rounded_to_P():
     # x_con, T_con and gradient_norm all come back in the P-digit context
     # (gradient_norm had 203 bits on X(4,2) at P = 50, where P keeps 169)
-    for f in (przyjalkowski_model(4, 2), przyjalkowski_model(3, 3),
+    for f in (przyjalkowski_model(5, 2), przyjalkowski_model(4, 3),
               toric_mirror_from_rays(projective_rays(3))):
         for P in (15, 30, 50, 100):
             res = conifold_point(f, P=P)
@@ -210,7 +211,7 @@ def test_every_conifold_field_is_rounded_to_P():
 
 def test_przyjalkowski_period_matches_lefschetz_route():
     # degree-3 surface in the 3-dimensional projective space
-    model = przyjalkowski_model(3, 3)
+    model = przyjalkowski_model(4, 3)
     G = constant_term_series(model, 6)
     assert G.coefficient(0) == 1
     assert G.coefficient(1) == 0
@@ -221,8 +222,8 @@ def test_przyjalkowski_period_matches_lefschetz_route():
     assert G.coefficient(6) == Fraction(7999, 2)
 
 
-def test_przyjalkowski_quadric_threefold():
-    model = przyjalkowski_model(3, 2)
+def test_przyjalkowski_quadric_surface():
+    model = przyjalkowski_model(4, 2)
     assert model.constant_term() == 0
     G = constant_term_series(model, 6)
     assert G.coefficient(2) == Fraction(2)
@@ -232,9 +233,9 @@ def test_przyjalkowski_quadric_threefold():
 
 def test_przyjalkowski_validation():
     with pytest.raises(ValueError):
-        przyjalkowski_model(3, 4)
+        przyjalkowski_model(4, 4)
     with pytest.raises(ValueError):
-        przyjalkowski_model(1, 1)
+        przyjalkowski_model(2, 1)
 
 
 def test_fekete_supermultiplicative():

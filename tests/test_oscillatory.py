@@ -149,7 +149,7 @@ def test_direction_reach_against_subset_oracle_on_mirrors():
     mirrors = [ehx_mirror(1, 3), ehx_mirror(1, 4), ehx_mirror(1, 5),
                ehx_mirror(2, 4), ehx_mirror(2, 5)]
     mirrors += [przyjalkowski_model(n, d)
-                for n, d in ((3, 3), (4, 2), (4, 3))]
+                for n, d in ((4, 3), (5, 2), (5, 3))]
     for f in mirrors:
         exps = list(f.terms)
         for v in _coordinate_directions(f.nvars):
@@ -440,7 +440,7 @@ def test_laplace_route_quadric_surface():
     rec = laplace_lefschetz_check(JX, 2, mpmath.mpf("0.05"),
                                   tol=mpmath.mpf(10) ** -8, P=30)
     assert rec["pass"]
-    assert rec["space"] == "Y(3,2)"
+    assert rec["space"] == "X(4,2)"
     assert max(rec["rel_diff"]) < mpmath.mpf(10) ** -8
     assert len(rec["lhs"]) == len(rec["rhs"]) == 3
 
@@ -503,7 +503,7 @@ def test_laplace_sum_against_per_node_oracle(monkeypatch):
     added = _recorded_nodes(monkeypatch)
     JX = j_projective(4, 160)
     for a in (2, 3):
-        rank = build_hypersurface_ambient_ring(3, a).rank
+        rank = build_hypersurface_ambient_ring(4, a).rank
         ar = Fraction(a, 4)
         for u in (Fraction(1, 100), Fraction(3, 100), Fraction(5, 100)):
             for P in (15, 30, 50, 100):
@@ -539,7 +539,7 @@ def test_laplace_sum_against_one_more_level(monkeypatch):
     added = _recorded_nodes(monkeypatch)
     JX = j_projective(4, 160)
     for a in (2, 3):
-        rank = build_hypersurface_ambient_ring(3, a).rank
+        rank = build_hypersurface_ambient_ring(4, a).rank
         ar = Fraction(a, 4)
         for u in (Fraction(1, 100), Fraction(3, 100), Fraction(5, 100)):
             for P in (15, 30, 50):
@@ -686,9 +686,9 @@ def test_gamma_inverse_series_is_taylor_of_reciprocal_gamma():
     # expansion of 1/Gamma(1 + a x)
     C = make_constants(P=50)
     ref = working_context(70)
-    for n, a in ((3, 1), (4, 2), (5, 1), (5, 3), (5, 4)):
+    for n, a in ((4, 1), (5, 2), (6, 1), (6, 3), (6, 4)):
         RY = build_hypersurface_ambient_ring(n, a)
         got = gamma_of_ch(-line_bundle(RY, a).ch, C).coeffs
-        want = ref.taylor(lambda x: 1 / ref.gamma(1 + a * x), 0, n - 1)
+        want = ref.taylor(lambda x: 1 / ref.gamma(1 + a * x), 0, n - 2)
         for k, (g, w) in enumerate(zip(got, want)):
             assert abs(ref.convert(g) - w) < ref.mpf(10) ** -45 * max(1, abs(w)), (n, a, k)

@@ -137,7 +137,7 @@ def test_factorized_pairing_is_euler_pairing():
 
 
 def test_hypersurface_ambient_ring_cubic_surface():
-    Y = build_hypersurface_ambient_ring(3, 3)
+    Y = build_hypersurface_ambient_ring(4, 3)
     assert Y.complex_dimension == 2
     assert Y.fano_index == 1
     assert list(Y.c1_coeffs) == [Fraction(0), Fraction(1), Fraction(0)]
@@ -147,7 +147,7 @@ def test_hypersurface_ambient_ring_cubic_surface():
 
 def test_hypersurface_gamma_class_divides_euler_factor():
     C = make_constants(P=50)
-    Y = build_hypersurface_ambient_ring(3, 3)
+    Y = build_hypersurface_ambient_ring(4, 3)
     g = gamma_class(Y, C)
     ctx = C.ctx
     tol = ctx.mpf(10) ** -47
@@ -168,11 +168,12 @@ def test_vector_algebra():
 
 def test_bad_hypersurface_rejected():
     with pytest.raises(ValueError):
-        build_hypersurface_ambient_ring(3, 4)
+        build_hypersurface_ambient_ring(4, 4)
 
 
 def test_degree_one_hypersurface_is_projective_space():
-    for n in (2, 3, 5):
+    for n in (3, 4, 6):
         Y = build_hypersurface_ambient_ring(n, 1)
-        assert Y.name == f"Y({n},1)"
-        assert dataclasses.replace(Y, name=f"P{n - 1}") == build_projective_ring(n)
+        assert Y.name == f"X({n},1)"
+        assert dataclasses.replace(Y, name=f"P{n - 2}") == \
+            build_projective_ring(n - 1)
