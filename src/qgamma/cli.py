@@ -343,11 +343,18 @@ def cmd_oscillatory(args, spec):
     osc, quad = _orthant_integral(spec.mirror(), 1 / t, args.quad_tol,
                                   args.digits)
     rel = abs(Z - osc) / abs(Z)
+    # quad is the difference of two grid sums that carry --digits + 10
+    # digits, so its leading digits cancel: print only those it keeps
+    ctx = working_context(args.digits)
+    known = args.digits + 10 - int(ctx.ceil(abs(ctx.log10(quad)))) if quad \
+        else args.digits
     return ({"value": {"t": t, "central_charge": Z,
                        "oscillatory_integral": osc,
                        "relative_difference": rel, "tol": args.tol},
              "error_estimates": {"relative_difference": rel,
-                                 "quadrature_error": quad}}, rel < args.tol)
+                                 "quadrature_error":
+                                     mpmath.nstr(quad, max(2, known))}},
+            rel < args.tol)
 
 
 def cmd_lefschetz(args, spec):

@@ -1,19 +1,21 @@
 """Gram matrices and mutations for collections of asymptotic classes.
 
-A MarkedBasis keeps every class as an exact integer combination of the
-initial numeric classes.  Mutation coefficients come from the pairing and
-are snapped to the nearest integer (the residual is policed), so mutation
-orbits act on integer rows and invert exactly; the numeric classes are
-rebuilt from the rows, never accumulated in floating point.
+A MarkedBasis keeps every class as an exact integer row over a fixed
+numeric base, and the base's pairing matrix G0[a][b] = [base_a, base_b),
+built once per base and passed on by every mutation.  By bilinearity the
+pairing of the classes x and y is the contraction x G0 y^T, so Gram
+entries and mutation coefficients never rebuild a class.  Each is snapped
+to the nearest integer and its residual policed, so mutation orbits act on
+integer rows and invert exactly.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 
-from .ring import GradedVector, build_projective_ring, cup, gamma_class, \
-    line_bundle, modified_chern, pair_bracket
+from .ring import build_projective_ring, cup, gamma_class, line_bundle, \
+    modified_chern, pairing_matrix
 from .scalars import ConstantTable, make_constants, working_context
 
 
@@ -24,6 +26,8 @@ class MarkedBasis:
     marks: tuple    # eigenvalue attached to each class
     labels: tuple
     precision: int = 50
+    # [base_a, base_b) at the precision, built from the base when not given
+    gram0: tuple = field(default=None, repr=False, compare=False)
 
     def __post_init__(self):
         if not (len(self.rows) == len(self.marks) == len(self.labels)):
@@ -33,19 +37,25 @@ class MarkedBasis:
                 raise ValueError("row width does not match the base")
             if any(x != int(x) for x in row):
                 raise ValueError("coordinates must be integers")
+        if self.gram0 is None:
+            G0 = pairing_matrix(self.base, self.base,
+                                make_constants(P=self.precision))
+            object.__setattr__(self, "gram0", tuple(map(tuple, G0)))
 
     def __len__(self):
         return len(self.rows)
 
-    def classes(self):
-        """Numeric classes rebuilt from the integer rows, fixed order."""
+    def pairings(self, lefts, rights):
+        """[x, y) = x G0 y^T for integer rows x in lefts and y in rights,
+        G0 the base's pairing matrix: x G0 rounded once per component, then
+        each entry once."""
+        ctx = working_context(self.precision)
         out = []
-        for row in self.rows:
-            acc = self.base[0].ring.zero()
-            for x, b in zip(row, self.base):
-                if x:
-                    acc = acc + x * b
-            out.append(acc)
+        for x in lefts:
+            xg = [ctx.fdot((a, g[k]) for a, g in zip(x, self.gram0) if a)
+                  for k in range(len(self.base))]
+            out.append([ctx.fdot((b, v) for b, v in zip(y, xg) if b)
+                        for y in rights])
         return out
 
 
@@ -81,7 +91,8 @@ def _snap(v, C: ConstantTable, P: int):
 
 def gram_matrix(basis: MarkedBasis) -> dict:
     """Pairing matrix [A_i, A_j) with integer snapping, at the basis's
-    precision P.
+    precision P: each entry the contraction of two integer rows with the
+    base's pairing matrix.
 
     Entries within 10^(-P+10) of an integer are reported in "integers"; the
     worst distance is in "max_residual" (entries further away leave a None
@@ -89,53 +100,44 @@ def gram_matrix(basis: MarkedBasis) -> dict:
     """
     P = basis.precision
     C = make_constants(P=P)
-    classes = basis.classes()
-    entries, integers = [], []
+    entries = basis.pairings(basis.rows, basis.rows)
+    integers = []
     max_res = C.ctx.mpf(0)
-    for a in classes:
-        row_e, row_i = [], []
-        for b in classes:
-            v = pair_bracket(a, b, C)
+    for row_e in entries:
+        row_i = []
+        for v in row_e:
             nearest, res = _snap(v, C, P)
             max_res = max(max_res, res)
-            row_e.append(v)
             row_i.append(nearest)
-        entries.append(row_e)
         integers.append(row_i)
     return {"entries": entries, "integers": integers, "max_residual": max_res}
-
-
-def _pair_snapped(basis: MarkedBasis, a: GradedVector, b: GradedVector):
-    C = make_constants(P=basis.precision)
-    v = pair_bracket(a, b, C)
-    nearest, _ = _snap(v, C, basis.precision)
-    if nearest is None:
-        raise ArithmeticError(f"pairing {v} too far from an integer to mutate")
-    return nearest
 
 
 def _mutate(basis: MarkedBasis, i: int, right: bool) -> MarkedBasis:
     if not 1 <= i < len(basis):
         raise IndexError("position out of range")
     a, b = i - 1, i
-    cls = basis.classes()
     rows = list(basis.rows)
     marks = list(basis.marks)
     labels = list(basis.labels)
+    C = make_constants(P=basis.precision)
+    v = basis.pairings((rows[a],), (rows[b],))[0][0]
+    c, _ = _snap(v, C, basis.precision)
+    if c is None:
+        raise ArithmeticError(f"pairing {v} too far from an integer to mutate")
     if right:
         # (X, Y) -> (Y, X - [X, Y) Y)
-        c = _pair_snapped(basis, cls[a], cls[b])
         new_row = tuple(x - c * y for x, y in zip(rows[a], rows[b]))
         rows[a], rows[b] = rows[b], new_row
     else:
         # (U, V) -> (V - [U, V) U, V's slot gets U)
-        c = _pair_snapped(basis, cls[a], cls[b])
         new_row = tuple(y - c * x for x, y in zip(rows[a], rows[b]))
         rows[a], rows[b] = new_row, rows[a]
     marks[a], marks[b] = marks[b], marks[a]
     labels[a], labels[b] = labels[b], labels[a]
     return MarkedBasis(base=basis.base, rows=tuple(rows), marks=tuple(marks),
-                       labels=tuple(labels), precision=basis.precision)
+                       labels=tuple(labels), precision=basis.precision,
+                       gram0=basis.gram0)
 
 
 def right_mutation(basis: MarkedBasis, i: int) -> MarkedBasis:

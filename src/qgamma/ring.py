@@ -11,6 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from math import factorial
 
 from .scalars import ConstantTable
@@ -74,15 +75,17 @@ class CohomologyRing:
         key = (i, j) if i <= j else (j, i)
         return self.cup_table.get(key, ())
 
-    def integrate(self, v: "GradedVector"):
-        total = 0
-        for c, w in zip(v.coeffs, self.integral):
-            if c and w:
-                total = total + c * w
-        return total
-
-    def poincare_pairing(self, a: "GradedVector", b: "GradedVector"):
-        return self.integrate(cup(a, b))
+    @cached_property
+    def poincare_form(self) -> tuple:
+        """The exact Poincare form as its nonzero entries (i, j, int e_i e_j),
+        read once from the cup table and the integrals."""
+        out = []
+        for i in range(self.rank):
+            for j in range(self.rank):
+                q = sum(s * self.integral[k] for k, s in self.cup_basis(i, j))
+                if q:
+                    out.append((i, j, q))
+        return tuple(out)
 
     def c1_matrix(self):
         """Matrix of cup-by-c1: column j holds c1 cup basis_j in basis coords."""
@@ -268,7 +271,7 @@ def build_hypersurface_ambient_ring(n: int, a: int) -> CohomologyRing:
 
 
 # --------------------------------------------------------------------------
-# Gamma class, modified Chern character, pairing, HRR
+# Gamma class, modified Chern character, pairing
 # --------------------------------------------------------------------------
 
 def gamma_exponent_coeffs(C: ConstantTable, top: int):
@@ -317,61 +320,44 @@ def modified_chern(E: KClass, C: ConstantTable) -> GradedVector:
     return E.ch.scale_by_degree(factors)
 
 
-def euler_pairing_vector(a: GradedVector, C: ConstantTable) -> GradedVector:
-    """(2 pi)^(-dim) * e^(pi i c1) cup e^(pi i mu) a, the left slot of [.,.)."""
-    R = a.ring
+def _left_vector(a: GradedVector, twist: GradedVector, mu_factors, scale):
+    """scale * twist cup e^(pi i mu) a, the left slot of [a, .)."""
+    return scale * cup(twist, a.scale_by_degree(mu_factors))
+
+
+def pairing_matrix(lefts, rights, C: ConstantTable):
+    """Non-symmetric pairing [a, b) = (2 pi)^(-dim) int (e^(pi i c1)
+    e^(pi i mu) a) cup b for every a in lefts and b in rights, as rows.
+
+    e^(pi i c1) is built once and each left vector once, then taken through
+    the exact Poincare form to a dual row; every entry is one dot product
+    of a dual row with b, rounded once.
+    """
+    R = lefts[0].ring
+    for v in (*lefts, *rights):
+        _same_ring(lefts[0], v)
     ctx = C.ctx
     n = R.complex_dimension
     half = Fraction(n, 2)
     # e^(pi i mu): degree p scales by e^(pi i (p - n/2))
-    mu_factors = [ctx.expjpi(ctx.convert(Fraction(p) - half)) for p in range(max(R.degrees) + 1)]
-    twisted = a.scale_by_degree(mu_factors)
-    acc = cup(ring_exp(ctx.mpc(0, C.pi) * R.c1), twisted)
-    return ((1 / (2 * C.pi)) ** n) * acc
+    mu_factors = [ctx.expjpi(ctx.convert(Fraction(p) - half))
+                  for p in range(max(R.degrees) + 1)]
+    twist = ring_exp(ctx.mpc(0, C.pi) * R.c1)
+    scale = (1 / (2 * C.pi)) ** n
+    form = [(i, j, ctx.convert(q)) for i, j, q in R.poincare_form]
+    rows = []
+    for a in lefts:
+        left = _left_vector(a, twist, mu_factors, scale).coeffs
+        dual = [0] * R.rank
+        for i, j, q in form:
+            dual[j] += left[i] * q
+        rows.append([ctx.mpc(ctx.fdot(zip(dual, b.coeffs))) for b in rights])
+    return rows
 
 
 def pair_bracket(a: GradedVector, b: GradedVector, C: ConstantTable):
-    """Non-symmetric pairing [a, b): (2 pi)^(-dim) int (e^(pi i c1) e^(pi i mu) a) cup b."""
-    _same_ring(a, b)
-    left = euler_pairing_vector(a, C)
-    val = a.ring.integrate(cup(left, b))
-    return C.ctx.mpc(val)
-
-
-def todd_class(R: CohomologyRing) -> GradedVector:
-    """Todd class from the stored tangent Chern character, exactly.
-
-    Uses log td = sum_m c_m p_m with p_m the Chern-root power sums
-    (p_m = m! ch_m) and c_m the series coefficients of log(x/(1-e^(-x))).
-    """
-    top = R.complex_dimension
-    # c = -log((1-e^(-x))/x), the series b = (1-e^(-x))/x exact
-    b = [Fraction((-1) ** m, factorial(m + 1)) for m in range(top + 1)]
-    c = [Fraction(0)] * (top + 1)
-    for m in range(1, top + 1):
-        s = b[m]
-        for j in range(1, m):
-            s += Fraction(j, m) * c[j] * b[m - j]
-        c[m] = -s
-    expo = R.zero()
-    for m in range(1, top + 1):
-        pm = factorial(m) * R.chTF.degree_part(m)
-        if not pm.is_zero():
-            expo = expo + c[m] * pm
-    return ring_exp(expo)
-
-
-def hrr_record(E1: KClass, E2: KClass, C: ConstantTable):
-    """Euler pairing both ways: Todd route (exact) and Gamma route (numeric)."""
-    _same_ring(E1.ch, E2.ch)
-    R = E1.ring
-    td = todd_class(R)
-    chi_todd = R.integrate(cup(cup(E1.dual().ch, E2.ch), td))
-    g = gamma_class(R, C)
-    v1 = cup(g, modified_chern(E1, C))
-    v2 = cup(g, modified_chern(E2, C))
-    chi_gamma = pair_bracket(v1, v2, C)
-    return {"chi_todd": chi_todd, "chi_gamma": chi_gamma}
+    """[a, b): the one-by-one case of `pairing_matrix`."""
+    return pairing_matrix((a,), (b,), C)[0][0]
 
 
 def line_bundle(R: CohomologyRing, k: int) -> KClass:

@@ -590,3 +590,143 @@ def laplace_node_sum(evaluate, nodes, u, ar, rank):
         for i in range(rank):
             total[i] += w * v[i].real
     return total
+
+
+# ---------------------------------------------------------------------------
+# Cohomology-ring routes that read only a ring's stored tables (cup_table,
+# integral, degrees, c1_coeffs, chTF_coeffs) and act on coefficient lists.
+
+
+def integrate(ring, coeffs):
+    """int v for the class with basis coefficients `coeffs`."""
+    total = 0
+    for c, w in zip(coeffs, ring.integral):
+        if c and w:
+            total = total + c * w
+    return total
+
+
+def cup_coeffs(ring, a, b):
+    """a cup b from the cup table, one structure constant at a time."""
+    out = [0] * len(a)
+    for i, ca in enumerate(a):
+        if not ca:
+            continue
+        for j, cb in enumerate(b):
+            if not cb:
+                continue
+            for k, s in ring.cup_table.get((min(i, j), max(i, j)), ()):
+                out[k] = out[k] + ca * cb * s
+    return out
+
+
+def exp_nilpotent(ring, v):
+    """exp of a vector of positive degrees: the finite sum of v^m / m!."""
+    term = [Fraction(int(d == 0)) for d in ring.degrees]
+    acc = list(term)
+    for m in range(1, ring.complex_dimension + 1):
+        term = cup_coeffs(ring, term, v)
+        acc = [x + Fraction(1, factorial(m)) * t for x, t in zip(acc, term)]
+    return acc
+
+
+def todd_class(ring):
+    """td(TX) from the stored tangent Chern character: exp of sum_m c_m p_m
+    with p_m = m! ch_m and c_m the coefficients of log(x / (1 - e^(-x)))."""
+    top = ring.complex_dimension
+    # b = (1 - e^(-x)) / x, c = -log b
+    b = [Fraction((-1) ** m, factorial(m + 1)) for m in range(top + 1)]
+    c = [Fraction(0)] * (top + 1)
+    for m in range(1, top + 1):
+        c[m] = -b[m] - sum(Fraction(j, m) * c[j] * b[m - j]
+                           for j in range(1, m))
+    expo = [c[d] * factorial(d) * x if d else 0
+            for x, d in zip(ring.chTF_coeffs, ring.degrees)]
+    return exp_nilpotent(ring, expo)
+
+
+def euler_pairing_todd(ring, ch1, ch2):
+    """chi(E1, E2) = int ch(E1^v) ch(E2) td(TX), exactly, from the Chern
+    characters ch1 and ch2 (coefficient lists)."""
+    dual = [(-1) ** d * x for x, d in zip(ch1, ring.degrees)]
+    return integrate(ring, cup_coeffs(ring, cup_coeffs(ring, dual, ch2),
+                                      todd_class(ring)))
+
+
+def bracket_by_cups(ring, a, b, ctx):
+    """[a, b) = (2 pi)^(-dim) int (e^(pi i c1) e^(pi i mu) a) cup b in the
+    mpmath context ctx, built for this one pair: e^(pi i c1), the twisted
+    left class, two cups and an integral."""
+    n = ring.complex_dimension
+    mu = {d: ctx.expjpi(ctx.convert(d - Fraction(n, 2)))
+          for d in ring.degrees}
+    twisted = [mu[d] * x for x, d in zip(a, ring.degrees)]
+    e_c1 = exp_nilpotent(ring, [ctx.mpc(0, ctx.pi) * x
+                                for x in ring.c1_coeffs])
+    left = [(1 / (2 * ctx.pi)) ** n * x
+            for x in cup_coeffs(ring, e_c1, twisted)]
+    return ctx.mpc(integrate(ring, cup_coeffs(ring, left, b)))
+
+
+def marked_classes(base, rows):
+    """class_i = sum_j rows[i][j] * base[j] as coefficient lists, base a
+    sequence of ring vectors (objects with .coeffs)."""
+    out = []
+    for row in rows:
+        acc = [0] * len(base[0].coeffs)
+        for x, b in zip(row, base):
+            if x:
+                acc = [s + x * c for s, c in zip(acc, b.coeffs)]
+        out.append(acc)
+    return out
+
+
+def _snap(v, ctx, P):
+    nearest = ctx.nint(v.real)
+    res = abs(v - nearest)
+    return (int(nearest) if res < ctx.mpf(10) ** (-P + 10) else None), res
+
+
+def _digits_context(P):
+    ctx = mpmath.ctx_mp.MPContext()
+    ctx.dps = P
+    return ctx
+
+
+def gram_by_pairs(base, rows, P):
+    """The Gram matrix of the classes rows * base by pairing every two
+    rebuilt classes, snapped to integers within 10^(-P+10): a dict of
+    entries, integers (None where not snapped) and max_residual."""
+    ctx = _digits_context(P)
+    ring = base[0].ring
+    classes = marked_classes(base, rows)
+    entries = [[bracket_by_cups(ring, a, b, ctx) for b in classes]
+               for a in classes]
+    snapped = [[_snap(v, ctx, P) for v in row] for row in entries]
+    return {"entries": entries,
+            "integers": [[s[0] for s in row] for row in snapped],
+            "max_residual": max(s[1] for row in snapped for s in row)}
+
+
+def mutate_by_pairs(base, rows, marks, labels, word, P):
+    """(rows, marks, labels) after the mutations in `word`, a sequence of
+    (right, i) with 1-based positions: each coefficient [X, Y) paired from
+    the rebuilt classes and snapped as in `gram_by_pairs`."""
+    ctx = _digits_context(P)
+    ring = base[0].ring
+    rows, marks, labels = list(rows), list(marks), list(labels)
+    for right, i in word:
+        a, b = i - 1, i
+        x, y = marked_classes(base, (rows[a], rows[b]))
+        c, _ = _snap(bracket_by_cups(ring, x, y, ctx), ctx, P)
+        if c is None:
+            raise ArithmeticError("pairing too far from an integer to mutate")
+        if right:
+            rows[a], rows[b] = rows[b], tuple(
+                p - c * q for p, q in zip(rows[a], rows[b]))
+        else:
+            rows[a], rows[b] = tuple(
+                q - c * p for p, q in zip(rows[a], rows[b])), rows[a]
+        marks[a], marks[b] = marks[b], marks[a]
+        labels[a], labels[b] = labels[b], labels[a]
+    return rows, marks, labels

@@ -4,6 +4,7 @@ import random
 import mpmath
 import pytest
 
+from qgamma import ring
 from qgamma.exceptional import (MarkedBasis, eigenvalue_marks, gram_matrix,
                                 left_mutation, marked_beilinson_basis,
                                 right_mutation, unitriangular_order)
@@ -137,3 +138,50 @@ def test_marked_basis_validation():
         MarkedBasis(base=b.base,
                     rows=((1, 0, 0), (0, 1.5, 0), (0, 0, 1)),
                     marks=b.marks, labels=b.labels)
+
+
+@pytest.mark.parametrize("P", [15, 30, 50, 100])
+@pytest.mark.parametrize("n", [2, 3, 4, 5])
+def test_gram_and_mutations_match_pairwise_oracle(n, P):
+    # the contraction route against pairing every two rebuilt classes
+    b = marked_beilinson_basis(n, P)
+    tol = mpmath.mpf(10) ** (-P + 10)
+    rng = random.Random(f"P{n - 1} {P}")
+    for _ in range(4):
+        word = [(rng.random() < 0.5, rng.randrange(1, n))
+                for _ in range(rng.randint(1, 4))]
+        cur = b
+        for right, i in word:
+            cur = (right_mutation if right else left_mutation)(cur, i)
+        rows, marks, labels = oracles.mutate_by_pairs(
+            b.base, b.rows, b.marks, b.labels, word, P)
+        assert list(cur.rows) == rows, word
+        assert list(cur.marks) == marks and list(cur.labels) == labels
+        g = gram_matrix(cur)
+        want = oracles.gram_by_pairs(b.base, rows, P)
+        assert g["integers"] == want["integers"], word
+        for row, want_row in zip(g["entries"], want["entries"]):
+            assert all(abs(v - w) < tol for v, w in zip(row, want_row)), word
+        # residuals below one unit at P digits are rounding noise
+        floor = mpmath.mpf(10) ** -P
+        assert g["max_residual"] <= 10 * max(want["max_residual"], floor)
+
+
+@pytest.mark.parametrize("word", ["", "R1", "R1 L1 R2 L2 R3 L3 L2 R2"])
+def test_left_vectors_built_once_per_base(monkeypatch, word):
+    # mutations and the Gram matrix contract integer rows against the
+    # base's pairing matrix: no pairing after the base's own
+    built = []
+    left_vector = ring._left_vector
+
+    def counting(*args):
+        built.append(args[0])
+        return left_vector(*args)
+
+    monkeypatch.setattr(ring, "_left_vector", counting)
+    cur = marked_beilinson_basis(4)
+    for token in word.split():
+        op = right_mutation if token[0] == "R" else left_mutation
+        cur = op(cur, int(token[1:]))
+    gram_matrix(cur)
+    assert len(built) == 4

@@ -121,7 +121,7 @@ def test_schubert_ring_degree_and_duality_at_scale():
         power = R.unit()
         for _ in range(dim):
             power = cup(power, s1)
-        assert R.integrate(power) == degree
+        assert oracles.integrate(R, power.coeffs) == degree
         point = R.basis_vector(index[(n - r,) * r])
         for mu in parts:
             dual = tuple(n - r - x for x in reversed(mu))
@@ -316,7 +316,7 @@ def test_schubert_ring_degrees_and_pairing():
     # Poincare duality on the box: s_mu pairs with the complement
     i1 = parts.index((1, 0))
     i2 = parts.index((2, 1))
-    assert R.poincare_pairing(R.basis_vector(i1), R.basis_vector(i2)) == 1
+    assert (i1, i2, 1) in R.poincare_form
 
 
 @pytest.mark.parametrize("r, n, D, pinned", [
