@@ -57,11 +57,6 @@ def _neville(svals, yvals):
     return p[0], rest
 
 
-def neville_at_zero(svals, yvals):
-    """Value at 0 of the polynomial through the points (svals, yvals)."""
-    return _neville(svals, yvals)[0]
-
-
 def principal_asymptotic_class(J: JSeries, cfg: ExtrapolationConfig) -> dict:
     """Extrapolated limit of J(t)/<[pt], J(t)> for t -> infinity.
 

@@ -450,11 +450,13 @@ _COMMANDS = {
 
 
 def _positive(kind):
-    """An argparse type: `kind` of the text, refused unless positive."""
+    """An argparse type: `kind` of the text, refused unless positive and
+    finite."""
     def convert(text):
         value = kind(text)
-        if value <= 0:
-            raise argparse.ArgumentTypeError(f"must be positive, got {text}")
+        if not 0 < value < math.inf:
+            raise argparse.ArgumentTypeError(
+                f"must be positive and finite, got {text}")
         return value
     convert.__name__ = kind.__name__    # "invalid int value: ..." on bad text
     return convert
@@ -480,7 +482,7 @@ _OPTIONS = (
                                          "fekete": 12}),
     (("--tmax",), {"type": _positive(float)}, {"check-gamma1": 40.0}),
     (("--korder", "-k"), {"type": _positive(int)}, {"check-gamma1": 6}),
-    (("--tol",), {"type": float},
+    (("--tol",), {"type": _positive(float)},
      {"check-gamma1": 1e-4, "oscillatory": 1e-6, "lefschetz": None}),
     (("--t",), {"type": _positive(float)}, {"oscillatory": 1.0}),
     (("--quad-tol",), {"type": _positive(float)}, {"oscillatory": 1e-12}),

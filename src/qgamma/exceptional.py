@@ -1,12 +1,12 @@
 """Gram matrices and mutations for collections of asymptotic classes.
 
 A MarkedBasis keeps every class as an exact integer row over a fixed
-numeric base, and the base's pairing matrix G0[a][b] = [base_a, base_b),
-built once per base and passed on by every mutation.  By bilinearity the
-pairing of the classes x and y is the contraction x G0 y^T, so Gram
-entries and mutation coefficients never rebuild a class.  Each is snapped
-to the nearest integer and its residual policed, so mutation orbits act on
-integer rows and invert exactly.
+numeric base.  The base's pairing matrix [base_a, base_b) is built and
+snapped to integers Z0 once per base and passed on by every mutation.  For
+the Gamma-weighted line bundles that pairing is exactly chi(O(i), O(j)), so
+by bilinearity [x, y) = x Z0 y^T on ints: Gram entries and mutation
+coefficients are exact however large the rows grow, and the one numeric
+claim left is that the base's pairing matrix snaps.
 """
 
 from __future__ import annotations
@@ -16,7 +16,7 @@ from fractions import Fraction
 
 from .ring import build_projective_ring, cup, gamma_class, line_bundle, \
     modified_chern, pairing_matrix
-from .scalars import ConstantTable, make_constants, working_context
+from .scalars import make_constants, working_context
 
 
 @dataclass(frozen=True)
@@ -26,7 +26,8 @@ class MarkedBasis:
     marks: tuple    # eigenvalue attached to each class
     labels: tuple
     precision: int = 50
-    # [base_a, base_b) at the precision, built from the base when not given
+    # (Z0, its worst residual): [base_a, base_b) at the precision snapped
+    # to integers (None where an entry does not snap), built when not given
     gram0: tuple = field(default=None, repr=False, compare=False)
 
     def __post_init__(self):
@@ -38,25 +39,36 @@ class MarkedBasis:
             if any(x != int(x) for x in row):
                 raise ValueError("coordinates must be integers")
         if self.gram0 is None:
-            G0 = pairing_matrix(self.base, self.base,
-                                make_constants(P=self.precision))
-            object.__setattr__(self, "gram0", tuple(map(tuple, G0)))
+            C = make_constants(P=self.precision)
+            snapped = [[_snap(v, C.ctx, self.precision) for v in row]
+                       for row in pairing_matrix(self.base, self.base, C)]
+            Z0 = tuple(tuple(z for z, _ in row) for row in snapped)
+            worst = max(res for row in snapped for _, res in row)
+            object.__setattr__(self, "gram0", (Z0, worst))
 
     def __len__(self):
         return len(self.rows)
 
     def pairings(self, lefts, rights):
-        """[x, y) = x G0 y^T for integer rows x in lefts and y in rights,
-        G0 the base's pairing matrix: x G0 rounded once per component, then
-        each entry once."""
-        ctx = working_context(self.precision)
+        """[x, y) = x Z0 y^T on ints for integer rows x in lefts and y in
+        rights; None where a term it needs has no integer in Z0."""
+        columns = tuple(zip(*self.gram0[0]))
         out = []
         for x in lefts:
-            xg = [ctx.fdot((a, g[k]) for a, g in zip(x, self.gram0) if a)
-                  for k in range(len(self.base))]
-            out.append([ctx.fdot((b, v) for b, v in zip(y, xg) if b)
-                        for y in rights])
+            xz = [_dot(x, col) for col in columns]
+            out.append([_dot(y, xz) for y in rights])
         return out
+
+
+def _dot(coeffs, values):
+    """sum c v over the nonzero c; None when such a v is None."""
+    total = 0
+    for c, v in zip(coeffs, values):
+        if c:
+            if v is None:
+                return None
+            total += c * v
+    return total
 
 
 def eigenvalue_marks(n: int, P: int = 50):
@@ -80,37 +92,25 @@ def marked_beilinson_basis(n: int, P: int = 50) -> MarkedBasis:
                        labels=tuple(E.label for E in coll), precision=P)
 
 
-def _snap(v, C: ConstantTable, P: int):
+def _snap(v, ctx, P: int):
     """(the integer nearest to the pairing value v, or None when v is
     10^(-P+10) or further from it; the distance |v - nearest|)."""
-    ctx = C.ctx
     nearest = ctx.nint(v.real)
     res = abs(v - nearest)
     return (int(nearest) if res < ctx.mpf(10) ** (-P + 10) else None), res
 
 
 def gram_matrix(basis: MarkedBasis) -> dict:
-    """Pairing matrix [A_i, A_j) with integer snapping, at the basis's
-    precision P: each entry the contraction of two integer rows with the
-    base's pairing matrix.
+    """Pairing matrix [A_i, A_j) on ints: each entry two integer rows
+    contracted with the base's snapped pairing matrix Z0.
 
-    Entries within 10^(-P+10) of an integer are reported in "integers"; the
-    worst distance is in "max_residual" (entries further away leave a None
-    in that slot).
+    "integers" holds the entries, None where a term needs an entry of Z0
+    10^(-P+10) or further from an integer (P the basis's precision);
+    "max_residual" is the base's worst distance from Z0, the same for
+    every mutation of the base.
     """
-    P = basis.precision
-    C = make_constants(P=P)
-    entries = basis.pairings(basis.rows, basis.rows)
-    integers = []
-    max_res = C.ctx.mpf(0)
-    for row_e in entries:
-        row_i = []
-        for v in row_e:
-            nearest, res = _snap(v, C, P)
-            max_res = max(max_res, res)
-            row_i.append(nearest)
-        integers.append(row_i)
-    return {"entries": entries, "integers": integers, "max_residual": max_res}
+    return {"integers": basis.pairings(basis.rows, basis.rows),
+            "max_residual": basis.gram0[1]}
 
 
 def _mutate(basis: MarkedBasis, i: int, right: bool) -> MarkedBasis:
@@ -120,11 +120,10 @@ def _mutate(basis: MarkedBasis, i: int, right: bool) -> MarkedBasis:
     rows = list(basis.rows)
     marks = list(basis.marks)
     labels = list(basis.labels)
-    C = make_constants(P=basis.precision)
-    v = basis.pairings((rows[a],), (rows[b],))[0][0]
-    c, _ = _snap(v, C, basis.precision)
+    c = basis.pairings((rows[a],), (rows[b],))[0][0]
     if c is None:
-        raise ArithmeticError(f"pairing {v} too far from an integer to mutate")
+        raise ArithmeticError("pairing needs an entry of the base's pairing "
+                              "matrix too far from an integer to mutate")
     if right:
         # (X, Y) -> (Y, X - [X, Y) Y)
         new_row = tuple(x - c * y for x, y in zip(rows[a], rows[b]))

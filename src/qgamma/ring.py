@@ -155,13 +155,6 @@ class HomologyVector:
                 total = total + a * b
         return total
 
-    def __rmul__(self, scalar) -> "HomologyVector":
-        return HomologyVector(self.ring, tuple(scalar * c for c in self.coeffs))
-
-    def __add__(self, other: "HomologyVector") -> "HomologyVector":
-        _same_ring(self, other)
-        return HomologyVector(self.ring, tuple(a + b for a, b in zip(self.coeffs, other.coeffs)))
-
 
 @dataclass(frozen=True)
 class KClass:
@@ -177,10 +170,6 @@ class KClass:
     @property
     def ring(self) -> CohomologyRing:
         return self.ch.ring
-
-    def dual(self) -> "KClass":
-        flipped = self.ch.scale_by_degree([(-1) ** p for p in range(max(self.ch.ring.degrees) + 1)])
-        return KClass(flipped, label=f"{self.label}^v" if self.label else "")
 
 
 def _same_ring(a, b):

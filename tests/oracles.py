@@ -645,12 +645,16 @@ def todd_class(ring):
     return exp_nilpotent(ring, expo)
 
 
+def dual_chern(ring, ch):
+    """ch(E^v) from ch(E): the degree-d part times (-1)^d."""
+    return [(-1) ** d * x for x, d in zip(ch, ring.degrees)]
+
+
 def euler_pairing_todd(ring, ch1, ch2):
     """chi(E1, E2) = int ch(E1^v) ch(E2) td(TX), exactly, from the Chern
     characters ch1 and ch2 (coefficient lists)."""
-    dual = [(-1) ** d * x for x, d in zip(ch1, ring.degrees)]
-    return integrate(ring, cup_coeffs(ring, cup_coeffs(ring, dual, ch2),
-                                      todd_class(ring)))
+    pair = cup_coeffs(ring, dual_chern(ring, ch1), ch2)
+    return integrate(ring, cup_coeffs(ring, pair, todd_class(ring)))
 
 
 def bracket_by_cups(ring, a, b, ctx):

@@ -163,17 +163,20 @@ def test_gram_and_mutate(capsys):
     assert d["value"]["resort_order"] == [0, 1, 2, 3]
 
 
-@pytest.mark.xfail(strict=True, reason="rows reach 257,845 and a Gram "
-                   "entry's residual lands near 10^(-P+10.5), above the "
-                   "snapping tolerance 10^(-P+10): a false refutation")
-@pytest.mark.parametrize("digits", ["15", "30", "50"])
-def test_long_p4_mutation_word_stays_integral(capsys, digits):
-    # the Gram matrix of an exceptional collection is integral; at
-    # --digits 100 the worst residual, 7e-91, happens to fall below 1e-90
-    rc, out, err = run(capsys, ["mutate", "--space", "P4", "--word",
-                                "R1,L2,R1,L3,R2,R4,R1,R2",
+@pytest.mark.parametrize("digits", ["15", "30", "50", "100"])
+@pytest.mark.parametrize("space, word", [
+    ("P4", "R1,L2,R1,L3,R2,R4,R1,R2"),     # rows reach 257,845
+    ("P4", "L4,L2,R4,R3,L2,R1"),
+    ("P3", "R1,L2,L1,L1,L1,L1"),
+])
+def test_long_p4_mutation_word_stays_integral(capsys, space, word, digits):
+    # the Gram matrix of an exceptional collection is integral at every
+    # --digits, however large the rows grow
+    rc, out, err = run(capsys, ["mutate", "--space", space, "--word", word,
                                 "--digits", digits])
     assert rc == 0, out
+    grams = json.loads(out)["value"]["gram_integers"]
+    assert all(x is not None for row in grams for x in row)
 
 
 @pytest.mark.parametrize("n", [2, 3, 4, 5])
@@ -521,6 +524,19 @@ def test_usage_errors_exit_2(capsys):
          "--quad-tol 1e-06 must be below --tol 1e-06"),
         (["jseries", "--space", "P1", "--order", "0"],
          "argument --order/-D: must be positive"),
+        # float options refuse nan and inf; --tol must be positive
+        (["oscillatory", "--space", "P1", "--t", "nan"],
+         "argument --t: must be positive and finite"),
+        (["oscillatory", "--space", "P1", "--t", "inf"],
+         "argument --t: must be positive and finite"),
+        (["check-gamma1", "--space", "P1", "--tol", "-1"],
+         "argument --tol: must be positive and finite"),
+        (["check-gamma1", "--space", "P1", "--tol", "nan"],
+         "argument --tol: must be positive and finite"),
+        (["check-gamma1", "--space", "P1", "--tol", "inf"],
+         "argument --tol: must be positive and finite"),
+        (["lefschetz", "--space", "X(4,2)", "--tol", "0"],
+         "argument --tol: must be positive and finite"),
         (["spectrum"], "the following arguments are required: --space"),
         (["no-such-command", "--space", "P1"],
          "invalid choice: 'no-such-command'"),

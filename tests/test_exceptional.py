@@ -160,11 +160,33 @@ def test_gram_and_mutations_match_pairwise_oracle(n, P):
         g = gram_matrix(cur)
         want = oracles.gram_by_pairs(b.base, rows, P)
         assert g["integers"] == want["integers"], word
-        for row, want_row in zip(g["entries"], want["entries"]):
+        for row, want_row in zip(g["integers"], want["entries"]):
             assert all(abs(v - w) < tol for v, w in zip(row, want_row)), word
         # residuals below one unit at P digits are rounding noise
         floor = mpmath.mpf(10) ** -P
         assert g["max_residual"] <= 10 * max(want["max_residual"], floor)
+
+
+@pytest.mark.parametrize("P", [15, 30, 50, 100])
+@pytest.mark.parametrize("n", [2, 3, 4, 5])
+def test_gram_is_the_integer_contraction_with_chi(n, P):
+    # [x, y) = x chi y^T for integer rows x, y over O(0..n-1): every
+    # mutated Gram matrix is exact on ints, however large the rows, and its
+    # residual is the unmutated basis's
+    b = marked_beilinson_basis(n, P)
+    chi = oracles.beilinson_gram(n)
+    residual = gram_matrix(b)["max_residual"]
+    rng = random.Random(f"exact P{n - 1} {P}")
+    for _ in range(6):
+        cur = b
+        for _ in range(rng.randint(1, 12)):
+            op = right_mutation if rng.random() < 0.5 else left_mutation
+            cur = op(cur, rng.randrange(1, n))
+        want = [[sum(x[i] * chi[i][j] * y[j] for i in range(n)
+                     for j in range(n)) for y in cur.rows] for x in cur.rows]
+        g = gram_matrix(cur)
+        assert g["integers"] == want, cur.rows
+        assert g["max_residual"] == residual
 
 
 @pytest.mark.parametrize("word", ["", "R1", "R1 L1 R2 L2 R3 L3 L2 R2"])

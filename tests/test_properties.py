@@ -5,7 +5,7 @@ from fractions import Fraction
 
 from hypothesis import given, settings, strategies as st
 
-from qgamma.asympt import make_grid, neville_at_zero
+from qgamma.asympt import _neville, make_grid
 from qgamma.exactla import nullspace, rank
 from qgamma.grassmann import (box_partitions, schubert_ring, schur_expand,
                               schur_polynomial)
@@ -94,7 +94,7 @@ def test_neville_exact_on_polynomials(coeffs):
         return acc
     deg = len(coeffs) - 1
     xs = [Fraction(1, k + 2) for k in range(deg + 1)]
-    assert neville_at_zero(xs, [p(x) for x in xs]) == coeffs[0]
+    assert _neville(xs, [p(x) for x in xs])[0] == coeffs[0]
 
 
 @settings(max_examples=40, deadline=None)
