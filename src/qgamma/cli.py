@@ -269,7 +269,8 @@ def cmd_conifold(args, spec):
     res = conifold_point(spec.mirror(), P=args.digits)
     value = {"T0": res.T_con, "location": list(res.x_con),
              "newton_iterations": res.newton_iterations,
-             "hessian_positive": res.hessian_positive}
+             "hessian_positive": res.hessian_positive,
+             "hessian_det": res.hessian_det}
     return ({"value": value,
              "error_estimates": {"gradient_norm": res.gradient_norm}},
             res.hessian_positive)
@@ -449,18 +450,28 @@ _COMMANDS = {
 }
 
 
-def _positive(kind):
+def _positive(kind, most=math.inf):
     """An argparse type: `kind` of the text, refused unless positive and
-    finite."""
+    finite, and unless at most `most` when that is given."""
     def convert(text):
         value = kind(text)
         if not 0 < value < math.inf:
             raise argparse.ArgumentTypeError(
                 f"must be positive and finite, got {text}")
+        if value > most:
+            raise argparse.ArgumentTypeError(f"must be at most {most}")
         return value
     convert.__name__ = kind.__name__    # "invalid int value: ..." on bad text
     return convert
 
+
+# The largest series order (-D) and term count (-N) accepted, so that an
+# absurd request (a 400-digit order) exits 2 at parse time.  It bounds the
+# input, not the run time.  Every default is at most 600, but on a shared
+# 2-core Xeon `jseries --space P1 -D 100000` ran past 120 s, and jseries,
+# check-gamma1, apery and fekete on Gr(2,4) or Gr(3,6) ran past 90 s at
+# order 1000.
+_MAX_ORDER = 10 ** 5
 
 # One row per option: its flags, its argparse keywords and the subcommands
 # that read it, each with its default.  The parser, the config keys and
@@ -472,14 +483,14 @@ _OPTIONS = (
      dict.fromkeys(_COMMANDS)),
     (("--digits", "-P"), {"type": int}, dict.fromkeys(_COMMANDS, 50)),
     (("--output", "-o"), {}, dict.fromkeys(_COMMANDS)),
-    (("--order", "-D"), {"type": _positive(int),
+    (("--order", "-D"), {"type": _positive(int, _MAX_ORDER),
                          "help": "series truncation order"},
      {"jseries": 20, "check-gamma1": 600, "apery": None, "oscillatory": 400,
       "lefschetz": 160}),
     (("--format",), {"choices": ("json", "csv")},
      {"qperiod": "json", "gram": "json"}),
-    (("-N",), {"type": _positive(int)}, {"qperiod": 10, "apery": 20,
-                                         "fekete": 12}),
+    (("-N",), {"type": _positive(int, _MAX_ORDER)},
+     {"qperiod": 10, "apery": 20, "fekete": 12}),
     (("--tmax",), {"type": _positive(float)}, {"check-gamma1": 40.0}),
     (("--korder", "-k"), {"type": _positive(int)}, {"check-gamma1": 6}),
     (("--tol",), {"type": _positive(float)},

@@ -1,10 +1,21 @@
 """Laurent-polynomial mirrors: ray constructions, constant-term quantum
 periods, conifold points by convex minimization in log coordinates, growth
 diagnostics, and spectrum verdict reports.
+
+The conifold point is the minimum of f(e^u) over u in R^m, found by one
+Newton loop on plain lists run on a precision schedule.  It starts in
+floats, at the least-squares balance point of the log-weights
+log c_e + <e,u>, and finishes at P + 10 digits.  Its stop is relative,
+|grad f| <= 10^(-P) f with a Newton step below 10^(-P), so it holds at
+any scale of the coefficients.  One moments
+kernel (weights, gradient, Hessian) and one LDL^T solve serve every
+precision: the same code runs on floats and on mpfs.  The final LDL^T
+gives `hessian_positive` and `hessian_det`.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from math import factorial, gcd
@@ -106,7 +117,12 @@ def _period_from(coeffs, D):
 # conifold point
 # --------------------------------------------------------------------------
 
-_NEWTON_CAP = 200       # Newton steps before conifold_point gives up
+_NEWTON_CAP = 200       # Newton iterations, float and mp together, before
+                        # conifold_point gives up
+_FLOAT_TOL = 1e-12      # the float phase's relative stop: 1e-10 would cost
+                        # Gr(2,5) and Gr(3,6) one more step at P + 10
+_WHOLE_STEP = 0.125     # a step that moves no exponent <e,u> by more than
+                        # this is taken whole (see _newton)
 
 
 @dataclass(frozen=True)
@@ -116,76 +132,212 @@ class ConifoldResult:
     newton_iterations: int
     gradient_norm: object
     hessian_positive: bool
+    hessian_det: object
 
 
 def conifold_point(f: LaurentPolynomial, P: int = 50) -> ConifoldResult:
-    """Global minimum of f on the positive real orthant by Newton iteration
-    in u = log x coordinates, from u = 0, to gradient norm 10^(-P+5)."""
+    """Global minimum T = f(x_con) of f on the positive real orthant, by
+    Newton's method on f(e^u) in u = log x coordinates.
+
+    Every iteration evaluates the weights c_e e^<e,u> as log-weights
+    log c_e + <e,u> shifted by their maximum, so no coefficient or point
+    overflows or underflows them.  A damped Newton phase in floats starts
+    at the least-squares balance point of the log-weights (or at u = 0
+    when f is smaller there) and stops at 1e-12 relative, or where floats
+    make no more progress.  Newton then goes on at P + 10 digits, damped
+    the same way, with no precision in between: an mpf operation costs
+    about the same at 30 digits as at 60.  The stop is relative and
+    holds at any scale of the coefficients: at P + 10 digits,
+    |grad f| <= 10^(-P) f and the Newton step moves no u_i by more than
+    10^(-P), so x_con has P digits.  When the Hessian is so
+    ill-conditioned that rounding at P + 10 digits moves u by more than
+    that (`_digits_needed`), the mp phase runs again with the digits it
+    needs.
+
+    The LDL^T pivots of the final Hessian H of f in u decide
+    `hessian_positive` and give `hessian_det`, det H (None when H is not
+    positive definite).  `newton_iterations` counts every iteration at
+    every precision, the converged one included.  Every mpf field is
+    rounded to P digits.  RuntimeError when the iterations exceed
+    _NEWTON_CAP or the mp phase cannot make progress.
+    """
     if not f.is_nonnegative():
         raise ValueError("conifold search needs positive coefficients")
     rays = list(f.terms)
     if not origin_in_interior(rays):
         raise ValueError("origin not interior to the Newton polytope; "
                          "no minimum on the positive orthant")
-    ctx = working_context(P + 10)
-    tol = ctx.mpf(10) ** (-P + 5)
-    m = f.nvars
-    terms = list(f.terms.items())
-
-    def weights(uu):
-        """c_e e^<e,u> per term: f(e^u) is their sum, and the gradient and
-        Hessian are their first and second moments in e."""
-        return [ctx.convert(c) * ctx.exp(
-            ctx.fsum(ctx.mpf(ei) * ui for ei, ui in zip(e, uu)))
-            for e, c in terms]
-
-    def grad_hess(ws):
-        g = [ctx.mpf(0)] * m
-        H = ctx.zeros(m, m)
-        for (e, _), w in zip(terms, ws):
-            for i in range(m):
-                if e[i]:
-                    g[i] += e[i] * w
-                    for j in range(m):
-                        if e[j]:
-                            H[i, j] += e[i] * e[j] * w
-        return g, H
-
-    u = [ctx.mpf(0)] * m
-    ws = weights(u)
-    for it in range(1, _NEWTON_CAP + 1):
-        g, H = grad_hess(ws)
-        gnorm = ctx.sqrt(ctx.fsum(x * x for x in g))
-        if gnorm < tol:
+    # the nonzero entries of each exponent vector
+    rows = [[(i, ei) for i, ei in enumerate(e) if ei] for e in rays]
+    coeffs = list(f.terms.values())
+    logc = [math.log(c.numerator) - math.log(c.denominator) for c in coeffs]
+    # u = 0 stays a candidate start: X(4,3) and X(5,4) have their minimum
+    # exactly there, and a start rounded near it costs a step at P + 10
+    start = min([0.0] * f.nvars, _balance_point(rays, logc),
+                key=lambda v: _log_f(_moments(rows, logc, v, math), math))
+    u, _, _, its, ok = _newton(rows, logc, start, math, _FLOAT_TOL, 0)
+    digits = P + 10
+    while True:
+        ctx = working_context(digits)
+        logc = [ctx.log(ctx.convert(c)) for c in coeffs]
+        u, (top, s, g, _), pivots, its, ok = _newton(
+            rows, logc, [ctx.convert(x) for x in u], ctx,
+            ctx.mpf(10) ** -P, its)
+        posdef = len(pivots) == len(u) and pivots[-1] > 0
+        need = _digits_needed(P, rows, logc, u, s, pivots, ctx) if posdef \
+            else digits
+        if ok and need <= digits:
             break
-        step = ctx.lu_solve(H, ctx.matrix([-x for x in g]))
-        f0 = ctx.fsum(ws)
-        lam = ctx.mpf(1)
-        # full steps always work on a convex function except via rounding
-        for _ in range(60):
-            trial = [ui + lam * step[i] for i, ui in enumerate(u)]
-            trial_ws = weights(trial)
-            if ctx.fsum(trial_ws) <= f0 or lam < ctx.mpf(10) ** (-40):
-                u, ws = trial, trial_ws
-                break
-            lam = lam / 2
-    else:
-        raise RuntimeError("Newton iteration cap exceeded")
-
-    # H is the Hessian at the final u
-    try:
-        ctx.cholesky(H)
-        posdef = True
-    except ValueError:
-        posdef = False
+        if need <= digits:
+            raise RuntimeError(f"Newton iteration stalled at {digits} digits")
+        digits = need
+    det = ctx.exp(len(u) * top) * math.prod(pivots) if posdef else None
     out = working_context(P)
     return ConifoldResult(
         x_con=tuple(out.exp(out.convert(ui)) for ui in u),
         # out.mpf rounds to P digits; out.convert would keep all P + 10
-        T_con=out.mpf(ctx.fsum(ws)),
-        newton_iterations=it,
-        gradient_norm=out.mpf(gnorm),
-        hessian_positive=posdef)
+        T_con=out.mpf(ctx.exp(top) * s),
+        newton_iterations=its,
+        gradient_norm=out.mpf(ctx.exp(top) * ctx.sqrt(sum(x * x for x in g))),
+        hessian_positive=posdef,
+        hessian_det=None if det is None else out.mpf(det))
+
+
+def _digits_needed(P, rows, logc, u, s, pivots, ctx):
+    """Working digits that keep u to 10^(-P) at the minimum, with two to
+    spare.  Rounding at 10^-D moves each log-weight by up to 10^-D L, with
+    L the largest |log c_e| + sum |e_i u_i|, so the gradient by about
+    10^-D L e s (e the largest |e_i|) and u by that times |H^-1|, which the
+    sum of the inverse pivots estimates."""
+    L = max(abs(a) + sum(abs(ei * u[i]) for i, ei in row)
+            for row, a in zip(rows, logc)) + 1
+    e = max(abs(ei) for row in rows for _, ei in row)
+    kappa = L * e * s * sum(1 / d for d in pivots)
+    return P + 2 + max(0, int(ctx.ceil(ctx.log10(kappa))))
+
+
+def _balance_point(rays, logc):
+    """The float u that makes the log-weights log c_e + <e,u> as equal as
+    least squares can: the normal equations of the centred exponents.  Its
+    matrix is positive definite, for the exponents of a polytope with the
+    origin inside span R^m affinely."""
+    n = len(rays)
+    mean_e = [sum(col) / n for col in zip(*rays)]
+    mean_a = sum(logc) / n
+    rows = [[ei - mi for ei, mi in zip(e, mean_e)] for e in rays]
+    A = [[sum(r[i] * r[j] for r in rows) for j in range(i + 1)]
+         for i in range(len(mean_e))]
+    b = [sum(r[i] * (mean_a - a) for r, a in zip(rows, logc))
+         for i in range(len(mean_e))]
+    return _ldl_solve(A, b)[0]
+
+
+def _moments(rows, logc, u, num):
+    """The log-weights l_e = log c_e + <e,u> of f(e^u) = sum_e e^(l_e),
+    their maximum `top`, and f, its gradient and the lower triangle of its
+    Hessian in u, all three times e^-top: (top, s, g, H).
+
+    One code path for both phases: `num` is the math module on floats or
+    an mpmath context on its mpfs.
+    """
+    ls = [a + sum(ei * u[i] for i, ei in row) for row, a in zip(rows, logc)]
+    top = max(ls)
+    m = len(u)
+    s = 0
+    g = [0] * m
+    H = [[0] * (i + 1) for i in range(m)]
+    for row, l in zip(rows, ls):
+        w = num.exp(l - top)
+        s += w
+        for i, ei in row:
+            wi = ei * w
+            g[i] += wi
+            Hi = H[i]
+            for j, ej in row:
+                if j <= i:
+                    Hi[j] += ej * wi
+    return top, s, g, H
+
+
+def _log_f(moments, num):
+    """log f(e^u) from the moments (top, s, g, H) of u."""
+    return moments[0] + num.log(moments[1])
+
+
+def _ldl_solve(H, b):
+    """Solve H x = b for the symmetric H given by its lower triangle, by
+    H = L D L^T without pivoting: (x, pivots), with the pivots up to the
+    first that is not positive and x None when there is one.
+    """
+    m = len(b)
+    L = []
+    d = []
+    for j in range(m):
+        # row j of L, and row j of L times D
+        Lj = []
+        LDj = []
+        for k in range(j):
+            LDj.append(H[j][k] - sum(L[k][i] * LDj[i] for i in range(k)))
+            Lj.append(LDj[k] / d[k])
+        dj = H[j][j] - sum(Lj[k] * LDj[k] for k in range(j))
+        d.append(dj)
+        if not dj > 0:
+            return None, d
+        L.append(Lj)
+    y = []
+    for i in range(m):
+        y.append(b[i] - sum(L[i][k] * y[k] for k in range(i)))
+    x = [0] * m
+    for i in reversed(range(m)):
+        x[i] = y[i] / d[i] - sum(L[k][i] * x[k] for k in range(i + 1, m))
+    return x, d
+
+
+def _newton(rows, logc, u, num, tol, its):
+    """Newton's method on f(e^u) from u until |grad| <= tol f and the
+    Newton step moves no u_i by more than tol, in the arithmetic of `num`:
+    (u, moments, pivots of H, iterations so far, converged).
+
+    A step moving every exponent <e,u> by at most _WHOLE_STEP = 1/8 is
+    taken whole: f then stays within 5% of its quadratic model, so the step
+    decreases f and cuts the Newton decrement g.H^-1.g a hundredfold.  A
+    longer step is halved until f decreases.  The loop gives up, with
+    converged False, on a pivot of H that is not positive, on a damped step
+    that finds no decrease, and on a whole step that does not quarter the
+    decrement: each means the arithmetic cannot make progress.
+    """
+    point = _moments(rows, logc, u, num)
+    last = None
+    while True:
+        its += 1
+        if its > _NEWTON_CAP:
+            raise RuntimeError("Newton iteration cap exceeded")
+        top, s, g, H = point
+        step, pivots = _ldl_solve(H, [-x for x in g])
+        if sum(x * x for x in g) <= (tol * s) ** 2 and \
+                (step is None or max(abs(x) for x in step) <= tol):
+            return u, point, pivots, its, True
+        if step is None:
+            return u, point, pivots, its, False
+        decrement = -sum(x * y for x, y in zip(g, step))
+        if last is not None and decrement > last / 4:
+            return u, point, pivots, its, False
+        reach = max(abs(sum(ei * step[i] for i, ei in row)) for row in rows)
+        if reach <= _WHOLE_STEP:
+            u = [ui + di for ui, di in zip(u, step)]
+            point, last = _moments(rows, logc, u, num), decrement
+            continue
+        value = _log_f(point, num)
+        lam = 1
+        for _ in range(60):
+            trial = [ui + lam * di for ui, di in zip(u, step)]
+            point = _moments(rows, logc, trial, num)
+            if _log_f(point, num) < value:
+                break
+            lam /= 2
+        else:
+            return u, (top, s, g, H), pivots, its, False
+        u, last = trial, None
 
 
 # --------------------------------------------------------------------------

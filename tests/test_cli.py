@@ -2,6 +2,7 @@ import json
 import math
 import re
 import shlex
+import time
 from fractions import Fraction
 from pathlib import Path
 
@@ -9,7 +10,8 @@ import mpmath
 import pytest
 
 from qgamma import oscillatory
-from qgamma.cli import _COMMANDS, main, parse_space
+from qgamma.cli import _COMMANDS, _MAX_ORDER, _OPTIONS, _build_parser, \
+    main, parse_space
 from qgamma.grassmann import bcfk_j_series, ehx_constant_terms
 from qgamma.jfun import j_projective, quantum_lefschetz, quantum_period
 from qgamma.laurent import LaurentPolynomial
@@ -145,6 +147,8 @@ def test_conifold_cubic_surface(capsys):
     assert mpmath.mpf(d["value"]["T0"]) == 21
     assert d["value"]["hessian_positive"] is True
     assert [mpmath.mpf(x) for x in d["value"]["location"]] == [1, 1]
+    # det of the Hessian of f in log coordinates at (1, 1)
+    assert mpmath.mpf(d["value"]["hessian_det"]) == 243
 
 
 def test_gram_and_mutate(capsys):
@@ -574,6 +578,43 @@ def test_runtime_error_exits_2(capsys, monkeypatch):
     assert rc == 2
     assert out == ""
     assert err.startswith("error: Newton iteration cap exceeded")
+
+
+def test_newton_cap_exits_2_through_conifold_point(capsys, monkeypatch):
+    # the real Newton loop, float and mp iterations counted together
+    monkeypatch.setattr("qgamma.mirror._NEWTON_CAP", 1)
+    rc, out, err = run(capsys, ["conifold", "--space", "Gr(2,5)"])
+    assert rc == 2
+    assert out == ""
+    assert err.startswith("error: Newton iteration cap exceeded")
+
+
+@pytest.mark.parametrize("argv", [
+    ["jseries", "--space", "P1", "-D", "1" + "0" * 400],
+    ["check-gamma1", "--space", "P1", "-D", str(10 ** 5 + 1)],
+    ["qperiod", "--space", "P1", "-N", "1" + "0" * 400],
+    ["apery", "--space", "P1", "-N", str(10 ** 12)],
+    ["fekete", "--space", "Gr(2,4)", "-N", str(10 ** 5 + 1)],
+])
+def test_orders_above_the_ceiling_exit_2_at_once(capsys, argv):
+    start = time.perf_counter()
+    rc, out, err = run(capsys, argv)
+    assert time.perf_counter() - start < 1
+    assert rc == 2
+    assert out == ""
+    assert "must be at most 100000" in err
+
+
+def test_every_default_and_the_ceiling_are_accepted():
+    parser = _build_parser()
+    for flags, keywords, defaults in _OPTIONS:
+        if flags[0] in ("--order", "-N"):
+            assert all(v is None or v <= _MAX_ORDER
+                       for v in defaults.values())
+            for command in defaults:
+                args = parser.parse_args([command, "--space", "P1",
+                                          flags[0], str(_MAX_ORDER)])
+                assert vars(args)[flags[0].lstrip("-")] == _MAX_ORDER
 
 
 def test_qperiod_float_ignores_global_precision(capsys, monkeypatch):

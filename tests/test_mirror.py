@@ -204,9 +204,66 @@ def test_every_conifold_field_is_rounded_to_P():
                 v = getattr(res, field.name)
                 values.extend(v if isinstance(v, tuple) else [v])
             mpfs = [v for v in values if hasattr(v, "_mpf_")]
-            assert len(mpfs) == f.nvars + 2
+            assert len(mpfs) == f.nvars + 3
             assert all(v._mpf_[3] <= working_context(P).prec for v in mpfs), \
                 (f.terms, P)
+
+
+@pytest.mark.parametrize("k", [-400, -200, -60, -12, 0, 12, 60, 200, 400])
+@pytest.mark.parametrize("P", [30, 50])
+def test_conifold_point_at_any_scale(k, P):
+    # c x + y + 1/(xy) has its minimum where the three weights are equal:
+    # x = c^(-2/3), y = c^(1/3), T = 3 c^(1/3), and det H = 3 c^(2/3)
+    c = Fraction(10) ** k
+    f = LaurentPolynomial(2, {(1, 0): c, (0, 1): 1, (-1, -1): 1})
+    res = conifold_point(f, P=P)
+    ctx = working_context(P + 20)
+    cube = ctx.cbrt(ctx.mpf(10) ** k)
+    tol = ctx.mpf(10) ** (-P + 1)
+    for got, want in [(res.T_con, 3 * cube), (res.hessian_det, 3 * cube ** 2),
+                      (res.x_con[0], 1 / cube ** 2), (res.x_con[1], cube)]:
+        assert abs(got / want - 1) < tol, (k, P, got, want)
+    assert res.hessian_positive
+
+
+HESSIAN_DETS = [
+    (toric_mirror_from_rays(projective_rays(2)), 2),
+    (toric_mirror_from_rays(projective_rays(3)), 3),
+    (toric_mirror_from_rays(projective_rays(4)), 4),
+    (toric_mirror_from_rays(projective_rays(5)), 5),
+    (toric_mirror_from_rays([(1, 0), (0, 1), (-1, 0), (0, -1)]), 4),
+    (ehx_mirror(2, 4), 8),
+    (ehx_mirror(3, 6), 72),
+    (przyjalkowski_model(4, 3), 243),
+]
+
+
+@pytest.mark.parametrize("f, det", HESSIAN_DETS)
+def test_conifold_hessian_determinant(f, det):
+    # det of the Hessian of f in log coordinates at the minimum: n + 1 on
+    # P^n, 4 on P1xP1, 8 on Gr(2,4), 72 on Gr(3,6), 243 on X(4,3)
+    for P in (15, 40):
+        res = conifold_point(f, P=P)
+        assert abs(res.hessian_det - det) < mpmath.mpf(10) ** (-P + 1) * det
+        assert res.hessian_det._mpf_[3] <= working_context(P).prec
+
+
+def test_conifold_location_with_an_ill_conditioned_hessian():
+    # two of the five weights are about 1e-19 of the others at the
+    # minimum, so one direction of H is that weak: rounding at P + 10
+    # digits would move u there by about 1e-6, and the mp phase reruns
+    # with the digits the Hessian needs (floats stop at a zero pivot)
+    f = LaurentPolynomial(3, {(-1, 1, 1): Fraction(1, 125 * 10 ** 24),
+                              (1, -1, 1): Fraction(1, 125 * 10 ** 15),
+                              (-1, -2, 0): Fraction(1, 200),
+                              (0, 0, -2): 9, (1, 2, 1): 4})
+    ref = conifold_point(f, P=80)
+    for P in (15, 30):
+        res = conifold_point(f, P=P)
+        assert res.hessian_positive
+        for got, want in zip((res.T_con,) + res.x_con,
+                             (ref.T_con,) + ref.x_con):
+            assert abs(got / want - 1) < mpmath.mpf(10) ** (-P + 1)
 
 
 def test_przyjalkowski_period_matches_lefschetz_route():
