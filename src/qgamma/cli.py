@@ -250,13 +250,28 @@ def cmd_gamma(args, spec):
     return {"value": dict(zip(R.basis, g.coeffs))}, None
 
 
+def _printable(rows, option):
+    """UsageError at the lowest degree of the (degree, exact coefficients)
+    rows with more digits than str() takes, sys.get_int_max_str_digits();
+    that limit is interpreter-wide, so it is read, never raised."""
+    limit = sys.get_int_max_str_digits()
+    bound = 10 ** limit if limit else math.inf
+    for d, row in sorted(rows):
+        if any(max(abs(c.numerator), c.denominator) >= bound for c in row):
+            raise UsageError(f"the degree-{d} coefficient has more than "
+                             f"{limit} digits, more than Python prints; "
+                             f"lower {option}")
+
+
 def cmd_jseries(args, spec):
     J, extras = spec.jseries(args.order, args.digits)
+    _printable(((d, v.coeffs) for d, v in J.coeffs.items()), "-D")
     return {"value": {**jseries_to_json_dict(J), **extras}}, None
 
 
 def cmd_qperiod(args, spec):
     qp = constant_term_series(spec.mirror(), args.N)
+    _printable(((d, (g,)) for d, g in qp.coeffs.items()), "-N")
     if args.format == "csv":
         return qp.to_csv(), None
     rows = [{"d": d, "exact": str(qp.coefficient(d)),

@@ -304,17 +304,15 @@ def bcfk_j_series(r: int, n: int, D: int) -> JSeries:
     mmax = D // n
     JP = j_projective(n, n * mmax) if mmax > 0 else j_projective(n, n)
     # rows[d][k]: the x^k-coefficients of y^(r-1-j) Jcoeff_d(x), y = x + d,
-    # for j = 0..r-1, times scale[d]
+    # for j = 0..r-1, times scale[d], the denominator of Jcoeff_d's int
+    # row (its j = r-1 entry is that row, so no common factor is left)
     rows, scale = {}, {}
     for d in range(mmax + 1):
-        powers = [[Fraction(1)]]
+        scale[d], row = JP._int_rows[n * d]
+        powers = [[1]]
         for _ in range(r - 1):
             powers.append(_mul_trunc(powers[-1], (d, 1), n))
-        polys = [_mul_trunc(p, JP.coefficient(n * d).coeffs, n)
-                 for p in reversed(powers)]
-        scale[d] = lcm(*(c.denominator for p in polys for c in p))
-        rows[d] = [tuple(int(p[k] * scale[d]) for p in polys)
-                   for k in range(n)]
+        rows[d] = list(zip(*(_mul_trunc(p, row, n) for p in reversed(powers))))
 
     coeffs = {0: R.unit()}
     for m in range(1, mmax + 1):

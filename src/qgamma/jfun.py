@@ -12,11 +12,13 @@ import functools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from math import factorial
+from math import comb, factorial, gcd, lcm
 from operator import mul
 from typing import NamedTuple
 
 import mpmath
+from mpmath.libmp import (from_int, from_man_exp, mpf_div, mpf_log,
+                          round_nearest, to_float)
 
 from .ring import (CohomologyRing, GradedVector, build_hypersurface_ambient_ring,
                    build_projective_ring)
@@ -52,30 +54,50 @@ class JSeries:
         return sorted(self.coeffs)
 
     @functools.cached_property
+    def _int_rows(self) -> dict:
+        """d -> (den, row) with J_d = row / den: the ints of J_d's
+        components over their least common denominator."""
+        rows = {}
+        for d, v in self.coeffs.items():
+            den = lcm(*(c.denominator for c in v.coeffs))
+            rows[d] = den, [c.numerator * (den // c.denominator)
+                            for c in v.coeffs]
+        return rows
+
+    @functools.cached_property
     def _numeric(self) -> "_NumericView":
         """What `evaluate_j` needs from the series, computed on first use and
         kept on the series (so it dies with it)."""
         degrees = self.nonzero_degrees()
         scan = working_context(15)
-        peaks = [max((abs(scan.convert(c)) for c in self.coeffs[d].coeffs if c),
-                     default=scan.mpf(0)) for d in degrees]
-        log_peaks = [float(scan.log10(m)) if m else -math.inf for m in peaks]
-        return _NumericView(degrees, peaks, log_peaks, {})
+        # the peaks as scan.convert gives them and their logs as scan.log10
+        # does, ln x / ln 10 at prec + 20, without the context wrapper
+        wp, rnd = scan.prec + 20, round_nearest
+        peaks = [from_man_exp(m, -s) for m, s in (
+            _fixed_ratio(max(map(abs, row)), den, scan.prec)
+            for den, row in map(self._int_rows.get, degrees))]
+        ln10 = mpf_log(from_int(10), wp, rnd)
+        log_peaks = [to_float(mpf_div(mpf_log(x, wp, rnd), ln10, scan.prec,
+                                      rnd)) for x in peaks]
+        return _NumericView(degrees, list(map(scan.make_mpf, peaks)),
+                            log_peaks, {})
 
     @functools.cached_property
     def _moments(self) -> "_MomentView":
         """What `MomentSum` needs from the series, all exact, so computed
         once and kept on the series like `_numeric`."""
         R = self.ring
-        rows = [[Fraction(c) for c in self.coeffs[d].coeffs]
-                for d in self._numeric.degrees]
-        den = math.lcm(*(c.denominator for row in rows for c in row))
-        # 2^(l - 2) < largest |J_d| < 2^l, l = 0 for a zero degree
-        offsets = [p.numerator.bit_length() - p.denominator.bit_length() + 1
-                   if p else 0 for p in (max(map(abs, row)) for row in rows)]
+        rows = [self._int_rows[d] for d in self._numeric.degrees]
+        den = lcm(*(q for q, _ in rows))
+        tops = [(max(map(abs, row)), q) for q, row in rows]     # max |J_d|
+        # 2^(l - 2) < largest |J_d| < 2^l, l = 0 for a zero degree, from
+        # the reduced fraction
+        offsets = [(p // (g := gcd(p, q))).bit_length()
+                   - (q // g).bit_length() + 1 for p, q in tops]
         top = max(offsets)
-        columns = [[int(row[j] * den) << (top - off)
-                    for row, off in zip(rows, offsets)] for j in range(R.rank)]
+        columns = [[row[j] * (den // q) << (top - off)
+                    for (q, row), off in zip(rows, offsets)]
+                   for j in range(R.rank)]
         # N^k / k! for k = 0..top degree, N the matrix of cup-by-c1
         cols = R.c1_matrix()
         term = [[Fraction(i == j) for j in range(R.rank)]
@@ -87,13 +109,11 @@ class JSeries:
             powers.append(term)
         pden = math.lcm(*(x.denominator for mat in powers for row in mat
                           for x in row))
-        prev, last = ([max(map(abs, row)) for row in rows[-2:]]
-                      if len(rows) > 1 else (1, 0))
+        (pp, qp), (pl, ql) = tops[-2:] if len(tops) > 1 else ((1, 1), (0, 1))
         return _MomentView(
             offsets, columns, den * pden,
             [[[int(x * pden) for x in row] for row in mat] for mat in powers],
-            (last.numerator * prev.denominator,
-             prev.numerator * last.denominator))
+            (pl * qp, pp * ql))
 
     @functools.cached_property
     def _hypersurfaces(self) -> dict:
@@ -103,6 +123,8 @@ class JSeries:
 
 
 class _NumericView(NamedTuple):
+    """The series as `evaluate_j` reads it, every value cut from the int
+    rows by `_fixed_ratio` as mpmath would convert it."""
     degrees: list       # the series' degrees, ascending
     peaks: list         # per degree, the largest |coefficient| at 15 digits
     log_peaks: list     # per degree, float log10 of that peak (-inf for 0)
@@ -156,7 +178,8 @@ def j_projective(n: int, D: int) -> JSeries:
     """J-series of the projective space with n homogeneous coordinates.
 
     The degree-nd coefficient is prod_{k=1..d} (h+k)^(-n) truncated mod h^n,
-    all exact rationals.
+    all exact rationals: an int row over one denominator, reduced by one
+    gcd per degree.
     """
     if n < 2:
         raise ValueError("need n >= 2")
@@ -164,30 +187,29 @@ def j_projective(n: int, D: int) -> JSeries:
         raise ValueError("truncation below the first nonzero coefficient")
     R = build_projective_ring(n)
     coeffs = {0: R.unit()}
-    cur = [Fraction(1)]         # series in h mod h^n
+    cur, den = [1], 1           # series in h mod h^n, over den
     d = 1
     while n * d <= D:
         cur = _mul_trunc(cur, _inverse_power(d, n, n), n)
-        coeffs[n * d] = R.vector(tuple(cur))
+        den *= d ** (2 * n - 1)
+        g = gcd(den, *cur)
+        cur, den = [x // g for x in cur], den // g
+        coeffs[n * d] = R.vector(tuple(Fraction(x, den) for x in cur))
         d += 1
     return JSeries(ring=R, D=D, coeffs=coeffs)
 
 
 def _inverse_power(k: int, e: int, n: int):
-    """(h+k)^(-e) mod h^n as a length-n list of exact rationals:
-    sum_j binom(e+j-1, j) (-1)^j k^(-e-j) h^j."""
-    out = []
-    binom = Fraction(1)
-    for j in range(n):
-        out.append(binom * Fraction((-1) ** j, k ** (e + j)))
-        binom = binom * (e + j) / (j + 1)
-    return out
+    """(h+k)^(-e) mod h^n times k^(e+n-1), as a length-n int row:
+    sum_j binom(e+j-1, j) (-1)^j k^(n-1-j) h^j."""
+    return [(-1) ** j * comb(e + j - 1, j) * k ** (n - 1 - j)
+            for j in range(n)]
 
 
 def _mul_trunc(a, b, n):
-    """The product of two series in h (coefficient sequences, either of any
-    length) mod h^n, as a length-n list."""
-    out = [Fraction(0)] * n
+    """The product of two int series in h (coefficient sequences, either
+    of any length) mod h^n, as a length-n int list."""
+    out = [0] * n
     for i, ai in enumerate(a[:n]):
         if not ai:
             continue
@@ -233,29 +255,33 @@ def quantum_lefschetz(JX: JSeries, a: int, DY: int | None = None) -> dict:
         c0 = Fraction(0)
 
     # J_X,dd times the twist prod_{m=1..a*dd} (a h + m), both mod h^(n-1)
-    # (the restriction to Y), the twist extended by a factors per dd
+    # (the restriction to Y), the twist extended by a factors per dd: an
+    # int row over the denominator of J_X,dd
     nmax = JX.D // r
     S = []
-    tw = [Fraction(1)]
+    tw = [1]
     for dd in range(nmax + 1):
         for m in range(max(1, a * dd - a + 1), a * dd + 1):
             tw = _mul_trunc(tw, (m, a), n - 1)
-        S.append(amb.vector(tuple(
-            _mul_trunc(tw, JX.coefficient(r * dd).coeffs, n - 1))))
+        den, row = JX._int_rows.get(r * dd, (1, ()))
+        S.append((den, _mul_trunc(tw, row, n - 1)))
 
-    coeffs = {}
-    if c0 == 0:
-        for dd, v in enumerate(S):
-            coeffs[(r - a) * dd] = v
-        Dout = (r - a) * nmax
-    else:
-        # index 1: multiply by e^(-c0 t) and re-expand
-        Dout = nmax
+    if c0:
+        # index 1: times e^(-c0 t), re-expanded.  Degree m is E_m with
+        # m! E_m = sum_dd binom(m, dd) (-c0)^(m-dd) dd! S_dd, the binomial
+        # transform of the dd! S_dd over L, the lcm of their denominators:
+        # m rounds of w_j <- w_(j+1) - c0 w_j, steps by a small int
+        L, c = lcm(*(den for den, _ in S)), int(c0)
+        w = [[x * (L // den) * factorial(dd) for x in row]
+             for dd, (den, row) in enumerate(S)]
+        S = []
         for m in range(nmax + 1):
-            acc = amb.zero()
-            for dd in range(m + 1):
-                acc = acc + Fraction((-c0) ** (m - dd), factorial(m - dd)) * S[dd]
-            coeffs[m] = acc
+            S.append((L * factorial(m), w[0]))
+            w = [[y - c * x for x, y in zip(lo, hi)]
+                 for lo, hi in zip(w, w[1:])]
+    coeffs = {(r - a) * dd: amb.vector(tuple(Fraction(x, den) for x in row))
+              for dd, (den, row) in enumerate(S)}
+    Dout = (r - a) * nmax
     if DY is not None:
         Dout = min(Dout, DY)
         coeffs = {d: v for d, v in coeffs.items() if d <= Dout}
@@ -312,8 +338,9 @@ def evaluate_j(J: JSeries, t, *, P: int = 50, half_turns: int = 0) -> dict:
     |t|^d for the last two degrees, come from the same ints, each product
     rounded once.  The prefactor e^(c1 log t) is then applied as
     sum_k (log t)^k/k! N^k with N the matrix of cup-by-c1; it is where the
-    half turns enter, as the imaginary part of log t.  Coefficients and N
-    are converted once per working precision and kept on the series.  When
+    half turns enter, as the imaginary part of log t.  Per working
+    precision, the coefficient mantissas are cut from the exact int rows
+    (`_fixed_ratio`) and N is converted, both kept on the series.  When
     log t is real (no half turns) every scalar is real, and the result
     becomes complex only at the final rounding to P digits.  Raises
     ValueError at t = 0, where log t is undefined.
@@ -326,13 +353,12 @@ def evaluate_j(J: JSeries, t, *, P: int = 50, half_turns: int = 0) -> dict:
     R = J.ring
     cached = view.rows.get(wdps)
     if cached is None:
-        rows = [[ctx.convert(c) for c in J.coeffs[d].coeffs]
-                for d in view.degrees]
+        rows = [[_fixed_ratio(x, den, ctx.prec) if x else None for x in row]
+                for den, row in map(J._int_rows.get, view.degrees)]
         cached = view.rows[wdps] = (
-            [[(k, *_scaled(row[i], ctx.prec, ctx))
-              for k, row in enumerate(rows) if row[i]]
+            [[(k, *row[i]) for k, row in enumerate(rows) if row[i]]
              for i in range(R.rank)],
-            [[_scaled(abs(c), ctx.prec, ctx) for c in row if c]
+            [[(abs(m), s) for m, s in filter(None, row)]
              for row in rows[-2:]],
             [(i, j, ctx.convert(s)) for j, col in enumerate(R.c1_matrix())
              for i, s in enumerate(col) if s])
@@ -396,6 +422,19 @@ def _scaled(x, bits: int, ctx):
     mpf x of ctx and bits >= ctx.prec."""
     s = bits - ctx.mag(x)
     return to_fixed(x, s), s
+
+
+def _fixed_ratio(p: int, q: int, bits: int):
+    """(m, s) with m * 2^-s = p / q (q > 0) truncated toward zero to `bits`
+    bits, 2^(bits-1) <= |m| < 2^bits unless p = 0: at ctx.prec what
+    `_scaled(ctx.convert(p / q), ctx.prec, ctx)` gives, as mpmath converts
+    a Fraction rounding toward zero and an int exactly."""
+    a = abs(p)
+    s = bits + q.bit_length() - a.bit_length()
+    m = (a << s) // q if s >= 0 else a // (q << -s)
+    if m >> bits:
+        m, s = m >> 1, s - 1
+    return (-m if p < 0 else m), s
 
 
 def _truncate(m: int, s: int, bits: int):
@@ -612,15 +651,17 @@ def quintic_pf_annihilation(order: int) -> dict:
         return a
 
     # n = 0 term: theta^4 acting alone gives (5 eps)^4 = 0 mod eps^4
-    theta0 = tuple(times([Fraction(1)], *[(0, 5)] * 4))
+    theta0 = tuple(map(Fraction, times([1], *[(0, 5)] * 4)))
     residuals = [{"n": 0, "residual": theta0, "zero": not any(theta0)}]
-    A_prev = [Fraction(1)]
+    A_prev, den = [1], 1        # A_n as an int row over den = (n!)^8
     for nn in range(1, order + 1):
         A = times(_mul_trunc(A_prev, _inverse_power(nn, 5, 4), 4),
                   *[(j, 5) for j in range(5 * nn - 4, 5 * nn + 1)])
+        den *= nn ** 8
         lhs = times(A, *[(5 * nn, 5)] * 4)
         rhs = times(A_prev, *[(5 * nn - 5 + j, 5) for j in range(1, 5)])
-        res = tuple(x - 5 ** 5 * y for x, y in zip(lhs, rhs))
+        res = tuple(Fraction(x - 5 ** 5 * nn ** 8 * y, den)
+                    for x, y in zip(lhs, rhs))
         residuals.append({"n": nn, "residual": res, "zero": not any(res)})
         A_prev = A
     return {"annihilated": all(r["zero"] for r in residuals), "order": order,

@@ -15,6 +15,7 @@ gives `hessian_positive` and `hessian_det`.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -40,11 +41,17 @@ def origin_in_interior(rays) -> bool:
     and a relation scaled to min lambda_i = 1 gives mu = lambda - 1.  The
     rank comes from the Bareiss elimination, the cone membership from one
     exact simplex (`exactla.lp_max`).  The hull of no rays has no interior.
+    Memoised on the sorted int rows: a mirror request asks twice.
     """
     # clearing denominators rescales each ray by a positive factor, which
     # keeps the rank and every positive relation
-    mat = [exactla.integer_row(r) for r in rays]
-    if not rays or exactla.rank(mat) < len(rays[0]):
+    return _origin_in_interior(tuple(sorted(
+        tuple(exactla.integer_row(r)) for r in rays)))
+
+
+@functools.lru_cache(maxsize=128)
+def _origin_in_interior(mat: tuple) -> bool:
+    if not mat or exactla.rank(mat) < len(mat[0]):
         return False
     return exactla.lp_max(mat, [-sum(col) for col in zip(*mat)]) is not None
 

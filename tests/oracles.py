@@ -150,6 +150,90 @@ def hypersurface_j_series(n: int, a: int, dmax: int) -> dict:
             for m in range(dmax + 1)}
 
 
+def _mul_trunc_fraction(a, b, n):
+    """The product of two coefficient sequences mod h^n, on Fractions."""
+    out = [Fraction(0)] * n
+    for i, ai in enumerate(a[:n]):
+        if not ai:
+            continue
+        for j, bj in enumerate(b[:n - i]):
+            if bj:
+                out[i + j] += ai * bj
+    return out
+
+
+def _inverse_power_fraction(k: int, e: int, n: int):
+    """(h+k)^(-e) mod h^n: sum_j binom(e+j-1, j) (-1)^j k^(-e-j) h^j."""
+    out = []
+    binom = Fraction(1)
+    for j in range(n):
+        out.append(binom * Fraction((-1) ** j, k ** (e + j)))
+        binom = binom * (e + j) / (j + 1)
+    return out
+
+
+def j_projective_fraction(n: int, D: int) -> dict:
+    """{n d: J_(n d) as a tuple} for 1 <= d <= D / n, the projective-space
+    coefficients prod_{k=1..d} (h+k)^(-n) mod h^n, one Fraction product
+    per degree."""
+    out = {}
+    cur = [Fraction(1)]
+    d = 1
+    while n * d <= D:
+        cur = _mul_trunc_fraction(cur, _inverse_power_fraction(d, n, n), n)
+        out[n * d] = tuple(cur)
+        d += 1
+    return out
+
+
+def lefschetz_twist_fraction(ambient: dict, n: int, a: int, D: int) -> dict:
+    """The quantum Lefschetz series of X(n,a) from the projective-space
+    coefficients `ambient` (d -> tuple, degree 0 the unit, truncated at
+    D), on Fractions: each J_d times the twist prod_{m=1..a d/n} (a h + m)
+    mod h^(n-1), and at index n - a = 1 the e^(-a! t) re-expansion.
+    Returns {degree: tuple}."""
+    S = []
+    tw = [Fraction(1)]
+    for dd in range(D // n + 1):
+        for m in range(max(1, a * dd - a + 1), a * dd + 1):
+            tw = _mul_trunc_fraction(tw, (m, a), n - 1)
+        S.append(tuple(_mul_trunc_fraction(tw, ambient[n * dd], n - 1)))
+    if n - a > 1:
+        return {(n - a) * dd: v for dd, v in enumerate(S)}
+    c0 = Fraction(factorial(a))
+    out = {}
+    for m in range(len(S)):
+        acc = (0,) * (n - 1)
+        for dd in range(m + 1):
+            w = Fraction((-c0) ** (m - dd), factorial(m - dd))
+            acc = tuple(x + w * y for x, y in zip(acc, S[dd]))
+        out[m] = acc
+    return out
+
+
+def quintic_residuals_fraction(order: int) -> list:
+    """Per n = 0..order, the residual tuple in Q[eps]/(eps^4) of
+    theta^4 - 5^5 t^5 (theta+1)(theta+2)(theta+3)(theta+4) on the quintic
+    series A_n(eps) = prod_{j=1..5n} (j+5eps) / prod_{j=1..n} (j+eps)^5,
+    on Fractions."""
+    def times(a, *linear):
+        for f in linear:
+            a = _mul_trunc_fraction(a, f, 4)
+        return a
+
+    out = [tuple(times([Fraction(1)], *[(0, 5)] * 4))]
+    A_prev = [Fraction(1)]
+    for nn in range(1, order + 1):
+        A = times(_mul_trunc_fraction(A_prev, _inverse_power_fraction(nn, 5, 4),
+                                      4),
+                  *[(j, 5) for j in range(5 * nn - 4, 5 * nn + 1)])
+        lhs = times(A, *[(5 * nn, 5)] * 4)
+        rhs = times(A_prev, *[(5 * nn - 5 + j, 5) for j in range(1, 5)])
+        out.append(tuple(x - 5 ** 5 * y for x, y in zip(lhs, rhs)))
+        A_prev = A
+    return out
+
+
 def chi_projective(n: int, a: int, b: int) -> int:
     """Euler pairing of the twisting sheaves O(a), O(b) on P^(n-1).
 

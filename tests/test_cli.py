@@ -2,6 +2,7 @@ import json
 import math
 import re
 import shlex
+import sys
 import time
 from fractions import Fraction
 from pathlib import Path
@@ -603,6 +604,26 @@ def test_orders_above_the_ceiling_exit_2_at_once(capsys, argv):
     assert rc == 2
     assert out == ""
     assert "must be at most 100000" in err
+
+
+@pytest.mark.parametrize("argv, degree, option", [
+    (["jseries", "--space", "P2", "-D", "1700"], 1659, "-D"),
+    (["jseries", "--space", "P1", "-D", "3000"], 1602, "-D"),
+    (["qperiod", "--space", "P1", "-N", "2000"], 1720, "-N"),
+])
+def test_coefficients_past_the_int_string_limit_exit_2(capsys, argv, degree,
+                                                       option):
+    # the first coefficient with more than 4300 digits (Python's default
+    # limit on int-to-string conversion) is named with the option to
+    # lower; the limit itself is interpreter-wide and left as it is
+    limit = sys.get_int_max_str_digits()
+    rc, out, err = run(capsys, argv)
+    assert rc == 2
+    assert out == ""
+    assert err == (f"error: the degree-{degree} coefficient has more than "
+                   f"{limit} digits, more than Python prints; "
+                   f"lower {option}\n")
+    assert sys.get_int_max_str_digits() == limit
 
 
 def test_every_default_and_the_ceiling_are_accepted():

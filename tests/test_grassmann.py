@@ -339,8 +339,8 @@ def test_bcfk_matches_ladder_mirror(r, n, D, pinned):
 
 
 @pytest.mark.parametrize("r, n, D", [
-    (1, 3, 12), (2, 4, 24), (2, 5, 20), (2, 6, 18), (3, 6, 18), (3, 7, 14),
-    (4, 8, 16)])
+    (1, 3, 12), (2, 4, 24), (2, 5, 20), (2, 5, 30), (2, 6, 18), (3, 6, 18),
+    (3, 6, 24), (3, 7, 14), (4, 8, 16)])
 def test_bcfk_minors_equal_twisted_products(r, n, D):
     # the integer-minor route against the products multiplied out in r
     # variables, with their antisymmetry asserted; Fractions on both sides

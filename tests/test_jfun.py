@@ -1,5 +1,6 @@
 import functools
 import gc
+import math
 import random
 import weakref
 from fractions import Fraction
@@ -8,10 +9,11 @@ import mpmath
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from qgamma.jfun import (JSeries, _fixed_powers, _fixed_sum, _t0_value,
-                         evaluate_j, j_projective, jseries_to_json_dict,
-                         quantum_lefschetz, quantum_period,
-                         quintic_pf_annihilation)
+from qgamma.jfun import (JSeries, _NumericView, _fixed_powers,
+                         _fixed_ratio, _fixed_sum, _peak_digits, _scaled,
+                         _t0_value, evaluate_j, j_projective,
+                         jseries_to_json_dict, quantum_lefschetz,
+                         quantum_period, quintic_pf_annihilation)
 from qgamma.grassmann import bcfk_j_series
 from qgamma.ring import build_projective_ring
 from qgamma.scalars import from_fixed, to_fixed, working_context
@@ -339,3 +341,178 @@ def test_jseries_json_dict():
     assert rows[2] == ["1", "-2"]
     assert rows[4] == ["1/4", "-3/4"]
     assert d == jseries_to_json_dict(j_projective(2, 6))
+
+
+# ---------------------------------------------------------------------------
+# the int-row builders and conversions against the Fraction routines
+
+
+def _same(got, want):
+    """Equal entry by entry, in value and in type (Fraction vs int)."""
+    return (tuple(got) == tuple(want)
+            and [type(x) for x in got] == [type(x) for x in want])
+
+
+@pytest.mark.parametrize("n", range(2, 7))
+def test_j_projective_equals_fraction_oracle(n):
+    for D in (n, 3 * n + 1, 40, 161, 250):
+        J = j_projective(n, D)
+        want = oracles.j_projective_fraction(n, D)
+        assert sorted(J.coeffs) == [0] + sorted(want), (n, D)
+        for d, v in want.items():
+            assert _same(J.coeffs[d].coeffs, v), (n, D, d)
+
+
+@pytest.mark.parametrize("n", range(3, 7))
+def test_quantum_lefschetz_equals_fraction_oracle(n):
+    JX = j_projective(n, 60)
+    ambient = {d: v.coeffs for d, v in JX.coeffs.items()}
+    for a in range(1, n):
+        JY = quantum_lefschetz(JX, a)["JY"]
+        want = oracles.lefschetz_twist_fraction(ambient, n, a, 60)
+        assert sorted(JY.coeffs) == sorted(want), (n, a)
+        for d, v in want.items():
+            assert _same(JY.coeffs[d].coeffs, v), (n, a, d)
+
+
+def test_quintic_residuals_equal_fraction_oracle():
+    want = oracles.quintic_residuals_fraction(60)
+    for order in range(1, 61):
+        got = [r["residual"] for r in
+               quintic_pf_annihilation(order)["residuals"]]
+        assert len(got) == order + 1
+        assert all(_same(g, w) for g, w in zip(got, want)), order
+
+
+def _converted(c, ctx):
+    """(m, s) of c as mpmath converts it in ctx, rounded toward zero."""
+    return _scaled(ctx.convert(c), ctx.prec, ctx)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(15, 300), st.integers(-(1 << 1500), 1 << 1500),
+       st.integers(1, 1 << 1500))
+def test_fixed_ratio_equals_mpmath_conversion(P, p, q):
+    ctx = working_context(P)
+    if p:
+        assert _fixed_ratio(p, q, ctx.prec) \
+            == _converted(Fraction(p, q), ctx)
+        assert _fixed_ratio(p, 1, ctx.prec) == _converted(p, ctx)
+
+
+@pytest.mark.parametrize("P", [15, 16, 50, 100, 299, 300])
+def test_fixed_ratio_edge_cases(P):
+    ctx = working_context(P)
+    rng = random.Random(P)
+    for _ in range(40):
+        q = rng.randrange(1, 1 << rng.choice((1, 8, 60, 400, 3000)))
+        k = rng.randrange(-2000, 2000)
+        # |c| = 2^k, on the boundary of its magnitude, and one either side
+        # of the numerator q 2^k, over an unreduced denominator
+        top = q << k if k >= 0 else q
+        bottom = 1 if k >= 0 else 1 << -k
+        for p in filter(None, (top - 1, top, top + 1)):
+            for sign in (1, -1):
+                want = _converted(Fraction(sign * p, q * bottom), ctx)
+                assert _fixed_ratio(sign * p, q * bottom, ctx.prec) == want
+        # ints wider than the precision, and huge denominators
+        wide = rng.randrange(1, 1 << rng.randrange(ctx.prec, 4000))
+        for sign in (1, -1):
+            assert _fixed_ratio(sign * wide, 1, ctx.prec) \
+                == _converted(sign * wide, ctx)
+            assert _fixed_ratio(sign, wide, ctx.prec) \
+                == _converted(Fraction(sign, wide), ctx)
+
+
+def _convert_view(J, t, P):
+    """J's numeric view as built by converting every coefficient with
+    mpmath: the 15-digit peaks and their log10, and the rows at the working
+    precision `evaluate_j(J, t, P=P)` picks from them."""
+    scan = working_context(15)
+    degrees = J.nonzero_degrees()
+    peaks = [max((abs(scan.convert(c)) for c in J.coeffs[d].coeffs if c),
+                 default=scan.mpf(0)) for d in degrees]
+    view = _NumericView(degrees, peaks, [float(scan.log10(m)) if m
+                                         else -math.inf for m in peaks], {})
+    wdps = P + max(0, _peak_digits(view, t)) + 20
+    ctx = working_context(wdps)
+    rows = [[ctx.convert(c) for c in J.coeffs[d].coeffs] for d in degrees]
+    view.rows[wdps] = (
+        [[(k, *_scaled(row[i], ctx.prec, ctx))
+          for k, row in enumerate(rows) if row[i]]
+         for i in range(J.ring.rank)],
+        [[_scaled(abs(c), ctx.prec, ctx) for c in row if c]
+         for row in rows[-2:]],
+        [(i, j, ctx.convert(s)) for j, col in enumerate(J.ring.c1_matrix())
+         for i, s in enumerate(col) if s])
+    return view
+
+
+def _bitwise(rec):
+    return ([(x.real._mpf_, x.imag._mpf_) for x in rec["value"].coeffs],
+            rec["tail_estimate"]._mpf_, rec["converged"], rec["work_digits"])
+
+
+@pytest.mark.parametrize("build", [
+    lambda: j_projective(2, 40), lambda: j_projective(3, 60),
+    lambda: j_projective(4, 80), lambda: j_projective(5, 100),
+    lambda: quantum_lefschetz(j_projective(4, 80), 2)["JY"],
+    lambda: quantum_lefschetz(j_projective(4, 40), 3)["JY"],
+    lambda: bcfk_j_series(2, 4, 40), lambda: bcfk_j_series(3, 6, 24)],
+    ids=["P1", "P2", "P3", "P4", "X(4,2)", "X(4,3)", "Gr(2,4)", "Gr(3,6)"])
+def test_evaluate_j_bitwise_equal_to_per_coefficient_conversion(build):
+    ts = (Fraction(1, 3), Fraction(7, 10), 1, Fraction(5, 2), 12,
+          Fraction(251, 10), 0.37)
+    J = build()
+    for t in ts:
+        for P in (15, 50, 100):
+            twin = JSeries(J.ring, J.D, J.coeffs)
+            twin.__dict__["_numeric"] = view = _convert_view(twin, t, P)
+            assert [p._mpf_ for p in J._numeric.peaks] \
+                == [p._mpf_ for p in view.peaks]
+            assert J._numeric.log_peaks == view.log_peaks
+            for half_turns in (0, 1):
+                assert _bitwise(evaluate_j(J, t, P=P, half_turns=half_turns)) \
+                    == _bitwise(evaluate_j(twin, t, P=P,
+                                           half_turns=half_turns)), \
+                    (t, P, half_turns)
+            assert len(view.rows) == 1      # the converted rows were read
+
+
+@pytest.mark.parametrize("n, a", [(4, 2), (4, 3), (5, 3)])
+def test_moment_view_equals_fraction_reading(n, a):
+    # MomentSum's exact view read off the int rows is the one read off
+    # the Fraction coefficients: offsets from the reduced max |J_d|, the
+    # columns over the common denominator, and the tail ratio
+    J = quantum_lefschetz(j_projective(n, 120), a)["JY"]
+    rows = [[Fraction(c) for c in J.coeffs[d].coeffs]
+            for d in J.nonzero_degrees()]
+    den = math.lcm(*(c.denominator for row in rows for c in row))
+    tops = [max(map(abs, row)) for row in rows]
+    offsets = [p.numerator.bit_length() - p.denominator.bit_length() + 1
+               if p else 0 for p in tops]
+    view = J._moments
+    assert view.offsets == offsets
+    assert view.columns == [[int(row[j] * den) << (max(offsets) - off)
+                             for row, off in zip(rows, offsets)]
+                            for j in range(J.ring.rank)]
+    assert Fraction(*view.tail) == tops[-1] / tops[-2]
+
+
+def test_first_evaluation_converts_no_fraction_per_coefficient(monkeypatch):
+    # mpmath sees a coefficient only as an int mantissa: the numeric view
+    # and the rows of a first evaluate_j make at most one conversion of a
+    # Fraction per degree
+    J = j_projective(3, 250)
+    ctx_type = type(working_context(15))
+    convert = ctx_type.convert
+    count = 0
+
+    def counting(ctx, x, *args, **kwargs):
+        nonlocal count
+        count += isinstance(x, Fraction)
+        return convert(ctx, x, *args, **kwargs)
+
+    monkeypatch.setattr(ctx_type, "convert", counting)
+    evaluate_j(J, 12, P=50)
+    assert count <= len(J.coeffs)
