@@ -35,7 +35,7 @@ from .laurent import ResourceBudgetExceeded
 from .mirror import PartialPeriodError, conifold_point, \
     constant_term_series, fekete_limit, projective_rays, property_o_report, \
     przyjalkowski_model, toric_mirror_from_rays
-from .oscillatory import _orthant_integral, \
+from .oscillatory import _orthant_integral, _quadrature_digits, \
     central_charge_structure_sheaf, laplace_lefschetz_check
 from .ring import build_hypersurface_ambient_ring, build_projective_ring, \
     gamma_class, ring_to_json_dict
@@ -359,10 +359,11 @@ def cmd_oscillatory(args, spec):
     osc, quad = _orthant_integral(spec.mirror(), 1 / t, args.quad_tol,
                                   args.digits)
     rel = abs(Z - osc) / abs(Z)
-    # quad is the difference of two grid sums that carry --digits + 10
-    # digits, so its leading digits cancel: print only those it keeps
+    # quad is the difference of two grid sums that carry the quadrature's
+    # digits plus 10, so its leading digits cancel: print only those it keeps
     ctx = working_context(args.digits)
-    known = args.digits + 10 - int(ctx.ceil(abs(ctx.log10(quad)))) if quad \
+    kept = _quadrature_digits(args.quad_tol, args.digits) + 10
+    known = kept - int(ctx.ceil(abs(ctx.log10(quad)))) if quad \
         else args.digits
     return ({"value": {"t": t, "central_charge": Z,
                        "oscillatory_integral": osc,

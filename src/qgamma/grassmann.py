@@ -324,7 +324,7 @@ def bcfk_j_series(r: int, n: int, D: int) -> JSeries:
             if c:
                 coords[K] = c
         wedge = AntiSymmetricElement(r=r, n=n, coeffs=coords)
-        coeffs[n * m] = (-1) ** ((r - 1) * m) * satake_map(wedge, R)
+        coeffs[n * m] = satake_map(wedge, R) * (-1) ** ((r - 1) * m)
     return JSeries(ring=R, D=D, coeffs=coeffs)
 
 

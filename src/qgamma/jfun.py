@@ -187,6 +187,7 @@ def j_projective(n: int, D: int) -> JSeries:
         raise ValueError("truncation below the first nonzero coefficient")
     R = build_projective_ring(n)
     coeffs = {0: R.unit()}
+    rows = {0: (1, [1] + [0] * (n - 1))}
     cur, den = [1], 1           # series in h mod h^n, over den
     d = 1
     while n * d <= D:
@@ -195,8 +196,17 @@ def j_projective(n: int, D: int) -> JSeries:
         g = gcd(den, *cur)
         cur, den = [x // g for x in cur], den // g
         coeffs[n * d] = R.vector(tuple(Fraction(x, den) for x in cur))
+        rows[n * d] = den, cur
         d += 1
-    return JSeries(ring=R, D=D, coeffs=coeffs)
+    return _with_rows(JSeries(ring=R, D=D, coeffs=coeffs), rows)
+
+
+def _with_rows(J: JSeries, rows: dict) -> JSeries:
+    """J with `rows` as its `_int_rows`, from the builder that made its
+    coefficients from them: each row reduced against its denominator, so
+    they equal what `_int_rows` would read back from the Fractions."""
+    J.__dict__["_int_rows"] = rows
+    return J
 
 
 def _inverse_power(k: int, e: int, n: int):
@@ -279,13 +289,16 @@ def quantum_lefschetz(JX: JSeries, a: int, DY: int | None = None) -> dict:
             S.append((L * factorial(m), w[0]))
             w = [[y - c * x for x, y in zip(lo, hi)]
                  for lo, hi in zip(w, w[1:])]
-    coeffs = {(r - a) * dd: amb.vector(tuple(Fraction(x, den) for x in row))
-              for dd, (den, row) in enumerate(S)}
     Dout = (r - a) * nmax
     if DY is not None:
         Dout = min(Dout, DY)
-        coeffs = {d: v for d, v in coeffs.items() if d <= Dout}
-    JY = JSeries(ring=amb, D=Dout, coeffs=coeffs)
+    rows = {}
+    for dd, (den, row) in enumerate(S[:Dout // (r - a) + 1]):
+        g = gcd(den, *row)
+        rows[(r - a) * dd] = den // g, [x // g for x in row]
+    coeffs = {d: amb.vector(tuple(Fraction(x, den) for x in row))
+              for d, (den, row) in rows.items()}
+    JY = _with_rows(JSeries(ring=amb, D=Dout, coeffs=coeffs), rows)
 
     # (T0/(r-a))^(r-a) = a^a (T_X/r)^r with T_X = r here
     return {"JY": JY, "c0": c0, "T0": _t0_value(a, r - a)}

@@ -7,16 +7,22 @@ computed by the midpoint rule in logarithmic coordinates on a truncated box.
 The rule converges geometrically in the grid size, so a few small grids
 predict the grid that meets the tolerance, and that grid is summed and
 confirmed by one about 5/4 its size; the answer is the finer grid of a pair
-seen to agree.  On a grid each monomial's factor e^(-(c/z) x^e) takes one
-value per integer exponent of e^(h/2), so every monomial of a coefficient
-reads one table per parity of that integer, filled on ints by one
-fixed-point exp per entry, and no node needs an exp of its own.  The
-truncation radius comes from an exact convexity bound: for each coordinate
-direction +-e_i one exact LP gives the largest rho with rho*(+-e_i) inside
-the Newton polytope of f, and all 2m reaches are positive exactly when the
-origin is interior to it; weighted AM-GM then gives f(e^u) >= c_min *
-e^(rho * |u_i|) on the corresponding face, which pins the box size for a
-requested decay.
+seen to agree.  Everything runs at the digits the tolerance needs plus
+10 guard digits, not at the digits of the answer's context.  On a grid
+each monomial's factor e^(-(c/z) x^e) takes one value per integer
+exponent of e^(h/2), so every monomial of a coefficient reads one table
+per parity of that integer, filled on ints from one fixed-point e^(h/2)
+per grid by one fixed-point exp per entry, and no node needs an exp of
+its own.  When f is x_1^(+-1) + ... + x_m^(+-1) + c x^q up to
+coefficients, as the P^n mirrors are, the grid sum is one big-int product
+of the axis tables packed into ints (Kronecker substitution) read against
+the coupling term's table, in any dimension; every other f is summed row
+by row and keeps a cap of 3 variables.  The truncation radius comes from
+an exact convexity bound: for each coordinate direction +-e_i one exact
+LP gives the largest rho with rho*(+-e_i) inside the Newton polytope of
+f, and all 2m reaches are positive exactly when the origin is interior
+to it; weighted AM-GM then gives f(e^u) >= c_min * e^(rho * |u_i|) on
+the corresponding face, which pins the box size for a requested decay.
 
 The Laplace route integrates the ambient series against e^(-s) as one
 tanh-sinh sum over the whole vector, by linearity: the nodes go into the
@@ -98,36 +104,114 @@ def _truncation_radius(f: LaurentPolynomial, z, digits, rho, ctx):
                ctx.log(need if need > 1 else ctx.mpf(2)) / ctx.convert(rho))
 
 
-def _exp_table(c, zc, R, h, F, ctx):
-    """[e^(-x_i) for i = -R, -R + 2, ..., R], x_i = (c/z) e^(i h/2), as ints
-    at scale 2^F, each correct to absolute 2^-(F-1).
+def _exp_tables(reach, zc, h, F, ctx):
+    """{(c, p): [e^(-x_i) for i = -R, -R + 2, ..., R]} for each (c, p) -> R
+    of `reach`, with R = p (mod 2) and x_i = (c/z) e^(i h/2), as ints at
+    scale 2^F, each within 2^-(F-1) of its value.
 
-    Built at G = F + bitlen(F) + g + 8 bits, 2^g >= 1/(2h) with g = -mag(h)
-    for h < 1: x_i is taken from an mpf once, at the highest i whose entry is
-    not yet 0 at scale 2^F (there x_i <= (F + 1) ln 2 < F), and walked down by
-    x_(i-2) = x_i e^(-h) on ints.  Each step's truncation then shrinks by
-    e^(-h) per step carried, and the error of e^(-h) is carried k steps as
-    x_top k e^(-(k-1)h) 2^-G <= 2^-G F/h, so every x_i is off by about
-    2^-G (F + 1)/h < 2^-(F+6).  Each entry is `exp_fixed(-x_i)` at G bits
-    cut to scale 2^F, off by less than 2^-F + 2^-(F+6).
+    Every table of the grid is walked on G-bit ints from one fixed-point
+    E = e^(h/2), taken from an mpf exp at G + 10 bits: x_p = (c/z) E^p
+    with c/z one int division, then x_(i+2) = x_i e^h upward and x_(i-2) =
+    x_i e^(-h) down to -R, with e^h = E^2 and e^(-h) its reciprocal, each
+    off by at most (e^h + 4) 2^-G relatively.  The upward walk stops at the
+    first x >= (F + 1) ln 2: e^(-x) is below 2^-(F+1) there and above, so
+    those entries are 0 at scale 2^F.  Each step truncates x by 2^-G.
+    Upward, where x grows, the truncations add at most 2^-G/(x_p (1 -
+    e^(-h))) to x's relative error, and e^(-x) moves by less than x e^(-x)
+    < 1/2 of it; downward they shrink by e^(-h) per step, so x's absolute
+    error stays below k x_p (e^h + 4) 2^-G + 2^-G/(1 - e^(-h)) after k
+    steps, and e^(-x) moves by at most that.  G - F holds 6 bits more than
+    R, e^h + 4, c/z + z/c and 1 + 1/h take, so either error is below
+    2^-(F+3); an entry is exp_fixed(-x_i) at G bits, off by a few units of
+    2^-G, cut to scale 2^F, so it is off by less than 2^-F + 2^-(F+2).
     """
-    G = F + F.bit_length() + max(0, -ctx.mag(h)) + 8
-    gp = G + F.bit_length() + 2     # an mpf x < F is then off < 2^-G
-    limit = (F + 1) * ctx.ln2       # past it e^(-x) is 0 at scale 2^F
-    top = min(R, int(ctx.floor(2 * ctx.ln(limit / (ctx.convert(c) / zc))
-                                   / h)))
-    top -= (top - R) % 2
-    x = to_fixed(ctx.fdiv(
-        ctx.fmul(ctx.exp(ctx.ldexp(ctx.fmul(top, h, exact=True), -1),
-                         prec=gp), c.numerator, exact=True),
-        ctx.fmul(zc, c.denominator, exact=True), prec=gp), G)
-    step = to_fixed(ctx.exp(-h, prec=G + 8), G)
+    span = max(abs(ctx.mag(ctx.convert(c) / zc)) for c, _ in reach) + 1
+    G = (F + 6 + max(reach.values()).bit_length() + span
+         + int(1.5 * float(h)) + 3 + max(0, -ctx.mag(h)) + 2)
     ln2 = ln2_fixed(G)
-    entries = []
-    for _ in range((top + R) // 2 + 1):
-        entries.append(exp_fixed(-x, G, ln2) >> (G - F))
-        x = x * step >> G
-    return entries[::-1] + [0] * (R + 1 - len(entries))
+    limit = (F + 1) * ln2
+    E = to_fixed(ctx.exp(ctx.ldexp(h, -1), prec=G + 10), G)
+    up = E * E >> G
+    down = (1 << 2 * G) // up
+    _, zm, ze, _ = zc._mpf_
+    shift = G - ze
+    tables = {}
+    for (c, p), R in reach.items():
+        x = (c.numerator << shift) // (c.denominator * zm) if shift >= 0 \
+            else c.numerator // (c.denominator * zm << -shift)
+        if p:
+            x = x * E >> G
+        table = [0] * (R + 1)       # i = 2k - R at index k
+        start = x
+        for k in range((p + R) // 2, R + 1):
+            if x >= limit:
+                break
+            table[k] = exp_fixed(-x, G, ln2) >> (G - F)
+            x = x * up >> G
+        x = start
+        for k in range((p + R) // 2 - 1, -1, -1):
+            x = x * down >> G
+            table[k] = exp_fixed(-x, G, ln2) >> (G - F)
+        tables[c, p] = table
+    return tables
+
+
+def _one_coupling(f: LaurentPolynomial):
+    """(axes, (c, q)) when f is sum_i a_i x_i^(s_i) + c x^q with s_i = +-1,
+    one such term per axis, and every q_i nonzero: axes[i] = (a_i, s_i).
+    Otherwise None.  The P^n mirrors, however their variables are permuted
+    or inverted, have this form."""
+    m = f.nvars
+    items = list(f.items())
+    if len(items) != m + 1:
+        return None
+    for k, (q, c) in enumerate(items):
+        axes = [None] * m
+        for e, a in items[:k] + items[k + 1:]:
+            if sum(map(abs, e)) != 1:
+                break
+            i = next(i for i, x in enumerate(e) if x)
+            if axes[i] is not None:
+                break
+            axes[i] = a, e[i]
+        else:
+            if all(q):
+                return axes, (c, q)
+    return None
+
+
+def _coupled_sum(axes, coupling, tables, npts, F):
+    """The grid sum of `_grid_sum` for an f of `_one_coupling` form, at
+    scale 2^((m+1)F), as an int, with no row loop.
+
+    With u_i = j_i where q_i > 0 and N - 1 - j_i where q_i < 0, the
+    coupling term's exponent is (2S - (N - 1)|q|_1) h/2 with S = sum |q_i|
+    u_i, so the sum is sum_S C(S) W(S): C the coupling term's table, W the
+    convolution of the m axis tables, each along stride |q_i|.  Each axis
+    table is packed into one int, slot k |q_i| holding its entry at u_i =
+    k, with slots wide enough for N^(m-1) products of m entries below
+    2^F; one big-int product of the m packings then holds every W(S)
+    exactly, and the slots are read back against C.
+    """
+    c, q = coupling
+    m, n1 = len(q), npts - 1
+    nb = -(-(m * F + (npts ** (m - 1)).bit_length() + 1) // 8)
+    packed = 1
+    for (a, s), qi in zip(axes, q):
+        T = tables[a, n1 % 2]
+        off = (len(T) - npts) // 2
+        vals = T[off:off + npts]        # along j if s > 0, else reversed
+        if (s > 0) != (qi > 0):
+            vals = vals[::-1]
+        gap = bytes(nb * (abs(qi) - 1))
+        packed *= int.from_bytes(b"".join(v.to_bytes(nb, "little") + gap
+                                         for v in vals), "little")
+    width = n1 * sum(map(abs, q)) + 1
+    T = tables[c, n1 * sum(q) % 2]
+    off = (len(T) - width) // 2
+    raw = packed.to_bytes(width * nb, "little")
+    return sum(x * int.from_bytes(raw[k * nb:(k + 1) * nb], "little")
+               for k, x in enumerate(T[off:off + width]) if x)
 
 
 def _grid_sum(f, z, L, npts, ctx):
@@ -136,16 +220,19 @@ def _grid_sum(f, z, L, npts, ctx):
     On the nodes u = (2 j + 1 - N) h/2, N = npts and h = 2L/N, the exponent
     <e, u> of a monomial is i h/2 with the integer i = 2<e, j> + s(1 - N),
     s = e_1 + ... + e_m, so |i| <= (N - 1)|e|_1 and i = s(1 - N) mod 2: its
-    factor e^(-(c/z) e^(i h/2)) comes from the one `_exp_table` of (c, i mod
-    2) that every monomial with that coefficient and parity reads, correct
-    to absolute 2^-(F-1), the bound the products below take.  The
-    sum runs row by row over j_1..j_(m-1): monomials free of x_m give one
-    weight per row, the others strided slices of their tables over j_m.
-    Products are shifted back by F, each row is one int dot product, and
-    the total is rounded once.  The sum is at least the integrand
-    e^(-f(x0)/z) at the node x0 nearest (1, ..., 1), so F puts prec + 10 +
-    bitlen(npts^m) bits below that value and the error stays relative
-    however small z makes the integrand.
+    factor e^(-(c/z) e^(i h/2)) comes from the one table of (c, i mod 2)
+    that every monomial with that coefficient and parity reads
+    (`_exp_tables`), correct to absolute 2^-(F-1), the bound the products
+    below take.  When f is the P^n mirror's form (`_one_coupling`) the sum
+    is one big-int product (`_coupled_sum`), exact on the table entries,
+    in any dimension.  Otherwise it runs row by row over j_1..j_(m-1):
+    monomials free of x_m give one weight per row, the others strided
+    slices of their tables over j_m; products are shifted back by F and
+    each row is one int dot product.  Either way the total is rounded
+    once.  The sum is at least the integrand e^(-f(x0)/z) at the node x0
+    nearest (1, ..., 1), so F puts prec + 10 + bitlen(npts^m) bits below
+    that value and the error stays relative however small z makes the
+    integrand.
     """
     m = f.nvars
     h = 2 * L / npts
@@ -160,14 +247,19 @@ def _grid_sum(f, z, L, npts, ctx):
     for e, c in f.items():
         key = (c, sum(e) * (1 - npts) % 2)
         reach[key] = max(reach.get(key, 0), (npts - 1) * sum(map(abs, e)))
-    tables = {key: (R, _exp_table(key[0], zc, R, h, F, ctx))
-              for key, R in reach.items()}
+    tables = _exp_tables(reach, zc, h, F, ctx)
+    coupled = _one_coupling(f)
+    if coupled is not None:
+        total = _coupled_sum(*coupled, tables, npts, F)
+        return from_fixed(ctx, total, (m + 1) * F) * h ** m
+
     free, along = [], []
     for e, c in f.items():
         i0 = sum(e) * (1 - npts)        # i at j = 0
-        R, table = tables[c, i0 % 2]
+        key = c, i0 % 2
         # table index (i + R)/2 = <e, j> - lo
-        (along if e[-1] else free).append((e, -((i0 + R) // 2), table))
+        (along if e[-1] else free).append(
+            (e, -((i0 + reach[key]) // 2), tables[key]))
 
     weights, rows = [], []
     for head in product(range(npts), repeat=m - 1):
@@ -189,22 +281,34 @@ def _grid_sum(f, z, L, npts, ctx):
 
 
 def oscillatory_integral(f: LaurentPolynomial, z, tol=1e-12, P: int = 50):
-    """The integral of e^(-f(x)/z) dx_1...dx_m/(x_1...x_m) over x_i > 0, at
-    P digits.
+    """The integral of e^(-f(x)/z) dx_1...dx_m/(x_1...x_m) over x_i > 0,
+    as an mpf of working_context(P) that carries the digits tol asks for.
 
     Requires positive coefficients and the origin interior to the Newton
     polytope (so the integrand decays in every direction).  The value is
     the finer grid of the first pair of midpoint grids in log coordinates
-    that agree to tol relatively (`_orthant_integral`); raises if the grid
-    cap comes first, and before any grid when tol is below the working
-    precision 10^-(P+10), where no agreement could confirm it.
+    that agree to tol relatively (`_orthant_integral`), summed at the
+    `_quadrature_digits(tol, P)` digits that tol needs plus 10 guard
+    digits; raises if the grid cap comes first, and before any grid when
+    tol is below 10^-(P+10), where no agreement could confirm it.
     """
     return _orthant_integral(f, z, tol, P)[0]
 
 
+def _quadrature_digits(tol, P: int) -> int:
+    """The digits an orthant integral to relative tol carries:
+    min(P, ceil(-log10 tol) + 5), with ceil(-log10 tol) taken as 0 for tol
+    >= 1.  Its grids are summed at 10 guard digits more."""
+    lo = working_context(15)
+    return min(P, max(0, int(lo.ceil(-lo.log10(lo.convert(tol))))) + 5)
+
+
 def _orthant_integral(f: LaurentPolynomial, z, tol, P: int):
     """`oscillatory_integral` and the relative difference of the pair of
-    grids it accepted, an estimate of its error, as two mpfs at P digits.
+    grids it accepted, an estimate of its error, as two mpfs of
+    working_context(P).  Both carry `_quadrature_digits(tol, P)` = need
+    digits: the grids, their truncation box (sized for a decay of
+    10^-(need+10)) and the pair's agreement are all taken at need + 10.
 
     The midpoint rule in log coordinates converges geometrically in the
     points per axis N (Trefethen and Weideman, SIAM Review 56, 2014), so
@@ -219,25 +323,27 @@ def _orthant_integral(f: LaurentPolynomial, z, tol, P: int):
     or twice the last grid when the envelope is not falling.  A grid is
     accepted when it has at least 5/4 of the points of the one before and
     agrees with it to tol relatively: never on a prediction alone.
-    Raises past `_MAX_POINTS` points per axis.
+    Raises past `_MAX_POINTS` points per axis, and on an f of more than
+    `_MAX_DIM` variables unless it has the P^n mirror's form
+    (`_one_coupling`), whose grids cost a big-int product each.
     """
     if any(c <= 0 for _, c in f.items()):
         raise ValueError("need strictly positive coefficients")
     m = f.nvars
-    if m > _MAX_DIM:
+    if m > _MAX_DIM and _one_coupling(f) is None:
         raise ValueError(f"integral dimension {m} above the cap {_MAX_DIM}")
     rho = _min_reach(tuple(sorted(e for e, _ in f.items())), m)
-    wp = P + 10
-    ctx = working_context(wp)
+    need = _quadrature_digits(tol, P)
+    ctx = working_context(need + 10)
     zc = ctx.convert(z)
     if not zc > 0:
         raise ValueError("need z > 0")
-    rel = ctx.convert(tol)
-    if rel < ctx.mpf(10) ** -wp:
+    top = working_context(P + 10)
+    if top.convert(tol) < top.mpf(10) ** -(P + 10):
         raise ArithmeticError(f"quadrature tol {tol} below the working "
-                              f"precision 1e-{wp}")
-    digits = P + _MARGIN_DIGITS
-    L = _truncation_radius(f, zc, digits, rho, ctx)
+                              f"precision 1e-{P + 10}")
+    rel = ctx.convert(tol)
+    L = _truncation_radius(f, zc, need + _MARGIN_DIGITS, rho, ctx)
 
     sizes, sums = [], []
     npts = _START_POINTS
@@ -358,7 +464,7 @@ def laplace_lefschetz_check(JX: JSeries, a: int, u, tol=None, P: int = 50) -> di
     C = make_constants(P=wp)
     ginv = gamma_of_ch(-line_bundle(RY, a).ch, C)    # Gamma(1+a h)^(-1)
     pref = ctx.exp(-ctx.convert(c0) * t)
-    rhs = pref * cup(ginv, integral)
+    rhs = cup(ginv, integral) * pref
 
     abs_diff = [abs(x - y) for x, y in zip(lhs.coeffs, rhs.coeffs)]
     rel_diff = [d / max(abs(x), ctx.mpf(10) ** (-wp))

@@ -87,6 +87,13 @@ class CohomologyRing:
                     out.append((i, j, q))
         return tuple(out)
 
+    @cached_property
+    def _per_precision(self) -> dict:
+        """(what, P) -> a value that `gamma_class` or `pairing_matrix` built
+        from this ring and the constant table at P digits: each is built
+        once per ring and precision (`_per_table`)."""
+        return {}
+
     def c1_matrix(self):
         """Matrix of cup-by-c1: column j holds c1 cup basis_j in basis coords."""
         cols = []
@@ -114,8 +121,14 @@ class GradedVector:
         _same_ring(self, other)
         return GradedVector(self.ring, tuple(a - b for a, b in zip(self.coeffs, other.coeffs)))
 
-    def __rmul__(self, scalar) -> "GradedVector":
+    def __mul__(self, scalar) -> "GradedVector":
+        """The vector times a scalar, coefficientwise as scalar * c.  Put the
+        vector first: an mpf or mpc first tries to convert the vector and
+        formats it with repr for the error message before it defers to
+        `__rmul__`, at about seven times the cost of the product."""
         return GradedVector(self.ring, tuple(scalar * c for c in self.coeffs))
+
+    __rmul__ = __mul__
 
     def __neg__(self) -> "GradedVector":
         return GradedVector(self.ring, tuple(-c for c in self.coeffs))
@@ -205,7 +218,7 @@ def ring_exp(v: GradedVector) -> GradedVector:
         term = cup(term, v)
         if term.is_zero():
             break
-        acc = acc + Fraction(1, factorial(m)) * term
+        acc = acc + term * Fraction(1, factorial(m))
     return acc
 
 
@@ -278,12 +291,23 @@ def gamma_exponent_coeffs(C: ConstantTable, top: int):
     return out
 
 
+def _per_table(R: CohomologyRing, what: str, C: ConstantTable, build):
+    """`build()`, kept on R under (what, C.P): built once per ring and
+    constant-table precision, then the same value for every caller."""
+    key = what, C.P
+    out = R._per_precision.get(key)
+    if out is None:
+        out = R._per_precision[key] = build()
+    return out
+
+
 def gamma_class(R: CohomologyRing, C: ConstantTable) -> GradedVector:
     """Multiplicative Gamma class of the tangent bundle, as a basis vector:
-    `gamma_of_ch` of its Chern character."""
+    `gamma_of_ch` of its Chern character, built once per ring and
+    precision."""
     if C.K_max < R.complex_dimension:
         raise ValueError("constant table does not cover zeta up to the dimension")
-    return gamma_of_ch(R.chTF, C)
+    return _per_table(R, "gamma", C, lambda: gamma_of_ch(R.chTF, C))
 
 
 def gamma_of_ch(ch: GradedVector, C: ConstantTable) -> GradedVector:
@@ -296,7 +320,7 @@ def gamma_of_ch(ch: GradedVector, C: ConstantTable) -> GradedVector:
     for k, g in gamma_exponent_coeffs(C, R.complex_dimension).items():
         part = ch.degree_part(k)
         if not part.is_zero():
-            expo = expo + g * part
+            expo = expo + part * g
     return ring_exp(expo).map_coeffs(C.ctx.convert)
 
 
@@ -311,29 +335,25 @@ def modified_chern(E: KClass, C: ConstantTable) -> GradedVector:
 
 def _left_vector(a: GradedVector, twist: GradedVector, mu_factors, scale):
     """scale * twist cup e^(pi i mu) a, the left slot of [a, .)."""
-    return scale * cup(twist, a.scale_by_degree(mu_factors))
+    return cup(twist, a.scale_by_degree(mu_factors)) * scale
 
 
 def pairing_matrix(lefts, rights, C: ConstantTable):
     """Non-symmetric pairing [a, b) = (2 pi)^(-dim) int (e^(pi i c1)
     e^(pi i mu) a) cup b for every a in lefts and b in rights, as rows.
 
-    e^(pi i c1) is built once and each left vector once, then taken through
-    the exact Poincare form to a dual row; every entry is one dot product
-    of a dual row with b, rounded once.
+    e^(pi i c1), the e^(pi i mu) factors, (2 pi)^(-dim) and the Poincare
+    form in the table's context are built once per ring and precision
+    (`_pairing_constants`), each left vector once, then taken through the
+    form to a dual row; every entry is one dot product of a dual row with
+    b, rounded once.
     """
     R = lefts[0].ring
     for v in (*lefts, *rights):
         _same_ring(lefts[0], v)
     ctx = C.ctx
-    n = R.complex_dimension
-    half = Fraction(n, 2)
-    # e^(pi i mu): degree p scales by e^(pi i (p - n/2))
-    mu_factors = [ctx.expjpi(ctx.convert(Fraction(p) - half))
-                  for p in range(max(R.degrees) + 1)]
-    twist = ring_exp(ctx.mpc(0, C.pi) * R.c1)
-    scale = (1 / (2 * C.pi)) ** n
-    form = [(i, j, ctx.convert(q)) for i, j, q in R.poincare_form]
+    mu_factors, twist, scale, form = _per_table(
+        R, "pairing", C, lambda: _pairing_constants(R, C))
     rows = []
     for a in lefts:
         left = _left_vector(a, twist, mu_factors, scale).coeffs
@@ -344,6 +364,22 @@ def pairing_matrix(lefts, rights, C: ConstantTable):
     return rows
 
 
+def _pairing_constants(R: CohomologyRing, C: ConstantTable):
+    """The e^(pi i mu) factor per degree, e^(pi i c1), (2 pi)^(-dim) and the
+    Poincare form's entries (i, j, q) with q in C's context: what
+    `pairing_matrix` takes from R and C alone."""
+    ctx = C.ctx
+    n = R.complex_dimension
+    half = Fraction(n, 2)
+    # e^(pi i mu): degree p scales by e^(pi i (p - n/2))
+    mu_factors = tuple(ctx.expjpi(ctx.convert(Fraction(p) - half))
+                       for p in range(max(R.degrees) + 1))
+    twist = ring_exp(R.c1 * ctx.mpc(0, C.pi))
+    scale = (1 / (2 * C.pi)) ** n
+    form = tuple((i, j, ctx.convert(q)) for i, j, q in R.poincare_form)
+    return mu_factors, twist, scale, form
+
+
 def pair_bracket(a: GradedVector, b: GradedVector, C: ConstantTable):
     """[a, b): the one-by-one case of `pairing_matrix`."""
     return pairing_matrix((a,), (b,), C)[0][0]
@@ -352,7 +388,7 @@ def pair_bracket(a: GradedVector, b: GradedVector, C: ConstantTable):
 def line_bundle(R: CohomologyRing, k: int) -> KClass:
     """O(k) on a ring with a single hyperplane generator in degree 1."""
     h = R.basis_vector(R.degrees.index(1))
-    return KClass(ring_exp(k * h), label=f"O({k})")
+    return KClass(ring_exp(h * k), label=f"O({k})")
 
 
 # --------------------------------------------------------------------------

@@ -644,7 +644,9 @@ def midpoint_orthant_sum(f, z, L, npts, P):
     """Midpoint rule for the integral of e^(-f(x)/z) dx/x over x_i > 0 in
     log coordinates on the box [-L, L]^m with npts nodes per axis: the sum
     over every node u of exp(-f(e^u)/z) h^m, with h = 2L/npts, evaluating
-    f monomial by monomial at each node in its own P-digit context.
+    f monomial by monomial at each node in its own P-digit context, each
+    monomial as the product of the powers e^(e_i u_i) of the node's
+    coordinates.
     """
     ctx = mpmath.ctx_mp.MPContext()
     ctx.dps = P
@@ -652,12 +654,14 @@ def midpoint_orthant_sum(f, z, L, npts, P):
     m = len(terms[0][0])
     z, L = ctx.convert(z), ctx.convert(L)
     h = 2 * L / npts
-    axis = [-L + (j + ctx.mpf(1) / 2) * h for j in range(npts)]
+    axis = [ctx.exp(-L + (j + ctx.mpf(1) / 2) * h) for j in range(npts)]
     total = ctx.mpf(0)
-    for u in product(axis, repeat=m):
+    for x in product(axis, repeat=m):
         g = ctx.mpf(0)
         for e, c in terms:
-            g += c * ctx.exp(sum(x * ui for x, ui in zip(e, u)))
+            for xi, ei in zip(x, e):
+                c *= xi ** ei
+            g += c
         total += ctx.exp(-g / z)
     return total * h ** m
 

@@ -251,6 +251,35 @@ def test_oscillatory_prints_only_the_known_digits_of_quadrature_error(capsys):
     assert 2 <= len(mantissa) <= known < 15, text
 
 
+def test_oscillatory_quadrature_error_digits_follow_quad_tol(capsys):
+    # at --digits 50 the grids for --quad-tol 1e-12 carry 17 + 10 digits,
+    # not 60, and their difference keeps 27 - ceil(|log10 d|) of them
+    rc, out, err = run(capsys, ["oscillatory", "--space", "P1", "--t", "0.7",
+                                "-D", "80", "--quad-tol", "1e-12",
+                                "--digits", "50"])
+    assert rc == 0, err
+    text = json.loads(out)["error_estimates"]["quadrature_error"]
+    quad = mpmath.mpf(text)
+    assert 0 < quad <= 1e-12
+    known = max(2, 27 - math.ceil(-mpmath.log10(quad)))
+    mantissa = re.sub(r"[^0-9]", "", text.split("e")[0]).lstrip("0")
+    assert 2 <= len(mantissa) <= known < 15, text
+
+
+@pytest.mark.parametrize("space", ["P4", "P5"])
+@pytest.mark.parametrize("digits", ["15", "50"])
+def test_oscillatory_past_three_variables(capsys, space, digits):
+    # the P4 and P5 mirrors have four and five variables, and each of
+    # their grids is one big-int product: no dimension cap refuses them
+    rc, out, err = run(capsys, ["oscillatory", "--space", space,
+                                "--digits", digits])
+    assert rc == 0, err
+    d = json.loads(out)
+    assert d["verdict"] is True
+    assert float(d["value"]["relative_difference"]) < 1e-12
+    assert 0 < float(d["error_estimates"]["quadrature_error"]) <= 1e-12
+
+
 def test_lefschetz_without_tol_states_no_verdict(capsys):
     rc, out, err = run(capsys, ["lefschetz", "--space", "X(4,2)", "-D", "40"])
     assert rc == 0
@@ -522,8 +551,11 @@ def test_usage_errors_exit_2(capsys):
          "bad mutation token 'Q1'"),
         (["mutate", "--space", "P3", "--word", "R9"],
          "mutation position 9 out of range"),
-        (["oscillatory", "--space", "P4", "--digits", "20"],
-         "dimension 4 above the cap 3"),
+        # the mirror check is wired for projective spaces only (P4 and
+        # P5, once refused at the dimension cap, now run: see
+        # test_oscillatory_past_three_variables)
+        (["oscillatory", "--space", "X(4,2)", "--digits", "20"],
+         "oscillatory check is wired for P<n> spaces"),
         # the integral carries an error near --quad-tol
         (["oscillatory", "--space", "P1", "--quad-tol", "1e-6"],
          "--quad-tol 1e-06 must be below --tol 1e-06"),

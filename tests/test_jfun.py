@@ -375,6 +375,27 @@ def test_quantum_lefschetz_equals_fraction_oracle(n):
             assert _same(JY.coeffs[d].coeffs, v), (n, a, d)
 
 
+@pytest.mark.parametrize("n", range(2, 7))
+def test_handed_rows_equal_the_rows_read_back(n):
+    # j_projective and quantum_lefschetz hand the series the reduced int
+    # rows they built its Fractions from: they are the rows `_int_rows`
+    # reads back from the Fractions of an equal series
+    def read_back(J):
+        return JSeries(J.ring, J.D, J.coeffs)._int_rows
+
+    for D in (n, 40, 250):
+        J = j_projective(n, D)
+        assert "_int_rows" in vars(J)
+        assert J._int_rows == read_back(J), (n, D)
+        assert all(type(x) is int for _, row in J._int_rows.values()
+                   for x in row)
+        for a in range(1, n) if n > 2 else ():
+            for DY in (None, D // 2):
+                JY = quantum_lefschetz(J, a, DY)["JY"]
+                assert "_int_rows" in vars(JY)
+                assert JY._int_rows == read_back(JY), (n, D, a, DY)
+
+
 def test_quintic_residuals_equal_fraction_oracle():
     want = oracles.quintic_residuals_fraction(60)
     for order in range(1, 61):

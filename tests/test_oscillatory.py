@@ -16,7 +16,7 @@ from qgamma.mirror import (projective_rays, przyjalkowski_model,
 from qgamma.oscillatory import (_direction_reach,
                                 central_charge_structure_sheaf,
                                 laplace_lefschetz_check, oscillatory_integral)
-from qgamma.ring import (build_hypersurface_ambient_ring,
+from qgamma.ring import (GradedVector, build_hypersurface_ambient_ring,
                          build_projective_ring, gamma_class, gamma_of_ch,
                          line_bundle)
 from qgamma.scalars import make_constants, private_context, working_context
@@ -88,6 +88,20 @@ def test_master_identity_projective_3_space():
     cc = central_charge_structure_sheaf(
         J, gamma_class(J.ring, make_constants(P=15)), 1, P=15)
     assert abs(cc - Z) / abs(Z) < 1e-7
+
+
+@pytest.mark.parametrize("n", [5, 6])
+@pytest.mark.parametrize("P", [15, 50])
+def test_master_identity_projective_4_and_5_space(n, P):
+    # four and five variables, past the row loop's cap: each grid is one
+    # big-int product; within tol 1e-12 of the central charge (1.4e-16
+    # and 2.4e-17 seen at P = 15 and 50)
+    f = toric_mirror_from_rays(projective_rays(n))
+    J = j_projective(n, 120)
+    Z = oscillatory_integral(f, 1, tol=1e-12, P=P)
+    cc = central_charge_structure_sheaf(
+        J, gamma_class(J.ring, make_constants(P=P)), 1, P=P)
+    assert abs(cc - Z) / abs(Z) < 1e-12, (n, P)
 
 
 def test_dimension_cap():
@@ -257,6 +271,23 @@ def test_tol_below_working_precision_sums_no_grid(monkeypatch):
             oscillatory_integral(f, 1, tol=10.0 ** -(P + 11), P=P)
 
 
+def test_grids_are_summed_at_the_digits_tol_needs(monkeypatch):
+    # tol 1e-12 needs 17 digits, so the grids run at 27, not at P + 10 =
+    # 60; the value is still an mpf of the P-digit context
+    precs = []
+    grid_sum = oscillatory._grid_sum
+
+    def recorded(f, z, L, npts, ctx):
+        precs.append(ctx.prec)
+        return grid_sum(f, z, L, npts, ctx)
+    monkeypatch.setattr(oscillatory, "_grid_sum", recorded)
+    f = toric_mirror_from_rays(projective_rays(3))
+    Z = oscillatory_integral(f, 1, tol=1e-12, P=50)
+    assert oscillatory._quadrature_digits(1e-12, 50) == 17
+    assert precs and max(precs) <= working_context(17 + 10).prec, precs
+    assert Z.context is working_context(50)
+
+
 def _kernel_cases():
     def poly(m, terms):
         return LaurentPolynomial(m, {e: Fraction(c) for e, c in terms.items()})
@@ -276,6 +307,15 @@ def _kernel_cases():
         # x and x^-1 y^-2 share the table of c = 2 with s = 1 and s = -3,
         # and x y reads the other parity of it
         poly(2, {(1, 0): 2, (0, 1): 1, (-1, -2): 2, (1, 1): 2}),
+        # the P2 and P3 mirrors with their variables permuted and some
+        # inverted: the coupling term's exponents have both signs
+        poly(2, {(0, -1): 1, (1, 0): 1, (-1, 1): 1}),
+        poly(3, {(0, 0, -1): 1, (1, 0, 0): 1, (0, -1, 0): 1,
+                 (-1, 1, 1): 1}),
+        # the coupling term walks y with stride 2
+        poly(2, {(1, 0): 1, (0, 1): 2, (-1, -2): Fraction(1, 3)}),
+        # four variables: only the big-int product sums it
+        toric_mirror_from_rays(projective_rays(5)),
     ]
 
 
@@ -283,13 +323,17 @@ def test_grid_sum_against_per_node_oracle():
     # odd and even npts take the tables of one parity or both; z = 1/20
     # cuts each table well below its top index, z = 20 hardly at all;
     # at P = 200 the fixed-point exps run past mpmath's 600-bit switch;
-    # 3-D grids of 12^3 nodes run at every P but 200 for z = 3/4 and 2
+    # 3-D grids of 12^3 nodes run at every P but 200 for z = 3/4 and 2,
+    # 4-D grids of 6^4 and 7^4 nodes only there
     for P in (15, 50, 200):
         ctx = working_context(P + 10)
         for f, (z, L) in product(_kernel_cases(), (
                 (Fraction(1, 20), 2), (Fraction(3, 4), Fraction(5, 2)),
                 (2, 3), (20, 3))):
-            big = P < 200 and (f.nvars < 3 or z in (Fraction(3, 4), 2))
+            some = P < 200 and z in (Fraction(3, 4), 2)
+            if f.nvars > 3 and not some:
+                continue
+            big = P < 200 and f.nvars < 3 or f.nvars == 3 and some
             for npts in (6, 7, 12) if big else (6, 7):
                 got = oscillatory._grid_sum(f, ctx.convert(z), ctx.convert(L),
                                             npts, ctx)
@@ -298,31 +342,55 @@ def test_grid_sum_against_per_node_oracle():
                     (P, f.terms, z, npts)
 
 
+def test_coupled_sum_against_the_row_loop(monkeypatch):
+    # the big-int product against the row loop, which sums the same
+    # tables with a shift back to 2^F after each product: on the mirrors
+    # of that form in one to three variables they agree far below the
+    # 10^-(P+5) the oracle test asks
+    cases = [f for f in _kernel_cases()
+             if f.nvars <= 3 and oscillatory._one_coupling(f) is not None]
+    assert len(cases) == 7
+    for P in (15, 50):
+        ctx = working_context(P + 10)
+        for f, z, npts in product(cases, (Fraction(1, 20), 2), (7, 12)):
+            zc, L = ctx.convert(z), ctx.mpf(3)
+            got = oscillatory._grid_sum(f, zc, L, npts, ctx)
+            with monkeypatch.context() as m:
+                m.setattr(oscillatory, "_one_coupling", lambda f: None)
+                want = oscillatory._grid_sum(f, zc, L, npts, ctx)
+            assert abs(got - want) <= ctx.mpf(10) ** -(P + 8) * want, \
+                (P, f.terms, z, npts)
+
+
 def test_exp_table_entries_within_two_units_of_scale():
     # every entry within 2^-(F-1) of e^(-(c/z) e^(i h/2)) at P + 40 digits,
-    # the bound the grid sum takes (the worst is 1 unit of 2^-F): no guard
-    # bits in the walk misses it by 25 units, a table cut 3 bits early by
-    # 8, e^(-h) or the top argument at the working precision by 10^6 and
-    # more; the grid-sum tests, at 10^-(P+5), sit about 30 bits above this
-    # scale and cannot tell
+    # the bound the grid sum takes, with the three coefficients' tables of
+    # one parity built together from one e^(h/2), as a grid builds them
+    # (the worst is 1 unit of 2^-F): no guard bits in the walk misses it by
+    # 255 units, an upward walk stopped 3 bits early by 3, e^(h/2) at the
+    # working precision by 10^8, an e^(-h) 2^20 units off by 12; the
+    # grid-sum tests, at 10^-(P+5), sit about 30 bits above this scale and
+    # cannot tell
     hp = mpmath.ctx_mp.MPContext()
+    coeffs = (Fraction(1), Fraction(2), Fraction(1, 7))
     for P in (15, 50, 200):
         ctx = working_context(P + 10)
         hp.dps = P + 40
         F = ctx.prec + 10 + 12
-        for c, z, (npts, L) in product(
-                (Fraction(1), Fraction(2), Fraction(1, 7)),
-                (Fraction(1, 20), Fraction(3, 4), 20),
-                ((7, 2), (48, 2), (48, 6))):
+        for z, (npts, L) in product((Fraction(1, 20), Fraction(3, 4), 20),
+                                    ((7, 2), (48, 2), (48, 6))):
             zc, h = ctx.convert(z), 2 * ctx.convert(L) / npts
             for R in (npts - 1, 2 * (npts - 1)):
-                table = oscillatory._exp_table(c, zc, R, h, F, ctx)
-                assert len(table) == R + 1
-                for k, got in enumerate(table):
-                    x = (hp.mpf(c.numerator) / c.denominator / hp.mpf(zc)
-                         * hp.exp((2 * k - R) * hp.mpf(h) / 2))
-                    assert abs(got - hp.ldexp(hp.exp(-x), F)) <= 2, \
-                        (P, c, z, npts, L, R, k)
+                tables = oscillatory._exp_tables(
+                    {(c, R % 2): R for c in coeffs}, zc, h, F, ctx)
+                for c in coeffs:
+                    table = tables[c, R % 2]
+                    assert len(table) == R + 1
+                    for k, got in enumerate(table):
+                        x = (hp.mpf(c.numerator) / c.denominator / hp.mpf(zc)
+                             * hp.exp((2 * k - R) * hp.mpf(h) / 2))
+                        assert abs(got - hp.ldexp(hp.exp(-x), F)) <= 2, \
+                            (P, c, z, npts, L, R, k)
 
 
 def test_grid_sum_keeps_relative_accuracy_at_small_z():
@@ -670,6 +738,21 @@ def test_reports_do_not_depend_on_cache_state(monkeypatch):
     # weights are rounded to it, and each component of its moment sum is
     # rounded to it once; this noise-level digit is that of those roundings
     assert mpmath.nstr(cold[0]["rel_diff"][2], 5) == "4.8792e-40"
+
+
+def test_no_vector_is_formatted_on_the_way(monkeypatch):
+    # an mpf or mpc times a GradedVector formats the vector with repr in
+    # mpmath's failed conversion before deferring to __rmul__; every
+    # scalar-vector product here puts the vector first.  Fresh series, so
+    # the Gamma classes and pairing constants are built inside the guard
+    def refuse(self):
+        raise AssertionError("a vector was formatted")
+    monkeypatch.setattr(GradedVector, "__repr__", refuse)
+    for n in (2, 3):
+        J = j_projective(n, 120)
+        g = gamma_class(J.ring, make_constants(P=30))
+        central_charge_structure_sheaf(J, g, Fraction(1, 2), P=30)
+    laplace_lefschetz_check(j_projective(4, 160), 2, Fraction(1, 20), P=30)
 
 
 def test_laplace_guards():

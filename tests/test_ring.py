@@ -4,6 +4,7 @@ from fractions import Fraction
 import mpmath
 import pytest
 
+from qgamma import ring
 from qgamma.ring import (CohomologyRing, GradedVector, KClass,
                          build_hypersurface_ambient_ring,
                          build_projective_ring, cup, gamma_class,
@@ -178,3 +179,32 @@ def test_degree_one_hypersurface_is_projective_space():
         assert Y.name == f"X({n},1)"
         assert dataclasses.replace(Y, name=f"P{n - 2}") == \
             build_projective_ring(n - 1)
+
+
+def test_gamma_class_and_pairing_constants_once_per_ring_and_precision(
+        monkeypatch):
+    # the Gamma class and e^(pi i c1) are the pairing's two ring_exp calls;
+    # a second pairing on the same ring and precision builds neither, and
+    # returns the same bits
+    calls = []
+    ring_exp = ring.ring_exp
+
+    def counted(v):
+        calls.append(v)
+        return ring_exp(v)
+    monkeypatch.setattr(ring, "ring_exp", counted)
+    R = build_projective_ring(3)
+    C = make_constants(P=30)
+    E = modified_chern(line_bundle(R, 1), C)
+    calls.clear()
+    g = gamma_class(R, C)
+    first = pair_bracket(E, g, C)
+    assert len(calls) == 2
+    assert gamma_class(R, C) is g
+    assert pair_bracket(E, g, C)._mpc_ == first._mpc_
+    assert len(calls) == 2
+    # another precision, or an equal ring that is another object, builds
+    # its own
+    gamma_class(R, make_constants(P=50))
+    gamma_class(build_projective_ring(3), C)
+    assert len(calls) == 4
