@@ -3,12 +3,12 @@ determinant, the rank and the reduced row echelon form, and one exact
 simplex behind every polytope question.
 
 Matrices are lists of row tuples/lists.  `det`, `rank` and `row_reduce`
-share one Bareiss elimination, which stays in Python ints on integer
-matrices: every intermediate entry is a minor of the input, so each division
-is exact.  `row_reduce` clears each row of denominators and runs the same
-recurrence above the pivots too (fraction-free Gauss-Jordan, still on
-ints), then divides each pivot row by its pivot once; `nullspace` reads its
-kernel off the result.  `lp_max` is a two-phase simplex over
+share one Bareiss elimination on Python ints, run on the rows cleared of
+denominators: every intermediate entry is a minor of that int matrix, so
+each division is exact.  `det` divides the result once by the row scales;
+`row_reduce` runs the same recurrence above the pivots too (fraction-free
+Gauss-Jordan), then divides each pivot row by its pivot once; `nullspace`
+reads its kernel off the result.  `lp_max` is a two-phase simplex over
 Fractions; cone membership and the reach of a polytope along a direction
 are both one call.  Sizes here are tiny (cohomology ranks, ray counts).
 """
@@ -16,7 +16,7 @@ are both one call.  Sizes here are tiny (cohomology ranks, ray counts).
 from __future__ import annotations
 
 from fractions import Fraction
-from math import lcm
+from math import lcm, prod
 
 
 def row_reduce(rows):
@@ -58,7 +58,7 @@ def nullspace(rows):
 # --------------------------------------------------------------------------
 
 def _bareiss(m, jordan=False):
-    """Bareiss forward elimination of the list-of-lists m, in place.
+    """Bareiss forward elimination of the int list-of-lists m, in place.
 
     Returns (pivot columns, sign of the row permutation).  After it, pivot
     row k holds the (k+1)-st leading minor of the row-permuted matrix on
@@ -67,7 +67,6 @@ def _bareiss(m, jordan=False):
     above it too (fraction-free Gauss-Jordan): every pivot entry ends equal
     to the last pivot d, and each pivot row is d times its rref row.
     """
-    integral = all(type(x) is int for row in m for x in row)
     pivots = []
     sign = 1
     prev = 1
@@ -90,10 +89,7 @@ def _bareiss(m, jordan=False):
             f = other[c]
             if not f and pv == prev:
                 continue
-            if integral:
-                m[i] = [(pv * x - f * y) // prev for x, y in zip(other, row)]
-            else:
-                m[i] = [(pv * x - f * y) / prev for x, y in zip(other, row)]
+            m[i] = [(pv * x - f * y) // prev for x, y in zip(other, row)]
         prev = pv
         pivots.append(c)
         r += 1
@@ -178,20 +174,22 @@ def integer_row(row):
 
 
 def det(rows):
-    """Determinant by Bareiss elimination.
+    """Determinant by Bareiss elimination on ints.
 
-    An integer matrix stays in int arithmetic and gives an int; a matrix
-    with a Fraction entry gives a Fraction.  Other scalars (mpmath numbers)
-    run the same recurrence with true division.
+    Each row is cleared of its denominators (`integer_row`), the int matrix
+    is eliminated, and its determinant is divided once by the product of
+    the row scales.  An int matrix gives an int; a matrix with a Fraction
+    entry gives a Fraction.
     """
-    m = [list(r) for r in rows]
-    if any(len(r) != len(m) for r in m):
+    if any(len(r) != len(rows) for r in rows):
         raise ValueError("determinant of a non-square matrix")
-    rational = any(isinstance(x, Fraction) for r in m for x in r)
-    if rational:
-        m = [[Fraction(x) for x in r] for r in m]
+    if not rows:
+        return 1
+    rational = any(isinstance(x, Fraction) for r in rows for x in r)
+    m = [integer_row(r) if rational else list(r) for r in rows]
     pivots, sign = _bareiss(m)
-    if len(pivots) < len(m):
-        return Fraction(0) if rational else 0
-    return sign * m[-1][-1] if m else 1
-
+    value = sign * m[-1][-1] if len(pivots) == len(m) else 0
+    if rational:
+        return Fraction(value, prod(lcm(*(Fraction(x).denominator for x in r))
+                                    for r in rows))
+    return value

@@ -17,8 +17,6 @@ from operator import mul
 from typing import NamedTuple
 
 import mpmath
-from mpmath.libmp import (from_int, from_man_exp, mpf_div, mpf_log,
-                          round_nearest, to_float)
 
 from .ring import (CohomologyRing, GradedVector, build_hypersurface_ambient_ring,
                    build_projective_ring)
@@ -66,34 +64,26 @@ class JSeries:
 
     @functools.cached_property
     def _numeric(self) -> "_NumericView":
-        """What `evaluate_j` needs from the series, computed on first use and
-        kept on the series (so it dies with it)."""
+        """What the numeric sums need from the series, computed on first use
+        and kept on the series (so it dies with it)."""
         degrees = self.nonzero_degrees()
-        scan = working_context(15)
-        # the peaks as scan.convert gives them and their logs as scan.log10
-        # does, ln x / ln 10 at prec + 20, without the context wrapper
-        wp, rnd = scan.prec + 20, round_nearest
-        peaks = [from_man_exp(m, -s) for m, s in (
-            _fixed_ratio(max(map(abs, row)), den, scan.prec)
+        sizes = [(x.numerator, x.denominator) for x in (
+            Fraction(max(map(abs, row)), den)
             for den, row in map(self._int_rows.get, degrees))]
-        ln10 = mpf_log(from_int(10), wp, rnd)
-        log_peaks = [to_float(mpf_div(mpf_log(x, wp, rnd), ln10, scan.prec,
-                                      rnd)) for x in peaks]
-        return _NumericView(degrees, list(map(scan.make_mpf, peaks)),
-                            log_peaks, {})
+        terms = [(k, d / math.log(10), math.log10(p) - math.log10(q))
+                 for k, (d, (p, q)) in enumerate(zip(degrees, sizes)) if p]
+        return _NumericView(degrees, sizes, terms, {}, {})
 
     @functools.cached_property
     def _moments(self) -> "_MomentView":
         """What `MomentSum` needs from the series, all exact, so computed
         once and kept on the series like `_numeric`."""
         R = self.ring
-        rows = [self._int_rows[d] for d in self._numeric.degrees]
+        view = self._numeric
+        rows = [self._int_rows[d] for d in view.degrees]
         den = lcm(*(q for q, _ in rows))
-        tops = [(max(map(abs, row)), q) for q, row in rows]     # max |J_d|
-        # 2^(l - 2) < largest |J_d| < 2^l, l = 0 for a zero degree, from
-        # the reduced fraction
-        offsets = [(p // (g := gcd(p, q))).bit_length()
-                   - (q // g).bit_length() + 1 for p, q in tops]
+        # 2^(l - 2) < max |J_d| < 2^l, l = 0 for a zero degree
+        offsets = [p.bit_length() - q.bit_length() + 1 for p, q in view.sizes]
         top = max(offsets)
         columns = [[row[j] * (den // q) << (top - off)
                     for (q, row), off in zip(rows, offsets)]
@@ -109,11 +99,9 @@ class JSeries:
             powers.append(term)
         pden = math.lcm(*(x.denominator for mat in powers for row in mat
                           for x in row))
-        (pp, qp), (pl, ql) = tops[-2:] if len(tops) > 1 else ((1, 1), (0, 1))
         return _MomentView(
             offsets, columns, den * pden,
-            [[[int(x * pden) for x in row] for row in mat] for mat in powers],
-            (pl * qp, pp * ql))
+            [[[int(x * pden) for x in row] for row in mat] for mat in powers])
 
     @functools.cached_property
     def _hypersurfaces(self) -> dict:
@@ -123,16 +111,19 @@ class JSeries:
 
 
 class _NumericView(NamedTuple):
-    """The series as `evaluate_j` reads it, every value cut from the int
-    rows by `_fixed_ratio` as mpmath would convert it."""
+    """The series as its numeric sums read it: one exact size table, and
+    every value cut from it or from the int rows by `_fixed_ratio` as
+    mpmath would convert it."""
     degrees: list       # the series' degrees, ascending
-    peaks: list         # per degree, the largest |coefficient| at 15 digits
-    log_peaks: list     # per degree, float log10 of that peak (-inf for 0)
+    sizes: list         # per degree, max |J_d| as a reduced int pair (p, q)
+                        # with max |J_d| = p / q, (0, 1) for a zero degree
+    terms: list         # per degree with J_d != 0, (its position, d / ln 10,
+                        # float log10 of its size)
     rows: dict          # working digits -> (per component [(degree
                         # position, m, s)] for each c = m * 2^-s != 0; the
-                        # (m, s) of |c| for the nonzero c of the last two
-                        # degrees; the nonzero entries (row, column, value)
-                        # of cup-by-c1)
+                        # nonzero entries (row, column, value) of cup-by-c1)
+    last: dict          # bits -> the (m, s) of the last two sizes cut to
+                        # that many bits, for `_tail`
 
 
 class _MomentView(NamedTuple):
@@ -144,9 +135,6 @@ class _MomentView(NamedTuple):
     denominator: int    # den times the common denominator of the N^k / k!
     prefactor: list     # per k = 0..top degree, the int matrix [i][j] of
                         # N^k / k! times that common denominator
-    tail: tuple         # ints (a, b) with a / b = max |J_d| of the last
-                        # degree over that of the one before; (0, 1) for
-                        # fewer than two degrees
 
 
 @dataclass(frozen=True)
@@ -335,21 +323,22 @@ def evaluate_j(J: JSeries, t, *, P: int = 50, half_turns: int = 0) -> dict:
     """Sum the series at the point t with log t = log|t| + i*pi*half_turns.
 
     Returns {"value": GradedVector over mpc, "tail_estimate": mpf,
-    "converged": bool, "work_digits": int}.  The tail estimate is twice the
-    magnitude of the last included nonzero term; the converged flag reports
-    whether term magnitudes were still decreasing at the truncation order.
+    "converged": bool, "work_digits": int}.  Both come from the series'
+    one tail test (`_tail`): the tail estimate is twice the last term size
+    max |J_d| |t|^d, an estimate and not a bound (ROADMAP item 2), and the
+    converged flag reports whether that size is below the one of the
+    degree before.
 
-    Working precision (unchanged): P + 20 digits plus the decimal exponent
-    of the largest term |c| |t|^d, taken at 15 digits.  Kernel: every
+    Working precision: P + 20 digits plus the decimal exponent of the
+    largest term size max |J_d| |t|^d, taken at 15 digits.  Kernel: every
     degree d is an integer, so t^d = (-1)^(d*half_turns) |t|^d exactly and
     the series sum is real.  It runs on Python ints: each coefficient is
     kept as an exact mantissa and scale, the powers |t|^d come from a
     running product of ints carrying prec + 2 bitlen(#degrees) + 10 bits,
     and each component adds its exact products c |t|^d on one grid prec +
     bitlen(#terms) + 10 bits below the largest of them, rounded once to
-    the working context.  The two term sizes of the tail estimate, |c|
-    |t|^d for the last two degrees, come from the same ints, each product
-    rounded once.  The prefactor e^(c1 log t) is then applied as
+    the working context.  The tail test reads the same powers of its last
+    two degrees.  The prefactor e^(c1 log t) is then applied as
     sum_k (log t)^k/k! N^k with N the matrix of cup-by-c1; it is where the
     half turns enter, as the imaginary part of log t.  Per working
     precision, the coefficient mantissas are cut from the exact int rows
@@ -371,11 +360,9 @@ def evaluate_j(J: JSeries, t, *, P: int = 50, half_turns: int = 0) -> dict:
         cached = view.rows[wdps] = (
             [[(k, *row[i]) for k, row in enumerate(rows) if row[i]]
              for i in range(R.rank)],
-            [[(abs(m), s) for m, s in filter(None, row)]
-             for row in rows[-2:]],
             [(i, j, ctx.convert(s)) for j, col in enumerate(R.c1_matrix())
              for i, s in enumerate(col) if s])
-    columns, last_rows, c1 = cached
+    columns, c1 = cached
 
     ta = abs(ctx.convert(t))
     logt = ctx.log(ta)
@@ -384,12 +371,7 @@ def evaluate_j(J: JSeries, t, *, P: int = 50, half_turns: int = 0) -> dict:
     powers = _fixed_powers(view.degrees, ta, half_turns, ctx)
     acc = [from_fixed(ctx, *_fixed_sum(col, powers, ctx.prec))
            for col in columns]
-    # the last two term sizes |c| |t|^d, each product rounded once
-    last_two = [max((from_fixed(ctx, c * abs(m), s + sd) for c, s in row),
-                    default=ctx.zero)
-                for (m, sd), row in zip(powers[-2:], last_rows)]
-    converged = len(last_two) < 2 or last_two[-1] < last_two[-2]
-    tail = 2 * last_two[-1] if last_two else ctx.zero
+    converged, tail = _tail(view, powers[-2:], ctx)
 
     # prefactor e^(c1 log t) = sum_k (log t)^k / k! N^k, N nilpotent
     value = list(acc)
@@ -406,6 +388,25 @@ def evaluate_j(J: JSeries, t, *, P: int = 50, half_turns: int = 0) -> dict:
     return {"value": GradedVector(R, tuple(out.mpc(x) for x in value)),
             "tail_estimate": out.mpf(tail), "converged": converged,
             "work_digits": wdps}
+
+
+def _tail(view: _NumericView, powers, ctx):
+    """The series' one tail test, from `powers`, the (m, s) of |t|^d for
+    its last two degrees (one for a series of one degree) as
+    `_fixed_powers` gives them: whether the last term size max |J_d| |t|^d
+    is below the one before, and twice the last size, an mpf of ctx.
+
+    Each size is the size table's entry cut to ctx.prec bits by
+    `_fixed_ratio`, as the coefficients of `evaluate_j` are, times the
+    power, rounded once.  The cut entries are kept per precision.
+    """
+    cut = view.last.get(ctx.prec)
+    if cut is None:
+        cut = view.last[ctx.prec] = [_fixed_ratio(p, q, ctx.prec)
+                                     for p, q in view.sizes[-2:]]
+    sizes = [from_fixed(ctx, c * abs(m), s + sd)
+             for (c, s), (m, sd) in zip(cut, powers)]
+    return len(sizes) < 2 or sizes[-1] < sizes[-2], 2 * sizes[-1]
 
 
 def _fixed_powers(degrees, ta, half_turns, ctx):
@@ -506,15 +507,13 @@ class MomentSum:
         self.count = 0                  # nodes added
         self.log_max = [0] * top        # L_k for k = 1..top
 
-    def add(self, nodes, t0, log_t0: int) -> bool:
+    def add(self, nodes, t0, log_t0: int) -> None:
         """Add the nodes (W, S, L): the weight W_i = m 2^-s > 0 for
         (m, s) = W with m of at most `bits` bits, the point t_i = S t0 for
         the (m, s) pairs S and t0 of `bits` bits, and ln t_i =
-        (L + log_t0) 2^-bits.  Returns whether the series passes
-        `evaluate_j`'s convergence test at every node: the last term size
-        |J_d| t^d below the one before."""
+        (L + log_t0) 2^-bits."""
         if not nodes:
-            return True
+            return
         bits = self.bits
         um, us = t0
         # per node t_i, and q_i = W_i t_i^d as (mantissa, scale) from d = 0
@@ -534,7 +533,7 @@ class MomentSum:
             lpow.append([x * y >> bits for x, y in zip(lpow[-1], logs)]
                         if lpow else logs)
         steps = {}                  # degree gap -> t_i^gap per node
-        before, prev = None, 0
+        prev = 0
         for j, (d, g) in enumerate(zip(self.degrees, self.grids)):
             if d != prev:
                 step = steps.get(d - prev)
@@ -542,7 +541,6 @@ class MomentSum:
                     step = steps[d - prev] = [
                         _truncate(m ** (d - prev), s * (d - prev), bits)
                         for m, s in ts]
-                before = qs, scales
                 qs = [q * m >> bits - 1 for q, (m, _) in zip(qs, step)]
                 scales = [sc + s - bits + 1
                           for sc, (_, s) in zip(scales, step)]
@@ -556,13 +554,6 @@ class MomentSum:
         self.count += len(nodes)
         self.log_max = [max(x, *map(abs, lk))
                         for x, lk in zip(self.log_max, lpow)]
-        if before is None:
-            return True
-        # a q_last 2^-s_last < b q_prev 2^-s_prev at every node, W_i > 0
-        a, b = self.view.tail
-        return all(a * ql < b * qp << e if (e := sl - sp) >= 0
-                   else a * ql << -e < b * qp
-                   for ql, sl, qp, sp in zip(qs, scales, *before))
 
     def total(self, ctx, shift: int):
         """The sum over the nodes added, times 2^-shift, per component of
@@ -622,8 +613,8 @@ class MomentSum:
 
 
 def _peak_digits(view: _NumericView, t) -> int:
-    """ceil(log10) of the largest 15-digit term m_d |t|^d (0 if none), for
-    t != 0.
+    """ceil(log10) of the largest 15-digit term m_d |t|^d (0 if none), m_d
+    the size of degree d cut to 15 digits, for t != 0.
 
     Float logs pick the candidate degrees, those within 1e-6 of the float
     maximum; their errors are near 1e-12, so the degree of the largest
@@ -632,12 +623,14 @@ def _peak_digits(view: _NumericView, t) -> int:
     """
     scan = working_context(15)
     ta = abs(scan.convert(t))
-    lt = float(scan.log10(ta))
-    logs = [lp + d * lt for d, lp in zip(view.degrees, view.log_peaks)]
+    lt = float(scan.ln(ta))
+    logs = [lp + c * lt for _, c, lp in view.terms]
     top = max(logs) - 1e-6
-    terms = (m * ta ** d for d, m, lg in zip(view.degrees, view.peaks, logs)
-             if lg >= top)
-    peak = max(terms, default=scan.zero)
+    peak = scan.zero
+    for (k, _, _), lg in zip(view.terms, logs):
+        if lg >= top:
+            m, s = _fixed_ratio(*view.sizes[k], scan.prec)
+            peak = max(peak, from_fixed(scan, m, s) * ta ** view.degrees[k])
     return int(scan.ceil(scan.log10(peak))) if peak > 0 else 0
 
 

@@ -46,8 +46,8 @@ from mpmath.calculus.quadrature import TanhSinh
 from mpmath.libmp.libelefun import exp_fixed, ln2_fixed
 
 from .exactla import lp_max
-from .jfun import (JSeries, MomentSum, _scaled, _truncate, evaluate_j,
-                   quantum_lefschetz)
+from .jfun import (JSeries, MomentSum, _fixed_powers, _scaled, _tail,
+                   _truncate, evaluate_j, quantum_lefschetz)
 from .laurent import LaurentPolynomial
 from .ring import GradedVector, cup, gamma_class, gamma_of_ch, line_bundle, \
     pair_bracket
@@ -501,20 +501,22 @@ def _laplace_sum(JX: JSeries, rank: int, uc, ar: Fraction, P: int):
     + (the new nodes), with no series evaluation at any node.  On t > 0
     the ambient series is real, so the sums are.  Level 1's nodes set the
     grid: wp + 20 digits below the largest weighted term m_d |t|^d of the
-    level (m_d the largest |J_d| at 15 digits), the accuracy that a
-    series evaluation gave each node.  A node of level k >= 2 is skipped
-    when |weight| times `_series_bound` at its t is below 10^-(P+12) of
-    every component of I_(k-1): in practice the far end of [0, S], where
-    e^(-s) leaves nothing of the series.  Every other node must pass the
-    series' convergence test, the last term size below the one before,
-    or the sum raises.  With d_k = |I_k - I_(k-1)| and each level
-    doubling the digits, the error of I_k is predicted as d_k^2/d_(k-1),
-    floored by the kernel's bound on its own error plus one rounding of
-    the rule per node, (nodes so far) 2^-prec sum |weight * value| (its
-    nodes and weights are rounded to the working precision, and the nodes
-    nearest s = 0, where ln t is largest, magnify that), plus the most the
-    skipped nodes can carry; an exactly-zero component skips nothing, has
-    floor 0 and converges.  The sum stops at the first level where every
+    level (m_d = max |J_d|, from the series' size table in float logs),
+    the accuracy that a series evaluation gave each node.  A node of level
+    k >= 2 is skipped when |weight| times `_series_bound` at its t is
+    below 10^-(P+12) of every component of I_(k-1): in practice the far
+    end of [0, S], where e^(-s) leaves nothing of the series.  Every other
+    node must pass the series' tail test (`jfun._tail`, the one
+    `evaluate_j` reports), or the sum raises; the last term over the one
+    before grows with t, so each level runs it once, at the largest t it
+    kept.  With d_k = |I_k - I_(k-1)| and each level doubling the digits,
+    the error of I_k is predicted as d_k^2/d_(k-1), floored by the
+    kernel's bound on its own error plus one rounding of the rule per
+    node, (nodes so far) 2^-prec sum |weight * value| (its nodes and
+    weights are rounded to the working precision, and the nodes nearest
+    s = 0, where ln t is largest, magnify that), plus the most the skipped
+    nodes can carry; an exactly-zero component skips nothing, has floor 0
+    and converges.  The sum stops at the first level where every
     prediction is at most 10^-(P+2) |I_k|, and raises if `_MAX_LEVEL`
     comes first.
     """
@@ -528,11 +530,9 @@ def _laplace_sum(JX: JSeries, rank: int, uc, ar: Fraction, P: int):
     t0, log_t0 = _fixed_root_and_log(uc, ar, bits)
     # the grid, from level 1's largest weighted term in float logs
     view = JX._numeric
-    terms = [(d / math.log(10), lp)
-             for d, lp in zip(view.degrees, view.log_peaks) if lp > -math.inf]
-    peak = max(log_w + lp + d * ar_f * (log_s + log_u)
+    peak = max(log_w + lp + c * ar_f * (log_s + log_u)
                for _, _, log_s, log_w in _laplace_nodes(wp, 1)
-               for d, lp in terms)
+               for _, c, lp in view.terms)
     moments = MomentSum(JX, math.ceil((wp + 20 - peak) * math.log2(10)), bits)
     total = [ctx.zero] * rank       # I_k
     skipped = ctx.zero              # most the skipped nodes carry, halved
@@ -544,15 +544,21 @@ def _laplace_sum(JX: JSeries, rank: int, uc, ar: Fraction, P: int):
         # `series_bound` is at least 0 (J_0 = 1), so a weight of at least
         # 10^cut keeps its node without calling it
         nodes = _laplace_table(wp, level, ar)
-        kept = [node for (_, _, log_s, log_w), node in
+        kept = [(log_s, s, node) for (s, _, log_s, log_w), node in
                 zip(_laplace_nodes(wp, level), nodes)
                 if not floor or log_w >= cut
                 or log_w + series_bound(ar_f * (log_s + log_u)) >= cut]
         skipped = skipped / 2 + (len(nodes) - len(kept)) * (
             ctx.mpf(10) ** cut if floor else 0)
-        if not moments.add(kept, t0, log_t0):
-            raise ArithmeticError("ambient series tail not under control "
-                                  "inside the Laplace integral")
+        moments.add([node for _, _, node in kept], t0, log_t0)
+        if kept:
+            # the largest s, by its float log and then exactly, gives the
+            # largest t
+            t = (max(kept)[1] * uc) ** ctx.convert(ar)
+            powers = _fixed_powers(view.degrees, t, 0, ctx)
+            if not _tail(view, powers[-2:], ctx)[0]:
+                raise ArithmeticError("ambient series tail not under control "
+                                      "inside the Laplace integral")
         total = moments.total(ctx, level)[:rank]
         if level == 1:
             continue
@@ -578,16 +584,14 @@ def _series_bound(J: JSeries):
     sum_(k <= top degree) (|ln t| |N|)^k / k!, |N| the largest absolute
     row sum of cup-by-c1.
     """
-    view = J._numeric
     R = J.ring
     cols = R.c1_matrix()
     norm = float(max(sum(abs(col[i]) for col in cols) for i in range(R.rank)))
     top = max(R.degrees)
-    terms = [(d / math.log(10), lp)
-             for d, lp in zip(view.degrees, view.log_peaks) if lp > -math.inf]
+    terms = J._numeric.terms
 
     def log10_bound(log_t):
-        logs = [lp + d * log_t for d, lp in terms]
+        logs = [lp + c * log_t for _, c, lp in terms]
         peak = max(logs)
         x, term, factor = abs(log_t) * norm, 1.0, 1.0
         for k in range(1, top + 1):

@@ -446,15 +446,17 @@ def test_fixed_ratio_edge_cases(P):
 
 
 def _convert_view(J, t, P):
-    """J's numeric view as built by converting every coefficient with
-    mpmath: the 15-digit peaks and their log10, and the rows at the working
-    precision `evaluate_j(J, t, P=P)` picks from them."""
+    """J's numeric view read off the Fraction coefficients: the size table
+    as the reduced max |J_d|, its log10 as mpmath takes it at 15 digits,
+    and the rows at the working precision `evaluate_j(J, t, P=P)` picks
+    from them, converted by mpmath coefficient by coefficient."""
     scan = working_context(15)
     degrees = J.nonzero_degrees()
-    peaks = [max((abs(scan.convert(c)) for c in J.coeffs[d].coeffs if c),
-                 default=scan.mpf(0)) for d in degrees]
-    view = _NumericView(degrees, peaks, [float(scan.log10(m)) if m
-                                         else -math.inf for m in peaks], {})
+    tops = [max(map(abs, J.coeffs[d].coeffs)) for d in degrees]
+    terms = [(k, d / math.log(10), float(scan.log10(scan.convert(p))))
+             for k, (d, p) in enumerate(zip(degrees, tops)) if p]
+    view = _NumericView(degrees, [(p.numerator, p.denominator) for p in tops],
+                        terms, {}, {})
     wdps = P + max(0, _peak_digits(view, t)) + 20
     ctx = working_context(wdps)
     rows = [[ctx.convert(c) for c in J.coeffs[d].coeffs] for d in degrees]
@@ -462,8 +464,6 @@ def _convert_view(J, t, P):
         [[(k, *_scaled(row[i], ctx.prec, ctx))
           for k, row in enumerate(rows) if row[i]]
          for i in range(J.ring.rank)],
-        [[_scaled(abs(c), ctx.prec, ctx) for c in row if c]
-         for row in rows[-2:]],
         [(i, j, ctx.convert(s)) for j, col in enumerate(J.ring.c1_matrix())
          for i, s in enumerate(col) if s])
     return view
@@ -489,27 +489,33 @@ def test_evaluate_j_bitwise_equal_to_per_coefficient_conversion(build):
         for P in (15, 50, 100):
             twin = JSeries(J.ring, J.D, J.coeffs)
             twin.__dict__["_numeric"] = view = _convert_view(twin, t, P)
-            assert [p._mpf_ for p in J._numeric.peaks] \
-                == [p._mpf_ for p in view.peaks]
-            assert J._numeric.log_peaks == view.log_peaks
+            assert J._numeric.sizes == view.sizes
+            assert [x[:2] for x in J._numeric.terms] \
+                == [x[:2] for x in view.terms]
+            assert all(abs(x[2] - y[2]) <= 1e-12 * max(1, abs(y[2]))
+                       for x, y in zip(J._numeric.terms, view.terms))
             for half_turns in (0, 1):
                 assert _bitwise(evaluate_j(J, t, P=P, half_turns=half_turns)) \
                     == _bitwise(evaluate_j(twin, t, P=P,
                                            half_turns=half_turns)), \
                     (t, P, half_turns)
-            assert len(view.rows) == 1      # the converted rows were read
+            # the converted rows were read, and the cut ones equal them
+            (wdps, rows), = view.rows.items()
+            assert J._numeric.rows[wdps] == rows, (t, P)
 
 
 @pytest.mark.parametrize("n, a", [(4, 2), (4, 3), (5, 3)])
 def test_moment_view_equals_fraction_reading(n, a):
-    # MomentSum's exact view read off the int rows is the one read off
-    # the Fraction coefficients: offsets from the reduced max |J_d|, the
-    # columns over the common denominator, and the tail ratio
+    # the size table and MomentSum's exact view read off the int rows are
+    # the ones read off the Fraction coefficients: the reduced max |J_d|
+    # per degree, offsets from it, and the columns over the common
+    # denominator
     J = quantum_lefschetz(j_projective(n, 120), a)["JY"]
     rows = [[Fraction(c) for c in J.coeffs[d].coeffs]
             for d in J.nonzero_degrees()]
     den = math.lcm(*(c.denominator for row in rows for c in row))
     tops = [max(map(abs, row)) for row in rows]
+    assert J._numeric.sizes == [(p.numerator, p.denominator) for p in tops]
     offsets = [p.numerator.bit_length() - p.denominator.bit_length() + 1
                if p else 0 for p in tops]
     view = J._moments
@@ -517,7 +523,6 @@ def test_moment_view_equals_fraction_reading(n, a):
     assert view.columns == [[int(row[j] * den) << (max(offsets) - off)
                              for row, off in zip(rows, offsets)]
                             for j in range(J.ring.rank)]
-    assert Fraction(*view.tail) == tops[-1] / tops[-2]
 
 
 def test_first_evaluation_converts_no_fraction_per_coefficient(monkeypatch):

@@ -656,6 +656,38 @@ def test_laplace_sum_refuses_an_unconverged_ambient_series(D, u):
         laplace_lefschetz_check(j_projective(4, D), 2, u, P=15)
 
 
+def test_laplace_sum_refuses_exactly_where_evaluate_j_is_unconverged(
+        monkeypatch):
+    # the sum's tail test, run once per level at the largest t it kept,
+    # refuses exactly when `evaluate_j` reports an unconverged series at
+    # some node the sum kept; both outcomes occur on this range of D
+    added = _recorded_nodes(monkeypatch)
+    P, wp, ar = 15, 25, Fraction(2, 4)
+    ctx = working_context(wp)
+    rank = build_hypersurface_ambient_ring(4, 2).rank
+    outcomes = set()
+    for D in range(8, 41):
+        JX = j_projective(4, D)
+        for u in (Fraction(1, 20), Fraction(1, 5)):
+            uc = ctx.convert(u)
+            added.clear()
+            try:
+                oscillatory._laplace_sum(JX, rank, uc, ar, P)
+                refused = False
+            except ArithmeticError as err:
+                refused = "tail not under control" in str(err)
+            ts = []
+            for k, nodes in enumerate(added, 1):
+                at = {id(x): i for i, x in
+                      enumerate(oscillatory._laplace_table(wp, k, ar))}
+                ts += [(oscillatory._laplace_nodes(wp, k)[at[id(x)]][0]
+                        * uc) ** ctx.convert(ar) for x in nodes]
+            assert refused == any(not evaluate_j(JX, t)["converged"]
+                                  for t in ts), (D, u)
+            outcomes.add(refused)
+    assert outcomes == {False, True}
+
+
 def test_laplace_level_cap_raises(monkeypatch):
     # two levels give one difference and no prediction: the sum is refused,
     # not reported
