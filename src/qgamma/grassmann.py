@@ -5,16 +5,17 @@ machinery connecting both to products of projective spaces.
 
 from __future__ import annotations
 
+import functools
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
-from math import factorial, lcm, prod
+from math import comb, factorial, lcm, prod
 from operator import sub
 
 from .exactla import det
 from .jfun import JSeries, _mul_trunc, j_projective
 from .laurent import LaurentPolynomial
-from .mirror import _compositions, constant_term_series, property_o_report
+from .mirror import constant_term_series, property_o_report
 from .ring import CohomologyRing, GradedVector, KClass
 from .scalars import working_context
 
@@ -66,13 +67,13 @@ def schur_polynomial(mu, r: int):
     return out
 
 
-def _perm_sign(perm) -> int:
-    sign = 1
-    for i in range(len(perm)):
-        for j in range(i + 1, len(perm)):
-            if perm[i] > perm[j]:
-                sign = -sign
-    return sign
+@functools.cache
+def _signed_permutations(r: int):
+    """(sign, permutation) for the permutations of range(r), in the order
+    of itertools.permutations, kept per r."""
+    return tuple(((-1) ** sum(x > y for i, x in enumerate(p)
+                              for y in p[i + 1:]), p)
+                 for p in itertools.permutations(range(r)))
 
 
 def schur_expand(poly, r: int):
@@ -113,8 +114,8 @@ def _alternant_product(poly, v, lams):
     sigma(v)].  With v = nu + delta and poly = s_mu these are the
     Littlewood-Richardson coefficients c^lam_{mu nu}."""
     r = len(v)
-    shifts = [(_perm_sign(p), tuple(v[i] for i in p))
-              for p in itertools.permutations(range(r))]
+    shifts = [(sign, tuple(v[i] for i in p))
+              for sign, p in _signed_permutations(r)]
     out = {}
     for lam in lams:
         t = [x + r - 1 - i for i, x in enumerate(lam)]
@@ -176,31 +177,28 @@ def schubert_ring(r: int, n: int) -> CohomologyRing:
 
 
 def _exp_substitute(poly, r: int, top: int):
-    """The image of a Laurent polynomial in r variables under x^e -> e^<e,x>,
-    truncated above total degree top: each monomial becomes the product of
-    e^(e_i x_i) over the i in the support of e, so only the exponents
-    supported there are enumerated."""
-    series = {}         # e_i -> [e_i^k / k! for k <= top]
-    out = {}
+    """The image of an int Laurent polynomial in r variables under
+    x^e -> e^<e,x>, truncated above total degree top, times top!: x^a gets
+    the int top!/prod_i a_i! sum_e c_e prod_i e_i^(a_i), with a supported
+    where e is."""
+    sums = {}
     for e, c in poly.items():
-        terms = [((0,) * r, Fraction(c))]
+        terms = [((0,) * r, c)]
         for i, x in enumerate(e):
-            if not x:
-                continue
-            if x not in series:
-                series[x] = [Fraction(x ** k, factorial(k))
-                             for k in range(top + 1)]
-            terms = [(k[:i] + (a,) + k[i + 1:], v * series[x][a])
-                     for k, v in terms for a in range(top + 1 - sum(k))]
+            if x:
+                terms = [(k[:i] + (a,) + k[i + 1:], v * x ** a)
+                         for k, v in terms for a in range(top + 1 - sum(k))]
         for k, v in terms:
-            out[k] = out.get(k, 0) + v
-    return {k: v for k, v in out.items() if v}
+            sums[k] = sums.get(k, 0) + v
+    scale = factorial(top)
+    return {k: v * (scale // prod(map(factorial, k)))
+            for k, v in sums.items() if v}
 
 
 def _ch_tangent_poly(r: int, n: int, max_deg: int):
     """ch(T) = ch(S^dual) (n - ch(S)) = sum_i e^{x_i} (n - sum_j e^{-x_j})
-    with Chern roots x_i of S^dual: the exponential substitution of
-    n sum_i x_i - sum_{i,j} x_i / x_j."""
+    with Chern roots x_i of S^dual, times max_deg!: the exponential
+    substitution of n sum_i x_i - sum_{i,j} x_i / x_j."""
     unit = [tuple(int(t == i) for t in range(r)) for i in range(r)]
     poly = {u: n for u in unit}
     poly[(0,) * r] = -r
@@ -210,8 +208,11 @@ def _ch_tangent_poly(r: int, n: int, max_deg: int):
 
 
 def _expand_in_basis(poly, r, parts):
-    expansion = schur_expand(poly, r)
-    return tuple(expansion.get(mu, Fraction(0)) for mu in parts)
+    """The Schur coefficients at the box partitions `parts` of a symmetric
+    polynomial of ints over top!, top the weight of the last part."""
+    top = sum(parts[-1])
+    ints = _alternant_product(poly, tuple(range(r - 1, -1, -1)), parts)
+    return tuple(Fraction(ints.get(mu, 0), factorial(top)) for mu in parts)
 
 
 # --------------------------------------------------------------------------
@@ -268,15 +269,16 @@ def wedge_from_vectors(vectors, n: int) -> AntiSymmetricElement:
 
 def satake_map(a: AntiSymmetricElement, R: CohomologyRing) -> GradedVector:
     """(k_1,...,k_r) goes to the Schubert class of mu_i = k_i - (r - i)."""
-    parts = box_partitions(a.r, a.n)
-    index = {mu: i for i, mu in enumerate(parts)}
-    if R.rank != len(parts):
+    keys = _satake_keys(a.r, a.n)
+    if R.rank != len(keys):
         raise ValueError("ring does not match (r, n)")
-    out = [Fraction(0)] * R.rank
-    for K, c in a.coeffs.items():
-        mu = tuple(K[i] - (a.r - 1 - i) for i in range(a.r))
-        out[index[mu]] = out[index[mu]] + c
-    return R.vector(tuple(out))
+    return R.vector(tuple(Fraction(0) + a.coeffs.get(K, 0) for K in keys))
+
+
+def _satake_keys(r: int, n: int):
+    """The wedge coordinate K of each Schubert class, in basis order."""
+    return [tuple(x + r - 1 - i for i, x in enumerate(mu))
+            for mu in box_partitions(r, n)]
 
 
 # --------------------------------------------------------------------------
@@ -289,43 +291,68 @@ def bcfk_j_series(r: int, n: int, D: int) -> JSeries:
     The degree-nm coefficient is the sum, over the ordered multidegrees d
     with |d| = m, of the twisted products
     prod_{i<j}(x_i - x_j + d_i - d_j) * prod_i Jcoeff_{d_i}(x_i).  The first
-    factor is the Vandermonde determinant in y_i = x_i + d_i, so each
-    product is det[y_i^(r-1-j) Jcoeff_{d_i}(x_i)], and its wedge coordinate
-    at k_1 > ... > k_r is the r x r minor of the x^{k_i}-coefficients.  The
-    rows of one degree d are cleared to ints by one common denominator, the
-    minors are integer determinants, and the wedge coordinates are pushed
-    through the Satake identification.  The phase is the sign
-    (-1)^((r-1)m): the sigma_1 exponentials e^(-+i pi (r-1) sigma_1) cancel
-    to the unit class, and xi^(nm) = e^(i pi (r-1) m).
+    factor is the Vandermonde determinant in y_i = x_i + d_i, so in wedge
+    coordinates k_1 > ... > k_r each product is det[A_{d_i}(k_i, j)], A_d
+    the n x r matrix of the x^k-coefficients of y^(r-1-j) Jcoeff_d(x).  The
+    determinant is linear in each row, so the sum is the s^m coefficient
+    of the minor at K of one generating matrix A(s) = sum_d s^d A_d,
+    cleared to ints by L, the lcm of the denominators of the Jcoeff_d:
+    `_packed_minors` takes every minor at every degree from one wedge of
+    A(s) packed at s = 2^B, and the minors go through the Satake
+    identification over L^r.  The phase is the sign (-1)^((r-1)m): the
+    sigma_1 exponentials e^(-+i pi (r-1) sigma_1) cancel to the unit
+    class, and xi^(nm) = e^(i pi (r-1) m).
     """
     if D < 0:
         raise ValueError("negative truncation")
     R = schubert_ring(r, n)
     mmax = D // n
     JP = j_projective(n, n * mmax) if mmax > 0 else j_projective(n, n)
-    # rows[d][k]: the x^k-coefficients of y^(r-1-j) Jcoeff_d(x), y = x + d,
-    # for j = 0..r-1, times scale[d], the denominator of Jcoeff_d's int
-    # row (its j = r-1 entry is that row, so no common factor is left)
-    rows, scale = {}, {}
-    for d in range(mmax + 1):
-        scale[d], row = JP._int_rows[n * d]
-        powers = [[1]]
+    rows = [JP._int_rows[n * d] for d in range(mmax + 1)]
+    L = lcm(*(den for den, _ in rows))
+    # A_d L, as its columns j: y^(r-1-j) Jcoeff_d(x) L, y = x + d
+    mats = []
+    for d, (den, row) in enumerate(rows):
+        cols = [[x * (L // den) for x in row]]
         for _ in range(r - 1):
-            powers.append(_mul_trunc(powers[-1], (d, 1), n))
-        rows[d] = list(zip(*(_mul_trunc(p, row, n) for p in reversed(powers))))
-
+            cols.append(_mul_trunc(cols[-1], (d, 1), n))
+        mats.append(cols[::-1])
+    minors = _packed_minors(mats, n)
+    keys, zero, Lr = _satake_keys(r, n), [0] * (mmax + 1), L ** r
     coeffs = {0: R.unit()}
     for m in range(1, mmax + 1):
-        comps = [(d, prod(scale[x] for x in d)) for d in _compositions(m, r)]
-        coords = {}
-        for K in itertools.combinations(range(n - 1, -1, -1), r):
-            c = sum(Fraction(det([rows[x][k] for x, k in zip(d, K)]), L)
-                    for d, L in comps)
-            if c:
-                coords[K] = c
-        wedge = AntiSymmetricElement(r=r, n=n, coeffs=coords)
-        coeffs[n * m] = satake_map(wedge, R) * (-1) ** ((r - 1) * m)
+        sign = (-1) ** ((r - 1) * m)
+        coeffs[n * m] = R.vector(tuple(
+            Fraction(sign * minors.get(K, zero)[m], Lr) for K in keys))
     return JSeries(ring=R, D=D, coeffs=coeffs)
+
+
+def _packed_minors(mats, n: int) -> dict:
+    """{K: [c_0, ..., c_top]}, c_m the s^m coefficient of the minor at
+    K = (k_1 > ... > k_r) of A(s) = sum_d s^d A_d, an n x r matrix of int
+    polynomials given as mats[d][j][k] = A_d(k, j), d = 0..top: the sum
+    over the r-tuples d with |d| = m of det[A_{d_i}(k_i, j)].  Only the
+    K with a nonzero minor appear.
+
+    Every entry is packed into one int at s = 2^B, and one
+    `wedge_from_vectors` call gives each minor as one int v.  With
+    B = bitlen(r! prod_j max_k ||A(k, j)||_1) + 2, ||.||_1 the sum of the
+    absolute coefficients, every coefficient of every minor (of degree up
+    to r top) is below 2^(B-2) in size, so c_m + 2^(B-1) is the plain
+    base-2^B digit m of v + sum_(m <= top) 2^(B-1) 2^(Bm): the balanced
+    decode, whatever the digits above top.
+    """
+    r = len(mats[0])
+    B = (factorial(r) * prod(max(sum(abs(A[j][k]) for A in mats)
+                                 for k in range(n)) for j in range(r))
+         ).bit_length() + 2
+    vectors = [[sum(A[j][k] << B * d for d, A in enumerate(mats))
+                for k in range(n)] for j in range(r)]
+    half, mask = 1 << (B - 1), (1 << B) - 1
+    offset = sum(half << B * m for m in range(len(mats)))
+    return {K: [((v + offset) >> B * m & mask) - half
+                for m in range(len(mats))]
+            for K, v in wedge_from_vectors(vectors, n).coeffs.items()}
 
 
 # --------------------------------------------------------------------------
@@ -415,12 +442,13 @@ def _is_consecutive_mod(K, n) -> bool:
 
 def _chi_projective(l: int, k: int, n: int) -> int:
     """Euler pairing of O(l), O(k) on the projective space with n
-    coordinates, prod_{j=1}^{n-1} (k-l+j) / (n-1)!: an int, because a
-    product of n-1 consecutive integers is divisible by (n-1)!."""
-    num = 1
-    for j in range(1, n):
-        num *= k - l + j
-    return num // factorial(n - 1)
+    coordinates, prod_{j=1}^{n-1} (x+j) / (n-1)! at x = k - l: the
+    generalised binomial C(x+n-1, n-1), which is 0 for -n < x < 0 and
+    (-1)^(n-1) C(-x-1, n-1) below."""
+    x = k - l
+    if x >= 0:
+        return comb(x + n - 1, n - 1)
+    return 0 if x > -n else (-1) ** (n - 1) * comb(-x - 1, n - 1)
 
 
 def euler_matrix_grassmann(mu, nu, r: int, n: int) -> Fraction:

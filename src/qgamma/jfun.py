@@ -122,8 +122,8 @@ class _NumericView(NamedTuple):
     rows: dict          # working digits -> (per component [(degree
                         # position, m, s)] for each c = m * 2^-s != 0; the
                         # nonzero entries (row, column, value) of cup-by-c1)
-    last: dict          # bits -> the (m, s) of the last two sizes cut to
-                        # that many bits, for `_tail`
+    last: dict          # bits -> the (m, s) of the last two nonzero sizes
+                        # cut to that many bits, for `_tail`
 
 
 class _MomentView(NamedTuple):
@@ -324,10 +324,10 @@ def evaluate_j(J: JSeries, t, *, P: int = 50, half_turns: int = 0) -> dict:
 
     Returns {"value": GradedVector over mpc, "tail_estimate": mpf,
     "converged": bool, "work_digits": int}.  Both come from the series'
-    one tail test (`_tail`): the tail estimate is twice the last term size
-    max |J_d| |t|^d, an estimate and not a bound (ROADMAP item 2), and the
-    converged flag reports whether that size is below the one of the
-    degree before.
+    one tail test (`_tail`): the tail estimate is twice the last nonzero
+    term size max |J_d| |t|^d, an estimate and not a bound (ROADMAP item
+    2), and the converged flag reports whether that size is below the one
+    of the nonzero degree before.
 
     Working precision: P + 20 digits plus the decimal exponent of the
     largest term size max |J_d| |t|^d, taken at 15 digits.  Kernel: every
@@ -338,7 +338,7 @@ def evaluate_j(J: JSeries, t, *, P: int = 50, half_turns: int = 0) -> dict:
     and each component adds its exact products c |t|^d on one grid prec +
     bitlen(#terms) + 10 bits below the largest of them, rounded once to
     the working context.  The tail test reads the same powers of its last
-    two degrees.  The prefactor e^(c1 log t) is then applied as
+    two nonzero degrees.  The prefactor e^(c1 log t) is then applied as
     sum_k (log t)^k/k! N^k with N the matrix of cup-by-c1; it is where the
     half turns enter, as the imaginary part of log t.  Per working
     precision, the coefficient mantissas are cut from the exact int rows
@@ -371,7 +371,7 @@ def evaluate_j(J: JSeries, t, *, P: int = 50, half_turns: int = 0) -> dict:
     powers = _fixed_powers(view.degrees, ta, half_turns, ctx)
     acc = [from_fixed(ctx, *_fixed_sum(col, powers, ctx.prec))
            for col in columns]
-    converged, tail = _tail(view, powers[-2:], ctx)
+    converged, tail = _tail(view, powers, ctx)
 
     # prefactor e^(c1 log t) = sum_k (log t)^k / k! N^k, N nilpotent
     value = list(acc)
@@ -391,21 +391,23 @@ def evaluate_j(J: JSeries, t, *, P: int = 50, half_turns: int = 0) -> dict:
 
 
 def _tail(view: _NumericView, powers, ctx):
-    """The series' one tail test, from `powers`, the (m, s) of |t|^d for
-    its last two degrees (one for a series of one degree) as
-    `_fixed_powers` gives them: whether the last term size max |J_d| |t|^d
-    is below the one before, and twice the last size, an mpf of ctx.
+    """The series' one tail test, from `powers`, the (m, s) of |t|^d per
+    degree as `_fixed_powers` gives them: whether the last nonzero term
+    size max |J_d| |t|^d is below the one of the nonzero degree before it
+    (the degree gap is the power between them), and twice the last size,
+    an mpf of ctx.  A series with one nonzero degree passes.
 
     Each size is the size table's entry cut to ctx.prec bits by
     `_fixed_ratio`, as the coefficients of `evaluate_j` are, times the
     power, rounded once.  The cut entries are kept per precision.
     """
+    last = [k for k, _, _ in view.terms[-2:]]
     cut = view.last.get(ctx.prec)
     if cut is None:
-        cut = view.last[ctx.prec] = [_fixed_ratio(p, q, ctx.prec)
-                                     for p, q in view.sizes[-2:]]
-    sizes = [from_fixed(ctx, c * abs(m), s + sd)
-             for (c, s), (m, sd) in zip(cut, powers)]
+        cut = view.last[ctx.prec] = [_fixed_ratio(*view.sizes[k], ctx.prec)
+                                     for k in last]
+    sizes = [from_fixed(ctx, c * abs(powers[k][0]), s + powers[k][1])
+             for (c, s), k in zip(cut, last)]
     return len(sizes) < 2 or sizes[-1] < sizes[-2], 2 * sizes[-1]
 
 

@@ -556,7 +556,7 @@ def _laplace_sum(JX: JSeries, rank: int, uc, ar: Fraction, P: int):
             # largest t
             t = (max(kept)[1] * uc) ** ctx.convert(ar)
             powers = _fixed_powers(view.degrees, t, 0, ctx)
-            if not _tail(view, powers[-2:], ctx)[0]:
+            if not _tail(view, powers, ctx)[0]:
                 raise ArithmeticError("ambient series tail not under control "
                                       "inside the Laplace integral")
         total = moments.total(ctx, level)[:rank]

@@ -203,9 +203,14 @@ def test_schur_expand_three_rows_matches_oracle():
             assert all(type(c) is Fraction for c in expansion.values())
 
 
+def _over_factorial(poly, top):
+    """An int polynomial over top! as Fractions."""
+    return {e: Fraction(c, math.factorial(top)) for e, c in poly.items()}
+
+
 def test_ch_tangent_poly_against_direct_expansion():
     # ch(T Gr(3,6)) = sum_i e^{x_i} (6 - sum_j e^{-x_j}) through degree 9,
-    # summed monomial by monomial
+    # summed monomial by monomial; the kernel gives ints over 9!
     r, n, top = 3, 6, 9
     want = {}
     for i in range(r):
@@ -222,7 +227,9 @@ def test_ch_tangent_poly_against_direct_expansion():
                     want[e] = want.get(e, 0) - Fraction(
                         (-1) ** b, math.factorial(a) * math.factorial(b))
     want = {e: c for e, c in want.items() if c}
-    poly = _ch_tangent_poly(r, n, top)
+    ints = _ch_tangent_poly(r, n, top)
+    assert all(type(c) is int for c in ints.values())
+    poly = _over_factorial(ints, top)
     assert poly == want
     # the Schur expansion of this inhomogeneous polynomial sums back to it
     back = {}
@@ -232,10 +239,22 @@ def test_ch_tangent_poly_against_direct_expansion():
     assert {e: c for e, c in back.items() if c} == want
 
 
+def _ch_tangent_laurent(r, n):
+    """n sum_i x_i - sum_{i,j} x_i / x_j, whose exponential substitution
+    is ch T Gr(r,n)."""
+    unit = [tuple(int(t == i) for t in range(r)) for i in range(r)]
+    laurent = {u: n for u in unit}
+    laurent[(0,) * r] = -r
+    for a, b in itertools.permutations(unit, 2):
+        laurent[tuple(x - y for x, y in zip(a, b))] = -1
+    return laurent
+
+
 def test_exp_substitute_against_exponential_products():
     # e_mu: s_mu at the exponentials of the Chern roots; ch T: the
     # substitution of n sum_i x_i - sum_{i,j} x_i/x_j; and a hand-built
-    # Laurent polynomial with negative exponents and a constant
+    # Laurent polynomial with negative exponents and a constant; the
+    # kernel's ints over top! against the oracle's Fractions
     for r, n in ((2, 4), (2, 5), (3, 6)):
         R = schubert_ring(r, n)
         parts = box_partitions(r, n)
@@ -243,27 +262,51 @@ def test_exp_substitute_against_exponential_products():
         for mu in parts:
             spoly = schur_polynomial(mu, r)
             want = oracles.exp_substitute(spoly, r, top)
-            assert _exp_substitute(spoly, r, top) == want, mu
+            assert _over_factorial(_exp_substitute(spoly, r, top),
+                                   top) == want, mu
             expansion = schur_expand(want, r)
             ch = e_mu_class(R, mu, r, n).ch.coeffs
             assert ch == tuple(expansion.get(lam, 0) for lam in parts), mu
             assert all(type(c) is Fraction for c in ch)
     for r, n in ((1, 3), (2, 4), (2, 6), (3, 6), (3, 7), (4, 8)):
-        unit = [tuple(int(t == i) for t in range(r)) for i in range(r)]
-        laurent = {u: n for u in unit}
-        laurent[(0,) * r] = -r
-        for a, b in itertools.permutations(unit, 2):
-            laurent[tuple(x - y for x, y in zip(a, b))] = -1
         top = r * (n - r)
         got = _ch_tangent_poly(r, n, top)
-        assert got == oracles.exp_substitute(laurent, r, top), (r, n)
-        assert all(type(c) is Fraction for c in got.values())
-    poly = {(2, -1, 0): 3, (0, 0, -2): Fraction(-1, 2), (1, 1, 1): 1,
-            (0, -3, 1): Fraction(2, 7), (0, 0, 0): 5}
+        assert all(type(c) is int for c in got.values())
+        assert _over_factorial(got, top) == oracles.exp_substitute(
+            _ch_tangent_laurent(r, n), r, top), (r, n)
+    poly = {(2, -1, 0): 3, (0, 0, -2): -7, (1, 1, 1): 1, (0, -3, 1): 2,
+            (0, 0, 0): 5}
     for top in (0, 1, 4, 6):
-        assert _exp_substitute(poly, 3, top) == \
+        assert _over_factorial(_exp_substitute(poly, 3, top), top) == \
             oracles.exp_substitute(poly, 3, top), top
-    assert _exp_substitute(poly, 3, 0) == {(0, 0, 0): Fraction(123, 14)}
+    assert _exp_substitute(poly, 3, 0) == {(0, 0, 0): 4}
+
+
+def test_chern_characters_against_oracle_substitution():
+    # chTF_coeffs and e_mu_class on every Gr(r,n), n <= 8, against the
+    # oracle's exponential substitution in Fractions and a Schur expansion;
+    # e_mu at the one-box and full-box partitions, and up to n = 6 at a
+    # middle-weight one too (the oracle takes seconds on those at n = 8)
+    for n in range(2, 9):
+        for r in range(1, n):
+            R = schubert_ring(r, n)
+            parts = box_partitions(r, n)
+            top = r * (n - r)
+
+            def expanded(poly):
+                want = schur_expand(oracles.exp_substitute(poly, r, top), r)
+                return tuple(want.get(lam, 0) for lam in parts)
+
+            assert R.chTF_coeffs == expanded(_ch_tangent_laurent(r, n)), \
+                (r, n)
+            assert all(type(c) is Fraction for c in R.chTF_coeffs)
+            mus = [parts[1], parts[-1]]
+            if n <= 6:
+                mus.append(next(mu for mu in parts if sum(mu) == top // 2))
+            for mu in mus:
+                ch = e_mu_class(R, mu, r, n).ch.coeffs
+                assert ch == expanded(schur_polynomial(mu, r)), (r, n, mu)
+                assert all(type(c) is Fraction for c in ch)
 
 
 def test_wedge_minors_against_determinants():
@@ -339,11 +382,13 @@ def test_bcfk_matches_ladder_mirror(r, n, D, pinned):
 
 
 @pytest.mark.parametrize("r, n, D", [
-    (1, 3, 12), (2, 4, 24), (2, 5, 20), (2, 5, 30), (2, 6, 18), (3, 6, 18),
-    (3, 6, 24), (3, 7, 14), (4, 8, 16)])
+    (1, 3, 12), (2, 4, 24), (2, 5, 20), (2, 5, 23), (2, 5, 30), (2, 5, 60),
+    (2, 6, 18), (3, 6, 5), (3, 6, 18), (3, 6, 24), (3, 6, 36), (3, 7, 14),
+    (4, 8, 16)])
 def test_bcfk_minors_equal_twisted_products(r, n, D):
-    # the integer-minor route against the products multiplied out in r
-    # variables, with their antisymmetry asserted; Fractions on both sides
+    # the packed-minor route against the products multiplied out in r
+    # variables, with their antisymmetry asserted; Fractions on both sides;
+    # D need not be a multiple of n, and may be below it
     J = bcfk_j_series(r, n, D)
     want = oracles.bcfk_twisted_products(r, n, D)
     assert sorted(J.coeffs) == [0] + sorted(want)
@@ -409,12 +454,12 @@ def test_euler_pairings_against_oracle_determinants():
                            for j in range(r)] for i in range(r)]
                 assert type(got) is Fraction
                 assert got == oracles.permutation_det(matrix), (mu, nu)
-    for n in range(1, 6):
-        for l in range(-5, 6):
-            for k in range(-5, 6):
-                chi = _chi_projective(l, k, n)
+    for n in range(1, 9):
+        for l in range(-3, 4):
+            for x in range(-3 * n, 3 * n + 1):
+                chi = _chi_projective(l, l + x, n)
                 assert type(chi) is int
-                assert chi == oracles.chi_projective(n, l, k), (n, l, k)
+                assert chi == oracles.chi_projective(n, l, l + x), (n, l, x)
 
 
 def test_emu_euler_gram_matches_determinant_formula():

@@ -113,6 +113,23 @@ def test_evaluate_j_flags_truncation():
     assert not rec["converged"]
 
 
+def test_tail_test_reads_the_last_two_nonzero_degrees():
+    # the conic X(3,2) has identically zero odd degrees: at D = 60 the
+    # series ends on a nonzero degree, at D = 61 on a zero one.  Both are
+    # judged on degrees 58 and 60, so they agree, with a nonzero estimate
+    # that is tiny at t = 1/2 and a failed test at t = 100
+    series = [quantum_lefschetz(j_projective(3, 3 * D), 2, D)["JY"]
+              for D in (60, 61)]
+    assert series[1].coefficient(61).is_zero()
+    for t, converged in ((Fraction(1, 2), True), (5, True), (10, True),
+                         (100, False)):
+        recs = [evaluate_j(J, t, P=15) for J in series]
+        assert [rec["converged"] for rec in recs] == [converged] * 2, t
+        assert recs[0]["tail_estimate"] == recs[1]["tail_estimate"] > 0, t
+    assert evaluate_j(series[0], Fraction(1, 2), P=15)["tail_estimate"] \
+        < mpmath.mpf(10) ** -80
+
+
 def test_evaluate_j_rejects_zero():
     # log t is undefined at t = 0; the series must not return a nan there
     J = j_projective(2, 10)

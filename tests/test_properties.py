@@ -1,16 +1,19 @@
 """Invariant checks over randomized inputs."""
 
+import itertools
 import math
 from fractions import Fraction
 
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from qgamma.asympt import _neville, make_grid
 from qgamma.exactla import nullspace, rank
-from qgamma.grassmann import (box_partitions, schubert_ring, schur_expand,
-                              schur_polynomial)
+from qgamma.grassmann import (_packed_minors, box_partitions, schubert_ring,
+                              schur_expand, schur_polynomial)
 from qgamma.laurent import LaurentPolynomial, pair_constant
 from qgamma.ring import build_projective_ring, cup, ring_exp
+
+import oracles
 
 fractions = st.fractions(min_value=-10, max_value=10, max_denominator=12)
 
@@ -150,3 +153,45 @@ def test_box_partitions_properties(r, extra):
         assert len(mu) == r
         assert all(0 <= p <= n - r for p in mu)
         assert all(a >= b for a, b in zip(mu, mu[1:]))
+
+
+@st.composite
+def polynomial_matrices(draw):
+    """(mats, n): an n x r matrix of int polynomials in s as its
+    coefficient matrices mats[d][j][k], with entries up to a drawn bound
+    M in size, often exactly +-M, and sometimes a zero column."""
+    r = draw(st.integers(1, 3))
+    n = draw(st.integers(r, 5))
+    top = draw(st.integers(0, 3))
+    M = 2 ** draw(st.sampled_from([0, 7, 40]))
+    entry = st.one_of(st.sampled_from([-M, M]), st.integers(-M, M))
+    mats = [[[draw(entry) for _ in range(n)] for _ in range(r)]
+            for _ in range(top + 1)]
+    if draw(st.booleans()):
+        j = draw(st.integers(0, r - 1))
+        for A in mats:
+            A[j] = [0] * n
+    return mats, n
+
+
+@settings(max_examples=60, deadline=None)
+@given(polynomial_matrices())
+@example(([[[2 ** 40, -2 ** 40], [2 ** 40, 2 ** 40]]] * 3, 2))
+@example(([[[-3, 3, -3], [3, 3, -3], [-3, -3, -3]]] * 4, 3))
+@example(([[[0, 0, 0], [5, -5, 5]]] * 2, 3))
+def test_packed_minors_equal_per_degree_minor_sums(case):
+    # the s^m coefficient of each minor, read from one packed wedge, is
+    # the sum over |d| = m of the integer minors det[A_(d_i)(k_i, j)]
+    mats, n = case
+    r, top = len(mats[0]), len(mats) - 1
+    got = _packed_minors(mats, n)
+    keys = list(itertools.combinations(range(n - 1, -1, -1), r))
+    assert set(got) <= set(keys)
+    for K in keys:
+        want = [0] * (top + 1)
+        for d in itertools.product(range(top + 1), repeat=r):
+            if sum(d) <= top:
+                want[sum(d)] += oracles.permutation_det(
+                    [[mats[di][j][k] for j in range(r)]
+                     for di, k in zip(d, K)])
+        assert got.get(K, [0] * (top + 1)) == want, K
