@@ -69,8 +69,7 @@ def schur_polynomial(mu, r: int):
 
 @functools.cache
 def _signed_permutations(r: int):
-    """(sign, permutation) for the permutations of range(r), in the order
-    of itertools.permutations, kept per r."""
+    """(sign, p) for each permutation p of range(r), kept per r."""
     return tuple(((-1) ** sum(x > y for i, x in enumerate(p)
                               for y in p[i + 1:]), p)
                  for p in itertools.permutations(range(r)))
@@ -114,8 +113,7 @@ def _alternant_product(poly, v, lams):
     sigma(v)].  With v = nu + delta and poly = s_mu these are the
     Littlewood-Richardson coefficients c^lam_{mu nu}."""
     r = len(v)
-    shifts = [(sign, tuple(v[i] for i in p))
-              for sign, p in _signed_permutations(r)]
+    shifts = [(s, tuple(v[i] for i in p)) for s, p in _signed_permutations(r)]
     out = {}
     for lam in lams:
         t = [x + r - 1 - i for i, x in enumerate(lam)]
@@ -163,7 +161,7 @@ def schubert_ring(r: int, n: int) -> CohomologyRing:
                      for mu in parts)
     c1 = tuple(Fraction(n) if mu == (1,) + (0,) * (r - 1) else Fraction(0)
                for mu in parts)
-    chTF = _expand_in_basis(_ch_tangent_poly(r, n, dim), r, parts)
+    chTF = _expand_in_basis(_ch_tangent_poly(r, n), r, parts)
     return CohomologyRing(
         name=f"Gr({r},{n})",
         complex_dimension=dim,
@@ -178,9 +176,8 @@ def schubert_ring(r: int, n: int) -> CohomologyRing:
 
 def _exp_substitute(poly, r: int, top: int):
     """The image of an int Laurent polynomial in r variables under
-    x^e -> e^<e,x>, truncated above total degree top, times top!: x^a gets
-    the int top!/prod_i a_i! sum_e c_e prod_i e_i^(a_i), with a supported
-    where e is."""
+    x^e -> e^<e,x> through total degree top, times top!: x^a gets the int
+    top!/prod_i a_i! sum_e c_e prod_i e_i^(a_i), a supported where e is."""
     sums = {}
     for e, c in poly.items():
         terms = [((0,) * r, c)]
@@ -190,28 +187,27 @@ def _exp_substitute(poly, r: int, top: int):
                          for k, v in terms for a in range(top + 1 - sum(k))]
         for k, v in terms:
             sums[k] = sums.get(k, 0) + v
-    scale = factorial(top)
-    return {k: v * (scale // prod(map(factorial, k)))
+    return {k: v * factorial(top) // prod(map(factorial, k))
             for k, v in sums.items() if v}
 
 
-def _ch_tangent_poly(r: int, n: int, max_deg: int):
-    """ch(T) = ch(S^dual) (n - ch(S)) = sum_i e^{x_i} (n - sum_j e^{-x_j})
-    with Chern roots x_i of S^dual, times max_deg!: the exponential
-    substitution of n sum_i x_i - sum_{i,j} x_i / x_j."""
-    unit = [tuple(int(t == i) for t in range(r)) for i in range(r)]
-    poly = {u: n for u in unit}
-    poly[(0,) * r] = -r
-    for a, b in itertools.permutations(unit, 2):
-        poly[tuple(x - y for x, y in zip(a, b))] = -1
-    return _exp_substitute(poly, r, max_deg)
+def _ch_tangent_poly(r: int, n: int):
+    """n sum_i x_i - sum_{i,j} x_i / x_j, whose exponential substitution is
+    ch(T) = ch(S^dual) (n - ch(S)) = sum_i e^{x_i} (n - sum_j e^{-x_j})
+    with Chern roots x_i of S^dual."""
+    poly = {tuple(int(t == i) for t in range(r)): n for i in range(r)}
+    for i, j in itertools.product(range(r), repeat=2):
+        e = tuple((t == i) - (t == j) for t in range(r))
+        poly[e] = poly.get(e, 0) - 1
+    return poly
 
 
 def _expand_in_basis(poly, r, parts):
-    """The Schur coefficients at the box partitions `parts` of a symmetric
-    polynomial of ints over top!, top the weight of the last part."""
+    """The Schur coefficients at the box partitions `parts` of the image of
+    a symmetric int Laurent polynomial under _exp_substitute."""
     top = sum(parts[-1])
-    ints = _alternant_product(poly, tuple(range(r - 1, -1, -1)), parts)
+    ints = _alternant_product(_exp_substitute(poly, r, top),
+                              tuple(range(r - 1, -1, -1)), parts)
     return tuple(Fraction(ints.get(mu, 0), factorial(top)) for mu in parts)
 
 
@@ -269,16 +265,11 @@ def wedge_from_vectors(vectors, n: int) -> AntiSymmetricElement:
 
 def satake_map(a: AntiSymmetricElement, R: CohomologyRing) -> GradedVector:
     """(k_1,...,k_r) goes to the Schubert class of mu_i = k_i - (r - i)."""
-    keys = _satake_keys(a.r, a.n)
-    if R.rank != len(keys):
+    parts = box_partitions(a.r, a.n)
+    if R.rank != len(parts):
         raise ValueError("ring does not match (r, n)")
-    return R.vector(tuple(Fraction(0) + a.coeffs.get(K, 0) for K in keys))
-
-
-def _satake_keys(r: int, n: int):
-    """The wedge coordinate K of each Schubert class, in basis order."""
-    return [tuple(x + r - 1 - i for i, x in enumerate(mu))
-            for mu in box_partitions(r, n)]
+    return R.vector(tuple(Fraction(0) + a.coeffs.get(
+        tuple(x + a.r - 1 - i for i, x in enumerate(mu)), 0) for mu in parts))
 
 
 # --------------------------------------------------------------------------
@@ -291,17 +282,16 @@ def bcfk_j_series(r: int, n: int, D: int) -> JSeries:
     The degree-nm coefficient is the sum, over the ordered multidegrees d
     with |d| = m, of the twisted products
     prod_{i<j}(x_i - x_j + d_i - d_j) * prod_i Jcoeff_{d_i}(x_i).  The first
-    factor is the Vandermonde determinant in y_i = x_i + d_i, so in wedge
-    coordinates k_1 > ... > k_r each product is det[A_{d_i}(k_i, j)], A_d
-    the n x r matrix of the x^k-coefficients of y^(r-1-j) Jcoeff_d(x).  The
-    determinant is linear in each row, so the sum is the s^m coefficient
-    of the minor at K of one generating matrix A(s) = sum_d s^d A_d,
-    cleared to ints by L, the lcm of the denominators of the Jcoeff_d:
-    `_packed_minors` takes every minor at every degree from one wedge of
-    A(s) packed at s = 2^B, and the minors go through the Satake
-    identification over L^r.  The phase is the sign (-1)^((r-1)m): the
-    sigma_1 exponentials e^(-+i pi (r-1) sigma_1) cancel to the unit
-    class, and xi^(nm) = e^(i pi (r-1) m).
+    factor is the Vandermonde determinant in y_i = x_i + d_i, so its wedge
+    coordinate at k_1 > ... > k_r is det[A_{d_i}(k_i, j)], A_d the n x r
+    matrix of the x^k-coefficients of y^(r-1-j) Jcoeff_d(x).  By linearity
+    in each row the sum is the s^m coefficient of the minor at K of
+    A(s) = sum_d s^d A_d.  `_packed_minors` reads every minor of L A(s),
+    L the lcm of the denominators, off one wedge at s = 2^B (its docstring
+    gives B and the balanced decode); each goes through the Satake
+    identification over L^r.  The phase (-1)^((r-1)m), put into A_d as
+    (-1)^((r-1)d), is that of xi^(nm) = e^(i pi (r-1) m): the sigma_1
+    exponentials e^(-+i pi (r-1) sigma_1) cancel.
     """
     if D < 0:
         raise ValueError("negative truncation")
@@ -310,20 +300,19 @@ def bcfk_j_series(r: int, n: int, D: int) -> JSeries:
     JP = j_projective(n, n * mmax) if mmax > 0 else j_projective(n, n)
     rows = [JP._int_rows[n * d] for d in range(mmax + 1)]
     L = lcm(*(den for den, _ in rows))
-    # A_d L, as its columns j: y^(r-1-j) Jcoeff_d(x) L, y = x + d
+    # L (-1)^((r-1)d) A_d by columns j: y^(r-1-j) Jcoeff_d(x), y = x + d
     mats = []
     for d, (den, row) in enumerate(rows):
-        cols = [[x * (L // den) for x in row]]
+        cols = [[x * (-1) ** ((r - 1) * d) * (L // den) for x in row]]
         for _ in range(r - 1):
             cols.append(_mul_trunc(cols[-1], (d, 1), n))
         mats.append(cols[::-1])
     minors = _packed_minors(mats, n)
-    keys, zero, Lr = _satake_keys(r, n), [0] * (mmax + 1), L ** r
-    coeffs = {0: R.unit()}
+    coords = [minors.get(tuple(x + r - 1 - i for i, x in enumerate(mu)),
+                         [0] * (mmax + 1)) for mu in box_partitions(r, n)]
+    Lr, coeffs = L ** r, {0: R.unit()}
     for m in range(1, mmax + 1):
-        sign = (-1) ** ((r - 1) * m)
-        coeffs[n * m] = R.vector(tuple(
-            Fraction(sign * minors.get(K, zero)[m], Lr) for K in keys))
+        coeffs[n * m] = R.vector(tuple(Fraction(c[m], Lr) for c in coords))
     return JSeries(ring=R, D=D, coeffs=coeffs)
 
 
@@ -442,9 +431,8 @@ def _is_consecutive_mod(K, n) -> bool:
 
 def _chi_projective(l: int, k: int, n: int) -> int:
     """Euler pairing of O(l), O(k) on the projective space with n
-    coordinates, prod_{j=1}^{n-1} (x+j) / (n-1)! at x = k - l: the
-    generalised binomial C(x+n-1, n-1), which is 0 for -n < x < 0 and
-    (-1)^(n-1) C(-x-1, n-1) below."""
+    coordinates: C(x+n-1, n-1) at x = k - l, generalised to 0 for
+    -n < x < 0 and (-1)^(n-1) C(-x-1, n-1) below."""
     x = k - l
     if x >= 0:
         return comb(x + n - 1, n - 1)
@@ -467,8 +455,6 @@ def e_mu_class(R: CohomologyRing, mu, r: int, n: int,
                label: str | None = None) -> KClass:
     """K-class with Chern character the Schur polynomial of mu evaluated at
     the exponentials of the tautological Chern roots."""
-    ch = _expand_in_basis(_exp_substitute(schur_polynomial(mu, r), r,
-                                          r * (n - r)),
-                          r, box_partitions(r, n))
+    ch = _expand_in_basis(schur_polynomial(mu, r), r, box_partitions(r, n))
     suffix = partition_label(mu)[1:]
     return KClass(ch=R.vector(ch), label=label or (f"E{suffix}" if suffix else "E"))
