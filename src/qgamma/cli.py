@@ -359,19 +359,25 @@ def cmd_oscillatory(args, spec):
     osc, quad = _orthant_integral(spec.mirror(), 1 / t, args.quad_tol,
                                   args.digits)
     rel = abs(Z - osc) / abs(Z)
-    # quad is the difference of two grid sums that carry the quadrature's
-    # digits plus 10, so its leading digits cancel: print only those it keeps
-    ctx = working_context(args.digits)
-    kept = _quadrature_digits(args.quad_tol, args.digits) + 10
-    known = kept - int(ctx.ceil(abs(ctx.log10(quad)))) if quad \
-        else args.digits
+    # the integral carries the quadrature's digits, its grid sums 10 more:
+    # print it to those, and each relative difference to the digits it keeps
+    need = _quadrature_digits(args.quad_tol, args.digits)
+    shown = _known_digits(rel, need, args.digits)
     return ({"value": {"t": t, "central_charge": Z,
-                       "oscillatory_integral": osc,
-                       "relative_difference": rel, "tol": args.tol},
-             "error_estimates": {"relative_difference": rel,
-                                 "quadrature_error":
-                                     mpmath.nstr(quad, max(2, known))}},
+                       "oscillatory_integral": mpmath.nstr(osc, need),
+                       "relative_difference": shown, "tol": args.tol},
+             "error_estimates": {"relative_difference": shown,
+                                 "quadrature_error": _known_digits(
+                                     quad, need + 10, args.digits)}},
             rel < args.tol)
+
+
+def _known_digits(x, kept: int, P: int) -> str:
+    """x, the relative difference of two values of `kept` digits, printed
+    to the kept - ceil(|log10 x|) >= 2 that survive (P at x = 0)."""
+    ctx = working_context(P)
+    known = kept - int(ctx.ceil(abs(ctx.log10(x)))) if x else P
+    return mpmath.nstr(x, max(2, known))
 
 
 def cmd_lefschetz(args, spec):

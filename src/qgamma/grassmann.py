@@ -13,7 +13,7 @@ from math import comb, factorial, lcm, prod
 from operator import sub
 
 from .exactla import det
-from .jfun import JSeries, _mul_trunc, j_projective
+from .jfun import JSeries, _mul_trunc, _reduced, j_projective
 from .laurent import LaurentPolynomial
 from .mirror import constant_term_series, property_o_report
 from .ring import CohomologyRing, GradedVector, KClass
@@ -288,17 +288,18 @@ def bcfk_j_series(r: int, n: int, D: int) -> JSeries:
     in each row the sum is the s^m coefficient of the minor at K of
     A(s) = sum_d s^d A_d.  `_packed_minors` reads every minor of L A(s),
     L the lcm of the denominators, off one wedge at s = 2^B (its docstring
-    gives B and the balanced decode); each goes through the Satake
-    identification over L^r.  The phase (-1)^((r-1)m), put into A_d as
-    (-1)^((r-1)d), is that of xi^(nm) = e^(i pi (r-1) m): the sigma_1
-    exponentials e^(-+i pi (r-1) sigma_1) cancel.
+    gives B and the balanced decode); the Satake identification picks
+    the coordinates, and each degree is one int row over L^r, reduced by
+    one gcd.  The phase (-1)^((r-1)m), put into A_d as (-1)^((r-1)d), is
+    that of xi^(nm) = e^(i pi (r-1) m): the sigma_1 exponentials
+    e^(-+i pi (r-1) sigma_1) cancel.
     """
     if D < 0:
         raise ValueError("negative truncation")
     R = schubert_ring(r, n)
     mmax = D // n
     JP = j_projective(n, n * mmax) if mmax > 0 else j_projective(n, n)
-    rows = [JP._int_rows[n * d] for d in range(mmax + 1)]
+    rows = [JP.rows[n * d] for d in range(mmax + 1)]
     L = lcm(*(den for den, _ in rows))
     # L (-1)^((r-1)d) A_d by columns j: y^(r-1-j) Jcoeff_d(x), y = x + d
     mats = []
@@ -310,10 +311,9 @@ def bcfk_j_series(r: int, n: int, D: int) -> JSeries:
     minors = _packed_minors(mats, n)
     coords = [minors.get(tuple(x + r - 1 - i for i, x in enumerate(mu)),
                          [0] * (mmax + 1)) for mu in box_partitions(r, n)]
-    Lr, coeffs = L ** r, {0: R.unit()}
-    for m in range(1, mmax + 1):
-        coeffs[n * m] = R.vector(tuple(Fraction(c[m], Lr) for c in coords))
-    return JSeries(ring=R, D=D, coeffs=coeffs)
+    Lr = L ** r
+    return JSeries(ring=R, D=D, rows={
+        n * m: _reduced(Lr, [c[m] for c in coords]) for m in range(mmax + 1)})
 
 
 def _packed_minors(mats, n: int) -> dict:
@@ -451,10 +451,8 @@ def euler_matrix_grassmann(mu, nu, r: int, n: int) -> Fraction:
                          for li in l]))
 
 
-def e_mu_class(R: CohomologyRing, mu, r: int, n: int,
-               label: str | None = None) -> KClass:
+def e_mu_class(R: CohomologyRing, mu, r: int, n: int) -> KClass:
     """K-class with Chern character the Schur polynomial of mu evaluated at
-    the exponentials of the tautological Chern roots."""
+    the exponentials of the tautological Chern roots, labelled E<mu>."""
     ch = _expand_in_basis(schur_polynomial(mu, r), r, box_partitions(r, n))
-    suffix = partition_label(mu)[1:]
-    return KClass(ch=R.vector(ch), label=label or (f"E{suffix}" if suffix else "E"))
+    return KClass(ch=R.vector(ch), label="E" + partition_label(mu)[1:])

@@ -2,8 +2,8 @@
 transformation.
 
 Series convention: J(t) = e^(c1 log t) * sum_{d>=0} J_d t^d with J_0 = 1 and
-J_d = 0 unless the Fano index divides d.  Coefficients J_d are ring vectors
-over exact rationals.
+J_d = 0 unless the Fano index divides d.  A series stores each J_d as one
+reduced int row over a positive denominator, read as Fractions on demand.
 """
 
 from __future__ import annotations
@@ -27,40 +27,39 @@ from .scalars import from_fixed, from_ratio, to_fixed, working_context
 class JSeries:
     ring: CohomologyRing
     D: int                      # truncation: coefficients d = 0..D
-    coeffs: dict                # d -> GradedVector, only d with fano_index | d
+    rows: dict                  # d -> (den, ints), J_d = ints / den with
+                                # gcd 1 and den > 0; only d with fano_index | d
 
     @property
     def fano_index(self) -> int:
         return self.ring.fano_index
 
     def __post_init__(self):
-        unit = self.ring.unit()
-        j0 = self.coeffs.get(0)
-        if j0 is None or any(a != b for a, b in zip(j0.coeffs, unit.coeffs)):
+        R = self.ring
+        den, row = self.rows.get(0, (0, ()))
+        if (den, list(row)) != (1, [int(k == 0) for k in R.degrees]):
             raise ValueError("J_0 must be the unit class")
-        for d in self.coeffs:
+        for d, (den, row) in self.rows.items():
             if d % self.fano_index:
                 raise ValueError("support must lie in multiples of the Fano index")
             if d > self.D:
                 raise ValueError("coefficient beyond truncation order")
+            if den <= 0 or len(row) != R.rank or gcd(den, *row) != 1:
+                raise ValueError("rows must be reduced ints over den > 0")
+
+    @functools.cached_property
+    def coeffs(self) -> dict:
+        """d -> J_d as a GradedVector over exact rationals: the rows read
+        as Fractions, built on first use, for printing and pairing."""
+        return {d: self.ring.vector(tuple(Fraction(x, den) for x in row))
+                for d, (den, row) in self.rows.items()}
 
     def coefficient(self, d: int) -> GradedVector:
         v = self.coeffs.get(d)
         return v if v is not None else self.ring.zero()
 
     def nonzero_degrees(self):
-        return sorted(self.coeffs)
-
-    @functools.cached_property
-    def _int_rows(self) -> dict:
-        """d -> (den, row) with J_d = row / den: the ints of J_d's
-        components over their least common denominator."""
-        rows = {}
-        for d, v in self.coeffs.items():
-            den = lcm(*(c.denominator for c in v.coeffs))
-            rows[d] = den, [c.numerator * (den // c.denominator)
-                            for c in v.coeffs]
-        return rows
+        return sorted(self.rows)
 
     @functools.cached_property
     def _numeric(self) -> "_NumericView":
@@ -69,7 +68,7 @@ class JSeries:
         degrees = self.nonzero_degrees()
         sizes = [(x.numerator, x.denominator) for x in (
             Fraction(max(map(abs, row)), den)
-            for den, row in map(self._int_rows.get, degrees))]
+            for den, row in map(self.rows.get, degrees))]
         terms = [(k, d / math.log(10), math.log10(p) - math.log10(q))
                  for k, (d, (p, q)) in enumerate(zip(degrees, sizes)) if p]
         return _NumericView(degrees, sizes, terms, {}, {})
@@ -80,7 +79,7 @@ class JSeries:
         once and kept on the series like `_numeric`."""
         R = self.ring
         view = self._numeric
-        rows = [self._int_rows[d] for d in view.degrees]
+        rows = [self.rows[d] for d in view.degrees]
         den = lcm(*(q for q, _ in rows))
         # 2^(l - 2) < max |J_d| < 2^l, l = 0 for a zero degree
         offsets = [p.bit_length() - q.bit_length() + 1 for p, q in view.sizes]
@@ -119,7 +118,7 @@ class _NumericView(NamedTuple):
                         # with max |J_d| = p / q, (0, 1) for a zero degree
     terms: list         # per degree with J_d != 0, (its position, d / ln 10,
                         # float log10 of its size)
-    rows: dict          # working digits -> (per component [(degree
+    cuts: dict          # working digits -> (per component [(degree
                         # position, m, s)] for each c = m * 2^-s != 0; the
                         # nonzero entries (row, column, value) of cup-by-c1)
     last: dict          # bits -> the (m, s) of the last two nonzero sizes
@@ -174,27 +173,22 @@ def j_projective(n: int, D: int) -> JSeries:
     if D < n:
         raise ValueError("truncation below the first nonzero coefficient")
     R = build_projective_ring(n)
-    coeffs = {0: R.unit()}
     rows = {0: (1, [1] + [0] * (n - 1))}
     cur, den = [1], 1           # series in h mod h^n, over den
     d = 1
     while n * d <= D:
         cur = _mul_trunc(cur, _inverse_power(d, n, n), n)
-        den *= d ** (2 * n - 1)
-        g = gcd(den, *cur)
-        cur, den = [x // g for x in cur], den // g
-        coeffs[n * d] = R.vector(tuple(Fraction(x, den) for x in cur))
+        den, cur = _reduced(den * d ** (2 * n - 1), cur)
         rows[n * d] = den, cur
         d += 1
-    return _with_rows(JSeries(ring=R, D=D, coeffs=coeffs), rows)
+    return JSeries(ring=R, D=D, rows=rows)
 
 
-def _with_rows(J: JSeries, rows: dict) -> JSeries:
-    """J with `rows` as its `_int_rows`, from the builder that made its
-    coefficients from them: each row reduced against its denominator, so
-    they equal what `_int_rows` would read back from the Fractions."""
-    J.__dict__["_int_rows"] = rows
-    return J
+def _reduced(den: int, row):
+    """(den, row) divided by gcd(den, *row), den > 0: J_d = row / den as
+    the series stores it."""
+    g = gcd(den, *row)
+    return den // g, [x // g for x in row]
 
 
 def _inverse_power(k: int, e: int, n: int):
@@ -219,9 +213,11 @@ def _mul_trunc(a, b, n):
 
 def quantum_period(J: JSeries) -> QuantumPeriod:
     """H^0-components of the series coefficients."""
+    i = J.ring.degrees.index(0)
     return QuantumPeriod(
         fano_index=J.fano_index, D=J.D,
-        coeffs={d: v.h0() for d, v in J.coeffs.items() if v.h0()} | {0: J.coefficient(0).h0()})
+        coeffs={d: Fraction(row[i], den) for d, (den, row) in J.rows.items()
+                if row[i]})
 
 
 def quantum_lefschetz(JX: JSeries, a: int, DY: int | None = None) -> dict:
@@ -246,8 +242,8 @@ def quantum_lefschetz(JX: JSeries, a: int, DY: int | None = None) -> dict:
     # mirror-map constant; cross-checked against a! <[pt], J_r> when r-a = 1
     if r - a == 1:
         c0 = Fraction(factorial(a))
-        from_j = factorial(a) * JX.coefficient(r).h0()
-        if from_j != c0:
+        den, row = JX.rows.get(r, (1, [0]))
+        if factorial(a) * Fraction(row[0], den) != c0:
             raise AssertionError("the two readings of the mirror constant disagree")
     else:
         c0 = Fraction(0)
@@ -261,7 +257,7 @@ def quantum_lefschetz(JX: JSeries, a: int, DY: int | None = None) -> dict:
     for dd in range(nmax + 1):
         for m in range(max(1, a * dd - a + 1), a * dd + 1):
             tw = _mul_trunc(tw, (m, a), n - 1)
-        den, row = JX._int_rows.get(r * dd, (1, ()))
+        den, row = JX.rows.get(r * dd, (1, ()))
         S.append((den, _mul_trunc(tw, row, n - 1)))
 
     if c0:
@@ -280,13 +276,9 @@ def quantum_lefschetz(JX: JSeries, a: int, DY: int | None = None) -> dict:
     Dout = (r - a) * nmax
     if DY is not None:
         Dout = min(Dout, DY)
-    rows = {}
-    for dd, (den, row) in enumerate(S[:Dout // (r - a) + 1]):
-        g = gcd(den, *row)
-        rows[(r - a) * dd] = den // g, [x // g for x in row]
-    coeffs = {d: amb.vector(tuple(Fraction(x, den) for x in row))
-              for d, (den, row) in rows.items()}
-    JY = _with_rows(JSeries(ring=amb, D=Dout, coeffs=coeffs), rows)
+    JY = JSeries(ring=amb, D=Dout, rows={
+        (r - a) * dd: _reduced(den, row)
+        for dd, (den, row) in enumerate(S[:Dout // (r - a) + 1])})
 
     # (T0/(r-a))^(r-a) = a^a (T_X/r)^r with T_X = r here
     return {"JY": JY, "c0": c0, "T0": _t0_value(a, r - a)}
@@ -353,11 +345,11 @@ def evaluate_j(J: JSeries, t, *, P: int = 50, half_turns: int = 0) -> dict:
     wdps = P + max(0, _peak_digits(view, t)) + 20
     ctx = working_context(wdps)
     R = J.ring
-    cached = view.rows.get(wdps)
+    cached = view.cuts.get(wdps)
     if cached is None:
         rows = [[_fixed_ratio(x, den, ctx.prec) if x else None for x in row]
-                for den, row in map(J._int_rows.get, view.degrees)]
-        cached = view.rows[wdps] = (
+                for den, row in map(J.rows.get, view.degrees)]
+        cached = view.cuts[wdps] = (
             [[(k, *row[i]) for k, row in enumerate(rows) if row[i]]
              for i in range(R.rank)],
             [(i, j, ctx.convert(s)) for j, col in enumerate(R.c1_matrix())

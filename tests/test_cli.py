@@ -280,6 +280,29 @@ def test_oscillatory_past_three_variables(capsys, space, digits):
     assert 0 < float(d["error_estimates"]["quadrature_error"]) <= 1e-12
 
 
+def test_oscillatory_prints_the_integral_to_its_known_digits(capsys):
+    # --quad-tol 1e-12 gives the integral 17 digits at --digits 50: it is
+    # printed to those, and the relative difference to the digits that
+    # survive its cancellation, by the rule of quadrature_error
+    rc, out, err = run(capsys, ["oscillatory", "--space", "P5",
+                                "--digits", "50"])
+    assert rc == 0, err
+    d = json.loads(out)
+    assert d["verdict"] is True
+    value = d["value"]
+    text = value["oscillatory_integral"]
+    assert 15 <= len(re.sub(r"[^0-9]", "", text).lstrip("0")) <= 17, text
+    ctx = working_context(60)
+    charge = ctx.mpf(value["central_charge"].strip("()").split(" ")[0])
+    assert abs(ctx.mpf(text) / charge - 1) < ctx.mpf(10) ** -15, text
+    shown = value["relative_difference"]
+    assert d["error_estimates"]["relative_difference"] == shown
+    rel = ctx.mpf(shown)
+    known = max(2, 17 - math.ceil(-mpmath.log10(rel)))
+    mantissa = re.sub(r"[^0-9]", "", shown.split("e")[0]).lstrip("0")
+    assert 1 <= len(mantissa) <= known, shown
+
+
 def test_lefschetz_without_tol_states_no_verdict(capsys):
     rc, out, err = run(capsys, ["lefschetz", "--space", "X(4,2)", "-D", "40"])
     assert rc == 0

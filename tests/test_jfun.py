@@ -44,10 +44,19 @@ def test_projective_space_low_coefficients():
 
 def test_jseries_unit_constraint():
     R = build_projective_ring(2)
-    with pytest.raises(ValueError):
-        JSeries(R, 4, {0: R.basis_vector(1)})
-    with pytest.raises(ValueError):
-        JSeries(R, 4, {0: R.unit(), 3: R.zero()})
+    unit = (1, [1, 0])
+    rows = {0: unit, 2: (1, [1, -2]), 4: (4, [1, -3])}
+    assert JSeries(R, 4, rows).rows == j_projective(2, 4).rows
+    for bad in ({0: (1, [0, 1])},                   # J_0 not the unit
+                {0: (2, [2, 0])},                   # J_0 unreduced
+                {0: unit, 4: (8, [2, -6])},         # unreduced row
+                {0: unit, 4: (0, [1, -3])},         # den = 0
+                {0: unit, 4: (-4, [-1, 3])},        # den < 0
+                {0: unit, 4: (4, [1, -3, 0])},      # wrong length
+                {0: unit, 3: (1, [0, 0])},          # index 2 does not divide
+                {0: unit, 6: (1, [1, 0])}):         # beyond D = 4
+        with pytest.raises(ValueError):
+            JSeries(R, 4, bad)
 
 
 def test_quantum_lefschetz_cubic_surface():
@@ -308,7 +317,7 @@ def test_evaluate_j_unit_component_is_exact_sum(name, t, P):
 def test_numeric_view_does_not_pin_its_series():
     J = j_projective(3, 60)
     evaluate_j(J, Fraction(7, 2), P=30)
-    assert J._numeric.rows          # the view was built and used
+    assert J._numeric.cuts          # the view was built and used
     ref = weakref.ref(J)
     del J
     gc.collect()
@@ -393,24 +402,27 @@ def test_quantum_lefschetz_equals_fraction_oracle(n):
 
 
 @pytest.mark.parametrize("n", range(2, 7))
-def test_handed_rows_equal_the_rows_read_back(n):
-    # j_projective and quantum_lefschetz hand the series the reduced int
-    # rows they built its Fractions from: they are the rows `_int_rows`
-    # reads back from the Fractions of an equal series
-    def read_back(J):
-        return JSeries(J.ring, J.D, J.coeffs)._int_rows
+def test_builder_rows_are_reduced_and_read_as_coeffs(n):
+    # every builder stores J_d as one int row over a positive denominator,
+    # reduced by their gcd, and `coeffs` reads each row as Fractions
+    def check(J, *where):
+        assert sorted(J.coeffs) == sorted(J.rows), where
+        for d, (den, row) in J.rows.items():
+            assert all(type(x) is int for x in (den, *row)), (where, d)
+            assert den > 0 and math.gcd(den, *row) == 1, (where, d)
+            assert J.coeffs[d].coeffs \
+                == tuple(Fraction(x, den) for x in row), (where, d)
+            assert all(type(c) is Fraction for c in J.coeffs[d].coeffs)
 
     for D in (n, 40, 250):
         J = j_projective(n, D)
-        assert "_int_rows" in vars(J)
-        assert J._int_rows == read_back(J), (n, D)
-        assert all(type(x) is int for _, row in J._int_rows.values()
-                   for x in row)
+        check(J, n, D)
         for a in range(1, n) if n > 2 else ():
             for DY in (None, D // 2):
-                JY = quantum_lefschetz(J, a, DY)["JY"]
-                assert "_int_rows" in vars(JY)
-                assert JY._int_rows == read_back(JY), (n, D, a, DY)
+                check(quantum_lefschetz(J, a, DY)["JY"], n, D, a, DY)
+    for r in range(2, n - 1):
+        for D in (n - 1, n, 40):
+            check(bcfk_j_series(r, n, D), r, n, D)
 
 
 def test_quintic_residuals_equal_fraction_oracle():
@@ -465,7 +477,7 @@ def test_fixed_ratio_edge_cases(P):
 def _convert_view(J, t, P):
     """J's numeric view read off the Fraction coefficients: the size table
     as the reduced max |J_d|, its log10 as mpmath takes it at 15 digits,
-    and the rows at the working precision `evaluate_j(J, t, P=P)` picks
+    and the cuts at the working precision `evaluate_j(J, t, P=P)` picks
     from them, converted by mpmath coefficient by coefficient."""
     scan = working_context(15)
     degrees = J.nonzero_degrees()
@@ -477,7 +489,7 @@ def _convert_view(J, t, P):
     wdps = P + max(0, _peak_digits(view, t)) + 20
     ctx = working_context(wdps)
     rows = [[ctx.convert(c) for c in J.coeffs[d].coeffs] for d in degrees]
-    view.rows[wdps] = (
+    view.cuts[wdps] = (
         [[(k, *_scaled(row[i], ctx.prec, ctx))
           for k, row in enumerate(rows) if row[i]]
          for i in range(J.ring.rank)],
@@ -504,7 +516,7 @@ def test_evaluate_j_bitwise_equal_to_per_coefficient_conversion(build):
     J = build()
     for t in ts:
         for P in (15, 50, 100):
-            twin = JSeries(J.ring, J.D, J.coeffs)
+            twin = JSeries(J.ring, J.D, J.rows)
             twin.__dict__["_numeric"] = view = _convert_view(twin, t, P)
             assert J._numeric.sizes == view.sizes
             assert [x[:2] for x in J._numeric.terms] \
@@ -516,9 +528,10 @@ def test_evaluate_j_bitwise_equal_to_per_coefficient_conversion(build):
                     == _bitwise(evaluate_j(twin, t, P=P,
                                            half_turns=half_turns)), \
                     (t, P, half_turns)
-            # the converted rows were read, and the cut ones equal them
-            (wdps, rows), = view.rows.items()
-            assert J._numeric.rows[wdps] == rows, (t, P)
+            # the converted cuts were read, and those cut from J.rows
+            # equal them
+            (wdps, cuts), = view.cuts.items()
+            assert J._numeric.cuts[wdps] == cuts, (t, P)
 
 
 @pytest.mark.parametrize("n, a", [(4, 2), (4, 3), (5, 3)])
