@@ -71,36 +71,41 @@ class JSeries:
             for den, row in map(self.rows.get, degrees))]
         terms = [(k, d / math.log(10), math.log10(p) - math.log10(q))
                  for k, (d, (p, q)) in enumerate(zip(degrees, sizes)) if p]
-        return _NumericView(degrees, sizes, terms, {}, {})
+        return _NumericView(degrees, sizes, terms, {})
 
     @functools.cached_property
-    def _moments(self) -> "_MomentView":
+    def _moments(self) -> tuple:
         """What `MomentSum` needs from the series, all exact, so computed
-        once and kept on the series like `_numeric`."""
+        once and kept on the series like `_numeric`: (offsets, columns,
+        prefactor, denominator, |N|).  Degree d has the offset l_d with
+        2^(l_d - 2) < max |J_d| < 2^l_d (0 for a zero degree); column j
+        holds the ints J_d[j] den 2^(top - l_d), den the common denominator
+        of the J_d and top the largest l_d.  With N = M / L the matrix of
+        cup-by-c1, M ints, prefactor[k] = D N^k / k! for D = L^deg deg!;
+        the denominator is den D and |N| the float largest absolute row
+        sum of N."""
         R = self.ring
         view = self._numeric
         rows = [self.rows[d] for d in view.degrees]
         den = lcm(*(q for q, _ in rows))
-        # 2^(l - 2) < max |J_d| < 2^l, l = 0 for a zero degree
         offsets = [p.bit_length() - q.bit_length() + 1 for p, q in view.sizes]
         top = max(offsets)
         columns = [[row[j] * (den // q) << (top - off)
                     for (q, row), off in zip(rows, offsets)]
                    for j in range(R.rank)]
-        # N^k / k! for k = 0..top degree, N the matrix of cup-by-c1
         cols = R.c1_matrix()
-        term = [[Fraction(i == j) for j in range(R.rank)]
-                for i in range(R.rank)]
-        powers = [term]
-        for k in range(1, max(R.degrees) + 1):
-            term = [[sum(cols[m][i] * term[m][j] for m in range(R.rank)) / k
-                     for j in range(R.rank)] for i in range(R.rank)]
-            powers.append(term)
-        pden = math.lcm(*(x.denominator for mat in powers for row in mat
-                          for x in row))
-        return _MomentView(
-            offsets, columns, den * pden,
-            [[[int(x * pden) for x in row] for row in mat] for mat in powers])
+        L = lcm(*(x.denominator for col in cols for x in col))
+        M = [[int(col[i] * L) for col in cols] for i in range(R.rank)]
+        deg = max(R.degrees)
+        D = L ** deg * factorial(deg)
+        term = [[D * (i == j) for j in range(R.rank)] for i in range(R.rank)]
+        prefactor = [term]
+        for k in range(1, deg + 1):     # every division exact
+            term = [[sum(map(mul, row, col)) // (L * k) for col in zip(*term)]
+                    for row in M]
+            prefactor.append(term)
+        norm = float(Fraction(max(sum(map(abs, row)) for row in M), L))
+        return offsets, columns, prefactor, den * D, norm
 
     @functools.cached_property
     def _hypersurfaces(self) -> dict:
@@ -121,19 +126,6 @@ class _NumericView(NamedTuple):
     cuts: dict          # working digits -> (per component [(degree
                         # position, m, s)] for each c = m * 2^-s != 0; the
                         # nonzero entries (row, column, value) of cup-by-c1)
-    last: dict          # bits -> the (m, s) of the last two nonzero sizes
-                        # cut to that many bits, for `_tail`
-
-
-class _MomentView(NamedTuple):
-    offsets: list       # per degree d, l_d with 2^(l_d - 2) < max |J_d|
-                        # < 2^l_d (0 for a zero degree)
-    columns: list       # per component j, the ints J_d[j] den 2^(top - l_d)
-                        # over the degrees d, den the common denominator of
-                        # every J_d and top the largest l_d
-    denominator: int    # den times the common denominator of the N^k / k!
-    prefactor: list     # per k = 0..top degree, the int matrix [i][j] of
-                        # N^k / k! times that common denominator
 
 
 @dataclass(frozen=True)
@@ -228,7 +220,7 @@ def quantum_lefschetz(JX: JSeries, a: int, DY: int | None = None) -> dict:
     Returns {"JY": JSeries on `build_hypersurface_ambient_ring(n, a)`, "c0":
     Fraction, "T0": exact Fraction, or a 60-digit big real when
     irrational}.  The e^(-c0 t) factor is folded into the series
-    coefficients by a Cauchy product so the output obeys the standard
+    coefficients by a binomial transform so the output obeys the standard
     series convention with index n-a.
     """
     n = JX.ring.rank                   # homogeneous coordinates
@@ -391,15 +383,12 @@ def _tail(view: _NumericView, powers, ctx):
 
     Each size is the size table's entry cut to ctx.prec bits by
     `_fixed_ratio`, as the coefficients of `evaluate_j` are, times the
-    power, rounded once.  The cut entries are kept per precision.
+    power, rounded once.
     """
-    last = [k for k, _, _ in view.terms[-2:]]
-    cut = view.last.get(ctx.prec)
-    if cut is None:
-        cut = view.last[ctx.prec] = [_fixed_ratio(*view.sizes[k], ctx.prec)
-                                     for k in last]
-    sizes = [from_fixed(ctx, c * abs(powers[k][0]), s + powers[k][1])
-             for (c, s), k in zip(cut, last)]
+    sizes = []
+    for k, _, _ in view.terms[-2:]:
+        c, s = _fixed_ratio(*view.sizes[k], ctx.prec)
+        sizes.append(from_fixed(ctx, c * abs(powers[k][0]), s + powers[k][1]))
     return len(sizes) < 2 or sizes[-1] < sizes[-2], 2 * sizes[-1]
 
 
@@ -470,11 +459,15 @@ class MomentSum:
     with the moments M[k][d] = sum_i W_i (ln t_i)^k t_i^d.  `add` puts
     nodes into the moments, `total` contracts them with the exact
     coefficients (the series' `_moments`) and `bounds` bounds its error,
-    each as often as the caller likes.
+    each as often as the caller likes.  `majorant` and `converged` read
+    the series at one point: a float bound on |J(t)| and its tail test.
 
     Fixed point: M[0][d] is an int on the grid 2^-(grid + l_d), l_d the
     series' offset of degree d, so one unit of it times |J_d| is below
     2^-grid, and M[k][d] for k >= 1 on the grid 2^-(grid + l_d + bits).
+    The grid sits `digits` digits below the largest weighted term W m_d
+    t^d over `sample`, pairs (log10 W, ln t) of floats, with m_d = max
+    |J_d| from the series' size table in float logs.
     Per node, t_i is one int product and ln t_i one add, both to `bits`
     bits; the terms W_i t_i^d come from a running product as in
     `_fixed_powers`, and each is truncated onto its grid once; the
@@ -490,16 +483,38 @@ class MomentSum:
     4 2^-bits and one truncation per power.
     """
 
-    def __init__(self, J: JSeries, grid: int, bits: int):
-        self.view = J._moments
-        self.degrees = J._numeric.degrees
-        self.grids = [grid + off for off in self.view.offsets]
-        self.scale = grid + max(self.view.offsets) + bits
+    def __init__(self, J: JSeries, sample, digits: int, bits: int):
+        self.view = view = J._numeric
+        offsets, self.columns, self.prefactor, self.denominator, self.norm \
+            = J._moments
+        peak = max(log_w + lp + c * log_t for log_w, log_t in sample
+                   for _, c, lp in view.terms)
+        grid = math.ceil((digits - peak) * math.log2(10))
+        self.grids = [grid + off for off in offsets]
+        self.scale = grid + max(offsets) + bits
         self.bits = bits
-        top = len(self.view.prefactor) - 1
-        self.moments = [[0] * len(self.degrees) for _ in range(top + 1)]
+        self.moments = [[0] * len(view.degrees) for _ in self.prefactor]
         self.count = 0                  # nodes added
-        self.log_max = [0] * top        # L_k for k = 1..top
+        self.log_max = [0] * (len(self.prefactor) - 1)  # L_k, k = 1..top
+
+    def majorant(self, log_t: float) -> float:
+        """A float at least log10 |J(t)_i| for every component i at t > 0
+        with ln t = log_t: sum_d m_d t^d times sum_(k <= top degree)
+        (|ln t| |N|)^k / k!, the most the prefactor e^(c1 ln t) gives."""
+        logs = [lp + c * log_t for _, c, lp in self.view.terms]
+        peak = max(logs)
+        x, term, factor = abs(log_t) * self.norm, 1.0, 1.0
+        for k in range(1, len(self.prefactor)):
+            term *= x / k
+            factor += term
+        return (peak + math.log10(sum(10 ** (y - peak) for y in logs))
+                + math.log10(factor))
+
+    def converged(self, t, ctx) -> bool:
+        """The series' tail test (`_tail`, as `evaluate_j` reports it) at
+        the point t > 0, an mpf of ctx."""
+        view = self.view
+        return _tail(view, _fixed_powers(view.degrees, t, 0, ctx), ctx)[0]
 
     def add(self, nodes, t0, log_t0: int) -> None:
         """Add the nodes (W, S, L): the weight W_i = m 2^-s > 0 for
@@ -528,7 +543,7 @@ class MomentSum:
                         if lpow else logs)
         steps = {}                  # degree gap -> t_i^gap per node
         prev = 0
-        for j, (d, g) in enumerate(zip(self.degrees, self.grids)):
+        for j, (d, g) in enumerate(zip(self.view.degrees, self.grids)):
             if d != prev:
                 step = steps.get(d - prev)
                 if step is None:
@@ -553,8 +568,7 @@ class MomentSum:
         """The sum over the nodes added, times 2^-shift, per component of
         the series' ring, as mpfs of ctx: the exact contraction of the
         moments with the J_d and the N^k / k!, rounded once to nearest."""
-        view = self.view
-        return self._rounded(ctx, shift, view.columns, view.prefactor,
+        return self._rounded(ctx, shift, self.columns, self.prefactor,
                              self.moments)
 
     def bounds(self, ctx, shift: int):
@@ -575,7 +589,8 @@ class MomentSum:
                      + 4 * -(-(lam[1] + 4) ** (k - 1) >> (k - 1) * bits))
             slack.append([2 * ((n + 1 - (-10 * (d + 1) * (m + n) >> bits))
                                * lk + e * (m + n))
-                          for d, m in zip(self.degrees, self.moments[0])])
+                          for d, m in zip(self.view.degrees,
+                                          self.moments[0])])
         even = [[x << bits for x in self.moments[0]]] + self.moments[1:]
         absolute = [self.moments[0]]
         for k in range(1, len(even)):
@@ -585,15 +600,15 @@ class MomentSum:
                 if k + 1 < len(even) else
                 [(lam[1] * x >> bits) + 1 for x in even[k - 1]])
         prefactor = [[[abs(x) for x in row] for row in mat]
-                     for mat in self.view.prefactor]
-        magnitudes = [list(map(abs, col)) for col in self.view.columns]
+                     for mat in self.prefactor]
+        magnitudes = [list(map(abs, col)) for col in self.columns]
         sizes = self._rounded(ctx, shift, magnitudes, prefactor, absolute)
         return ([x + ctx.ldexp(m, -ctx.prec) for x, m in zip(
             self._rounded(ctx, shift, magnitudes, prefactor, slack), sizes)],
             sizes)
 
     def _rounded(self, ctx, shift, columns, prefactor, moments):
-        return [from_ratio(ctx, x, self.view.denominator, self.scale + shift)
+        return [from_ratio(ctx, x, self.denominator, self.scale + shift)
                 for x in self._contract(columns, prefactor, moments)]
 
     def _contract(self, columns, prefactor, moments):

@@ -46,8 +46,8 @@ from mpmath.calculus.quadrature import TanhSinh
 from mpmath.libmp.libelefun import exp_fixed, ln2_fixed
 
 from .exactla import lp_max
-from .jfun import (JSeries, MomentSum, _fixed_powers, _scaled, _tail,
-                   _truncate, evaluate_j, quantum_lefschetz)
+from .jfun import (JSeries, MomentSum, _scaled, _truncate, evaluate_j,
+                   quantum_lefschetz)
 from .laurent import LaurentPolynomial
 from .ring import GradedVector, cup, gamma_class, gamma_of_ch, line_bundle, \
     pair_bracket
@@ -495,18 +495,19 @@ def _laplace_sum(JX: JSeries, rank: int, uc, ar: Fraction, P: int):
     predicted absolute error of each, both as lists of mpfs, and the
     tanh-sinh level the sum stopped at.
 
-    One tanh-sinh sum over the vector, on `jfun.MomentSum`: level k adds
-    its new nodes to the moments, from `_laplace_table`, and the level's
-    sum is the moments' contraction times the step 2^-k, I_k = I_(k-1)/2
-    + (the new nodes), with no series evaluation at any node.  On t > 0
-    the ambient series is real, so the sums are.  Level 1's nodes set the
-    grid: wp + 20 digits below the largest weighted term m_d |t|^d of the
-    level (m_d = max |J_d|, from the series' size table in float logs),
-    the accuracy that a series evaluation gave each node.  A node of level
-    k >= 2 is skipped when |weight| times `_series_bound` at its t is
+    One tanh-sinh sum over the vector, on `jfun.MomentSum`, the sum's
+    one reading of the ambient series: level k adds its new nodes to the
+    moments, all read from the level's records in `_laplace_table`, and
+    the level's sum is the moments' contraction times the step 2^-k, I_k
+    = I_(k-1)/2 + (the new nodes), with no series evaluation at any node.
+    On t > 0 the ambient series is real, so the sums are.  Level 1's
+    nodes set the grid: wp + 20 digits below the largest weighted term
+    m_d |t|^d of the level (m_d = max |J_d|), the accuracy that a series
+    evaluation gave each node.  A node of level k >= 2 is skipped when
+    |weight| times the series' majorant (`MomentSum.majorant`) at its t is
     below 10^-(P+12) of every component of I_(k-1): in practice the far
     end of [0, S], where e^(-s) leaves nothing of the series.  Every other
-    node must pass the series' tail test (`jfun._tail`, the one
+    node must pass the series' tail test (`MomentSum.converged`, the one
     `evaluate_j` reports), or the sum raises; the last term over the one
     before grows with t, so each level runs it once, at the largest t it
     kept.  With d_k = |I_k - I_(k-1)| and each level doubling the digits,
@@ -525,15 +526,11 @@ def _laplace_sum(JX: JSeries, rank: int, uc, ar: Fraction, P: int):
     bound = ctx.mpf(10) ** -(P + 2)
     log_u = float(ctx.ln(uc))
     ar_f = float(ar)
-    series_bound = _series_bound(JX)
     bits = _laplace_bits(wp)
     t0, log_t0 = _fixed_root_and_log(uc, ar, bits)
-    # the grid, from level 1's largest weighted term in float logs
-    view = JX._numeric
-    peak = max(log_w + lp + c * ar_f * (log_s + log_u)
-               for _, _, log_s, log_w in _laplace_nodes(wp, 1)
-               for _, c, lp in view.terms)
-    moments = MomentSum(JX, math.ceil((wp + 20 - peak) * math.log2(10)), bits)
+    moments = MomentSum(JX, [(log_w, ar_f * (log_s + log_u)) for
+                             _, log_s, log_w, _ in _laplace_table(wp, 1, ar)],
+                        wp + 20, bits)
     total = [ctx.zero] * rank       # I_k
     skipped = ctx.zero              # most the skipped nodes carry, halved
     diffs = None                    # d_(k-1), from level 2 on
@@ -541,24 +538,20 @@ def _laplace_sum(JX: JSeries, rank: int, uc, ar: Fraction, P: int):
         prev = total
         floor = min((abs(x) for x in prev), default=ctx.zero)
         cut = float(ctx.log10(floor)) - (P + 12) if floor else -math.inf
-        # `series_bound` is at least 0 (J_0 = 1), so a weight of at least
+        # the majorant is at least 0 (J_0 = 1), so a weight of at least
         # 10^cut keeps its node without calling it
-        nodes = _laplace_table(wp, level, ar)
-        kept = [(log_s, s, node) for (s, _, log_s, log_w), node in
-                zip(_laplace_nodes(wp, level), nodes)
+        table = _laplace_table(wp, level, ar)
+        kept = [(s, node) for s, log_s, log_w, node in table
                 if not floor or log_w >= cut
-                or log_w + series_bound(ar_f * (log_s + log_u)) >= cut]
-        skipped = skipped / 2 + (len(nodes) - len(kept)) * (
+                or log_w + moments.majorant(ar_f * (log_s + log_u)) >= cut]
+        skipped = skipped / 2 + (len(table) - len(kept)) * (
             ctx.mpf(10) ** cut if floor else 0)
-        moments.add([node for _, _, node in kept], t0, log_t0)
-        if kept:
-            # the largest s, by its float log and then exactly, gives the
-            # largest t
-            t = (max(kept)[1] * uc) ** ctx.convert(ar)
-            powers = _fixed_powers(view.degrees, t, 0, ctx)
-            if not _tail(view, powers, ctx)[0]:
-                raise ArithmeticError("ambient series tail not under control "
-                                      "inside the Laplace integral")
+        moments.add([node for _, node in kept], t0, log_t0)
+        # the largest s kept gives the largest t
+        if kept and not moments.converged(
+                (max(s for s, _ in kept) * uc) ** ctx.convert(ar), ctx):
+            raise ArithmeticError("ambient series tail not under control "
+                                  "inside the Laplace integral")
         total = moments.total(ctx, level)[:rank]
         if level == 1:
             continue
@@ -573,33 +566,6 @@ def _laplace_sum(JX: JSeries, rank: int, uc, ar: Fraction, P: int):
         diffs = d
     raise ArithmeticError(f"Laplace sum did not converge within "
                           f"{_MAX_LEVEL} tanh-sinh levels")
-
-
-def _series_bound(J: JSeries):
-    """The function ln t -> a float at least log10 |J(t)_i| for every
-    component i and every t > 0, in float arithmetic.
-
-    The sum part is at most sum_d m_d t^d, m_d the largest |coefficient|
-    of degree d, and the prefactor e^(c1 ln t) multiplies it by at most
-    sum_(k <= top degree) (|ln t| |N|)^k / k!, |N| the largest absolute
-    row sum of cup-by-c1.
-    """
-    R = J.ring
-    cols = R.c1_matrix()
-    norm = float(max(sum(abs(col[i]) for col in cols) for i in range(R.rank)))
-    top = max(R.degrees)
-    terms = J._numeric.terms
-
-    def log10_bound(log_t):
-        logs = [lp + c * log_t for _, c, lp in terms]
-        peak = max(logs)
-        x, term, factor = abs(log_t) * norm, 1.0, 1.0
-        for k in range(1, top + 1):
-            term *= x / k
-            factor += term
-        return (peak + math.log10(sum(10 ** (y - peak) for y in logs))
-                + math.log10(factor))
-    return log10_bound
 
 
 def _laplace_cutoff(wp: int):
@@ -629,16 +595,18 @@ def _fixed_root_and_log(x, ar: Fraction, bits: int):
 
 @functools.lru_cache(maxsize=128)
 def _laplace_table(wp: int, level: int, ar: Fraction) -> tuple:
-    """`_laplace_nodes(wp, level)` in fixed point for the exponent ar, as
-    `jfun.MomentSum` takes them: per node (W, S, L), W = (m, s) with the
+    """The nodes of `_laplace_nodes(wp, level)` as the Laplace sum reads
+    them for the exponent ar: per node (s, ln s, log10 |weight|, (W, S,
+    L)), with (W, S, L) as `jfun.MomentSum` takes it, W = (m, s) with the
     weight times 2^level = m 2^-s exactly, and (S, L) =
     `_fixed_root_and_log(s, ar, _laplace_bits(wp))`."""
     ctx = working_context(wp)
     bits = _laplace_bits(wp)
     out = []
-    for s, w, _, _ in _laplace_nodes(wp, level):
+    for s, w, log_s, log_w in _laplace_nodes(wp, level):
         m, e = _scaled(w, ctx.prec, ctx)
-        out.append(((m, e - level), *_fixed_root_and_log(s, ar, bits)))
+        out.append((s, log_s, log_w,
+                    ((m, e - level), *_fixed_root_and_log(s, ar, bits))))
     return tuple(out)
 
 

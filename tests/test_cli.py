@@ -11,8 +11,8 @@ import mpmath
 import pytest
 
 from qgamma import oscillatory
-from qgamma.cli import _COMMANDS, _MAX_ORDER, _OPTIONS, _build_parser, \
-    main, parse_space
+from qgamma.cli import _COMMANDS, _MAX_DIGITS, _MAX_ORDER, _OPTIONS, \
+    _build_parser, main, parse_space
 from qgamma.grassmann import bcfk_j_series, ehx_constant_terms
 from qgamma.jfun import j_projective, quantum_lefschetz, quantum_period
 from qgamma.laurent import LaurentPolynomial
@@ -568,6 +568,13 @@ def test_usage_errors_exit_2(capsys):
          "hypersurface needs n >= 3"),
         (["gamma", "--space", "P2", "--digits", "10"],
          "need at least 15 digits"),
+        (["gamma", "--space", "P2", "--digits", "-5"],
+         "need at least 15 digits"),
+        # --digits has a ceiling, as -D and -N have
+        (["gamma", "--space", "P1", "--digits", "100000"],
+         "argument --digits/-P: must be at most 1000"),
+        (["gamma", "--space", "P1", "--digits", "1" + "0" * 30],
+         "argument --digits/-P: must be at most 1000"),
         (["gamma", "--space", "P2", "--format", "csv"],
          "unrecognized arguments: --format csv"),
         (["mutate", "--space", "P3", "--word", "Q1"],
@@ -683,14 +690,17 @@ def test_coefficients_past_the_int_string_limit_exit_2(capsys, argv, degree,
 
 def test_every_default_and_the_ceiling_are_accepted():
     parser = _build_parser()
+    ceilings = {"--order": _MAX_ORDER, "-N": _MAX_ORDER,
+                "--digits": _MAX_DIGITS}
     for flags, keywords, defaults in _OPTIONS:
-        if flags[0] in ("--order", "-N"):
-            assert all(v is None or v <= _MAX_ORDER
-                       for v in defaults.values())
+        most = ceilings.get(flags[0])
+        if most is not None:
+            assert all(v is None or v <= most for v in defaults.values())
             for command in defaults:
-                args = parser.parse_args([command, "--space", "P1",
-                                          flags[0], str(_MAX_ORDER)])
-                assert vars(args)[flags[0].lstrip("-")] == _MAX_ORDER
+                word = ["--word", "R1"] if command == "mutate" else []
+                args = parser.parse_args([command, "--space", "P1", *word,
+                                          flags[0], str(most)])
+                assert vars(args)[flags[0].lstrip("-")] == most
 
 
 def test_qperiod_float_ignores_global_precision(capsys, monkeypatch):

@@ -9,13 +9,13 @@ import mpmath
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from qgamma.jfun import (JSeries, _NumericView, _fixed_powers,
+from qgamma.jfun import (JSeries, MomentSum, _NumericView, _fixed_powers,
                          _fixed_ratio, _fixed_sum, _peak_digits, _scaled,
                          _t0_value, evaluate_j, j_projective,
                          jseries_to_json_dict, quantum_lefschetz,
                          quantum_period, quintic_pf_annihilation)
-from qgamma.grassmann import bcfk_j_series
-from qgamma.ring import build_projective_ring
+from qgamma.grassmann import bcfk_j_series, schubert_ring
+from qgamma.ring import build_hypersurface_ambient_ring, build_projective_ring
 from qgamma.scalars import from_fixed, to_fixed, working_context
 
 import oracles
@@ -485,7 +485,7 @@ def _convert_view(J, t, P):
     terms = [(k, d / math.log(10), float(scan.log10(scan.convert(p))))
              for k, (d, p) in enumerate(zip(degrees, tops)) if p]
     view = _NumericView(degrees, [(p.numerator, p.denominator) for p in tops],
-                        terms, {}, {})
+                        terms, {})
     wdps = P + max(0, _peak_digits(view, t)) + 20
     ctx = working_context(wdps)
     rows = [[ctx.convert(c) for c in J.coeffs[d].coeffs] for d in degrees]
@@ -548,11 +548,59 @@ def test_moment_view_equals_fraction_reading(n, a):
     assert J._numeric.sizes == [(p.numerator, p.denominator) for p in tops]
     offsets = [p.numerator.bit_length() - p.denominator.bit_length() + 1
                if p else 0 for p in tops]
-    view = J._moments
-    assert view.offsets == offsets
-    assert view.columns == [[int(row[j] * den) << (max(offsets) - off)
-                             for row, off in zip(rows, offsets)]
-                            for j in range(J.ring.rank)]
+    got_offsets, columns, *_ = J._moments
+    assert got_offsets == offsets
+    assert columns == [[int(row[j] * den) << (max(offsets) - off)
+                        for row, off in zip(rows, offsets)]
+                       for j in range(J.ring.rank)]
+
+
+@pytest.mark.parametrize("R", [
+    *(build_projective_ring(n) for n in range(2, 8)),
+    *(build_hypersurface_ambient_ring(n, a) for n in range(3, 8)
+      for a in range(1, n)),
+    *(schubert_ring(r, n) for n in range(2, 7) for r in range(1, n))],
+    ids=lambda R: R.name)
+def test_moment_prefactor_equals_fraction_powers(R):
+    # on every ring the package builds: the int prefactor over its
+    # denominator is N^k / k! built from Fractions, and |N| is the float of
+    # the largest absolute row sum of those Fractions
+    J = JSeries(R, 0, {0: (1, [int(k == 0) for k in R.degrees])})
+    _, _, prefactor, denominator, norm = J._moments
+    cols = R.c1_matrix()
+    term = [[Fraction(i == j) for j in range(R.rank)] for i in range(R.rank)]
+    assert len(prefactor) == max(R.degrees) + 1
+    for k, mat in enumerate(prefactor):
+        if k:
+            term = [[sum(cols[m][i] * term[m][j] for m in range(R.rank)) / k
+                     for j in range(R.rank)] for i in range(R.rank)]
+        assert [[Fraction(x, denominator) for x in row] for row in mat] \
+            == term, k
+    assert norm == float(max(sum(abs(col[i]) for col in cols)
+                             for i in range(R.rank)))
+
+
+@pytest.mark.parametrize("build", [
+    lambda: j_projective(2, 120), lambda: j_projective(3, 180),
+    lambda: j_projective(4, 240), lambda: j_projective(5, 300),
+    lambda: quantum_lefschetz(j_projective(4, 160), 2)["JY"],
+    lambda: bcfk_j_series(2, 4, 80)],
+    ids=["P1", "P2", "P3", "P4", "X(4,2)", "Gr(2,4)"])
+def test_majorant_bounds_every_component(build):
+    # MomentSum.majorant(ln t) >= log10 max_i |J(t)_i| at every converged t
+    # of 125 with ln t in [-30, 6]
+    J = build()
+    moments = MomentSum(J, [(0.0, 0.0)], 0, 64)
+    ctx = working_context(30)
+    checked = 0
+    for k in range(125):
+        log_t = -30 + 36 * k / 124
+        res = evaluate_j(J, ctx.exp(log_t), P=30)
+        if res["converged"]:
+            top = max(abs(c) for c in res["value"].coeffs)
+            assert moments.majorant(log_t) >= float(ctx.log10(top)), log_t
+            checked += 1
+    assert checked >= 100
 
 
 def test_first_evaluation_converts_no_fraction_per_coefficient(monkeypatch):

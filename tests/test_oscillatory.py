@@ -587,7 +587,7 @@ def test_laplace_sum_against_per_node_oracle(monkeypatch):
                 want = [hi.zero] * rank
                 for k, nodes in enumerate(added, 1):
                     table = oscillatory._laplace_table(wp, k, ar)
-                    at = {id(x): i for i, x in enumerate(table)}
+                    at = {id(x[3]): i for i, x in enumerate(table)}
                     kept = [oscillatory._laplace_nodes(wp, k)[at[id(x)]][:2]
                             for x in nodes]
                     part = _per_node(JX, kept, uc, ar, wp, rank)
@@ -678,7 +678,7 @@ def test_laplace_sum_refuses_exactly_where_evaluate_j_is_unconverged(
                 refused = "tail not under control" in str(err)
             ts = []
             for k, nodes in enumerate(added, 1):
-                at = {id(x): i for i, x in
+                at = {id(x[3]): i for i, x in
                       enumerate(oscillatory._laplace_table(wp, k, ar))}
                 ts += [(oscillatory._laplace_nodes(wp, k)[at[id(x)]][0]
                         * uc) ** ctx.convert(ar) for x in nodes]
