@@ -125,15 +125,15 @@ def kernel_c1(R: CohomologyRing):
     """Homology classes annihilating the image of (c1 cup): exact basis.
 
     These are the classes alpha with <alpha, c1 cup x> = 0 for every x,
-    i.e. the null space of the transpose of the cup-by-c1 matrix (whose
-    rows are the columns of `c1_matrix`).
+    i.e. the null space of the transpose of the cup-by-c1 matrix
+    (`CohomologyRing.c1_action`).
     """
-    return [HomologyVector(R, v) for v in nullspace(R.c1_matrix())]
+    return [HomologyVector(R, v) for v in nullspace(list(zip(*R.c1_action[0])))]
 
 
 def _in_kernel_exact(alpha: HomologyVector) -> bool:
     R = alpha.ring
-    return all(alpha.pair(R.vector(tuple(col))) == 0 for col in R.c1_matrix())
+    return all(alpha.pair(R.vector(col)) == 0 for col in zip(*R.c1_action[0]))
 
 
 def apery_ratio(J: JSeries, alpha: HomologyVector, N: int, P: int = 50) -> dict:

@@ -77,13 +77,13 @@ class JSeries:
     def _moments(self) -> tuple:
         """What `MomentSum` needs from the series, all exact, so computed
         once and kept on the series like `_numeric`: (offsets, columns,
-        prefactor, denominator, |N|).  Degree d has the offset l_d with
+        scalars, denominator, |N|).  Degree d has the offset l_d with
         2^(l_d - 2) < max |J_d| < 2^l_d (0 for a zero degree); column j
         holds the ints J_d[j] den 2^(top - l_d), den the common denominator
-        of the J_d and top the largest l_d.  With N = M / L the matrix of
-        cup-by-c1, M ints, prefactor[k] = D N^k / k! for D = L^deg deg!;
-        the denominator is den D and |N| the float largest absolute row
-        sum of N."""
+        of the J_d and top the largest l_d.  With N = M / L the ring's
+        `c1_action` and D = L^deg deg!, D N^k / k! = scalars[k] M^k; the
+        denominator is den D and |N| the float largest absolute row sum
+        of N."""
         R = self.ring
         view = self._numeric
         rows = [self.rows[d] for d in view.degrees]
@@ -93,19 +93,12 @@ class JSeries:
         columns = [[row[j] * (den // q) << (top - off)
                     for (q, row), off in zip(rows, offsets)]
                    for j in range(R.rank)]
-        cols = R.c1_matrix()
-        L = lcm(*(x.denominator for col in cols for x in col))
-        M = [[int(col[i] * L) for col in cols] for i in range(R.rank)]
+        M, L = R.c1_action
         deg = max(R.degrees)
-        D = L ** deg * factorial(deg)
-        term = [[D * (i == j) for j in range(R.rank)] for i in range(R.rank)]
-        prefactor = [term]
-        for k in range(1, deg + 1):     # every division exact
-            term = [[sum(map(mul, row, col)) // (L * k) for col in zip(*term)]
-                    for row in M]
-            prefactor.append(term)
+        scalars = [L ** (deg - k) * factorial(deg) // factorial(k)
+                   for k in range(deg + 1)]
         norm = float(Fraction(max(sum(map(abs, row)) for row in M), L))
-        return offsets, columns, prefactor, den * D, norm
+        return offsets, columns, scalars, den * scalars[0], norm
 
     @functools.cached_property
     def _hypersurfaces(self) -> dict:
@@ -123,9 +116,8 @@ class _NumericView(NamedTuple):
                         # with max |J_d| = p / q, (0, 1) for a zero degree
     terms: list         # per degree with J_d != 0, (its position, d / ln 10,
                         # float log10 of its size)
-    cuts: dict          # working digits -> (per component [(degree
-                        # position, m, s)] for each c = m * 2^-s != 0; the
-                        # nonzero entries (row, column, value) of cup-by-c1)
+    cuts: dict          # working digits -> per component [(degree
+                        # position, m, s)] for each c = m * 2^-s != 0
 
 
 @dataclass(frozen=True)
@@ -322,13 +314,14 @@ def evaluate_j(J: JSeries, t, *, P: int = 50, half_turns: int = 0) -> dict:
     and each component adds its exact products c |t|^d on one grid prec +
     bitlen(#terms) + 10 bits below the largest of them, rounded once to
     the working context.  The tail test reads the same powers of its last
-    two nonzero degrees.  The prefactor e^(c1 log t) is then applied as
-    sum_k (log t)^k/k! N^k with N the matrix of cup-by-c1; it is where the
+    two nonzero degrees.  The factor e^(c1 log t) is then applied as
+    sum_k (log t)^k/k! N^k, N = M / L the ring's `c1_action`, term_k = M
+    term_(k-1) log t / (L k) on the nonzero entries of M; it is where the
     half turns enter, as the imaginary part of log t.  Per working
     precision, the coefficient mantissas are cut from the exact int rows
-    (`_fixed_ratio`) and N is converted, both kept on the series.  When
-    log t is real (no half turns) every scalar is real, and the result
-    becomes complex only at the final rounding to P digits.  Raises
+    (`_fixed_ratio`) and kept on the series.  When log t is real (no half
+    turns) every scalar is real, and the result becomes complex only at
+    the final rounding to P digits.  Raises
     ValueError at t = 0, where log t is undefined.
     """
     if t == 0:
@@ -337,16 +330,13 @@ def evaluate_j(J: JSeries, t, *, P: int = 50, half_turns: int = 0) -> dict:
     wdps = P + max(0, _peak_digits(view, t)) + 20
     ctx = working_context(wdps)
     R = J.ring
-    cached = view.cuts.get(wdps)
-    if cached is None:
+    columns = view.cuts.get(wdps)
+    if columns is None:
         rows = [[_fixed_ratio(x, den, ctx.prec) if x else None for x in row]
                 for den, row in map(J.rows.get, view.degrees)]
-        cached = view.cuts[wdps] = (
-            [[(k, *row[i]) for k, row in enumerate(rows) if row[i]]
-             for i in range(R.rank)],
-            [(i, j, ctx.convert(s)) for j, col in enumerate(R.c1_matrix())
-             for i, s in enumerate(col) if s])
-    columns, c1 = cached
+        columns = view.cuts[wdps] = [
+            [(k, *row[i]) for k, row in enumerate(rows) if row[i]]
+            for i in range(R.rank)]
 
     ta = abs(ctx.convert(t))
     logt = ctx.log(ta)
@@ -357,14 +347,17 @@ def evaluate_j(J: JSeries, t, *, P: int = 50, half_turns: int = 0) -> dict:
            for col in columns]
     converged, tail = _tail(view, powers, ctx)
 
-    # prefactor e^(c1 log t) = sum_k (log t)^k / k! N^k, N nilpotent
+    # e^(c1 log t) = sum_k (log t)^k / k! N^k, N = M / L nilpotent
+    M, L = R.c1_action
+    action = [(i, j, m) for i, row in enumerate(M)
+              for j, m in enumerate(row) if m]
     value = list(acc)
     term = acc
     for k in range(1, max(R.degrees) + 1):
         nxt = [ctx.zero] * R.rank
-        for i, j, s in c1:
-            nxt[i] += s * term[j]
-        scale = logt / k
+        for i, j, m in action:
+            nxt[i] += m * term[j]
+        scale = logt / (L * k)
         term = [x * scale for x in nxt]
         value = [v + x for v, x in zip(value, term)]
 
@@ -485,7 +478,8 @@ class MomentSum:
 
     def __init__(self, J: JSeries, sample, digits: int, bits: int):
         self.view = view = J._numeric
-        offsets, self.columns, self.prefactor, self.denominator, self.norm \
+        self.action = J.ring.c1_action[0]
+        offsets, self.columns, self.scalars, self.denominator, self.norm \
             = J._moments
         peak = max(log_w + lp + c * log_t for log_w, log_t in sample
                    for _, c, lp in view.terms)
@@ -493,18 +487,18 @@ class MomentSum:
         self.grids = [grid + off for off in offsets]
         self.scale = grid + max(offsets) + bits
         self.bits = bits
-        self.moments = [[0] * len(view.degrees) for _ in self.prefactor]
+        self.moments = [[0] * len(view.degrees) for _ in self.scalars]
         self.count = 0                  # nodes added
-        self.log_max = [0] * (len(self.prefactor) - 1)  # L_k, k = 1..top
+        self.log_max = [0] * (len(self.scalars) - 1)    # L_k, k = 1..top
 
     def majorant(self, log_t: float) -> float:
         """A float at least log10 |J(t)_i| for every component i at t > 0
         with ln t = log_t: sum_d m_d t^d times sum_(k <= top degree)
-        (|ln t| |N|)^k / k!, the most the prefactor e^(c1 ln t) gives."""
+        (|ln t| |N|)^k / k!, the most the factor e^(c1 ln t) gives."""
         logs = [lp + c * log_t for _, c, lp in self.view.terms]
         peak = max(logs)
         x, term, factor = abs(log_t) * self.norm, 1.0, 1.0
-        for k in range(1, len(self.prefactor)):
+        for k in range(1, len(self.scalars)):
             term *= x / k
             factor += term
         return (peak + math.log10(sum(10 ** (y - peak) for y in logs))
@@ -568,14 +562,15 @@ class MomentSum:
         """The sum over the nodes added, times 2^-shift, per component of
         the series' ring, as mpfs of ctx: the exact contraction of the
         moments with the J_d and the N^k / k!, rounded once to nearest."""
-        return self._rounded(ctx, shift, self.columns, self.prefactor,
+        return self._rounded(ctx, shift, self.columns, self.action,
                              self.moments)
 
     def bounds(self, ctx, shift: int):
         """Per component, a bound on the error of `total(ctx, shift)` and
         one on the sum of |W_i J(t_i)| times 2^-shift, as two lists of mpfs
         of ctx.  The first is the class docstring's bound on each moment
-        carried through |J_d| and |N^k / k!|, plus the rounding to ctx;
+        carried through |J_d| and |N|^k / k! (at least |N^k / k!|, equal
+        where N >= 0), plus the rounding to ctx;
         the second carries bounds on the moments of |ln t_i|^k through
         them: the even moments themselves, and for odd k the bound
         |x|^k <= (x^(k-1) + x^(k+1)) / 2, or L_1 |x|^(k-1) at the top
@@ -599,26 +594,27 @@ class MomentSum:
                 [(x + y >> 1) + 1 for x, y in zip(even[k - 1], even[k + 1])]
                 if k + 1 < len(even) else
                 [(lam[1] * x >> bits) + 1 for x in even[k - 1]])
-        prefactor = [[[abs(x) for x in row] for row in mat]
-                     for mat in self.prefactor]
+        action = [list(map(abs, row)) for row in self.action]
         magnitudes = [list(map(abs, col)) for col in self.columns]
-        sizes = self._rounded(ctx, shift, magnitudes, prefactor, absolute)
+        sizes = self._rounded(ctx, shift, magnitudes, action, absolute)
         return ([x + ctx.ldexp(m, -ctx.prec) for x, m in zip(
-            self._rounded(ctx, shift, magnitudes, prefactor, slack), sizes)],
+            self._rounded(ctx, shift, magnitudes, action, slack), sizes)],
             sizes)
 
-    def _rounded(self, ctx, shift, columns, prefactor, moments):
+    def _rounded(self, ctx, shift, columns, action, moments):
         return [from_ratio(ctx, x, self.denominator, self.scale + shift)
-                for x in self._contract(columns, prefactor, moments)]
+                for x in self._contract(columns, action, moments)]
 
-    def _contract(self, columns, prefactor, moments):
-        """sum_k P_k sum_d (columns)_d moments[k][d] on the grid of the
-        moments of k >= 1, P_k = prefactor[k]."""
+    def _contract(self, columns, action, moments):
+        """sum_k c_k A^k Y_k by Horner in A (M or |M|), c_k the scalars and
+        Y_k = sum_d (columns)_d moments[k][d] on the grid of k >= 1."""
         ys = [[sum(map(mul, col, mk)) << (0 if k else self.bits)
                for col in columns] for k, mk in enumerate(moments)]
-        return [sum(b * y for mat, y_k in zip(prefactor, ys)
-                    for b, y in zip(mat[i], y_k))
-                for i in range(len(columns))]
+        acc = [0] * len(columns)
+        for c, y in zip(reversed(self.scalars), reversed(ys)):
+            acc = [sum(map(mul, row, acc)) + c * x
+                   for row, x in zip(action, y)]
+        return acc
 
 
 def _peak_digits(view: _NumericView, t) -> int:

@@ -393,8 +393,8 @@ def central_charge_structure_sheaf(J: JSeries, gamma: GradedVector, t,
     at the working precision P + 20.  While the pairing cancels more than
     10 of its guard digits (its terms are as large as J, on P1 ~ e^(2t),
     and it is ~ e^(-2t)), it runs again with those digits added.  It raises
-    if the series tail exceeds 10^(-P+10) of the pairing, and asserts the
-    result real up to 10^(-P+12) relative."""
+    if the series tail exceeds 10^-P of the pairing, or the result is not
+    real up to 10^-P relative."""
     R = J.ring
     if gamma.ring is not R:
         raise ValueError("class lives on a different ring")
@@ -412,11 +412,11 @@ def central_charge_structure_sheaf(J: JSeries, gamma: GradedVector, t,
         if lost <= wp - P - 10:
             break
         wp = P + 20 + int(ctx.ceil(lost))
-    if res["tail_estimate"] > ctx.mpf(10) ** (-P + 10) * abs(pair):
+    if res["tail_estimate"] > ctx.mpf(10) ** -P * abs(pair):
         raise ArithmeticError("series tail above tolerance at the rotated point")
     z = ctx.mpc(0, 2 * C.pi) ** R.complex_dimension * pair
     scale = max(abs(z), ctx.mpf(1))
-    if abs(z.imag) > ctx.mpf(10) ** (-P + 12) * scale:
+    if abs(z.imag) > ctx.mpf(10) ** -P * scale:
         raise ArithmeticError(f"imaginary residue {z.imag} above tolerance")
     out = working_context(P)
     return out.mpc(z)
@@ -518,8 +518,8 @@ def _laplace_sum(JX: JSeries, rank: int, uc, ar: Fraction, P: int):
     s = 0, where ln t is largest, magnify that), plus the most the skipped
     nodes can carry; an exactly-zero component skips nothing, has floor 0
     and converges.  The sum stops at the first level where every
-    prediction is at most 10^-(P+2) |I_k|, and raises if `_MAX_LEVEL`
-    comes first.
+    prediction is at most 10^-(P+2) |I_k|, and raises if the level cap,
+    `_MAX_LEVEL` plus one per doubling of wp above 127, comes first.
     """
     wp = P + 10
     ctx = working_context(wp)
@@ -534,7 +534,8 @@ def _laplace_sum(JX: JSeries, rank: int, uc, ar: Fraction, P: int):
     total = [ctx.zero] * rank       # I_k
     skipped = ctx.zero              # most the skipped nodes carry, halved
     diffs = None                    # d_(k-1), from level 2 on
-    for level in range(1, _MAX_LEVEL + 1):
+    cap = _MAX_LEVEL + max(0, wp.bit_length() - 7)
+    for level in range(1, cap + 1):
         prev = total
         floor = min((abs(x) for x in prev), default=ctx.zero)
         cut = float(ctx.log10(floor)) - (P + 12) if floor else -math.inf
@@ -565,7 +566,7 @@ def _laplace_sum(JX: JSeries, rank: int, uc, ar: Fraction, P: int):
                 return total, errs, level
         diffs = d
     raise ArithmeticError(f"Laplace sum did not converge within "
-                          f"{_MAX_LEVEL} tanh-sinh levels")
+                          f"{cap} tanh-sinh levels")
 
 
 def _laplace_cutoff(wp: int):

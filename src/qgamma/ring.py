@@ -12,7 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from math import factorial
+from math import factorial, lcm
 
 from .scalars import ConstantTable
 
@@ -94,18 +94,14 @@ class CohomologyRing:
         once per ring and precision (`_per_table`)."""
         return {}
 
-    def c1_matrix(self):
-        """Matrix of cup-by-c1: column j holds c1 cup basis_j in basis coords."""
-        cols = []
-        for j in range(self.rank):
-            col = [Fraction(0)] * self.rank
-            for i, ci in enumerate(self.c1_coeffs):
-                if not ci:
-                    continue
-                for k, s in self.cup_basis(i, j):
-                    col[k] += ci * s
-            cols.append(col)
-        return cols
+    @cached_property
+    def c1_action(self) -> tuple:
+        """Cup-by-c1 as (M, L), int rows M over the least common denominator
+        L: c1 cup e_j = sum_i M[i][j] / L e_i, built once per ring."""
+        cols = [cup(self.c1, self.basis_vector(j)).coeffs
+                for j in range(self.rank)]
+        L = lcm(*(x.denominator for col in cols for x in col))
+        return tuple(tuple(int(x * L) for x in row) for row in zip(*cols)), L
 
 
 @dataclass(frozen=True)

@@ -323,6 +323,15 @@ def test_lefschetz_unconverged_sum_exits_2(capsys, monkeypatch):
     assert err.startswith("error: Laplace sum did not converge")
 
 
+def test_lefschetz_converges_at_400_digits(capsys):
+    # the level cap grows with the working digits: X(4,2) needs 9 tanh-sinh
+    # levels at 400 digits, one more than the cap below wp = 128
+    rc, out, err = run(capsys, ["lefschetz", "--space", "X(4,2)",
+                                "--digits", "400", "--tol", "1e-300"])
+    assert rc == 0, err
+    assert json.loads(out)["verdict"] is True
+
+
 def test_lefschetz_unconverged_ambient_series_exits_2(capsys):
     # at -D 8 the ambient series' last term is not below the one before at
     # the Laplace nodes

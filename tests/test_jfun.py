@@ -4,6 +4,7 @@ import math
 import random
 import weakref
 from fractions import Fraction
+from operator import mul
 
 import mpmath
 import pytest
@@ -489,12 +490,9 @@ def _convert_view(J, t, P):
     wdps = P + max(0, _peak_digits(view, t)) + 20
     ctx = working_context(wdps)
     rows = [[ctx.convert(c) for c in J.coeffs[d].coeffs] for d in degrees]
-    view.cuts[wdps] = (
-        [[(k, *_scaled(row[i], ctx.prec, ctx))
-          for k, row in enumerate(rows) if row[i]]
-         for i in range(J.ring.rank)],
-        [(i, j, ctx.convert(s)) for j, col in enumerate(J.ring.c1_matrix())
-         for i, s in enumerate(col) if s])
+    view.cuts[wdps] = [[(k, *_scaled(row[i], ctx.prec, ctx))
+                        for k, row in enumerate(rows) if row[i]]
+                       for i in range(J.ring.rank)]
     return view
 
 
@@ -562,20 +560,43 @@ def test_moment_view_equals_fraction_reading(n, a):
     *(schubert_ring(r, n) for n in range(2, 7) for r in range(1, n))],
     ids=lambda R: R.name)
 def test_moment_prefactor_equals_fraction_powers(R):
-    # on every ring the package builds: the int prefactor over its
-    # denominator is N^k / k! built from Fractions, and |N| is the float of
-    # the largest absolute row sum of those Fractions
+    # on every ring the package builds: MomentSum's Horner contraction in
+    # the ring's c1_action with the series' scalars is sum_k D N^k / k! Y_k,
+    # D the denominator, with N^k / k! built from Fractions of the cup
+    # table; on |M| and |Y_k| it bounds sum_k D |N^k / k!| |Y_k|, with
+    # equality where M >= 0; and |N| is the float of the largest absolute
+    # row sum of the Fractions
     J = JSeries(R, 0, {0: (1, [int(k == 0) for k in R.degrees])})
-    _, _, prefactor, denominator, norm = J._moments
-    cols = R.c1_matrix()
+    _, _, scalars, denominator, norm = J._moments
+    moments = MomentSum(J, [(0.0, 0.0)], 0, 64)
+    cols = [oracles.cup_coeffs(R, R.c1_coeffs, R.basis_vector(j).coeffs)
+            for j in range(R.rank)]
+    deg = max(R.degrees)
+    assert len(scalars) == deg + 1
+    rng = random.Random(R.name)
+    ys = [[rng.randrange(-10 ** 6, 10 ** 6) for _ in range(R.rank)]
+          for _ in range(deg + 1)]
+    # the identity as columns: Y_k = ys[k], Y_0 on the finer grid
+    unit = [[int(i == j) for j in range(R.rank)] for i in range(R.rank)]
+    Y = [[y << 64 for y in ys[0]]] + ys[1:]
+    want = [Fraction(0)] * R.rank
+    want_abs = [Fraction(0)] * R.rank
     term = [[Fraction(i == j) for j in range(R.rank)] for i in range(R.rank)]
-    assert len(prefactor) == max(R.degrees) + 1
-    for k, mat in enumerate(prefactor):
+    for k in range(deg + 1):
         if k:
             term = [[sum(cols[m][i] * term[m][j] for m in range(R.rank)) / k
                      for j in range(R.rank)] for i in range(R.rank)]
-        assert [[Fraction(x, denominator) for x in row] for row in mat] \
-            == term, k
+        for i in range(R.rank):
+            want[i] += denominator * sum(map(mul, term[i], Y[k]))
+            want_abs[i] += denominator * sum(abs(x) * abs(y)
+                                             for x, y in zip(term[i], Y[k]))
+    assert moments._contract(unit, moments.action, ys) == want
+    M, _ = R.c1_action
+    got_abs = moments._contract(unit, [list(map(abs, row)) for row in M],
+                                [list(map(abs, y)) for y in ys])
+    assert all(x >= y for x, y in zip(got_abs, want_abs))
+    if min(min(row) for row in M) >= 0:
+        assert got_abs == want_abs
     assert norm == float(max(sum(abs(col[i]) for col in cols)
                              for i in range(R.rank)))
 

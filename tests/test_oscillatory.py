@@ -461,6 +461,32 @@ def test_central_charge_guards():
         central_charge_structure_sheaf(short, gamma_class(short.ring, C), 3)
 
 
+@pytest.mark.parametrize("n, D, t, P, shortest", [
+    (2, 16, 1, 15, 26), (3, 23, 1, 15, 32), (2, 40, 2, 30, 50)])
+def test_central_charge_refuses_a_starved_series(n, D, t, P, shortest):
+    # the series tail is held to 10^-P of the pairing: these three series
+    # were 1.5e-10, 2.4e-12 and 3.6e-25 off under 10^(-P+10), and are
+    # refused; the shortest series accepted is within 10^-P
+    C = make_constants(P=P)
+
+    def charge(D, P):
+        J = j_projective(n, D)
+        return central_charge_structure_sheaf(J, gamma_class(J.ring, C), t,
+                                              P=P)
+    with pytest.raises(ArithmeticError, match="series tail above tolerance"):
+        charge(D, P)
+    while True:
+        D += n
+        try:
+            cc = charge(D, P)
+        except ArithmeticError:
+            continue
+        break
+    assert D == shortest
+    want = charge(200, P + 20)
+    assert abs(cc - want) < mpmath.mpf(10) ** -P * abs(want)
+
+
 @pytest.mark.parametrize("t", [8, 10, 20, 30, 60])
 def test_central_charge_at_low_digits_is_bessel(t):
     # on P1 the pairing cancels about 4 t log10(e) digits (14 at t = 8, 35

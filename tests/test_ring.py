@@ -1,10 +1,12 @@
 import dataclasses
 from fractions import Fraction
+from math import lcm
 
 import mpmath
 import pytest
 
 from qgamma import ring
+from qgamma.grassmann import schubert_ring
 from qgamma.ring import (CohomologyRing, GradedVector, KClass,
                          build_hypersurface_ambient_ring,
                          build_projective_ring, cup, gamma_class,
@@ -50,10 +52,22 @@ def test_poincare_pairing_antidiagonal():
 
 
 def test_c1_matrix_columns():
-    R = build_projective_ring(3)
-    rows = R.c1_matrix()
-    for j in range(3):
-        assert tuple(rows[j]) == cup(R.c1, R.basis_vector(j)).coeffs
+    # on every ring the package builds, c1_action is (M, L) with column j
+    # of M / L the cup product c1 cup e_j, taken one structure constant at
+    # a time, L the least common denominator; built once per ring
+    rings = [*(build_projective_ring(n) for n in range(2, 8)),
+             *(build_hypersurface_ambient_ring(n, a) for n in range(3, 8)
+               for a in range(1, n)),
+             *(schubert_ring(r, n) for n in range(2, 7) for r in range(1, n))]
+    for R in rings:
+        M, L = R.c1_action
+        assert R.c1_action is R.c1_action
+        images = [oracles.cup_coeffs(R, R.c1_coeffs, R.basis_vector(j).coeffs)
+                  for j in range(R.rank)]
+        for j, image in enumerate(images):
+            assert [Fraction(row[j], L) for row in M] == image, R.name
+        assert L == lcm(*(Fraction(x).denominator for image in images
+                          for x in image)), R.name
 
 
 def test_gamma_class_p1():
