@@ -474,9 +474,17 @@ _COMMANDS = {
 
 def _positive(kind, most=math.inf):
     """An argparse type: `kind` of the text, refused unless positive and
-    finite, and unless at most `most` when that is given."""
+    finite, and unless at most `most` when that is given.  A positive
+    decimal that a float rounds to 0 is refused as below the float range,
+    not as not positive."""
     def convert(text):
         value = kind(text)
+        mantissa = text.strip().lower().partition("e")[0]
+        if (value == 0 and not mantissa.startswith("-")
+                and any(c in "123456789" for c in mantissa)):
+            raise argparse.ArgumentTypeError(
+                f"{text} is below the smallest positive float, about "
+                f"{math.ulp(0.0)!r}")
         if not 0 < value < math.inf:
             raise argparse.ArgumentTypeError(
                 f"must be positive and finite, got {text}")

@@ -12,6 +12,7 @@ import functools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import compress
 from math import comb, factorial, gcd, lcm
 from operator import mul
 from typing import NamedTuple
@@ -474,6 +475,16 @@ class MomentSum:
     below 10 d 2^-bits from t_i's three roundings and two truncations per
     degree step; and that of the log powers, from ln t_i's error below
     4 2^-bits and one truncation per power.
+    Each node is walked only to its last term above the grid.  With t_i =
+    m 2^-s cut to `bits` bits and lam_i = bitlen(m) - s, t_i < 2^lam_i;
+    with g_j the grid of the j-th degree d_j, `reach` holds the suffix
+    minima A[j] = min over j' >= j of floor((g_j' - g_(j'+1)) / (d_(j'+1)
+    - d_j')).  A node whose term is 0 on the grid of d_j with lam_i <=
+    A[j] is dropped from the walk: its running product only rounds down
+    and each later step multiplies it by less than 2^(gap lam_i) <=
+    2^(g_j' - g_(j'+1)), so every later term is below its grid, 0 as
+    well.  The moments, `count` and `log_max` are those of the full walk,
+    and so is everything read from them.
     """
 
     def __init__(self, J: JSeries, sample, digits: int, bits: int):
@@ -485,6 +496,14 @@ class MomentSum:
                    for _, c, lp in view.terms)
         grid = math.ceil((digits - peak) * math.log2(10))
         self.grids = [grid + off for off in offsets]
+        # the suffix minima of floor((g_j - g_(j+1)) / (d_(j+1) - d_j)), and
+        # nothing to drop after the last degree
+        self.reach = [-math.inf] * len(offsets)
+        low = math.inf
+        for j in reversed(range(len(offsets) - 1)):
+            drop = (self.grids[j] - self.grids[j + 1]) // (
+                view.degrees[j + 1] - view.degrees[j])
+            low = self.reach[j] = min(low, drop)
         self.scale = grid + max(offsets) + bits
         self.bits = bits
         self.moments = [[0] * len(view.degrees) for _ in self.scalars]
@@ -501,7 +520,7 @@ class MomentSum:
         for k in range(1, len(self.scalars)):
             term *= x / k
             factor += term
-        return (peak + math.log10(sum(10 ** (y - peak) for y in logs))
+        return (peak + math.log10(sum([10 ** (y - peak) for y in logs]))
                 + math.log10(factor))
 
     def converged(self, t, ctx) -> bool:
@@ -519,14 +538,16 @@ class MomentSum:
             return
         bits = self.bits
         um, us = t0
-        # per node t_i, and q_i = W_i t_i^d as (mantissa, scale) from d = 0
-        # on, W_i's exact mantissa widened to `bits` bits; each degree step
-        # multiplies q_i by t_i^gap and drops bits - 1 bits, so the
-        # mantissa keeps at least bits - 1 bits (and gains at most one per
-        # step) with no bit count per term
-        ts, qs, scales, logs = [], [], [], []
+        # per node t_i, its bound 2^lam_i, and q_i = W_i t_i^d as
+        # (mantissa, scale) from d = 0 on, W_i's exact mantissa widened to
+        # `bits` bits; each degree step multiplies q_i by t_i^gap and drops
+        # bits - 1 bits, so the mantissa keeps at least bits - 1 bits (and
+        # gains at most one per step) with no bit count per term
+        ts, lams, qs, scales, logs = [], [], [], [], []
         for (wm, ws), (sm, ss), ls in nodes:
-            ts.append(_truncate(sm * um, ss + us, bits))
+            m, s = _truncate(sm * um, ss + us, bits)
+            ts.append((m, s))
+            lams.append(m.bit_length() - s)
             n = bits - wm.bit_length()
             qs.append(wm << n)
             scales.append(ws + n)
@@ -535,9 +556,13 @@ class MomentSum:
         while len(lpow) < len(self.log_max):
             lpow.append([x * y >> bits for x, y in zip(lpow[-1], logs)]
                         if lpow else logs)
+        self.count += len(nodes)
+        self.log_max = [max(x, *map(abs, lk))
+                        for x, lk in zip(self.log_max, lpow)]
         steps = {}                  # degree gap -> t_i^gap per node
         prev = 0
-        for j, (d, g) in enumerate(zip(self.view.degrees, self.grids)):
+        for j, (d, g, reach) in enumerate(
+                zip(self.view.degrees, self.grids, self.reach)):
             if d != prev:
                 step = steps.get(d - prev)
                 if step is None:
@@ -554,9 +579,17 @@ class MomentSum:
             self.moments[0][j] += sum(col)
             for k, lk in enumerate(lpow, 1):
                 self.moments[k][j] += sum(map(mul, col, lk))
-        self.count += len(nodes)
-        self.log_max = [max(x, *map(abs, lk))
-                        for x, lk in zip(self.log_max, lpow)]
+            if 0 in col:
+                # the drop rule of the class docstring
+                keep = [c or lam > reach for c, lam in zip(col, lams)]
+                if not all(keep):
+                    ts, lams, qs, scales = (list(compress(x, keep)) for x in
+                                            (ts, lams, qs, scales))
+                    lpow = [list(compress(lk, keep)) for lk in lpow]
+                    steps = {gap: list(compress(x, keep))
+                             for gap, x in steps.items()}
+                    if not qs:
+                        break
 
     def total(self, ctx, shift: int):
         """The sum over the nodes added, times 2^-shift, per component of

@@ -519,7 +519,10 @@ def _laplace_sum(JX: JSeries, rank: int, uc, ar: Fraction, P: int):
     nodes can carry; an exactly-zero component skips nothing, has floor 0
     and converges.  The sum stops at the first level where every
     prediction is at most 10^-(P+2) |I_k|, and raises if the level cap,
-    `_MAX_LEVEL` plus one per doubling of wp above 127, comes first.
+    `_MAX_LEVEL` plus one per doubling of wp above 127, comes first.  The
+    kernel's bound (`MomentSum.bounds`) is built only at a level whose
+    d_k^2/d_(k-1) plus the skipped nodes' share is within that, as the
+    prediction, at least that sum, must be.
     """
     wp = P + 10
     ctx = working_context(wp)
@@ -558,12 +561,18 @@ def _laplace_sum(JX: JSeries, rank: int, uc, ar: Fraction, P: int):
             continue
         d = [abs(x - y) for x, y in zip(total, prev)]
         if diffs is not None:
-            bounds, sizes = (x[:rank] for x in moments.bounds(ctx, level))
-            rule = moments.count * ctx.ldexp(1, -ctx.prec)
-            errs = [max(dk * dk / dp if dp else dk, b + rule * m) + skipped
-                    for dk, dp, b, m in zip(d, diffs, bounds, sizes)]
-            if all(e <= bound * abs(x) for e, x in zip(errs, total)):
-                return total, errs, level
+            pred = [dk * dk / dp if dp else dk for dk, dp in zip(d, diffs)]
+            # each error is at least its prediction plus `skipped`, so the
+            # kernel's bound is built only where that lets the level stop
+            if all(p + skipped <= bound * abs(x)
+                   for p, x in zip(pred, total)):
+                bounds, sizes = (x[:rank]
+                                 for x in moments.bounds(ctx, level))
+                rule = moments.count * ctx.ldexp(1, -ctx.prec)
+                errs = [max(p, b + rule * m) + skipped
+                        for p, b, m in zip(pred, bounds, sizes)]
+                if all(e <= bound * abs(x) for e, x in zip(errs, total)):
+                    return total, errs, level
         diffs = d
     raise ArithmeticError(f"Laplace sum did not converge within "
                           f"{cap} tanh-sinh levels")

@@ -680,6 +680,44 @@ def laplace_node_sum(evaluate, nodes, u, ar, rank):
     return total
 
 
+def _cut_to_bits(m, s, bits):
+    """m 2^-s with m cut to its top `bits` bits, as (mantissa, scale)."""
+    extra = m.bit_length() - bits
+    return (m >> extra, s - extra) if extra > 0 else (m, s)
+
+
+def moment_walk(nodes, t0, log_t0, degrees, grids, bits, top):
+    """The fixed-point Laplace moments of the nodes, with every node walked
+    through every degree: per node (W, S, L) the weight W = m 2^-s, the
+    point t = S t0 (each an (m, s) pair) cut to `bits` bits and ln t =
+    (L + log_t0) 2^-bits; the term W t^d from a running product of t^gap
+    cut to `bits` bits, dropping bits - 1 bits per degree step, truncated
+    onto the grid 2^-grids[j] of degrees[j]; and (ln t)^k 2^bits a running
+    product truncated to `bits` bits.  Returns the moments M[k][j] = sum
+    over the nodes of term * (ln t)^k 2^bits for k = 0..top (the k = 0
+    factor 1) and, for k = 1..top, the largest |(ln t)^k 2^bits|."""
+    um, us = t0
+    moments = [[0] * len(degrees) for _ in range(top + 1)]
+    log_max = [0] * top
+    for (wm, ws), (sm, ss), ls in nodes:
+        m, s = _cut_to_bits(sm * um, ss + us, bits)
+        log_t, pows = ls + log_t0, []
+        for k in range(top):
+            pows.append(pows[-1] * log_t >> bits if pows else log_t)
+            log_max[k] = max(log_max[k], abs(pows[-1]))
+        n = bits - wm.bit_length()
+        q, scale, prev = wm << n, ws + n, 0
+        for j, (d, g) in enumerate(zip(degrees, grids)):
+            if d != prev:
+                pm, ps = _cut_to_bits(m ** (d - prev), s * (d - prev), bits)
+                q, scale, prev = q * pm >> bits - 1, scale + ps - bits + 1, d
+            term = q >> scale - g if scale >= g else q << g - scale
+            moments[0][j] += term
+            for k, p in enumerate(pows, 1):
+                moments[k][j] += term * p
+    return moments, log_max
+
+
 # ---------------------------------------------------------------------------
 # Cohomology-ring routes that read only a ring's stored tables (cup_table,
 # integral, degrees, c1_coeffs, chTF_coeffs) and act on coefficient lists.

@@ -613,6 +613,10 @@ def test_usage_errors_exit_2(capsys):
          "argument --tol: must be positive and finite"),
         (["lefschetz", "--space", "X(4,2)", "--tol", "0"],
          "argument --tol: must be positive and finite"),
+        # a positive --tol that a float rounds to 0 is named as such
+        (["lefschetz", "--space", "X(4,2)", "--tol", "1e-400"],
+         "argument --tol: 1e-400 is below the smallest positive float, "
+         "about 5e-324"),
         (["spectrum"], "the following arguments are required: --space"),
         (["no-such-command", "--space", "P1"],
          "invalid choice: 'no-such-command'"),

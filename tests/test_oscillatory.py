@@ -1,3 +1,4 @@
+import copy
 import random
 from fractions import Fraction
 from itertools import product
@@ -580,6 +581,124 @@ def _recorded_nodes(monkeypatch):
     return added
 
 
+def _full_walk(self, nodes, t0, log_t0):
+    """`MomentSum.add` as the oracle walks it: every node through every
+    degree."""
+    if not nodes:
+        return
+    moments, log_max = oracles.moment_walk(
+        nodes, t0, log_t0, self.view.degrees, self.grids, self.bits,
+        len(self.log_max))
+    self.moments = [[x + y for x, y in zip(mine, theirs)]
+                    for mine, theirs in zip(self.moments, moments)]
+    self.count += len(nodes)
+    self.log_max = list(map(max, self.log_max, log_max))
+
+
+def _checked_adds(monkeypatch):
+    """Check every `MomentSum.add` against the oracle's full walk, as ints,
+    and count the node-degree terms it walks (each one multiply per log
+    power) and those of the full walk, in a dict."""
+    walked = {"walked": 0, "full": 0}
+    add = jfun.MomentSum.add
+
+    def checked(self, nodes, t0, log_t0):
+        want = copy.copy(self)
+        _full_walk(want, nodes, t0, log_t0)
+        products = []
+
+        def counted(x, y):
+            products.append(None)
+            return x * y
+        with monkeypatch.context() as m:
+            m.setattr(jfun, "mul", counted)
+            add(self, nodes, t0, log_t0)
+        assert (self.moments, self.count, self.log_max) == (
+            want.moments, want.count, want.log_max)
+        walked["walked"] += len(products) // len(self.log_max)
+        walked["full"] += len(nodes) * len(self.view.degrees)
+    monkeypatch.setattr(jfun.MomentSum, "add", checked)
+    return walked
+
+
+def _laplace_moments(JX, u, ar, P, levels):
+    """A `MomentSum` set up as the Laplace sum at P digits sets it up for
+    the point u and the exponent ar, with every node of the levels added,
+    one `add` per level."""
+    wp = P + 10
+    ctx = working_context(wp)
+    uc = ctx.convert(u)
+    bits = oscillatory._laplace_bits(wp)
+    t0, log_t0 = oscillatory._fixed_root_and_log(uc, ar, bits)
+    log_u = float(ctx.ln(uc))
+    moments = jfun.MomentSum(
+        JX, [(log_w, float(ar) * (log_s + log_u)) for _, log_s, log_w, _ in
+             oscillatory._laplace_table(wp, 1, ar)], wp + 20, bits)
+    for level in levels:
+        moments.add([x[3] for x in oscillatory._laplace_table(wp, level, ar)],
+                    t0, log_t0)
+    return moments
+
+
+def test_moment_walk_stops_only_where_the_full_walk_adds_zeros(monkeypatch):
+    # each node's walk ends at its last term above the grid: after every
+    # add, the moments, node count and log bounds are those of the full
+    # walk as ints
+    walked = _checked_adds(monkeypatch)
+    J4 = j_projective(4, 160)
+    for a in (2, 3):
+        for u in (Fraction(1, 100), Fraction(1, 20)):
+            _laplace_moments(J4, u, Fraction(a, 4), 30, range(1, 6))
+    # an index-1 series, and the conic, whose identically zero odd degrees
+    # have offset 0 and hold the drop bound down
+    X43 = quantum_lefschetz(j_projective(4, 120), 3)["JY"]
+    conic = quantum_lefschetz(j_projective(3, 180), 2, 60)["JY"]
+    assert conic._moments[0][1::2] == [0] * 30
+    for J in (X43, conic):
+        for P in (15, 50):
+            moments = _laplace_moments(J, Fraction(1, 20), Fraction(1, 2),
+                                       P, range(1, 5))
+    assert moments.reach[:3] == [-202] * 3
+    assert walked["walked"] < walked["full"]
+    # t = 2^20 and 3/2 > 1, each with its degree-0 term 0 and later ones
+    # not: the first is walked to the last degree, the second dropped at
+    # its first zero after them; t = 1/8, with every term 0, at degree 0
+    moments = jfun.MomentSum(J4, [(0.0, 0.0)], 15, 128)
+    assert moments.grids[:5] == [47, 51, 48, 43, 35]
+    assert moments.reach[:5] == [-1, 0, 1, 2, 2]
+    walked.update(walked=0, full=0)
+    for W, (m, s), nonzero in (((1, 60), (1, -20), range(1, 41)),
+                               ((1, 48), (3, 1), range(1, 4)),
+                               ((1, 60), (1, 3), range(0))):
+        before = moments.moments[0][:]
+        n = 128 - m.bit_length()        # t's mantissa widened to 128 bits
+        moments.add([(W, (m << n, s + n), 0)], (1 << 127, 127), 0)
+        column = [x - y for x, y in zip(moments.moments[0], before)]
+        assert [j for j, x in enumerate(column) if x] == list(nonzero), m
+    assert walked["walked"] == 41 + 5 + 1
+
+
+def test_bench_checks_walk_a_third_of_the_moment_terms(monkeypatch):
+    # on the two bench checks, at most a third of nodes x degrees are
+    # walked (2,032 of 7,913 and 2,378 of 8,569), and the error bound is
+    # built once, at the level that returns
+    walked = _checked_adds(monkeypatch)
+    built = []
+    bounds = jfun.MomentSum.bounds
+
+    def counted(self, ctx, shift):
+        built.append(shift)
+        return bounds(self, ctx, shift)
+    monkeypatch.setattr(jfun.MomentSum, "bounds", counted)
+    J4 = j_projective(4, 160)
+    for a in (2, 3):
+        walked.update(walked=0, full=0)
+        built.clear()
+        laplace_lefschetz_check(J4, a, Fraction(1, 20), P=30)
+        assert 3 * walked["walked"] <= walked["full"], a
+        assert len(built) == 1, a
+
+
 def _per_node(JX, nodes, uc, ar, wp, rank):
     """The oracle's sum over the nodes (s, w) of working digits wp, taken
     10 digits finer, so that its own rounding is below the sum's."""
@@ -623,6 +742,65 @@ def test_laplace_sum_against_per_node_oracle(monkeypatch):
                     assert diff <= hi.mpf(10) ** -(P + 2) * abs(y), \
                         (a, u, P, i)
                     assert e >= diff, (a, u, P, i)
+
+
+def test_laplace_bounds_only_where_a_level_can_stop(monkeypatch):
+    # on the per-node oracle's grid: the kernel's error bound is built only
+    # at a level where every prediction d_k^2/d_(k-1) plus the most the
+    # skipped nodes carry is within 10^-(P+2) |I_k|, as the returned error
+    # (at least that sum) must be; and the sum returns what it returns with
+    # every node walked through every degree
+    added = _recorded_nodes(monkeypatch)
+    levels, built = [], []
+    total, bounds = jfun.MomentSum.total, jfun.MomentSum.bounds
+
+    def totals(self, ctx, shift):
+        levels.append(total(self, ctx, shift))
+        return levels[-1]
+
+    def counted(self, ctx, shift):
+        built.append(shift)
+        return bounds(self, ctx, shift)
+    JX = j_projective(4, 160)
+    for a in (2, 3):
+        rank = build_hypersurface_ambient_ring(4, a).rank
+        ar = Fraction(a, 4)
+        for u in (Fraction(1, 100), Fraction(3, 100), Fraction(5, 100)):
+            for P in (15, 30, 50, 100):
+                wp = P + 10
+                ctx = working_context(wp)
+                uc = ctx.convert(u)
+                for seen in (added, levels, built):
+                    seen.clear()
+                with monkeypatch.context() as m:
+                    m.setattr(jfun.MomentSum, "total", totals)
+                    m.setattr(jfun.MomentSum, "bounds", counted)
+                    got = oscillatory._laplace_sum(JX, rank, uc, ar, P)
+                assert built and built[-1] == got[2], (a, u, P)
+                # the sum's prediction and skipped mass, level by level
+                skipped, prev, diffs = ctx.zero, [ctx.zero] * rank, None
+                for k, (sums, nodes) in enumerate(zip(levels, added), 1):
+                    sums = sums[:rank]
+                    floor = min(map(abs, prev))
+                    skipped = skipped / 2 + (
+                        len(oscillatory._laplace_table(wp, k, ar))
+                        - len(nodes)) * (ctx.mpf(10) ** (
+                            float(ctx.log10(floor)) - (P + 12))
+                            if floor else 0)
+                    d = [abs(x - y) for x, y in zip(sums, prev)]
+                    if k in built:
+                        assert all(
+                            (dk * dk / dp if dp else dk) + skipped
+                            <= ctx.mpf(10) ** -(P + 2) * abs(x)
+                            for dk, dp, x in zip(d, diffs, sums)), \
+                            (a, u, P, k)
+                    if k > 1:
+                        diffs = d
+                    prev = sums
+                with monkeypatch.context() as m:
+                    m.setattr(jfun.MomentSum, "add", _full_walk)
+                    full = oscillatory._laplace_sum(JX, rank, uc, ar, P)
+                assert _bits(full) == _bits(got), (a, u, P)
 
 
 def test_laplace_sum_against_one_more_level(monkeypatch):
