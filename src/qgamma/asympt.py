@@ -89,19 +89,12 @@ def principal_asymptotic_class(J: JSeries, cfg: ExtrapolationConfig) -> dict:
     return {"limit": limit, "component_errors": errors, "error": max(errors)}
 
 
-def gamma_I_verdict(J: JSeries, cfg: ExtrapolationConfig, tol,
-                    expected: GradedVector | None = None) -> dict:
-    """Componentwise comparison of the extrapolated limit with the Gamma class.
-
-    `expected` overrides the comparison target (used for negative controls);
-    by default the Gamma class is computed from the tangent data of the
-    series' ring.
-    """
+def gamma_I_verdict(J: JSeries, cfg: ExtrapolationConfig, tol) -> dict:
+    """Componentwise comparison of the extrapolated limit with the Gamma
+    class, computed from the tangent data of the series' ring."""
     R = J.ring
     ctx = working_context(cfg.precision)
-    if expected is None:
-        C = make_constants(P=cfg.precision)
-        expected = gamma_class(R, C)
+    expected = gamma_class(R, make_constants(P=cfg.precision))
     pac = principal_asymptotic_class(J, cfg)
     diffs = tuple(abs(a - b) for a, b in zip(pac["limit"].coeffs, expected.coeffs))
     worst = max(range(len(diffs)), key=lambda i: diffs[i])

@@ -13,7 +13,7 @@ from math import comb, factorial, lcm, prod
 from operator import sub
 
 from .exactla import det
-from .jfun import JSeries, _mul_trunc, _reduced, j_projective
+from .jfun import JSeries, _hypergeometric, _mul_trunc, _reduced
 from .laurent import LaurentPolynomial
 from .mirror import constant_term_series, property_o_report
 from .ring import CohomologyRing, GradedVector, KClass
@@ -284,7 +284,8 @@ def bcfk_j_series(r: int, n: int, D: int) -> JSeries:
     prod_{i<j}(x_i - x_j + d_i - d_j) * prod_i Jcoeff_{d_i}(x_i).  The first
     factor is the Vandermonde determinant in y_i = x_i + d_i, so its wedge
     coordinate at k_1 > ... > k_r is det[A_{d_i}(k_i, j)], A_d the n x r
-    matrix of the x^k-coefficients of y^(r-1-j) Jcoeff_d(x).  By linearity
+    matrix of the x^k-coefficients of y^(r-1-j) Jcoeff_d(x), Jcoeff_d the
+    degree-nd row of P^(n-1), `_hypergeometric(n, 0, D // n)`.  By linearity
     in each row the sum is the s^m coefficient of the minor at K of
     A(s) = sum_d s^d A_d.  `_packed_minors` reads every minor of L A(s),
     L the lcm of the denominators, off one wedge at s = 2^B (its docstring
@@ -298,8 +299,7 @@ def bcfk_j_series(r: int, n: int, D: int) -> JSeries:
         raise ValueError("negative truncation")
     R = schubert_ring(r, n)
     mmax = D // n
-    JP = j_projective(n, n * mmax) if mmax > 0 else j_projective(n, n)
-    rows = [JP.rows[n * d] for d in range(mmax + 1)]
+    rows = _hypergeometric(n, 0, mmax)
     L = lcm(*(den for den, _ in rows))
     # L (-1)^((r-1)d) A_d by columns j: y^(r-1-j) Jcoeff_d(x), y = x + d
     mats = []

@@ -150,23 +150,32 @@ def j_projective(n: int, D: int) -> JSeries:
     """J-series of the projective space with n homogeneous coordinates.
 
     The degree-nd coefficient is prod_{k=1..d} (h+k)^(-n) truncated mod h^n,
-    all exact rationals: an int row over one denominator, reduced by one
-    gcd per degree.
+    the rows of `_hypergeometric(n, 0, D // n)`.
     """
     if n < 2:
         raise ValueError("need n >= 2")
     if D < n:
         raise ValueError("truncation below the first nonzero coefficient")
-    R = build_projective_ring(n)
-    rows = {0: (1, [1] + [0] * (n - 1))}
-    cur, den = [1], 1           # series in h mod h^n, over den
-    d = 1
-    while n * d <= D:
-        cur = _mul_trunc(cur, _inverse_power(d, n, n), n)
-        den, cur = _reduced(den * d ** (2 * n - 1), cur)
-        rows[n * d] = den, cur
-        d += 1
-    return JSeries(ring=R, D=D, rows=rows)
+    return JSeries(ring=build_projective_ring(n), D=D, rows={
+        n * d: row for d, row in enumerate(_hypergeometric(n, 0, D // n))})
+
+
+def _hypergeometric(N: int, a: int, count: int) -> list:
+    """I_d = prod_{m=1..ad} (a h + m) / prod_{k=1..d} (h+k)^N mod h^w for
+    d = 0..count, as reduced (den, ints) rows: P^(N-1) (w = N) at a = 0,
+    its degree-a hypersurface (w = N - 1, the restriction) at a > 0.  Each
+    step (h+d)^(-N) prod_{m=a(d-1)+1..ad} (a h + m) is built from its small
+    factors before it multiplies the running row."""
+    w = N - 1 if a else N
+    rows = [(1, [1] + [0] * (w - 1))]
+    den, cur = rows[0]
+    for d in range(1, count + 1):
+        step = _inverse_power(d, N, w)
+        for m in range(a * (d - 1) + 1, a * d + 1):
+            step = _mul_trunc(step, (m, a), w)
+        den, cur = _reduced(den * d ** (N + w - 1), _mul_trunc(cur, step, w))
+        rows.append((den, cur))
+    return rows
 
 
 def _reduced(den: int, row):
@@ -212,9 +221,11 @@ def quantum_lefschetz(JX: JSeries, a: int, DY: int | None = None) -> dict:
 
     Returns {"JY": JSeries on `build_hypersurface_ambient_ring(n, a)`, "c0":
     Fraction, "T0": exact Fraction, or a 60-digit big real when
-    irrational}.  The e^(-c0 t) factor is folded into the series
-    coefficients by a binomial transform so the output obeys the standard
-    series convention with index n-a.
+    irrational}.  JY stops at degree min((n-a) (JX.D // n), DY); its rows
+    are `_hypergeometric(n, a, .)`, and JX is read only at degree n, to
+    cross-check c0 at index 1.  The e^(-c0 t) factor is folded into the
+    series coefficients by a binomial transform so the output obeys the
+    standard series convention with index n-a.
     """
     n = JX.ring.rank                   # homogeneous coordinates
     if JX.ring != build_projective_ring(n):
@@ -222,6 +233,8 @@ def quantum_lefschetz(JX: JSeries, a: int, DY: int | None = None) -> dict:
     r = JX.fano_index
     if not 0 < a < r:
         raise ValueError("need 0 < a < index of the ambient space")
+    if DY is not None and DY < 0:
+        raise ValueError("need DY >= 0")
     amb = build_hypersurface_ambient_ring(n, a)
 
     # mirror-map constant; cross-checked against a! <[pt], J_r> when r-a = 1
@@ -229,22 +242,15 @@ def quantum_lefschetz(JX: JSeries, a: int, DY: int | None = None) -> dict:
         c0 = Fraction(factorial(a))
         den, row = JX.rows.get(r, (1, [0]))
         if factorial(a) * Fraction(row[0], den) != c0:
-            raise AssertionError("the two readings of the mirror constant disagree")
+            raise ValueError("the two readings of the mirror constant disagree")
     else:
         c0 = Fraction(0)
 
-    # J_X,dd times the twist prod_{m=1..a*dd} (a h + m), both mod h^(n-1)
-    # (the restriction to Y), the twist extended by a factors per dd: an
-    # int row over the denominator of J_X,dd
-    nmax = JX.D // r
-    S = []
-    tw = [1]
-    for dd in range(nmax + 1):
-        for m in range(max(1, a * dd - a + 1), a * dd + 1):
-            tw = _mul_trunc(tw, (m, a), n - 1)
-        den, row = JX.rows.get(r * dd, (1, ()))
-        S.append((den, _mul_trunc(tw, row, n - 1)))
-
+    Dout = (r - a) * (JX.D // r)
+    if DY is not None:
+        Dout = min(Dout, DY)
+    nmax = Dout // (r - a)
+    S = _hypergeometric(n, a, nmax)
     if c0:
         # index 1: times e^(-c0 t), re-expanded.  Degree m is E_m with
         # m! E_m = sum_dd binom(m, dd) (-c0)^(m-dd) dd! S_dd, the binomial
@@ -255,15 +261,11 @@ def quantum_lefschetz(JX: JSeries, a: int, DY: int | None = None) -> dict:
              for dd, (den, row) in enumerate(S)]
         S = []
         for m in range(nmax + 1):
-            S.append((L * factorial(m), w[0]))
+            S.append(_reduced(L * factorial(m), w[0]))
             w = [[y - c * x for x, y in zip(lo, hi)]
                  for lo, hi in zip(w, w[1:])]
-    Dout = (r - a) * nmax
-    if DY is not None:
-        Dout = min(Dout, DY)
-    JY = JSeries(ring=amb, D=Dout, rows={
-        (r - a) * dd: _reduced(den, row)
-        for dd, (den, row) in enumerate(S[:Dout // (r - a) + 1])})
+    JY = JSeries(ring=amb, D=Dout,
+                 rows={(r - a) * dd: row for dd, row in enumerate(S)})
 
     # (T0/(r-a))^(r-a) = a^a (T_X/r)^r with T_X = r here
     return {"JY": JY, "c0": c0, "T0": _t0_value(a, r - a)}
@@ -681,9 +683,8 @@ def quintic_pf_annihilation(order: int) -> dict:
     theta^4 - 5^5 t^5 (theta+1)(theta+2)(theta+3)(theta+4)
     kills the quintic hypergeometric series with coefficients
     A_n(eps) = prod_{j=1..5n} (j+5eps) / prod_{j=1..n} (j+eps)^5
-    in Q[eps]/(eps^4), working coefficientwise in t^(5n+5eps).  The
-    truncated products are those of the h-series (`_mul_trunc`,
-    `_inverse_power`) with eps for h.
+    in Q[eps]/(eps^4), working coefficientwise in t^(5n+5eps).  The A_n
+    are the rows of `_hypergeometric(5, 5, order)`, with eps for h.
     """
     if order < 1:
         raise ValueError("order must be >= 1")
@@ -697,17 +698,14 @@ def quintic_pf_annihilation(order: int) -> dict:
     # n = 0 term: theta^4 acting alone gives (5 eps)^4 = 0 mod eps^4
     theta0 = tuple(map(Fraction, times([1], *[(0, 5)] * 4)))
     residuals = [{"n": 0, "residual": theta0, "zero": not any(theta0)}]
-    A_prev, den = [1], 1        # A_n as an int row over den = (n!)^8
-    for nn in range(1, order + 1):
-        A = times(_mul_trunc(A_prev, _inverse_power(nn, 5, 4), 4),
-                  *[(j, 5) for j in range(5 * nn - 4, 5 * nn + 1)])
-        den *= nn ** 8
+    rows = _hypergeometric(5, 5, order)
+    for nn, ((den_prev, A_prev), (den, A)) in enumerate(
+            zip(rows, rows[1:]), 1):
         lhs = times(A, *[(5 * nn, 5)] * 4)
         rhs = times(A_prev, *[(5 * nn - 5 + j, 5) for j in range(1, 5)])
-        res = tuple(Fraction(x - 5 ** 5 * nn ** 8 * y, den)
+        res = tuple(Fraction(x, den) - Fraction(5 ** 5 * y, den_prev)
                     for x, y in zip(lhs, rhs))
         residuals.append({"n": nn, "residual": res, "zero": not any(res)})
-        A_prev = A
     return {"annihilated": all(r["zero"] for r in residuals), "order": order,
             "residuals": residuals}
 

@@ -426,7 +426,7 @@ def laplace_lefschetz_check(JX: JSeries, a: int, u, tol=None, P: int = 50) -> di
     """Compare the hypersurface series with the Laplace transform of the
     ambient one.
 
-    Left side: J_Y at t = u^(a/(r-a)) from the degree-a twist of JX, built
+    Left side: J_Y at t = u^(a/(r-a)) from `quantum_lefschetz(JX, a)`, built
     once per JX and a and kept on JX: the check's one `evaluate_j`.
     Right side: e^(-c0 t)/(Gamma(1+a h) u) * int_0^inf  i*J_X(q^(a/r))
     e^(-q/u) dq, in the variable s = q/u and cut at s = S with e^(-S) =

@@ -3,7 +3,7 @@ from fractions import Fraction
 import mpmath
 import pytest
 
-from qgamma import exactla
+from qgamma import asympt, exactla
 from qgamma.asympt import (ExtrapolationConfig, apery_ratio, gamma_I_verdict,
                            growth_rate, growth_sequence, kernel_c1,
                            _neville, make_grid,
@@ -65,15 +65,18 @@ def test_gamma_verdict_projective_line():
     assert len(rec["component_errors"]) == 2
 
 
-def test_gamma_verdict_negative_control():
-    # a perturbed target must fail at the same tolerance
+def test_gamma_verdict_negative_control(monkeypatch):
+    # a perturbed Gamma class must fail at the same tolerance
+    def perturbed(R, C):
+        g = gamma_class(R, C)
+        return GradedVector(R, (g.coeffs[0], g.coeffs[1] + mpmath.mpf("0.01")))
+
+    monkeypatch.setattr(asympt, "gamma_class", perturbed)
     J = j_projective(2, 200)
     cfg = ExtrapolationConfig(make_grid(20, 4), 4, precision=40)
-    C = make_constants(P=40)
-    g = gamma_class(J.ring, C)
-    bad = GradedVector(J.ring, (g.coeffs[0], g.coeffs[1] + mpmath.mpf("0.01")))
-    rec = gamma_I_verdict(J, cfg, mpmath.mpf(10) ** -6, expected=bad)
+    rec = gamma_I_verdict(J, cfg, mpmath.mpf(10) ** -6)
     assert not rec["pass"]
+    assert abs(rec["worst_difference"] - mpmath.mpf("0.01")) < 1e-6
 
 
 def test_truncated_series_rejected_on_grid():

@@ -390,16 +390,54 @@ def test_j_projective_equals_fraction_oracle(n):
             assert _same(J.coeffs[d].coeffs, v), (n, D, d)
 
 
+def _lefschetz_matches_oracle(JX, n, a, DY=None):
+    """quantum_lefschetz(JX, a, DY) against the twist of JX's rows on
+    Fractions, cut at the output's truncation."""
+    JY = quantum_lefschetz(JX, a, DY)["JY"]
+    Dout = (n - a) * (JX.D // n)
+    assert JY.D == (Dout if DY is None else min(Dout, DY)), (n, a, DY)
+    ambient = {d: v.coeffs for d, v in JX.coeffs.items()}
+    want = {d: v for d, v in oracles.lefschetz_twist_fraction(
+        ambient, n, a, JX.D).items() if d <= JY.D}
+    assert sorted(JY.coeffs) == sorted(want), (n, a, DY)
+    for d, v in want.items():
+        assert _same(JY.coeffs[d].coeffs, v), (n, a, DY, d)
+
+
 @pytest.mark.parametrize("n", range(3, 7))
 def test_quantum_lefschetz_equals_fraction_oracle(n):
-    JX = j_projective(n, 60)
-    ambient = {d: v.coeffs for d, v in JX.coeffs.items()}
+    D = 60
+    JX = j_projective(n, D)
     for a in range(1, n):
-        JY = quantum_lefschetz(JX, a)["JY"]
-        want = oracles.lefschetz_twist_fraction(ambient, n, a, 60)
-        assert sorted(JY.coeffs) == sorted(want), (n, a)
-        for d, v in want.items():
-            assert _same(JY.coeffs[d].coeffs, v), (n, a, d)
+        for DY in (None, D // 2, D, 3 * D):
+            _lefschetz_matches_oracle(JX, n, a, DY)
+
+
+@pytest.mark.parametrize("n, D", [(4, 480), (5, 400), (6, 300)])
+def test_quantum_lefschetz_index_one_equals_fraction_oracle(n, D):
+    # the e^(-c0 t) re-expansion over many degrees
+    _lefschetz_matches_oracle(j_projective(n, D), n, n - 1)
+
+
+def _bad_mirror_constant():
+    # <pt, J_4> = 1/2 on P^3, where 3! <pt, J_4> must be c0 = 3!
+    R = build_projective_ring(4)
+    return JSeries(ring=R, D=4, rows={0: (1, [1, 0, 0, 0]),
+                                      4: (2, [1, 0, 0, 0])})
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda: quantum_lefschetz(bcfk_j_series(2, 4, 8), 1),
+     "must come from j_projective"),
+    (lambda: quantum_lefschetz(j_projective(4, 16), 0), "need 0 < a"),
+    (lambda: quantum_lefschetz(j_projective(4, 16), 4), "need 0 < a"),
+    (lambda: quantum_lefschetz(j_projective(4, 16), 2, -1), "need DY >= 0"),
+    (lambda: quantum_lefschetz(_bad_mirror_constant(), 3),
+     "two readings of the mirror constant disagree"),
+])
+def test_quantum_lefschetz_refusals_are_value_errors(call, message):
+    with pytest.raises(ValueError, match=message):
+        call()
 
 
 @pytest.mark.parametrize("n", range(2, 7))
