@@ -24,7 +24,7 @@ from pathlib import Path
 
 import mpmath
 
-from . import exceptional
+from . import __version__ as TOOL_VERSION, exceptional
 from .asympt import ExtrapolationConfig, apery_ratio, gamma_I_verdict, \
     kernel_c1, make_grid
 from .grassmann import bcfk_j_series, ehx_mirror, grassmann_spectrum, \
@@ -41,11 +41,6 @@ from .ring import build_hypersurface_ambient_ring, build_projective_ring, \
     gamma_class, ring_to_json_dict
 from .scalars import make_constants, working_context
 
-try:
-    from importlib.metadata import version as _pkg_version
-    TOOL_VERSION = _pkg_version("qgamma")
-except Exception:  # pragma: no cover - metadata missing in odd installs
-    TOOL_VERSION = "0.1.0"
 
 
 class UsageError(Exception):

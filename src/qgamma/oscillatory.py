@@ -4,10 +4,11 @@ J-series.
 
 The orthant integral of e^(-f/z) with the multiplicative volume form is
 computed by the midpoint rule in logarithmic coordinates on a truncated box.
-The rule converges geometrically in the grid size, so a few small grids
-predict the grid that meets the tolerance, and that grid is summed and
-confirmed by one about 5/4 its size; the answer is the finer grid of a pair
-seen to agree.  Everything runs at the digits the tolerance needs plus
+The rule converges like e^(-2 pi a/h) in the step h, a the integrand's
+strip of analyticity (Trefethen and Weideman, SIAM Review 56, 2014): a
+model of that strip plans the grid (a heuristic), one 5/4 its size
+confirms it, and the answer is the finer grid of a pair seen to agree.
+Everything runs at the digits the tolerance needs plus
 10 guard digits, not at the digits of the answer's context.  On a grid
 each monomial's factor e^(-(c/z) x^e) takes one value per integer
 exponent of e^(h/2), so every monomial of a coefficient reads one table
@@ -57,7 +58,7 @@ from .scalars import (from_fixed, make_constants, private_context, to_fixed,
 
 _MARGIN_DIGITS = 10     # extra decay digits for the truncation box
 _MAX_DIM = 3            # orthant-integral dimension guard
-_START_POINTS = 8       # first calibration grid size per axis
+_START_POINTS = 8       # smallest grid per axis
 _MAX_POINTS = 3072      # largest grid per axis before the quadrature gives up
 _MAX_LEVEL = 8          # tanh-sinh levels before the Laplace sum gives up
 
@@ -310,22 +311,17 @@ def _orthant_integral(f: LaurentPolynomial, z, tol, P: int):
     digits: the grids, their truncation box (sized for a decay of
     10^-(need+10)) and the pair's agreement are all taken at need + 10.
 
-    The midpoint rule in log coordinates converges geometrically in the
-    points per axis N (Trefethen and Weideman, SIAM Review 56, 2014), so
-    the difference of two grids is about the error of the coarser one.
-    From `_START_POINTS` on, three calibration grids each have about twice
-    the nodes of the one before.  Then each difference is put at its
-    coarser grid, and the last edge of the upper hull of their logs gives
-    a rate and a level, an envelope that the oscillation of the error
-    cannot pull down.  When that envelope puts the last grid at most at
-    tol, the next grid is 5/4 of it, to confirm it; otherwise the next is
-    the N where the envelope falls to tol/3, at most twice the last grid,
-    or twice the last grid when the envelope is not falling.  A grid is
-    accepted when it has at least 5/4 of the points of the one before and
-    agrees with it to tol relatively: never on a prediction alone.
-    Raises past `_MAX_POINTS` points per axis, and on an f of more than
-    `_MAX_DIM` variables unless it has the P^n mirror's form
-    (`_one_coupling`), whose grids cost a big-int product each.
+    The midpoint rule in log coordinates converges like e^(-2 pi a/h) in
+    the step h = 2L/N, a the integrand's strip of analyticity (Trefethen
+    and Weideman, SIAM Review 56, 2014, Thm 5.1), so the difference of two
+    grids is about the error of the coarser one.  `_planned_points` models
+    that error from f, z, L and tol for real z > 0 and picks the first
+    grid N; the second is ceil(5N/4), and each later one twice the one
+    before.  A grid is accepted when it agrees with the one before to tol
+    relatively: the plan is a heuristic, and no value is accepted on a
+    prediction alone.  Raises past `_MAX_POINTS` points per axis, and on
+    an f of more than `_MAX_DIM` variables unless it has the P^n mirror's
+    form (`_one_coupling`), whose grids cost a big-int product each.
     """
     if any(c <= 0 for _, c in f.items()):
         raise ValueError("need strictly positive coefficients")
@@ -345,45 +341,54 @@ def _orthant_integral(f: LaurentPolynomial, z, tol, P: int):
     rel = ctx.convert(tol)
     L = _truncation_radius(f, zc, need + _MARGIN_DIGITS, rho, ctx)
 
-    sizes, sums = [], []
-    npts = _START_POINTS
+    npts, prev = _planned_points(f, zc, L, rel, ctx), None
     while npts <= _MAX_POINTS:
         cur = _grid_sum(f, zc, L, npts, ctx)
-        if sums and 4 * npts >= 5 * sizes[-1]:
-            diff = abs(cur - sums[-1]) / abs(cur)
+        if prev is not None:
+            diff = abs(cur - prev) / abs(cur)
             if diff <= rel:
                 out = working_context(P)
                 return out.mpf(cur), out.mpf(diff)
-        sizes.append(npts)
-        sums.append(cur)
-        if len(sizes) < 3:
-            npts = math.ceil(npts * 2 ** (1 / m))
-        else:
-            npts = _next_points(sizes, sums, ctx.ln(rel * abs(cur)), ctx)
+        npts = 2 * npts if prev is not None else math.ceil(5 * npts / 4)
+        prev = cur
     raise ArithmeticError("quadrature did not stabilize within the refinement cap")
 
 
-def _next_points(sizes, sums, log_tol, ctx):
-    """The grid after `sizes` (ascending, with their `sums`), for an
-    absolute tolerance e^log_tol: see `_orthant_integral`."""
-    n = sizes[-1]
-    hull = []       # upper hull of (N, ln|difference|), N ascending
-    for p in [(a, ctx.ln(abs(y - x)))
-              for a, x, y in zip(sizes, sums, sums[1:]) if x != y]:
-        while len(hull) > 1 and ((hull[-1][0] - hull[-2][0])
-                                 * (p[1] - hull[-2][1])
-                                 >= (hull[-1][1] - hull[-2][1])
-                                 * (p[0] - hull[-2][0])):
-            hull.pop()
-        hull.append(p)
-    if len(hull) < 2 or not hull[-1][1] < hull[-2][1]:
-        return 2 * n
-    (x1, y1), (x2, y2) = hull[-2:]
-    rate = (y1 - y2) / (x2 - x1)
-    if y2 - rate * (n - x2) <= log_tol:
-        return math.ceil(5 * n / 4)
-    need = x2 + (y2 - log_tol + ctx.ln(3)) / rate
-    return min(int(ctx.ceil(need)), 2 * n)
+def _planned_points(f: LaurentPolynomial, zc, L, rel, ctx) -> int:
+    """The first grid of `_orthant_integral`: the smallest N >=
+    `_START_POINTS` with E(N) <= tol/(3m), at most 4/5 of `_MAX_POINTS`.
+
+    E(N) = min over 0 < v < pi/(2e) of e^((1 - cos(e v)) F - pi v N/L),
+    with e the largest |exponent| of f, F = f(1, ..., 1)/z and h = 2L/N.
+    The midpoint rule errs by at most 2M/(e^(2 pi v/h) - 1), M the
+    integral of |g| on Im u = v inside the strip where g(u) =
+    e^(-f(e^u)/z) is analytic (Trefethen and Weideman, SIAM Review 56,
+    2014, Thm 5.1); with positive coefficients |g(u + iv)| <= g(u)
+    e^((1 - cos(e v)) f(e^u)/z) for v along one axis, and f is taken at
+    (1, ..., 1), where the mass sits.  That last step is a heuristic, so
+    the plan is a plan, not a bound.  Floats only; where F is not finite
+    in floats it returns `_START_POINTS`.
+    """
+    e = max(max(map(abs, x)) for x, _ in f.items())
+    F = float(sum(ctx.convert(c) for _, c in f.items()) / zc)
+    Lf, log_tol = float(L), float(ctx.ln(rel / (3 * f.nvars)))
+    if not math.isfinite(F):
+        return _START_POINTS
+
+    def small(n):
+        s = math.pi * n / Lf        # the rate in v
+        v = (math.asin(s / (e * F)) if s < e * F
+             else (1 - 2 ** -6) * math.pi / 2) / e
+        return 2 * math.sin(e * v / 2) ** 2 * F - v * s <= log_tol  # ln E
+
+    top = 4 * _MAX_POINTS // 5
+    lo = hi = _START_POINTS
+    while hi < top and not small(hi):
+        lo, hi = hi + 1, min(2 * hi, top)
+    while lo < hi:
+        mid = (lo + hi) // 2
+        lo, hi = (lo, mid) if small(mid) else (mid + 1, hi)
+    return hi
 
 
 def central_charge_structure_sheaf(J: JSeries, gamma: GradedVector, t,

@@ -1,15 +1,19 @@
 import json
 import math
+import os
 import re
 import shlex
+import subprocess
 import sys
 import time
+import tomllib
 from fractions import Fraction
 from pathlib import Path
 
 import mpmath
 import pytest
 
+import qgamma
 from qgamma import oscillatory
 from qgamma.cli import _COMMANDS, _MAX_DIGITS, _MAX_ORDER, _OPTIONS, \
     _build_parser, main, parse_space
@@ -53,6 +57,26 @@ def test_spectrum_grassmannian(capsys):
     assert abs(T - want) < ctx.mpf(10) ** -30
     assert d["value"]["property_o"]["satisfied"] is True
     assert d["verdict"] is True
+
+
+def test_cli_import_takes_the_version_from_the_package(capsys):
+    # package metadata would pull in email, socket and zipfile and scan
+    # sys.path for a distribution; the version is qgamma.__version__
+    src = Path(qgamma.__file__).resolve().parent.parent
+    code = ("import sys; before = set(sys.modules); import qgamma.cli; "
+            "print(*sorted(set(sys.modules) - before))")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [str(src), os.environ.get("PYTHONPATH", "")]))
+    added = subprocess.run([sys.executable, "-c", code], env=env,
+                           capture_output=True, text=True,
+                           check=True).stdout.split()
+    assert "qgamma.cli" in added
+    assert not [m for m in added if m.split(".")[0] == "email"
+                or (m + ".").startswith("importlib.metadata.")], added
+    project = tomllib.loads((src.parent / "pyproject.toml").read_text())
+    assert qgamma.__version__ == project["project"]["version"]
+    rc, out, err = run(capsys, ["spectrum", "--space", "P2"])
+    assert rc == 0 and json.loads(out)["tool_version"] == qgamma.__version__
 
 
 @pytest.mark.parametrize("space", ["P1", "P2", "P3", "P4", "Gr(2,4)",

@@ -1,4 +1,5 @@
 import copy
+import math
 import random
 from fractions import Fraction
 from itertools import product
@@ -260,6 +261,102 @@ def test_grid_sizes_stop_near_the_grid_tol_needs(monkeypatch):
     oscillatory_integral(toric_mirror_from_rays(projective_rays(3)), 2,
                          tol=1e-12, P=50)
     assert sum(n * n for n in sizes) < 48 ** 2 + 96 ** 2 + 192 ** 2, sizes
+
+
+@pytest.mark.parametrize("n", [2, 3])
+def test_planned_grid_and_its_confirm_are_the_only_grids(monkeypatch, n):
+    # the plan predicts the grid tol needs, and one 5/4 its size confirms
+    # it: no calibration grid and no doubling on the P1 and P2 mirrors
+    sizes = _grids_summed(monkeypatch)
+    f = toric_mirror_from_rays(projective_rays(n))
+    for z in (Fraction(1, 2), 1, 2):
+        for tol in (1e-8, 1e-10, 1e-12):
+            sizes.clear()
+            oscillatory_integral(f, z, tol=tol, P=50)
+            assert len(sizes) == 2 and sizes[1] == -(-5 * sizes[0] // 4), \
+                (n, z, tol, sizes)
+
+
+def _fine_grid(f, z, P):
+    """The finer of two fine grids on the box of `_orthant_integral`,
+    checked to agree with the coarser far below every tol used here."""
+    ctx = working_context(P + 10)
+    rho = oscillatory._min_reach(tuple(sorted(e for e, _ in f.items())),
+                                 f.nvars)
+    zc = ctx.convert(z)
+    L = oscillatory._truncation_radius(f, zc, P + 10, rho, ctx)
+    n = 320 if f.nvars == 1 else 200
+    coarse = oscillatory._grid_sum(f, zc, L, n, ctx)
+    ref = oscillatory._grid_sum(f, zc, L, 5 * n // 4, ctx)
+    assert abs(coarse - ref) < ctx.mpf(10) ** -22 * ref, (f.terms, z)
+    return ref
+
+
+def test_doubling_from_the_start_grid_still_meets_tol(monkeypatch):
+    # with no plan the loop starts at the smallest grid and doubles until
+    # two grids agree; the value it accepts is still within tol
+    monkeypatch.setattr(oscillatory, "_planned_points",
+                        lambda *args: oscillatory._START_POINTS)
+    sizes = _grids_summed(monkeypatch)
+    P1, P2, strip, mixed, _ = _sweep_mirrors()
+    for f in (P1, P2, strip, mixed):
+        for z in (Fraction(1, 20), 1, 20):
+            ref = _fine_grid(f, z, 50)
+            for tol in (1e-8, 1e-12):
+                sizes.clear()
+                got = oscillatory_integral(f, z, tol=tol, P=50)
+                assert sizes[0] == oscillatory._START_POINTS
+                assert abs(got - ref) <= tol * ref, (f.terms, z, tol)
+
+
+def test_first_planned_grid_on_p1_is_within_tol_of_bessel(monkeypatch):
+    # int e^(-(x + 1/x)/z) dx/x = 2 K_0(2/z): the plan's own grid, before
+    # any grid confirms it, already meets tol where a closed form exists
+    sums = []
+    grid_sum = oscillatory._grid_sum
+
+    def recorded(*args):
+        sums.append(grid_sum(*args))
+        return sums[-1]
+    monkeypatch.setattr(oscillatory, "_grid_sum", recorded)
+    f = toric_mirror_from_rays(projective_rays(2))
+    ref = working_context(60)
+    for z in (Fraction(1, 20), Fraction(1, 5), 1, 5, 20):
+        want = 2 * ref.besselk(0, 2 / ref.convert(z))
+        for tol in (1e-6, 1e-12, 1e-20):
+            sums.clear()
+            oscillatory_integral(f, z, tol=tol, P=50)
+            assert abs(ref.convert(sums[0]) - want) <= tol * want, (z, tol)
+
+
+def test_plan_is_a_bounded_int_and_never_raises():
+    # z far from 1, coefficients near the ends of the double range and a
+    # tol at the working precision of P = 100: floats may overflow or
+    # underflow, and where f(1, ..., 1)/z does the plan falls back to the
+    # start grid; it never raises
+    top = 4 * oscillatory._MAX_POINTS // 5
+    big, tiny = Fraction(10 ** 300), Fraction(1, 10 ** 300)
+    mirrors = [toric_mirror_from_rays(projective_rays(2)),
+               toric_mirror_from_rays(projective_rays(3)),
+               LaurentPolynomial(1, {(1,): big, (-1,): tiny}),
+               LaurentPolynomial(1, {(2,): tiny, (-1,): big}),
+               LaurentPolynomial(2, {(1, 0): big, (0, 1): tiny,
+                                     (-1, -1): big})]
+    for P, tol in ((50, Fraction(1, 10 ** 12)), (100, Fraction(1, 10 ** 109))):
+        need = oscillatory._quadrature_digits(tol, P)
+        ctx = working_context(need + 10)
+        for f in mirrors:
+            rho = oscillatory._min_reach(
+                tuple(sorted(e for e, _ in f.items())), f.nvars)
+            for z in (ctx.mpf("1e-400"), ctx.mpf("1e-30"), ctx.one,
+                      ctx.mpf("1e30"), ctx.mpf("1e400")):
+                L = oscillatory._truncation_radius(f, z, need + 10, rho, ctx)
+                n = oscillatory._planned_points(f, z, L, ctx.convert(tol), ctx)
+                assert type(n) is int, (f.terms, z, P)
+                assert oscillatory._START_POINTS <= n <= top, (f.terms, z, P)
+                at_one = sum(ctx.convert(c) for _, c in f.items()) / z
+                if not math.isfinite(float(at_one)):
+                    assert n == oscillatory._START_POINTS, (f.terms, z, P)
 
 
 def test_tol_below_working_precision_sums_no_grid(monkeypatch):
