@@ -1,16 +1,16 @@
-"""A cubic surface from its ambient space.
+"""A cubic surface from its hypergeometric series.
 
-The twisted series fixes the mirror-map constant c0 = 3! and the
+The series fixes the mirror-map constant c0 = 3! and the
 pole-location invariant T0 = 27.  The matching Laurent model has its
 critical value at T0 - c0 = 21, found here by Newton iteration.
 """
 
 import mpmath
 
-from qgamma.jfun import j_projective, quantum_lefschetz, quantum_period
+from qgamma.jfun import quantum_lefschetz, quantum_period
 from qgamma.mirror import conifold_point, przyjalkowski_model
 
-out = quantum_lefschetz(j_projective(4, 24), 3, 6)
+out = quantum_lefschetz(4, 3, 6)
 G = quantum_period(out["JY"])
 
 print(f"space: {out['JY'].ring.name}")

@@ -127,10 +127,7 @@ def parse_space(text: str) -> SpaceSpec:
             raise UsageError("hypersurface needs n >= 3 and 1 <= d < n")
 
         def series(D, P):
-            # degree D on X(n,d), of index n - d, needs degree D n/(n - d)
-            # on the ambient space
-            out = quantum_lefschetz(j_projective(n, -(-D * n // (n - d))), d,
-                                    DY=D)
+            out = quantum_lefschetz(n, d, D)
             return out["JY"], {"c0": out["c0"],
                                "T0": _t0_value(d, n - d, P)}
         return SpaceSpec("hypersurface", f"X({n},{d})", n - d,

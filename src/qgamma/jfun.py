@@ -103,8 +103,9 @@ class JSeries:
 
     @functools.cached_property
     def _hypersurfaces(self) -> dict:
-        """a -> `quantum_lefschetz(self, a)` for the degrees a its callers
-        asked for, kept on the series like `_numeric`."""
+        """a -> `quantum_lefschetz(n, a, (n - a) (D // n))` on this series
+        of P^(n-1), for the degrees a that `laplace_lefschetz_check` asked
+        for, kept on the series like `_numeric`."""
         return {}
 
 
@@ -214,42 +215,25 @@ def quantum_period(J: JSeries) -> QuantumPeriod:
                 if row[i]})
 
 
-def quantum_lefschetz(JX: JSeries, a: int, DY: int | None = None) -> dict:
-    """J-series of the degree-a hypersurface X(n,a) inside the projective
-    space of JX, whose ring must be `build_projective_ring(n)` (n
-    homogeneous coordinates, as from `j_projective`).
+def quantum_lefschetz(n: int, a: int, D: int) -> dict:
+    """J-series of the degree-a hypersurface X(n,a) in the projective space
+    with n homogeneous coordinates, through degree D.
 
     Returns {"JY": JSeries on `build_hypersurface_ambient_ring(n, a)`, "c0":
     Fraction, "T0": exact Fraction, or a 60-digit big real when
-    irrational}.  JY stops at degree min((n-a) (JX.D // n), DY); its rows
-    are `_hypergeometric(n, a, .)`, and JX is read only at degree n, to
-    cross-check c0 at index 1.  The e^(-c0 t) factor is folded into the
-    series coefficients by a binomial transform so the output obeys the
-    standard series convention with index n-a.
+    irrational}.  JY stops at degree D; its rows are `_hypergeometric(n, a,
+    D // (n - a))`.  At index n - a = 1 the e^(-c0 t) factor, c0 = a!, is
+    folded into the series coefficients by a binomial transform so the
+    output obeys the standard series convention with index n-a.
     """
-    n = JX.ring.rank                   # homogeneous coordinates
-    if JX.ring != build_projective_ring(n):
-        raise ValueError("ambient series must come from j_projective")
-    r = JX.fano_index
-    if not 0 < a < r:
+    if not 0 < a < n:
         raise ValueError("need 0 < a < index of the ambient space")
-    if DY is not None and DY < 0:
-        raise ValueError("need DY >= 0")
     amb = build_hypersurface_ambient_ring(n, a)
-
-    # mirror-map constant; cross-checked against a! <[pt], J_r> when r-a = 1
-    if r - a == 1:
-        c0 = Fraction(factorial(a))
-        den, row = JX.rows.get(r, (1, [0]))
-        if factorial(a) * Fraction(row[0], den) != c0:
-            raise ValueError("the two readings of the mirror constant disagree")
-    else:
-        c0 = Fraction(0)
-
-    Dout = (r - a) * (JX.D // r)
-    if DY is not None:
-        Dout = min(Dout, DY)
-    nmax = Dout // (r - a)
+    r = n - a                          # index of X(n,a)
+    if D < r:
+        raise ValueError("truncation below the first nonzero coefficient")
+    c0 = Fraction(factorial(a) if r == 1 else 0)     # mirror-map constant
+    nmax = D // r
     S = _hypergeometric(n, a, nmax)
     if c0:
         # index 1: times e^(-c0 t), re-expanded.  Degree m is E_m with
@@ -264,11 +248,10 @@ def quantum_lefschetz(JX: JSeries, a: int, DY: int | None = None) -> dict:
             S.append(_reduced(L * factorial(m), w[0]))
             w = [[y - c * x for x, y in zip(lo, hi)]
                  for lo, hi in zip(w, w[1:])]
-    JY = JSeries(ring=amb, D=Dout,
-                 rows={(r - a) * dd: row for dd, row in enumerate(S)})
+    JY = JSeries(ring=amb, D=D, rows={r * dd: row for dd, row in enumerate(S)})
 
-    # (T0/(r-a))^(r-a) = a^a (T_X/r)^r with T_X = r here
-    return {"JY": JY, "c0": c0, "T0": _t0_value(a, r - a)}
+    # (T0/r)^r = a^a (T_X/n)^n with T_X = n here
+    return {"JY": JY, "c0": c0, "T0": _t0_value(a, r)}
 
 
 def _t0_value(a: int, b: int, P: int = 60):

@@ -50,8 +50,8 @@ from .exactla import lp_max
 from .jfun import (JSeries, MomentSum, _scaled, _truncate, evaluate_j,
                    quantum_lefschetz)
 from .laurent import LaurentPolynomial
-from .ring import GradedVector, cup, gamma_class, gamma_of_ch, line_bundle, \
-    pair_bracket
+from .ring import GradedVector, build_projective_ring, cup, gamma_class, \
+    gamma_of_ch, line_bundle, pair_bracket
 from .scalars import (from_fixed, make_constants, private_context, to_fixed,
                       working_context)
 
@@ -431,8 +431,10 @@ def laplace_lefschetz_check(JX: JSeries, a: int, u, tol=None, P: int = 50) -> di
     """Compare the hypersurface series with the Laplace transform of the
     ambient one.
 
-    Left side: J_Y at t = u^(a/(r-a)) from `quantum_lefschetz(JX, a)`, built
-    once per JX and a and kept on JX: the check's one `evaluate_j`.
+    JX must come from `j_projective(r, .)`.  Left side: J_Y at t =
+    u^(a/(r-a)) from `quantum_lefschetz(r, a, (r-a) (JX.D // r))`, cut
+    where JX is, built once per JX and a and kept on JX: the check's one
+    `evaluate_j`.
     Right side: e^(-c0 t)/(Gamma(1+a h) u) * int_0^inf  i*J_X(q^(a/r))
     e^(-q/u) dq, in the variable s = q/u and cut at s = S with e^(-S) =
     10^-(P+15), as one tanh-sinh sum over the whole vector (`_laplace_sum`),
@@ -452,7 +454,11 @@ def laplace_lefschetz_check(JX: JSeries, a: int, u, tol=None, P: int = 50) -> di
 
     lef = JX._hypersurfaces.get(a)
     if lef is None:
-        lef = JX._hypersurfaces[a] = quantum_lefschetz(JX, a)
+        # refused here, so that the memo only holds P^(r-1)'s sections
+        if RX != build_projective_ring(r):
+            raise ValueError("ambient series must come from j_projective")
+        lef = JX._hypersurfaces[a] = quantum_lefschetz(r, a,
+                                                       (r - a) * (JX.D // r))
     JY, c0 = lef["JY"], lef["c0"]
     RY = JY.ring
     exponent = Fraction(a, r - a)

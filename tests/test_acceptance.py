@@ -164,7 +164,7 @@ def test_criterion_04_oscillatory_equals_central_charge():
 
 def test_criterion_05_quantum_lefschetz_triangle():
     start = time.perf_counter()
-    out = quantum_lefschetz(j_projective(4, 24), 3, 6)
+    out = quantum_lefschetz(4, 3, 6)
     exact = out["c0"] == Fraction(6) and out["T0"] - out["c0"] == Fraction(21)
     closed = _t0_value(3, 1) - math.factorial(3) == Fraction(21)
     model = przyjalkowski_model(4, 3)

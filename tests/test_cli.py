@@ -155,14 +155,31 @@ def test_hypersurface_constructors_count_coordinates():
             assert (R.name, R.rank, R.fano_index, R.integral[-1]) == \
                 (spec.label, n - 1, n - d, d)
             assert spec.mirror().nvars == n - 2
-            lef = quantum_lefschetz(j_projective(n, n), d)
+            lef = quantum_lefschetz(n, d, n - d)
             assert lef["JY"].ring == R, (n, d)
     # P^(n-1) on the Schubert basis, and a series on a hypersurface ring,
-    # are no ambient series
-    for JX in (bcfk_j_series(1, 5, 10),
-               quantum_lefschetz(j_projective(5, 10), 2)["JY"]):
+    # are no ambient series for the Laplace check
+    for JX in (bcfk_j_series(1, 5, 10), quantum_lefschetz(5, 2, 6)["JY"]):
         with pytest.raises(ValueError, match="must come from j_projective"):
-            quantum_lefschetz(JX, 1)
+            oscillatory.laplace_lefschetz_check(JX, 1, Fraction(1, 20), P=15)
+
+
+@pytest.mark.parametrize("space", ["X(4,2)", "X(5,3)"])
+def test_hypersurface_series_stops_at_the_order_asked_for(capsys, space):
+    # the index 2 does not divide -D 61: the series reports D = 61, as
+    # P<n> does, with the rows of -D 60
+    def value(command, order, *flags):
+        rc, out, err = run(capsys, [command, "--space", space, "-D",
+                                    str(order), "--digits", "15", *flags])
+        assert rc in (0, 1), (command, err)
+        doc = json.loads(out)
+        assert doc["config_echo"]["order"] == order, command
+        return doc["value"]
+
+    assert value("check-gamma1", 61, "--tmax", "5")["D"] == 61
+    series = value("jseries", 61)
+    assert series["D"] == 61
+    assert series["coefficients"] == value("jseries", 60)["coefficients"]
 
 
 def test_conifold_cubic_surface(capsys):
@@ -975,8 +992,7 @@ def test_fekete_on_hypersurfaces_matches_quantum_lefschetz(capsys, space,
     rc, out, err = run(capsys, ["fekete", "--space", space, "-N", str(N)])
     assert rc == 0, err
     got = [Fraction(c) for c in json.loads(out)["value"]["constants"]]
-    JX = j_projective(n, N * n)     # degree r N on X needs N n on P
-    G = quantum_period(quantum_lefschetz(JX, d, DY=r * N)["JY"])
+    G = quantum_period(quantum_lefschetz(n, d, r * N)["JY"])
     assert got == [math.factorial(r * k) * G.coefficient(r * k)
                    for k in range(N + 1)]
 

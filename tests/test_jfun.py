@@ -61,7 +61,7 @@ def test_jseries_unit_constraint():
 
 
 def test_quantum_lefschetz_cubic_surface():
-    out = quantum_lefschetz(j_projective(4, 24), 3, 6)
+    out = quantum_lefschetz(4, 3, 6)
     assert out["c0"] == Fraction(6)
     assert out["T0"] == Fraction(27)
     JY = out["JY"]
@@ -77,7 +77,7 @@ def test_quantum_lefschetz_cubic_surface():
 
 
 def test_quantum_lefschetz_quadric_surface():
-    out = quantum_lefschetz(j_projective(4, 16), 2, 8)
+    out = quantum_lefschetz(4, 2, 8)
     # index 2, degree-2 section: no exponential prefactor to strip
     assert out["c0"] == 0
     assert out["T0"] == Fraction(4)
@@ -89,16 +89,28 @@ def test_quantum_lefschetz_quadric_surface():
 
 
 def test_quantum_lefschetz_against_closed_form():
-    # every hypersurface of P^3..P^7 with ambient coefficients through
-    # degree 60, each coefficient equal as rationals to the closed form
+    # every hypersurface of P^3..P^7 through the degree that degree 60 of
+    # the ambient series reaches, each coefficient equal as rationals to
+    # the closed form
     for n in range(3, 8):
-        JX = j_projective(n + 1, 60)
+        count = 60 // (n + 1)
         for a in range(1, n + 1):
-            JY = quantum_lefschetz(JX, a)["JY"]
-            want = oracles.hypersurface_j_series(n, a, 60 // (n + 1))
+            JY = quantum_lefschetz(n + 1, a, (n + 1 - a) * count)["JY"]
+            want = oracles.hypersurface_j_series(n, a, count)
             assert sorted(JY.coeffs) == sorted(want), (n, a)
             for d, v in want.items():
                 assert JY.coefficient(d).coeffs == tuple(v), (n, a, d)
+
+
+def test_mirror_constant_clears_the_unit_of_degree_one():
+    # at index 1 the mirror map e^(-c0 t), c0 = a!, removes the unit
+    # component of J_1; any other c0 leaves a! - c0 there
+    for n in range(3, 8):
+        out = quantum_lefschetz(n, n - 1, 3)
+        assert out["c0"] == math.factorial(n - 1), n
+        assert quantum_period(out["JY"]).coefficient(1) == 0, n
+    assert quantum_lefschetz(4, 3, 1)["JY"].rows[1] == (1, [0, 9, -18])
+    assert quantum_lefschetz(5, 4, 1)["JY"].rows[1] == (1, [0, 80, -80, 0])
 
 
 def test_evaluate_j_reports_convergence():
@@ -128,8 +140,7 @@ def test_tail_test_reads_the_last_two_nonzero_degrees():
     # series ends on a nonzero degree, at D = 61 on a zero one.  Both are
     # judged on degrees 58 and 60, so they agree, with a nonzero estimate
     # that is tiny at t = 1/2 and a failed test at t = 100
-    series = [quantum_lefschetz(j_projective(3, 3 * D), 2, D)["JY"]
-              for D in (60, 61)]
+    series = [quantum_lefschetz(3, 2, D)["JY"] for D in (60, 61)]
     assert series[1].coefficient(61).is_zero()
     for t, converged in ((Fraction(1, 2), True), (5, True), (10, True),
                          (100, False)):
@@ -182,7 +193,7 @@ def _direct_sum(J, t, half_turns, P):
 
 def test_evaluate_j_against_direct_sum():
     P = 40
-    quadric = quantum_lefschetz(j_projective(4, 160), 2)["JY"]
+    quadric = quantum_lefschetz(4, 2, 80)["JY"]
     for J, t, half_turns in ((j_projective(3, 60), Fraction(7, 2), 0),
                              (j_projective(3, 60), Fraction(7, 2), 1),
                              (quadric, Fraction(1, 20), 0)):
@@ -195,11 +206,10 @@ def test_evaluate_j_against_direct_sum():
 
 
 def _oracle_series():
-    ambient = j_projective(4, 120)
     return {"P1": j_projective(2, 120), "P2": j_projective(3, 120),
-            "P3": ambient, "P4": j_projective(5, 150),
-            "quadric": quantum_lefschetz(ambient, 2)["JY"],
-            "cubic": quantum_lefschetz(ambient, 3)["JY"],
+            "P3": j_projective(4, 120), "P4": j_projective(5, 150),
+            "quadric": quantum_lefschetz(4, 2, 60)["JY"],
+            "cubic": quantum_lefschetz(4, 3, 30)["JY"],
             "Gr(2,4)": bcfk_j_series(2, 4, 40)}
 
 
@@ -296,7 +306,7 @@ def _unit_series(name):
     if n:
         return j_projective(n, 60 * n)
     a = {"quadric": 2, "cubic": 3}[name]
-    return quantum_lefschetz(j_projective(4, 160), a)["JY"]
+    return quantum_lefschetz(4, a, (4 - a) * 40)["JY"]
 
 
 @settings(max_examples=40, deadline=None)
@@ -390,50 +400,41 @@ def test_j_projective_equals_fraction_oracle(n):
             assert _same(J.coeffs[d].coeffs, v), (n, D, d)
 
 
-def _lefschetz_matches_oracle(JX, n, a, DY=None):
-    """quantum_lefschetz(JX, a, DY) against the twist of JX's rows on
-    Fractions, cut at the output's truncation."""
-    JY = quantum_lefschetz(JX, a, DY)["JY"]
-    Dout = (n - a) * (JX.D // n)
-    assert JY.D == (Dout if DY is None else min(Dout, DY)), (n, a, DY)
+def _lefschetz_matches_oracle(n, a, D):
+    """quantum_lefschetz(n, a, D) against the twist, on Fractions, of the
+    rows of the ambient series `j_projective` builds through the degree
+    that D needs, cut at D."""
+    JY = quantum_lefschetz(n, a, D)["JY"]
+    assert JY.D == D, (n, a, D)
+    JX = j_projective(n, -(-D * n // (n - a)))
     ambient = {d: v.coeffs for d, v in JX.coeffs.items()}
     want = {d: v for d, v in oracles.lefschetz_twist_fraction(
-        ambient, n, a, JX.D).items() if d <= JY.D}
-    assert sorted(JY.coeffs) == sorted(want), (n, a, DY)
+        ambient, n, a, JX.D).items() if d <= D}
+    assert sorted(JY.coeffs) == sorted(want), (n, a, D)
     for d, v in want.items():
-        assert _same(JY.coeffs[d].coeffs, v), (n, a, DY, d)
+        assert _same(JY.coeffs[d].coeffs, v), (n, a, D, d)
 
 
 @pytest.mark.parametrize("n", range(3, 7))
 def test_quantum_lefschetz_equals_fraction_oracle(n):
-    D = 60
-    JX = j_projective(n, D)
     for a in range(1, n):
-        for DY in (None, D // 2, D, 3 * D):
-            _lefschetz_matches_oracle(JX, n, a, DY)
+        for D in (n - a, 30, 60, 61):
+            _lefschetz_matches_oracle(n, a, D)
 
 
 @pytest.mark.parametrize("n, D", [(4, 480), (5, 400), (6, 300)])
 def test_quantum_lefschetz_index_one_equals_fraction_oracle(n, D):
-    # the e^(-c0 t) re-expansion over many degrees
-    _lefschetz_matches_oracle(j_projective(n, D), n, n - 1)
-
-
-def _bad_mirror_constant():
-    # <pt, J_4> = 1/2 on P^3, where 3! <pt, J_4> must be c0 = 3!
-    R = build_projective_ring(4)
-    return JSeries(ring=R, D=4, rows={0: (1, [1, 0, 0, 0]),
-                                      4: (2, [1, 0, 0, 0])})
+    # the e^(-c0 t) re-expansion over the D // n degrees that degree D of
+    # the ambient series reaches
+    _lefschetz_matches_oracle(n, n - 1, D // n)
 
 
 @pytest.mark.parametrize("call, message", [
-    (lambda: quantum_lefschetz(bcfk_j_series(2, 4, 8), 1),
-     "must come from j_projective"),
-    (lambda: quantum_lefschetz(j_projective(4, 16), 0), "need 0 < a"),
-    (lambda: quantum_lefschetz(j_projective(4, 16), 4), "need 0 < a"),
-    (lambda: quantum_lefschetz(j_projective(4, 16), 2, -1), "need DY >= 0"),
-    (lambda: quantum_lefschetz(_bad_mirror_constant(), 3),
-     "two readings of the mirror constant disagree"),
+    (lambda: quantum_lefschetz(4, 0, 16), "need 0 < a"),
+    (lambda: quantum_lefschetz(4, 4, 16), "need 0 < a"),
+    (lambda: quantum_lefschetz(2, 1, 16), "hypersurface needs n >= 3"),
+    (lambda: quantum_lefschetz(4, 2, -1),
+     "truncation below the first nonzero coefficient"),
 ])
 def test_quantum_lefschetz_refusals_are_value_errors(call, message):
     with pytest.raises(ValueError, match=message):
@@ -454,11 +455,10 @@ def test_builder_rows_are_reduced_and_read_as_coeffs(n):
             assert all(type(c) is Fraction for c in J.coeffs[d].coeffs)
 
     for D in (n, 40, 250):
-        J = j_projective(n, D)
-        check(J, n, D)
+        check(j_projective(n, D), n, D)
         for a in range(1, n) if n > 2 else ():
-            for DY in (None, D // 2):
-                check(quantum_lefschetz(J, a, DY)["JY"], n, D, a, DY)
+            for DY in (n - a, D - 1, D):
+                check(quantum_lefschetz(n, a, DY)["JY"], n, a, DY)
     for r in range(2, n - 1):
         for D in (n - 1, n, 40):
             check(bcfk_j_series(r, n, D), r, n, D)
@@ -542,8 +542,8 @@ def _bitwise(rec):
 @pytest.mark.parametrize("build", [
     lambda: j_projective(2, 40), lambda: j_projective(3, 60),
     lambda: j_projective(4, 80), lambda: j_projective(5, 100),
-    lambda: quantum_lefschetz(j_projective(4, 80), 2)["JY"],
-    lambda: quantum_lefschetz(j_projective(4, 40), 3)["JY"],
+    lambda: quantum_lefschetz(4, 2, 40)["JY"],
+    lambda: quantum_lefschetz(4, 3, 10)["JY"],
     lambda: bcfk_j_series(2, 4, 40), lambda: bcfk_j_series(3, 6, 24)],
     ids=["P1", "P2", "P3", "P4", "X(4,2)", "X(4,3)", "Gr(2,4)", "Gr(3,6)"])
 def test_evaluate_j_bitwise_equal_to_per_coefficient_conversion(build):
@@ -576,7 +576,7 @@ def test_moment_view_equals_fraction_reading(n, a):
     # the ones read off the Fraction coefficients: the reduced max |J_d|
     # per degree, offsets from it, and the columns over the common
     # denominator
-    J = quantum_lefschetz(j_projective(n, 120), a)["JY"]
+    J = quantum_lefschetz(n, a, (n - a) * (120 // n))["JY"]
     rows = [[Fraction(c) for c in J.coeffs[d].coeffs]
             for d in J.nonzero_degrees()]
     den = math.lcm(*(c.denominator for row in rows for c in row))
@@ -642,7 +642,7 @@ def test_moment_prefactor_equals_fraction_powers(R):
 @pytest.mark.parametrize("build", [
     lambda: j_projective(2, 120), lambda: j_projective(3, 180),
     lambda: j_projective(4, 240), lambda: j_projective(5, 300),
-    lambda: quantum_lefschetz(j_projective(4, 160), 2)["JY"],
+    lambda: quantum_lefschetz(4, 2, 80)["JY"],
     lambda: bcfk_j_series(2, 4, 80)],
     ids=["P1", "P2", "P3", "P4", "X(4,2)", "Gr(2,4)"])
 def test_majorant_bounds_every_component(build):

@@ -640,15 +640,17 @@ def test_laplace_route_quadric_surface():
 def test_laplace_route_builds_each_hypersurface_once(monkeypatch):
     built = []
 
-    def counted(JX, a):
-        built.append((JX, a))
-        return quantum_lefschetz(JX, a)
+    def counted(n, a, D):
+        built.append((n, a, D))
+        return quantum_lefschetz(n, a, D)
     monkeypatch.setattr(oscillatory, "quantum_lefschetz", counted)
     JX, other = j_projective(4, 160), j_projective(4, 160)
-    for J in (JX, JX, other):
+    for J in (JX, JX, other, JX):
         laplace_lefschetz_check(J, 2, Fraction(1, 20), P=20)
-    # kept per series, not per equal series
-    assert [(J is JX, a) for J, a in built] == [(True, 2), (False, 2)]
+    # kept per series, not per equal series, through the degree 80 that
+    # degree 160 on P^3 reaches on X(4,2)
+    assert built == [(4, 2, 80)] * 2
+    assert JX._hypersurfaces[2] is not other._hypersurfaces[2]
 
 
 def _counting_evaluate_j(monkeypatch):
@@ -748,8 +750,8 @@ def test_moment_walk_stops_only_where_the_full_walk_adds_zeros(monkeypatch):
             _laplace_moments(J4, u, Fraction(a, 4), 30, range(1, 6))
     # an index-1 series, and the conic, whose identically zero odd degrees
     # have offset 0 and hold the drop bound down
-    X43 = quantum_lefschetz(j_projective(4, 120), 3)["JY"]
-    conic = quantum_lefschetz(j_projective(3, 180), 2, 60)["JY"]
+    X43 = quantum_lefschetz(4, 3, 30)["JY"]
+    conic = quantum_lefschetz(3, 2, 60)["JY"]
     assert conic._moments[0][1::2] == [0] * 30
     for J in (X43, conic):
         for P in (15, 50):
